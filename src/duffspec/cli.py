@@ -30,7 +30,6 @@ from .sweep import (
     SweepConfig,
     analyze,
     config_from_dict,
-    load_config,
     resolve_circuit,
     run_sweep_to_dir,
     validate_config,
@@ -148,8 +147,11 @@ _FLAG_FIELDS = (
 
 
 def merge_config(args):
+    raw = {}
     if args.config:
-        base = load_config(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        base = config_from_dict(raw)
     else:
         base = SweepConfig()
     overrides = {}
@@ -157,8 +159,14 @@ def merge_config(args):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    merged = config_from_dict({**_as_dict(base), **overrides})
-    return merged
+    merged = {**_as_dict(base), **overrides}
+    # A line scan never uses the range of its fixed axis; when the user set
+    # none, the default range must not reject the fixed value.
+    for axis, value in (merged["scan"] or {}).items():
+        key = f"{axis}_range"
+        if key in merged and key not in raw and key not in overrides and isinstance(value, (int, float)):
+            merged[key] = (value, value, 1)
+    return config_from_dict(merged)
 
 
 def _as_dict(config):

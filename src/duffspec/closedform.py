@@ -11,10 +11,15 @@ extended-precision re-evaluation.
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import CANCEL_RATIO, SERIES_MAX_TERMS, SERIES_RTOL
 from .fock import ModelParams
 
+SERIES_RTOL = 1e-14
+SERIES_MAX_TERMS = 20000
+# Ratio of peak partial-sum magnitude to final magnitude beyond which the
+# caller must re-evaluate in extended precision.
+CANCEL_RATIO = 1e8
+# Cells summed together; bounds the size of the per-term scratch arrays.
+_SERIES_BLOCK = 4096
 _MP_DPS = 50
 _INT_TOL = 1e-12
 
@@ -47,6 +52,96 @@ def _hyp0f2_mpmath(b1, b2, z):
         return complex(value)
 
 
+def _store(out, idx, total, peak, mag, k):
+    """Write finished cells' value and gauges to positions ``idx`` of ``out``."""
+    value, ratio, terms, tail = out
+    amag = np.abs(total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio[idx] = np.where(amag > 0.0, peak / amag, np.inf)
+        tail[idx] = np.where(amag > 0.0, mag / amag, np.inf)
+    value[idx] = total
+    terms[idx] = k
+
+
+def _series_block(b1, b2, z, min_terms, out):
+    """hyp0f2_series on one block of flat arrays, written into the ``out`` views.
+
+    Every live cell takes the same term step; a cell leaves the live set
+    as soon as it meets its stopping rule, so the work follows each cell's
+    own term count and a finished cell is never summed further.
+    """
+    n = b1.size
+    live = np.arange(n)
+    total = np.ones(n, dtype=complex)
+    term = np.ones(n, dtype=complex)
+    peak = np.ones(n)
+    prev_mag = np.ones(n)
+    decreasing = np.zeros(n, dtype=np.int64)
+    k = 0
+    while live.size and k < SERIES_MAX_TERMS:
+        term = term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
+        total = total + term
+        mag = np.abs(term)
+        amag = np.abs(total)
+        np.maximum(peak, amag, out=peak)
+        # non-strict: an exactly-zero term (z = 0, or underflow past the
+        # tail) must still count as decreasing or the cell never stops
+        decreasing = np.where(mag <= prev_mag, decreasing + 1, 0)
+        prev_mag = mag
+        k += 1
+        if k < min_terms:
+            continue
+        done = (decreasing >= 3) & (mag <= SERIES_RTOL * amag)
+        if done.any():
+            _store(out, live[done], total[done], peak[done], mag[done], k)
+            keep = ~done
+            live = live[keep]
+            b1, b2, z = b1[keep], b2[keep], z[keep]
+            term, total, peak = term[keep], total[keep], peak[keep]
+            prev_mag, decreasing = prev_mag[keep], decreasing[keep]
+    # cells still live here ran into the term cap
+    _store(out, live, total, peak, prev_mag, k)
+
+
+def hyp0f2_series(b1, b2, z, min_terms=0):
+    """Power series for 0F2(; b1, b2; z) = sum_k z^k / (k! (b1)_k (b2)_k).
+
+    Sums every cell of the broadcast arrays (b1, b2, z) at once, in
+    blocks of _SERIES_BLOCK cells.  Pochhammer factors accumulate
+    incrementally.  A cell stops once its relative term magnitude is
+    below SERIES_RTOL *and* its terms have decreased for three
+    consecutive orders, which guards against stopping on a dip before the
+    series peak at large |z|; it also stops at SERIES_MAX_TERMS terms.
+    ``min_terms`` forces at least that many terms regardless (used to test
+    truncation robustness).
+
+    Returns arrays (value, peak_ratio, terms, tail_rel) of the broadcast
+    shape:
+      peak_ratio  max |partial sum| / |final sum|, the cancellation gauge
+      terms       number of terms summed past the leading 1
+      tail_rel    magnitude of the last term relative to the result
+    peak_ratio and tail_rel are inf where the sum is exactly zero.
+    """
+    b1, b2, z = np.broadcast_arrays(
+        np.asarray(b1, dtype=complex), np.asarray(b2, dtype=complex), np.asarray(z, dtype=complex)
+    )
+    out = (
+        np.empty(b1.shape, dtype=complex),
+        np.empty(b1.shape),
+        np.empty(b1.shape, dtype=np.int64),
+        np.empty(b1.shape),
+    )
+    flat_out = [a.reshape(-1) for a in out]
+    for start in range(0, b1.size, _SERIES_BLOCK):
+        # .flat copies just this block out of the (possibly broadcast) inputs
+        block = slice(start, start + _SERIES_BLOCK)
+        _series_block(
+            b1.flat[block], b2.flat[block], z.flat[block], min_terms,
+            [a[block] for a in flat_out],
+        )
+    return out
+
+
 def hyper_0f2(b1, b2, z, min_terms=0):
     """0F2(; b1, b2; z) for complex parameters and argument.
 
@@ -57,7 +152,7 @@ def hyper_0f2(b1, b2, z, min_terms=0):
     b1 = _check_pole(b1)
     b2 = _check_pole(b2)
     z = complex(z)
-    value, ratio, terms, _tail = _kernels.hyp0f2_series(b1, b2, z, min_terms)
+    value, ratio, terms, _tail = hyp0f2_series(b1, b2, z, min_terms)
     if ratio > CANCEL_RATIO:
         return _hyp0f2_mpmath(b1, b2, z)
     if terms >= SERIES_MAX_TERMS:
@@ -65,7 +160,7 @@ def hyper_0f2(b1, b2, z, min_terms=0):
             f"0F2 series did not converge within {SERIES_MAX_TERMS} terms "
             f"(b1={b1}, b2={b2}, z={z})"
         )
-    return value
+    return complex(value)
 
 
 def _dw_mpmath(delta, epsilon, gamma, chi):
@@ -116,11 +211,22 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
         raise ValueError("closed-form response requires chi > 0")
     if gamma <= 0:
         raise ValueError("closed-form response requires gamma > 0")
-    deltas = np.ascontiguousarray(np.asarray(deltas, dtype=float))
-    epsilons = np.ascontiguousarray(np.asarray(epsilons, dtype=float))
-    values, flags, tails = _kernels.dw_grid(deltas, epsilons, gamma, chi)
-    bad = np.argwhere(flags == 1)
-    for i, j in bad:
+    deltas = np.asarray(deltas, dtype=float)
+    epsilons = np.asarray(epsilons, dtype=float)
+    d = deltas[:, None]
+    e = epsilons[None, :]
+    z = 2.0 * e * e / (chi * chi)
+    b_shared = (d + 0.5j * gamma) / chi
+    # numerator and denominator series of every cell in one call
+    b_first = np.stack(((d + chi - 0.5j * gamma) / chi, (d - 0.5j * gamma) / chi))
+    sums, ratios, terms, tails = hyp0f2_series(b_first, b_shared, z)
+    num, den = sums
+    # a zero denominator has an infinite peak ratio, so it is flagged too
+    bad = np.any(ratios > CANCEL_RATIO, axis=0) | np.any(terms >= SERIES_MAX_TERMS, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = -(e / (d - 0.5j * gamma)) * num / den
+    tails = np.max(tails, axis=0)
+    for i, j in np.argwhere(bad):
         if epsilons[j] == 0.0:
             values[i, j] = 0.0
         else:

@@ -29,6 +29,8 @@ class ModelParams:
     Operations that require dissipation or a nonzero Kerr term enforce the
     strict inequality themselves; keeping zero legal here lets limiting
     cases (undriven, undamped, or linear oscillators) be constructed.
+    The solvers take scalars; formulas that broadcast (response_series)
+    also accept arrays, which are validated element by element.
     """
 
     delta: float
@@ -39,13 +41,13 @@ class ModelParams:
     def __post_init__(self):
         for name in ("delta", "chi", "epsilon", "gamma"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.chi < 0:
+        if np.any(np.less(self.chi, 0)):
             raise ValueError(f"chi must be >= 0, got {self.chi}")
-        if self.epsilon < 0:
+        if np.any(np.less(self.epsilon, 0)):
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.gamma < 0:
+        if np.any(np.less(self.gamma, 0)):
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 

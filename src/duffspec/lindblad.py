@@ -248,13 +248,36 @@ def _leading_diagonal_sign(m):
     return 1.0
 
 
+def _spectrum_order(w):
+    """Indices sorting w by descending real part, conjugate partners adjacent, +Im first.
+
+    The members of a conjugate pair agree only to rounding (~1e-14), so
+    sorting on their raw values would let LAPACK/ARPACK rounding decide
+    which comes first.  Each -Im member is therefore keyed by the real
+    part and |Im| of its +Im partner.
+    """
+    re_key = w.real.copy()
+    im_key = np.abs(w.imag)
+    upper = np.nonzero(w.imag > TOL_EIG)[0]
+    lower = np.nonzero(w.imag < -TOL_EIG)[0]
+    if upper.size and lower.size:
+        dist = np.abs(w[upper][None, :] - w[lower].conj()[:, None])
+        nearest = np.argmin(dist, axis=1)
+        tol = 1e-6 * np.maximum(1.0, np.abs(w[lower]))
+        paired = dist[np.arange(lower.size), nearest] < tol
+        re_key[lower[paired]] = re_key[upper[nearest[paired]]]
+        im_key[lower[paired]] = im_key[upper[nearest[paired]]]
+    return np.lexsort((-np.sign(w.imag), -im_key, -re_key))
+
+
 def low_lying_spectrum(S, count=6):
     """The ``count`` eigenvalues of S with largest real part, plus eigenmatrices.
 
     Dense eigendecomposition up to DENSE_EIG_MAX_DIM, shift-inverted
-    Arnoldi beyond it.  If the cutoff would split a complex-conjugate
-    pair, the partner is included as well (so the result can hold
-    count + 1 entries).
+    Arnoldi beyond it.  Eigenvalues come in descending real part, each
+    complex-conjugate pair adjacent with its +Im member first.  If the
+    cutoff would split a pair, the partner is included as well (so the
+    result can hold count + 1 entries).
     """
     d = _superoperator_dim(S)
     if count < 1:
@@ -267,7 +290,7 @@ def low_lying_spectrum(S, count=6):
             w, v = spla.eigs(S.tocsc(), k=k, sigma=_arnoldi_shift(S), maxiter=5000)
         except spla.ArpackNoConvergence as exc:
             raise EigenSolverError(f"Arnoldi iteration did not converge: {exc}") from exc
-    order = np.lexsort((np.sign(w.imag), -np.abs(w.imag), -w.real))
+    order = _spectrum_order(w)
     w = w[order]
     v = v[:, order]
     n_keep = min(count, w.size)

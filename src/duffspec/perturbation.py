@@ -30,6 +30,11 @@ from .lindblad import build_superoperator
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
+# Evaluation budget of one Fano start, per fitted parameter.  Converged
+# starts use under 20 per parameter, Jacobian evaluations included; a start
+# that chases |q| -> infinity (a symmetric line) never converges, and a
+# larger budget only makes it fail later.
+_FANO_NFEV_PER_PARAM = 40
 
 
 class FanoFitError(RuntimeError):
@@ -226,12 +231,13 @@ def response_series(params):
 
     The linear term is the Lorentzian response; the cubic one carries the
     anharmonic pole at 2 delta + 2 chi = 0.  At chi = 0 the response is the
-    pure Lorentzian at every drive.
+    pure Lorentzian at every drive.  The parameters may be arrays, which
+    broadcast together.
     """
     d, x, e, g = params.delta, params.chi, params.epsilon, params.gamma
-    a = complex(2.0 * d, -g)
+    a = 2.0 * d - 1j * g
     linear = -2.0 * e / a
-    cubic = 32.0 * x * e**3 / (a * a * complex(2.0 * x + 2.0 * d, -g) * a.conjugate())
+    cubic = 32.0 * x * e**3 / (a * a * (2.0 * x + 2.0 * d - 1j * g) * np.conj(a))
     return linear + cubic
 
 
@@ -317,7 +323,7 @@ def fano_fit(deltas, magnitudes, window=None, residual_frac=0.05, background_ord
                 lambda th: _fano_model(th, deltas, background_order) - mags,
                 theta0,
                 method="lm",
-                max_nfev=5000,
+                max_nfev=_FANO_NFEV_PER_PARAM * theta0.size,
             )
             if result.success and (best is None or result.cost < best.cost):
                 best = result
@@ -354,7 +360,7 @@ def fano_fit(deltas, magnitudes, window=None, residual_frac=0.05, background_ord
     )
 
 
-def _has_stationary_point(params_gamma, chi, n, epsilon, deltas, mask):
+def _has_stationary_point(params_gamma, chi, epsilon, deltas, mask):
     values, _ = dw_response_grid(deltas, np.array([epsilon]), params_gamma, chi)
     mags = np.abs(values[:, 0])
     slopes = np.diff(mags)
@@ -386,7 +392,7 @@ def onset_scan(n, gammas, chi=1.0, window_factor=10.0, samples=961):
         eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)
 
         def found(e):
-            return _has_stationary_point(gamma, chi, n, e, deltas, mask)
+            return _has_stationary_point(gamma, chi, e, deltas, mask)
 
         for _ in range(120):
             if not found(eps):

@@ -27,7 +27,7 @@ from .lindblad import (
     solve_steady_state_adaptive,
     build_superoperator,
 )
-from .perturbation import fano_fit, fano_q, onset_scan, onset_slope
+from .perturbation import fano_fit, fano_q, onset_scan, onset_slope, response_series
 from .phasespace import local_maxima, wigner_integral, wigner_many, wigner_purity
 
 METHODS = ("numeric", "closed-form", "series", "both")
@@ -212,15 +212,6 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
     return values, dims, residuals
 
 
-def _series_grid(deltas, epsilons, gamma, chi):
-    d = deltas[:, None]
-    e = epsilons[None, :]
-    a = 2.0 * d - 1j * gamma
-    linear = -2.0 * e / a
-    cubic = 32.0 * chi * e**3 / (a * a * (2.0 * chi + 2.0 * d - 1j * gamma) * a.conj())
-    return linear + cubic
-
-
 def sweep(config):
     """Evaluate the response over the configured (delta, epsilon) grid."""
     config = validate_config(config)
@@ -239,7 +230,9 @@ def sweep(config):
         values["closed-form"] = vals
         residuals["closed-form"] = tails
     if config.method == "series":
-        values["series"] = _series_grid(deltas, epsilons, config.gamma, config.chi)
+        values["series"] = response_series(
+            ModelParams(deltas[:, None], config.chi, epsilons[None, :], config.gamma)
+        )
         residuals["series"] = np.zeros_like(values["series"], dtype=float)
     if config.method == "both":
         discrepancy = np.abs(values["numeric"] - values["closed-form"])

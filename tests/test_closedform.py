@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from duffspec import _kernels
 from duffspec.closedform import (
     ModelParams,
     ParameterPoleError,
     dw_response,
     dw_response_grid,
+    hyp0f2_series,
     hyper_0f2,
 )
 
@@ -151,9 +151,50 @@ def test_dw_requires_positive_chi_and_gamma():
         dw_response_grid(np.array([0.0]), np.array([1.0]), -1.0, 1.0)
 
 
-def test_kernel_flags_exposed():
-    # the fallback switch is part of the public contract
-    assert isinstance(_kernels.USING_NUMBA, bool)
-    value, ratio, terms, tail = _kernels.hyp0f2_series(1.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j, 0)
+def test_hyp0f2_series_gauges_scalar_and_array():
+    value, ratio, terms, tail = hyp0f2_series(1.0, 1.0, 1.0)
     assert np.isclose(value, 2.1297025489833064, atol=1e-14)
     assert ratio >= 1.0 and terms > 0 and tail >= 0.0
+    b1 = np.array([1.0, -5.2 - 1.0j, 0.7 + 0.3j])
+    value, ratio, terms, tail = hyp0f2_series(b1, [[1.0], [-5.2 + 1.0j]], [1.0, 20.48, 3.0])
+    assert value.shape == ratio.shape == terms.shape == tail.shape == (2, 3)
+    assert np.isclose(value[0, 0], 2.1297025489833064, atol=1e-14)
+    assert np.all(ratio >= 1.0) and np.all(terms > 0) and np.all(tail >= 0.0)
+    # each cell is summed as the scalar call sums it
+    for i, b2 in enumerate((1.0, -5.2 + 1.0j)):
+        for j, z in enumerate((1.0, 20.48, 3.0)):
+            assert np.isclose(value[i, j], hyp0f2_series(b1[j], b2, z)[0], rtol=1e-15, atol=0.0)
+
+
+def test_hyp0f2_series_min_terms_leaves_array_values():
+    b1 = np.array([-5.2 - 1.0j, 0.7 + 0.3j, 1.0, -2.5 + 0.1j])
+    b2 = np.array([-5.2 + 1.0j, -2.5 + 1.0j, 1.0, 3.0])
+    z = np.array([50.0, 12.0, 1.0, 0.0])
+    v1, _, terms1, _ = hyp0f2_series(b1, b2, z)
+    v2, _, terms2, _ = hyp0f2_series(b1, b2, z, min_terms=200)
+    assert np.all(terms2 >= 200) and np.all(terms1 < 200)
+    assert np.all(np.abs(v1 - v2) <= 1e-13 * np.abs(v1))
+
+
+# A zero of the numerator series at gamma = 1e-9: its partial sums peak
+# ~2e9 times above the final value, past CANCEL_RATIO, so the cell is
+# re-evaluated with mpmath.
+_ESCALATING_CELL = (-9.131118029238847, 3.9, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "deltas, epsilons, gamma, escalated",
+    [
+        (np.linspace(-3.0, 0.5, 15), np.array([0.0, 0.012, 0.5, 2.5]), 0.01, []),
+        (np.array([-9.5, _ESCALATING_CELL[0]]), np.array([_ESCALATING_CELL[1]]), _ESCALATING_CELL[2], [[1, 0]]),
+    ],
+)
+def test_dw_response_grid_matches_scalar_cell_by_cell(deltas, epsilons, gamma, escalated):
+    # gamma = 2 is covered by test_dw_response_grid_matches_scalar
+    values, tails = dw_response_grid(deltas, epsilons, gamma, 1.0)
+    for i, d in enumerate(deltas):
+        for j, e in enumerate(epsilons):
+            ref = dw_response(ModelParams(delta=float(d), chi=1.0, epsilon=float(e), gamma=gamma))
+            assert abs(values[i, j] - ref) <= 1e-12 * abs(ref)
+    # escalated cells report a zero tail; so do undriven cells, whose series stop at 1
+    assert np.argwhere((tails == 0.0) & (epsilons != 0.0)).tolist() == escalated

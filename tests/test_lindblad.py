@@ -14,6 +14,7 @@ from duffspec.fock import (
 from duffspec.lindblad import (
     DegenerateKernelError,
     TruncationLimitError,
+    _spectrum_order,
     build_superoperator,
     low_lying_spectrum,
     metastable_extremes,
@@ -168,6 +169,12 @@ def test_spectrum_point_c_frozen(point_c_spectrum):
     assert np.isclose(pair[1], pair[0].conjugate(), atol=1e-10)
     reals = w[(np.abs(w.imag) <= 1e-6) & (np.abs(w) > 1e-6)]
     assert np.isclose(reals[1].real, -2.2037814457180587, atol=1e-8)
+
+
+def test_spectrum_order_ignores_rounding_within_a_pair():
+    # the -Im member's real part is larger by rounding; +Im still comes first
+    w = np.array([-1.5 - 4.1j + 2e-14, 1e-15 + 0j, -1.5 + 4.1j, -0.2 - 1e-16j, -1.5 + 2.0j])
+    assert _spectrum_order(w).tolist() == [1, 3, 2, 0, 4]
 
 
 def test_spectrum_eigenmatrix_conventions(point_c_spectrum):

@@ -381,6 +381,21 @@ def test_cli_scan_success(tmp_path, capsys):
     assert "scan:" in capsys.readouterr().out
 
 
+def test_cli_readme_line_scan(tmp_path, monkeypatch):
+    # the README's line scan, verbatim: the fixed drive lies outside the
+    # default epsilon range, which the scan never uses
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        [
+            "--method", "closed-form", "--gamma", "0.01", "--chi", "1",
+            "--delta-range=-1.08:-0.92:801", "--scan", "epsilon=0.012", "--out-dir", "out/line",
+        ]
+    )
+    assert code == 0
+    lines = (tmp_path / "out" / "line" / "scan.csv").read_text().splitlines()
+    assert len(lines) == 1 + 801
+
+
 def test_cli_config_error_emits_json(tmp_path, capsys):
     code = main(["--delta-range=5:1:10", "--out-dir", str(tmp_path / "x")])
     captured = capsys.readouterr()
