@@ -153,6 +153,11 @@ def hyper_0f2(b1, b2, z, min_terms=0):
     b2 = _check_pole(b2)
     z = complex(z)
     value, ratio, terms, _tail = hyp0f2_series(b1, b2, z, min_terms)
+    return _cell_value(b1, b2, z, value, ratio, terms)
+
+
+def _cell_value(b1, b2, z, value, ratio, terms):
+    """One summed cell as a complex, in 50 digits if it cancelled; raises if it did not converge."""
     if ratio > CANCEL_RATIO:
         return _hyp0f2_mpmath(b1, b2, z)
     if terms >= SERIES_MAX_TERMS:
@@ -190,10 +195,14 @@ def dw_response(params):
     d, x, e, g = params.delta, params.chi, params.epsilon, params.gamma
     if e == 0.0:
         return 0.0 + 0.0j
-    z = 2.0 * e * e / (x * x)
-    b_shared = complex(d, 0.5 * g) / x
-    num = hyper_0f2(complex(d + x, -0.5 * g) / x, b_shared, z)
-    den = hyper_0f2(complex(d, -0.5 * g) / x, b_shared, z)
+    z = complex(2.0 * e * e / (x * x))
+    b_num = _check_pole(complex(d + x, -0.5 * g) / x)
+    b_den = _check_pole(complex(d, -0.5 * g) / x)
+    b_shared = _check_pole(complex(d, 0.5 * g) / x)
+    # both series in one call; each cell then escalates or fails as in hyper_0f2
+    sums, ratios, terms, _tails = hyp0f2_series([b_num, b_den], b_shared, z)
+    num = _cell_value(b_num, b_shared, z, sums[0], ratios[0], terms[0])
+    den = _cell_value(b_den, b_shared, z, sums[1], ratios[1], terms[1])
     if den == 0.0:
         return _dw_mpmath(d, e, g, x)
     return -(e / complex(d, -0.5 * g)) * num / den

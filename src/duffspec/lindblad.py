@@ -2,15 +2,18 @@
 
 Density matrices are vectorized row-major (C order), so the master
 equation drho/dt = -i[H, rho] + (gamma/2)(2 a rho a' - a'a rho - rho a'a)
-becomes dvec/dt = S vec with
+becomes dvec/dt = S vec.  Row (k, l) of S holds at most six entries:
 
-    S = -i (H (x) I - I (x) H^T) + gamma (a (x) a*) - (gamma/2)(N (x) I + I (x) N)
+    (k, l)          -i (h_kk - h_ll) - (gamma/2)(k + l)
+    (k +- 1, l)     -i h_{k, k+-1}
+    (k, l +- 1)     +i h_{l+-1, l}
+    (k+1, l+1)      gamma sqrt(k+1) sqrt(l+1)
 
-built from sparse Kronecker products; every row has at most 7 nonzeros.
-The steady state is the kernel of S, solved by replacing one redundant
-row with the trace constraint and factorizing; the slow spectrum comes
-from dense eigendecomposition at small truncation and shift-inverted
-Arnoldi iteration above it.
+with h the truncated Hamiltonian, so S is written straight into CSR
+arrays.  The steady state is the kernel of S, solved by replacing one
+redundant row with the trace constraint and factorizing; the slow spectrum
+comes from dense eigendecomposition at small truncation and
+shift-inverted Arnoldi iteration above it.
 """
 
 import math
@@ -21,7 +24,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eig as dense_eig
 
-from .fock import TOL_HERM, TOL_PSD, TOL_TRACE, build_hamiltonian, validate_density_matrix
+from .fock import (
+    TOL_HERM,
+    TOL_PSD,
+    TOL_TRACE,
+    annihilation,
+    build_hamiltonian,
+    validate_density_matrix,
+)
 from .semiclassical import classical_steady_states
 
 TOL_EIG = 1e-8
@@ -58,28 +68,48 @@ def build_superoperator(params, dim):
     Row (k, l), column (i, j) indices follow row-major vectorization.
     The assembled matrix annihilates the trace functional exactly: the
     identity's vectorization is a left null vector in floating point.
+
+    Each row's entries (module docstring) are written in ascending column
+    order and exact zeros are left out, so the stored pattern is the
+    nonzero pattern.  Every entry is rounded as the Kronecker-product
+    sum -i(H (x) I - I (x) H^T) + gamma (a (x) a*) - (gamma/2)(N (x) I +
+    I (x) N) rounds it, down to the sign of zero parts.
     """
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
-    h = sp.csr_matrix(build_hamiltonian(params, dim))
-    a = sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr").astype(complex)
-    n = sp.diags(np.arange(dim, dtype=float), 0, format="csr").astype(complex)
-    eye = sp.identity(dim, dtype=complex, format="csr")
+    h = build_hamiltonian(params, dim)
+    level = np.diag(h).real
+    # zero-padded at both ends so out-of-range neighbours read 0 and drop out
+    drive = np.concatenate(([0.0], np.diag(h, 1).real, [0.0]))
+    root = np.append(np.diag(annihilation(dim), 1).real, 0.0)
     g = params.gamma
-    S = (
-        -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-        + g * sp.kron(a, a.conjugate())
-        - 0.5 * g * (sp.kron(n, eye) + sp.kron(eye, n))
-    )
-    return S.tocsr()
+    k = np.arange(dim)[:, None]
+    l = np.arange(dim)[None, :]
+    # slots in column order: (k-1, l), (k, l-1), (k, l), (k, l+1), (k+1, l), (k+1, l+1);
+    # 0.0 - x and level[l] - level[k] give +0 where the Kronecker sum does
+    vals = np.zeros((dim, dim, 6), dtype=complex)
+    vals.imag[..., 0] = -drive[k]
+    vals.imag[..., 1] = drive[l]
+    vals.real[..., 2] = 0.0 - (0.5 * g) * (k + l)
+    vals.imag[..., 2] = level[l] - level[k]
+    vals.imag[..., 3] = drive[l + 1]
+    vals.imag[..., 4] = -drive[k + 1]
+    vals.real[..., 5] = g * (root[k] * root[l])
+    cols = (k * dim + l)[..., None] + np.array([-dim, -1, 0, 1, dim, dim + 1])
+    keep = vals != 0
+    indptr = np.zeros(dim * dim + 1, dtype=np.int64)
+    np.cumsum(keep.reshape(dim * dim, 6).sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(dim * dim, dim * dim))
 
 
 def _trace_replaced_system(S):
+    """S with row 0 replaced by the trace functional (CSC), and the matching right side."""
     d = _superoperator_dim(S)
-    A = S.tolil(copy=True)
-    A[0, :] = 0.0
-    for i in range(d):
-        A[0, i * d + i] = 1.0
+    start = S.indptr[1]
+    indices = np.concatenate((np.arange(d) * (d + 1), S.indices[start:]))
+    data = np.concatenate((np.ones(d, dtype=complex), S.data[start:]))
+    indptr = np.concatenate(([0], S.indptr[1:] - start + d))
+    A = sp.csr_matrix((data, indices, indptr), shape=S.shape)
     b = np.zeros(d * d, dtype=complex)
     b[0] = 1.0
     return A.tocsc(), b
@@ -92,7 +122,10 @@ def _diagnose_kernel(S):
         w = np.linalg.eigvals(S.toarray())
     else:
         try:
-            w = spla.eigs(S.tocsc(), k=4, sigma=_arnoldi_shift(S), return_eigenvectors=False)
+            w = spla.eigs(
+                S.tocsc(), k=4, sigma=_arnoldi_shift(S), v0=_arnoldi_start(S),
+                return_eigenvectors=False,
+            )
         except Exception as exc:  # pragma: no cover - diagnostic path
             raise DegenerateKernelError(f"kernel diagnosis failed: {exc}") from exc
     re_sorted = np.sort(np.abs(np.real(w)))
@@ -226,6 +259,20 @@ def _arnoldi_shift(S):
     return 0.3 * scale
 
 
+def _arnoldi_start(S):
+    """Fixed ARPACK start vector: a seeded random unit vector.
+
+    Without one, ARPACK draws its start from a seed it keeps between
+    calls, so a result would depend on the eigs calls made before it.
+    The vector is generic on purpose: vec(I), say, lies in the population
+    sector, which an undriven generator leaves invariant, and Arnoldi
+    from it never sees the coherence eigenvalues.
+    """
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(S.shape[0]) + 1j * rng.standard_normal(S.shape[0])
+    return v / np.linalg.norm(v)
+
+
 def _fix_phase_hermitian(m):
     """Rotate a real-eigenvalue eigenmatrix onto its Hermitian representative."""
     idx = np.unravel_index(np.argmax(np.abs(m)), m.shape)
@@ -287,7 +334,9 @@ def low_lying_spectrum(S, count=6):
     else:
         k = min(count + 6, d * d - 2)
         try:
-            w, v = spla.eigs(S.tocsc(), k=k, sigma=_arnoldi_shift(S), maxiter=5000)
+            w, v = spla.eigs(
+                S.tocsc(), k=k, sigma=_arnoldi_shift(S), v0=_arnoldi_start(S), maxiter=5000
+            )
         except spla.ArpackNoConvergence as exc:
             raise EigenSolverError(f"Arnoldi iteration did not converge: {exc}") from exc
     order = _spectrum_order(w)
@@ -363,8 +412,15 @@ class MetastablePair:
         return -self.beta_minus / (self.beta_plus - self.beta_minus)
 
 
+def _mixture(rho0, drho1, beta):
+    """rho0 + beta drho1 scaled to unit trace; exactly Hermitian if rho0 and drho1 are."""
+    rho = rho0 + beta * drho1
+    return rho / np.trace(rho).real
+
+
 def _min_eig(rho0, drho1, beta):
-    return float(np.linalg.eigvalsh(rho0 + beta * drho1)[0])
+    # bisect on the matrix metastable_extremes returns, so its bound holds
+    return float(np.linalg.eigvalsh(_mixture(rho0, drho1, beta))[0])
 
 
 def _boundary_beta(rho0, drho1, direction):
@@ -421,17 +477,14 @@ def metastable_extremes(rho0, drho1):
     if abs(np.trace(drho1)) > TOL_TRACE * max(1.0, norm):
         raise ValueError(f"perturbation not traceless: trace {np.trace(drho1):.3e}")
 
+    # exactly Hermitian parts, so every mixture is exactly Hermitian as well
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    drho1 = 0.5 * (drho1 + drho1.conj().T)
     beta_plus = _boundary_beta(rho0, drho1, +1.0)
     beta_minus = _boundary_beta(rho0, drho1, -1.0)
-
-    def _endpoint(beta):
-        rho = rho0 + beta * drho1
-        rho = 0.5 * (rho + rho.conj().T)
-        return rho / np.trace(rho).real
-
     return MetastablePair(
-        rho_plus=_endpoint(beta_plus),
-        rho_minus=_endpoint(beta_minus),
+        rho_plus=_mixture(rho0, drho1, beta_plus),
+        rho_minus=_mixture(rho0, drho1, beta_minus),
         beta_plus=float(beta_plus),
         beta_minus=float(beta_minus),
     )

@@ -29,6 +29,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
+from .fock import annihilation
+
 _PAD = 8
 _HERM_TOL = 1e-10
 _EDGE_TOL = 1e-6
@@ -36,7 +38,7 @@ _EDGE_TOL = 1e-6
 
 @lru_cache(maxsize=64)
 def _ladder(dim):
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+    a = annihilation(dim)
     return a, a.conj().T
 
 

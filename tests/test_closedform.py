@@ -133,8 +133,10 @@ def test_dw_response_grid_matches_scalar():
 
 
 def test_dw_response_grid_escalation_deterministic():
-    # low gamma at strong drive triggers the cancellation guard; repeated
-    # evaluation must agree bit for bit
+    # repeated evaluation must agree bit for bit.  The gamma = 0.01 cells
+    # stay on the double-precision series (no cell there cancels past
+    # CANCEL_RATIO); the gamma = 1e-9 cell sits on a zero of the numerator
+    # series, so it trips the cancellation guard and goes to mpmath.
     deltas = np.linspace(-3.0, -0.5, 9)
     epsilons = np.array([2.5])
     v1, _ = dw_response_grid(deltas, epsilons, 0.01, 1.0)
@@ -142,6 +144,23 @@ def test_dw_response_grid_escalation_deterministic():
     assert np.array_equal(v1, v2)
     ref = mp_dw(float(deltas[4]), 2.5, 0.01, 1.0)
     assert abs(v1[4, 0] - ref) / abs(ref) < 1e-8
+    delta, eps, gamma = _ESCALATING_CELL
+    e1, tails = dw_response_grid(np.array([delta]), np.array([eps]), gamma, 1.0)
+    e2, _ = dw_response_grid(np.array([delta]), np.array([eps]), gamma, 1.0)
+    assert tails[0, 0] == 0.0  # the escalation flag
+    assert np.array_equal(e1, e2)
+    # near the numerator's zero, rounding z = 2 eps^2 to double moves the
+    # exact value by 3.8e-7 relative, so mp_dw (exact z) agrees to that
+    # level and the 50-digit ratio at the rounded z to double rounding
+    ref = mp_dw(delta, eps, gamma, 1.0)
+    assert abs(e1[0, 0] - ref) / abs(ref) < 1e-6
+    z = 2.0 * eps * eps
+    b_shared = complex(delta, 0.5 * gamma)
+    ref = -(eps / complex(delta, -0.5 * gamma)) * (
+        mp_hyp0f2(complex(delta + 1.0, -0.5 * gamma), b_shared, z)
+        / mp_hyp0f2(complex(delta, -0.5 * gamma), b_shared, z)
+    )
+    assert abs(e1[0, 0] - ref) / abs(ref) < 1e-12
 
 
 def test_dw_requires_positive_chi_and_gamma():

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from duffspec.fock import (
+    TOL_PSD,
     ModelParams,
     annihilation,
     build_hamiltonian,
@@ -12,9 +15,11 @@ from duffspec.fock import (
     von_neumann_entropy,
 )
 from duffspec.lindblad import (
+    TOL_BOUNDARY,
     DegenerateKernelError,
     TruncationLimitError,
     _spectrum_order,
+    _trace_replaced_system,
     build_superoperator,
     low_lying_spectrum,
     metastable_extremes,
@@ -26,6 +31,7 @@ from duffspec.closedform import dw_response
 from duffspec.perturbation import s0_eigenvalue
 
 POINT_C = ModelParams(delta=-5.2, chi=1.0, epsilon=3.2, gamma=2.0)
+HARD_REGIME = ModelParams(delta=-2.0, chi=0.05, epsilon=1.5, gamma=0.1)
 
 
 def dense_rhs(params, rho):
@@ -49,6 +55,60 @@ def point_c_solution():
 def point_c_spectrum(point_c_solution):
     _, dim, _ = point_c_solution
     return low_lying_spectrum(build_superoperator(POINT_C, dim))
+
+
+def kron_superoperator(params, dim):
+    """Reference generator as a sum of sparse Kronecker products."""
+    h = sp.csr_matrix(build_hamiltonian(params, dim))
+    a = sp.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr").astype(complex)
+    n = sp.diags(np.arange(dim, dtype=float), 0, format="csr").astype(complex)
+    eye = sp.identity(dim, dtype=complex, format="csr")
+    g = params.gamma
+    S = (
+        -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+        + g * sp.kron(a, a.conjugate())
+        - 0.5 * g * (sp.kron(n, eye) + sp.kron(eye, n))
+    )
+    return S.tocsr()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        POINT_C,
+        HARD_REGIME,
+        ModelParams(delta=0.4, chi=1.0, epsilon=0.0, gamma=0.01),
+        ModelParams(delta=-1.3, chi=0.0, epsilon=0.7, gamma=0.35),
+        ModelParams(delta=-1.0, chi=1.0, epsilon=0.5, gamma=0.0),
+    ],
+    ids=["point-c", "hard-regime", "eps0", "chi0", "gamma0"],
+)
+@pytest.mark.parametrize("dim", [2, 3, 10, 40, 160])
+def test_superoperator_matches_kronecker_oracle(params, dim):
+    S = build_superoperator(params, dim)
+    ref = kron_superoperator(params, dim)
+    assert S.format == "csr" and S.shape == ref.shape
+    if dim <= 40:
+        assert np.array_equal(S.toarray(), ref.toarray())
+    if dim >= 3:
+        # at dim 2 the Kronecker products store explicit zeros; above it
+        # pattern, order and every bit of every entry (signed zeros too) agree
+        assert np.array_equal(S.indptr, ref.indptr)
+        assert np.array_equal(S.indices, ref.indices)
+        assert S.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("params", [POINT_C, ModelParams(delta=0.4, chi=1.0, epsilon=0.0, gamma=0.01)])
+@pytest.mark.parametrize("dim", [2, 3, 10])
+def test_trace_replaced_system_swaps_row_zero(params, dim):
+    S = build_superoperator(params, dim)
+    A, b = _trace_replaced_system(S)
+    expected = S.toarray()
+    expected[0, :] = 0.0
+    expected[0, np.arange(dim) * (dim + 1)] = 1.0
+    assert A.format == "csc"
+    assert np.array_equal(A.toarray(), expected)
+    assert np.array_equal(b, np.eye(1, dim * dim, dtype=complex)[0])
 
 
 def test_superoperator_matches_dense_rhs():
@@ -158,6 +218,28 @@ def test_undriven_spectrum_matches_analytic():
         assert np.min(np.abs(analytic - lam)) < 1e-9
 
 
+def test_undriven_arnoldi_spectrum_sees_coherences():
+    # above DENSE_EIG_MAX_DIM: the undriven generator keeps each k - l
+    # sector invariant, so a start vector inside one sector would miss the rest
+    params = ModelParams(delta=-1.0, chi=1.0, epsilon=0.0, gamma=0.3)
+    spec = low_lying_spectrum(build_superoperator(params, 34), count=3)
+    lam = s0_eigenvalue(1, 0, params)
+    assert abs(spec.eigenvalues[0]) < 1e-9
+    assert abs(spec.eigenvalues[1] - lam) < 1e-9
+    assert abs(spec.eigenvalues[2] - lam.conjugate()) < 1e-9
+
+
+def test_arnoldi_spectrum_repeatable():
+    S = build_superoperator(POINT_C, 40)
+    first = low_lying_spectrum(S)
+    # an unrelated ARPACK call in between must not move the next result
+    spla.eigs(build_superoperator(HARD_REGIME, 34).tocsc(), k=3, sigma=0.01)
+    second = low_lying_spectrum(S)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    for m1, m2 in zip(first.eigenmatrices, second.eigenmatrices):
+        assert np.array_equal(m1, m2)
+
+
 def test_spectrum_point_c_frozen(point_c_spectrum):
     w = point_c_spectrum.eigenvalues
     assert abs(w[0]) < 1e-8
@@ -222,6 +304,15 @@ def test_metastable_point_c_frozen(point_c_solution, point_c_spectrum):
     assert np.isclose(s_minus, 1.3621168462050575, atol=1e-6)
     # the extremes are purer than the steady state they bracket
     assert s_plus < s0 and s_minus < s0
+
+
+@pytest.mark.parametrize("dim", [40, 80])
+def test_metastable_extremes_satisfy_boundary_bound(dim):
+    S = build_superoperator(POINT_C, dim)
+    pair = metastable_extremes(steady_state(S), low_lying_spectrum(S).eigenmatrices[1])
+    for rho in (pair.rho_plus, pair.rho_minus):
+        lowest = np.linalg.eigvalsh(rho)[0]
+        assert -TOL_PSD <= lowest <= TOL_BOUNDARY
 
 
 def test_metastable_rescaling_invariance(point_c_solution, point_c_spectrum):
