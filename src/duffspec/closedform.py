@@ -169,11 +169,22 @@ def _cell_value(b1, b2, z, value, ratio, terms):
 
 
 def _dw_mpmath(delta, epsilon, gamma, chi):
-    z = 2.0 * epsilon * epsilon / (chi * chi)
-    b_shared = complex(delta, 0.5 * gamma) / chi
-    num = _hyp0f2_mpmath(complex(delta + chi, -0.5 * gamma) / chi, b_shared, z)
-    den = _hyp0f2_mpmath(complex(delta, -0.5 * gamma) / chi, b_shared, z)
-    return -(epsilon / complex(delta, -0.5 * gamma)) * num / den
+    """The response ratio in 50 digits, with z and the lower parameters formed there too.
+
+    Next to a zero of either series, rounding z = 2 epsilon^2 / chi^2 to
+    double alone moves the value a long way (3.8e-7 relative at
+    delta=-9.131118029238847, epsilon=3.9, gamma=1e-9, chi=1), so nothing
+    is rounded before the series are summed.
+    """
+    import mpmath
+
+    with mpmath.workdps(_MP_DPS):
+        d, e, g, x = (mpmath.mpf(v) for v in (delta, epsilon, gamma, chi))
+        z = 2 * e * e / (x * x)
+        b_shared = mpmath.mpc(d, g / 2) / x
+        num = mpmath.hyper([], [mpmath.mpc(d + x, -g / 2) / x, b_shared], z)
+        den = mpmath.hyper([], [mpmath.mpc(d, -g / 2) / x, b_shared], z)
+        return complex(-(e / mpmath.mpc(d, -g / 2)) * num / den)
 
 
 def dw_response(params):
@@ -199,12 +210,14 @@ def dw_response(params):
     b_num = _check_pole(complex(d + x, -0.5 * g) / x)
     b_den = _check_pole(complex(d, -0.5 * g) / x)
     b_shared = _check_pole(complex(d, 0.5 * g) / x)
-    # both series in one call; each cell then escalates or fails as in hyper_0f2
+    # both series in one call; if either cancels (a zero denominator has an
+    # infinite peak ratio), the whole ratio is redone in 50 digits, as in
+    # dw_response_grid
     sums, ratios, terms, _tails = hyp0f2_series([b_num, b_den], b_shared, z)
+    if np.any(ratios > CANCEL_RATIO):
+        return _dw_mpmath(d, e, g, x)
     num = _cell_value(b_num, b_shared, z, sums[0], ratios[0], terms[0])
     den = _cell_value(b_den, b_shared, z, sums[1], ratios[1], terms[1])
-    if den == 0.0:
-        return _dw_mpmath(d, e, g, x)
     return -(e / complex(d, -0.5 * g)) * num / den
 
 

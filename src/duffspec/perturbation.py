@@ -35,6 +35,9 @@ _MAX_ANALYTIC_DIM = 64
 # that chases |q| -> infinity (a symmetric line) never converges, and a
 # larger budget only makes it fail later.
 _FANO_NFEV_PER_PARAM = 40
+# Largest accepted rms residual of a Fano fit, as a fraction of the line
+# amplitude.
+_FANO_RESIDUAL_FRAC = 0.05
 
 
 class FanoFitError(RuntimeError):
@@ -271,26 +274,20 @@ class FanoFit:
     residual_rms: float
 
 
-def _fano_model(theta, deltas, background_order=0):
-    nbg = background_order + 1
-    amp, center, width, q = theta[nbg:]
-    bg = np.polyval(theta[:nbg], deltas - center)
+def _fano_model(theta, deltas):
+    bg, amp, center, width, q = theta
     x = (deltas - center) / width
     return bg + amp * (x - q) ** 2 / (x**2 + 1.0)
 
 
-def fano_fit(deltas, magnitudes, window=None, residual_frac=0.05, background_order=0):
+def fano_fit(deltas, magnitudes, window=None):
     """Fit a Fano profile to a resonance line |a|(delta).
 
     ``window`` restricts the fit to deltas in [lo, hi]; at least 50
     samples must remain and the window should bracket exactly one
-    resonance.  ``background_order`` > 0 replaces the locally constant
-    background with a polynomial in (delta - center), needed when the
-    off-resonant response varies across the window by as much as the
-    feature itself.  Raises FanoFitError when the optimizer fails, the
-    profile degenerates (|q| running away, as for a symmetric Lorentzian
-    line), or the residual exceeds ``residual_frac`` of the line
-    amplitude.
+    resonance.  Raises FanoFitError when the optimizer fails, the profile
+    degenerates (|q| running away, as for a symmetric Lorentzian line), or
+    the residual exceeds _FANO_RESIDUAL_FRAC of the line amplitude.
     """
     deltas = np.asarray(deltas, dtype=float)
     mags = np.asarray(magnitudes, dtype=float)
@@ -312,15 +309,14 @@ def fano_fit(deltas, magnitudes, window=None, residual_frac=0.05, background_ord
     center0 = 0.5 * (deltas[i_min] + deltas[i_max])
     width0 = max(abs(deltas[i_max] - deltas[i_min]) / 2.0, 2.0 * abs(deltas[1] - deltas[0]))
     q_sign = -1.0 if deltas[i_min] < deltas[i_max] else 1.0
-    bg0 = [0.0] * background_order + [float(mags.min())]
     best = None
     for w_scale in (1.0, 0.5, 2.0):
         for q_mag in (1.0, 1.5, 2.5, 0.5):
             q0 = q_sign * q_mag
             amp0 = span / (1.0 + q0**2)
-            theta0 = np.array(bg0 + [amp0, center0, width0 * w_scale, q0])
+            theta0 = np.array([float(mags.min()), amp0, center0, width0 * w_scale, q0])
             result = least_squares(
-                lambda th: _fano_model(th, deltas, background_order) - mags,
+                lambda th: _fano_model(th, deltas) - mags,
                 theta0,
                 method="lm",
                 max_nfev=_FANO_NFEV_PER_PARAM * theta0.size,
@@ -330,8 +326,7 @@ def fano_fit(deltas, magnitudes, window=None, residual_frac=0.05, background_ord
     if best is None:
         raise FanoFitError("fit did not converge from any starting point")
     result = best
-    bg = result.x[background_order]
-    amp, center, width, q = result.x[background_order + 1 :]
+    bg, amp, center, width, q = result.x
     if width < 0:
         width, q = -width, -q
     # The family is doubly parameterized: amp*f(x; q) equals
@@ -346,9 +341,9 @@ def fano_fit(deltas, magnitudes, window=None, residual_frac=0.05, background_ord
             "the window may hold no asymmetric resonance"
         )
     rms = float(np.sqrt(np.mean(result.fun**2)))
-    if rms > residual_frac * span:
+    if rms > _FANO_RESIDUAL_FRAC * span:
         raise FanoFitError(
-            f"residual rms {rms:.3e} exceeds {residual_frac:.0%} of the line amplitude {span:.3e}"
+            f"residual rms {rms:.3e} exceeds {_FANO_RESIDUAL_FRAC:.0%} of the line amplitude {span:.3e}"
         )
     return FanoFit(
         background=float(bg),

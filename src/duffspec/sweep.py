@@ -124,11 +124,6 @@ def config_from_dict(raw):
     return validate_config(cfg)
 
 
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
-
-
 def resolve_circuit(config):
     """Fold a circuit file's derived rates into the config.
 

@@ -1,5 +1,7 @@
 """Tests for the master-equation generator, steady state, and spectrum."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +31,7 @@ from duffspec.lindblad import (
 )
 from duffspec.closedform import dw_response
 from duffspec.perturbation import s0_eigenvalue
+from test_closedform import mp_dw
 
 POINT_C = ModelParams(delta=-5.2, chi=1.0, epsilon=3.2, gamma=2.0)
 HARD_REGIME = ModelParams(delta=-2.0, chi=0.05, epsilon=1.5, gamma=0.1)
@@ -176,11 +179,27 @@ def test_adaptive_truncation_limit():
 
 
 def test_degenerate_kernel_detected():
-    # gamma=0 makes every Fock population stationary
-    params = ModelParams(delta=-1.0, chi=1.0, epsilon=0.0, gamma=0.0)
-    S = build_superoperator(params, 4)
-    with pytest.raises(DegenerateKernelError):
-        steady_state(S)
+    # gamma=0 makes every function of H stationary, driven or not
+    for delta, epsilon, chi, dim in itertools.product(
+        (-1.0, -1.3, 0.4), (0.0, 0.5, 0.7), (0.0, 1.0), (4, 12, 80)
+    ):
+        params = ModelParams(delta=delta, chi=chi, epsilon=epsilon, gamma=0.0)
+        S = build_superoperator(params, dim)
+        with pytest.raises(DegenerateKernelError):
+            steady_state(S)
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 1.5])
+def test_adaptive_hard_regime_matches_closed_form(epsilon):
+    # next to the Duffing bifurcation the switching rate is ~1e-9; an
+    # unrefined LU solve there is up to 3e-5 off, or slightly indefinite
+    g, chi = HARD_REGIME.gamma, HARD_REGIME.chi
+    for delta in np.linspace(-2.5, -1.5, 7):
+        params = ModelParams(delta=float(delta), chi=chi, epsilon=epsilon, gamma=g)
+        rho, dim, _ = solve_steady_state_adaptive(params)
+        validate_density_matrix(rho)
+        a_num = expectation(annihilation(dim), rho)
+        assert abs(a_num - mp_dw(float(delta), epsilon, g, chi)) <= 1e-6
 
 
 def test_kernel_uniqueness_and_stability_seeded():
