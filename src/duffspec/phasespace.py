@@ -216,19 +216,18 @@ def local_maxima(grid, rel_threshold=0.05):
     """Interior local maxima of W above rel_threshold * max(W).
 
     Returns a list of (re, im, value) for cells strictly greater than all
-    eight neighbors, useful for counting phase-space lobes.
+    eight neighbors, useful for counting phase-space lobes, in row-major
+    order.  A NaN cell, or a cell next to one, is never a maximum; a NaN
+    max(W) disables the cutoff.
     """
     v = grid.values
-    cutoff = rel_threshold * np.max(v)
-    xs = grid.re_points
-    ys = grid.im_points
-    found = []
-    for i in range(1, grid.nx - 1):
-        for j in range(1, grid.ny - 1):
-            c = v[i, j]
-            if c <= cutoff:
-                continue
-            patch = v[i - 1 : i + 2, j - 1 : j + 2]
-            if c == patch.max() and np.count_nonzero(patch == c) == 1:
-                found.append((float(xs[i]), float(ys[j]), float(c)))
-    return found
+    nx, ny = v.shape
+    center = v[1:-1, 1:-1]
+    keep = ~(center <= rel_threshold * np.max(v))
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                keep &= center > v[1 + di : nx - 1 + di, 1 + dj : ny - 1 + dj]
+    xs = grid.re_points[1:-1]
+    ys = grid.im_points[1:-1]
+    return [(float(xs[i]), float(ys[j]), float(center[i, j])) for i, j in zip(*np.nonzero(keep))]

@@ -2,9 +2,13 @@
 
 Grids are evaluated cell by cell with no cross-cell state, so a sweep is
 reproducible bit-for-bit regardless of worker count: results are keyed by
-cell index, floats are always written with 17 significant digits and LF
-line endings, and JSON is emitted with sorted keys.  Wall-clock timing
-goes to a side log, never into the manifest.
+cell index and JSON is emitted with sorted keys.  Every CSV goes through
+one writer, which formats each float once, as a Python float, with
+``{:.16e}`` (17 significant digits), builds the file column by column and
+streams it row by row with LF line endings.  Moduli |z| come from Python's
+``abs`` on each complex value, because ``np.abs`` rounds some of them one
+ulp differently.  Wall-clock time per phase goes to the JSON side log
+run.log, never into the manifest.
 """
 
 import json
@@ -12,6 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -193,17 +198,13 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            results = pool.map(_numeric_cell, tasks, chunksize=chunk)
-            for i, j, value, used_dim, residual in results:
-                values[i, j] = value
-                dims[i, j] = used_dim
-                residuals[i, j] = residual
+            results = list(pool.map(_numeric_cell, tasks, chunksize=chunk))
     else:
-        for task in tasks:
-            i, j, value, used_dim, residual = _numeric_cell(task)
-            values[i, j] = value
-            dims[i, j] = used_dim
-            residuals[i, j] = residual
+        results = map(_numeric_cell, tasks)
+    for i, j, value, used_dim, residual in results:
+        values[i, j] = value
+        dims[i, j] = used_dim
+        residuals[i, j] = residual
     return values, dims, residuals
 
 
@@ -213,21 +214,23 @@ def sweep(config):
     deltas = _grid_points(config.delta_range)
     epsilons = _grid_points(config.epsilon_range)
     started = time.time()
+    phase_s = {}
     values, residuals, dims, discrepancy = {}, {}, None, None
     if config.method in ("numeric", "both"):
-        vals, dims, res = _numeric_grid(
-            deltas, epsilons, config.gamma, config.chi, config.dim, config.workers
-        )
-        values["numeric"] = vals
-        residuals["numeric"] = res
+        with _timed(phase_s, "numeric"):
+            values["numeric"], dims, residuals["numeric"] = _numeric_grid(
+                deltas, epsilons, config.gamma, config.chi, config.dim, config.workers
+            )
     if config.method in ("closed-form", "both"):
-        vals, tails = dw_response_grid(deltas, epsilons, config.gamma, config.chi)
-        values["closed-form"] = vals
-        residuals["closed-form"] = tails
+        with _timed(phase_s, "closed_form"):
+            values["closed-form"], residuals["closed-form"] = dw_response_grid(
+                deltas, epsilons, config.gamma, config.chi
+            )
     if config.method == "series":
-        values["series"] = response_series(
-            ModelParams(deltas[:, None], config.chi, epsilons[None, :], config.gamma)
-        )
+        with _timed(phase_s, "series"):
+            values["series"] = response_series(
+                ModelParams(deltas[:, None], config.chi, epsilons[None, :], config.gamma)
+            )
         residuals["series"] = np.zeros_like(values["series"], dtype=float)
     if config.method == "both":
         discrepancy = np.abs(values["numeric"] - values["closed-form"])
@@ -244,6 +247,7 @@ def sweep(config):
             "config": _config_echo(config),
             "started_at": started,
             "finished_at": time.time(),
+            "phase_s": phase_s,
         },
     )
 
@@ -283,37 +287,41 @@ def _config_echo(config):
     return echo
 
 
-def _fmt(x):
-    return f"{x:.16e}"
+def _column(values):
+    """One CSV column: each value formatted once, as a Python float."""
+    return list(map("{:.16e}".format, np.asarray(values, float).ravel().tolist()))
 
 
-def _write_lines(path, lines):
+def _grid_columns(xs, ys):
+    """Row-major x and y columns of a len(xs) x len(ys) grid."""
+    x, y = _column(xs), _column(ys)
+    return [v for v in x for _ in y], y * len(x)
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length string columns as CSV, streamed row by row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_sweep_csv(result, path):
     """Write a sweep grid as CSV with fixed formatting (17 significant digits)."""
     methods = [m for m in ("numeric", "closed-form", "series") if m in result.values]
     header = ["delta", "epsilon"]
+    columns = list(_grid_columns(result.deltas, result.epsilons))
     for m in methods:
         tag = m.replace("-", "_")
         header += [f"re_{tag}", f"im_{tag}", f"abs_{tag}", f"residual_{tag}"]
+        v = result.values[m]
+        abs_v = [abs(z) for z in v.ravel().tolist()]
+        columns += [_column(c) for c in (v.real, v.imag, abs_v, result.residuals[m])]
     header.append("dim")
+    columns.append(list(map(str, result.dims.ravel().tolist())))
     if result.discrepancy is not None:
         header.append("discrepancy")
-    lines = [",".join(header)]
-    for i, d in enumerate(result.deltas):
-        for j, e in enumerate(result.epsilons):
-            row = [_fmt(d), _fmt(e)]
-            for m in methods:
-                v = result.values[m][i, j]
-                row += [_fmt(v.real), _fmt(v.imag), _fmt(abs(v)), _fmt(result.residuals[m][i, j])]
-            row.append(str(int(result.dims[i, j])))
-            if result.discrepancy is not None:
-                row.append(_fmt(result.discrepancy[i, j]))
-            lines.append(",".join(row))
-    _write_lines(path, lines)
+        columns.append(_column(result.discrepancy))
+    _write_csv(path, ",".join(header), columns)
 
 
 def _write_json(path, payload):
@@ -337,14 +345,11 @@ def _tool_block():
 def run_sweep_to_dir(config, kind="sweep"):
     """Run a sweep or scan and write sweep.csv/scan.csv plus manifest.json."""
     os.makedirs(config.out_dir, exist_ok=True)
-    if kind == "scan":
-        result = line_scan(config)
-        csv_name = "scan.csv"
-    else:
-        result = sweep(config)
-        csv_name = "sweep.csv"
-    csv_path = os.path.join(config.out_dir, csv_name)
-    write_sweep_csv(result, csv_path)
+    result = line_scan(config) if kind == "scan" else sweep(config)
+    csv_name = "scan.csv" if kind == "scan" else "sweep.csv"
+    phase_s = result.metadata["phase_s"]
+    with _timed(phase_s, "write"):
+        write_sweep_csv(result, os.path.join(config.out_dir, csv_name))
     stats = {}
     for m, res in result.residuals.items():
         stats[f"max_residual_{m.replace('-', '_')}"] = float(np.max(res)) if res.size else 0.0
@@ -361,17 +366,25 @@ def run_sweep_to_dir(config, kind="sweep"):
         "stats": stats,
     }
     _write_json(os.path.join(config.out_dir, "manifest.json"), manifest)
-    _write_run_log(config.out_dir, result.metadata)
+    _write_run_log(config.out_dir, result.metadata["started_at"], phase_s)
     return manifest
 
 
-def _write_run_log(out_dir, metadata):
-    # Timing is real wall clock and intentionally lives outside the
-    # deterministic manifest.
-    elapsed = metadata["finished_at"] - metadata["started_at"]
-    with open(os.path.join(out_dir, "run.log"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"started_unix={metadata['started_at']:.3f}\n")
-        fh.write(f"elapsed_seconds={elapsed:.3f}\n")
+@contextmanager
+def _timed(phase_s, name):
+    """Record the wall seconds of the enclosed block as phase_s[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phase_s[name] = time.perf_counter() - start
+
+
+def _write_run_log(out_dir, started, phase_s):
+    # Wall-clock time stays out of the deterministic manifest; run.log is
+    # one JSON object: start time, seconds elapsed since, seconds per phase.
+    log = {"started_unix": started, "elapsed_s": time.time() - started, "phase_s": phase_s}
+    _write_json(os.path.join(out_dir, "run.log"), log)
 
 
 class _PointContext:
@@ -428,13 +441,8 @@ def _wigner_kwargs(config):
 
 
 def _write_wigner(grid, out_dir, stem, params, dim):
-    lines = ["x,y,w"]
-    xs = grid.re_points
-    ys = grid.im_points
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(grid.values[i, j])}")
-    _write_lines(os.path.join(out_dir, f"{stem}.csv"), lines)
+    columns = [*_grid_columns(grid.re_points, grid.im_points), _column(grid.values)]
+    _write_csv(os.path.join(out_dir, f"{stem}.csv"), "x,y,w", columns)
     header = {
         "columns": ["x", "y", "w"],
         "re_range": list(grid.re_range),
@@ -442,12 +450,7 @@ def _write_wigner(grid, out_dir, stem, params, dim):
         "nx": grid.nx,
         "ny": grid.ny,
         "dim": dim,
-        "params": {
-            "delta": params.delta,
-            "chi": params.chi,
-            "epsilon": params.epsilon,
-            "gamma": params.gamma,
-        },
+        "params": {k: getattr(params, k) for k in ("delta", "chi", "epsilon", "gamma")},
         "integral": wigner_integral(grid),
     }
     _write_json(os.path.join(out_dir, f"{stem}.json"), header)
@@ -477,10 +480,9 @@ def _task_entropy(ctx, out_dir, circuit):
 
 def _task_spectrum(ctx, out_dir, circuit):
     spec = ctx.spectrum()
-    lines = ["index,re,im"]
-    for idx, lam in enumerate(spec.eigenvalues):
-        lines.append(f"{idx},{_fmt(lam.real)},{_fmt(lam.imag)}")
-    _write_lines(os.path.join(out_dir, "spectrum.csv"), lines)
+    lams = spec.eigenvalues
+    columns = [list(map(str, range(len(lams)))), _column(lams.real), _column(lams.imag)]
+    _write_csv(os.path.join(out_dir, "spectrum.csv"), "index,re,im", columns)
     summary = {
         "eigenvalues": [[lam.real, lam.imag] for lam in spec.eigenvalues],
         "dim": spec.dim,
@@ -541,14 +543,9 @@ def mixing_curve(pair, samples=201):
 def _task_mixing_curve(ctx, out_dir, circuit):
     pair = ctx.metastable_pair()
     xs, entropy, linear, excess, binary = mixing_curve(pair, ctx.config.mixing_samples)
-    lines = ["x,entropy_bits,linear_bits,excess_bits,binary_bits"]
-    for idx in range(xs.size):
-        lines.append(
-            ",".join(
-                _fmt(v) for v in (xs[idx], entropy[idx], linear[idx], excess[idx], binary[idx])
-            )
-        )
-    _write_lines(os.path.join(out_dir, "mixing_curve.csv"), lines)
+    columns = [_column(c) for c in (xs, entropy, linear, excess, binary)]
+    header = "x,entropy_bits,linear_bits,excess_bits,binary_bits"
+    _write_csv(os.path.join(out_dir, "mixing_curve.csv"), header, columns)
     commutator = pair.rho_minus @ pair.rho_plus - pair.rho_plus @ pair.rho_minus
     peak = int(np.argmax(excess))
     summary = {
@@ -588,14 +585,11 @@ def _task_fano(ctx, out_dir, circuit):
     # magnitude varies across the window by as much as the feature itself;
     # dividing it out leaves a locally flat background the Fano model fits.
     linear_bg = 2.0 * p.epsilon / np.abs(2.0 * deltas - 1j * p.gamma)
-    fit = fano_fit(deltas, mags / linear_bg)
+    normalized = mags / linear_bg
+    fit = fano_fit(deltas, normalized)
     formula_q = fano_q(p)
-    lines = ["delta,abs_a,abs_a_normalized"]
-    for idx in range(deltas.size):
-        lines.append(
-            f"{_fmt(deltas[idx])},{_fmt(mags[idx])},{_fmt(mags[idx] / linear_bg[idx])}"
-        )
-    _write_lines(os.path.join(out_dir, "fano_line.csv"), lines)
+    columns = [_column(c) for c in (deltas, mags, normalized)]
+    _write_csv(os.path.join(out_dir, "fano_line.csv"), "delta,abs_a,abs_a_normalized", columns)
     summary = {
         "fitted": {
             "background": fit.background,
@@ -608,7 +602,7 @@ def _task_fano(ctx, out_dir, circuit):
         "formula_q": formula_q,
         "q_relative_error": abs(fit.q - formula_q) / abs(formula_q),
         "raw_trough_delta": _interior_trough(deltas, mags, center),
-        "normalized_trough_delta": _interior_trough(deltas, mags / linear_bg, center),
+        "normalized_trough_delta": _interior_trough(deltas, normalized, center),
         "window": [float(window[0]), float(window[1])],
         "samples": samples,
     }
@@ -619,14 +613,15 @@ def _task_onset(ctx, out_dir, circuit):
     options = ctx.config.onset or {}
     orders = [int(v) for v in options.get("n", (1, 2))]
     gammas = [float(g) for g in options.get("gammas", (0.003, 0.01, 0.03))]
-    lines = ["n,gamma,epsilon_onset"]
+    n_column, all_pairs = [], []
     summary = {"slopes": {}}
     for order in orders:
         pairs = onset_scan(order, gammas, chi=ctx.params.chi)
-        for gamma, eps in pairs:
-            lines.append(f"{order},{_fmt(gamma)},{_fmt(eps)}")
+        n_column += [str(order)] * len(pairs)
+        all_pairs += pairs
         summary["slopes"][str(order)] = onset_slope(pairs)
-    _write_lines(os.path.join(out_dir, "onset.csv"), lines)
+    columns = [n_column, *map(_column, np.reshape(all_pairs, (-1, 2)).T)]
+    _write_csv(os.path.join(out_dir, "onset.csv"), "n,gamma,epsilon_onset", columns)
     return summary, ["onset.csv"]
 
 
@@ -663,13 +658,15 @@ def analyze(config):
     )
     os.makedirs(config.out_dir, exist_ok=True)
     started = time.time()
+    phase_s = {}
     ctx = _PointContext(params, config)
     tasks = {}
     outputs = []
     failed = 0
     for name in config.analyze:
         try:
-            summary, files = _TASKS[name](ctx, config.out_dir, circuit)
+            with _timed(phase_s, name):
+                summary, files = _TASKS[name](ctx, config.out_dir, circuit)
         except Exception as exc:
             failed += 1
             tasks[name] = {
@@ -690,5 +687,5 @@ def analyze(config):
         "failed_tasks": failed,
     }
     _write_json(os.path.join(config.out_dir, "manifest.json"), manifest)
-    _write_run_log(config.out_dir, {"started_at": started, "finished_at": time.time()})
+    _write_run_log(config.out_dir, started, phase_s)
     return manifest

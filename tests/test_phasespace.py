@@ -9,6 +9,7 @@ import pytest
 from duffspec.fock import ModelParams, fock_projector, fock_state
 from duffspec.lindblad import solve_steady_state_adaptive
 from duffspec.phasespace import (
+    WignerGrid,
     displacement_operator,
     local_maxima,
     wigner,
@@ -146,6 +147,41 @@ def test_local_maxima_two_lobe_synthetic():
     assert len(peaks) == 2
     assert np.isclose(peaks[0][0], -1.8, atol=0.1)
     assert np.isclose(peaks[1][0], 1.8, atol=0.1)
+
+
+def _local_maxima_loop(grid, rel_threshold=0.05):
+    # the cell-by-cell scan local_maxima replaced, kept as its oracle
+    v = grid.values
+    cutoff = rel_threshold * np.max(v)
+    xs = grid.re_points
+    ys = grid.im_points
+    found = []
+    for i in range(1, grid.nx - 1):
+        for j in range(1, grid.ny - 1):
+            c = v[i, j]
+            if c <= cutoff:
+                continue
+            patch = v[i - 1 : i + 2, j - 1 : j + 2]
+            if c == patch.max() and np.count_nonzero(patch == c) == 1:
+                found.append((float(xs[i]), float(ys[j]), float(c)))
+    return found
+
+
+def test_local_maxima_matches_loop_oracle(point_c_grid):
+    rng = np.random.default_rng(7)
+    # small integers: plateaus and ties between neighbors everywhere
+    plateaus = rng.integers(0, 4, size=(60, 50)).astype(float)
+    with_nan = rng.standard_normal((30, 40))
+    with_nan[11, 17] = np.nan
+    grids = [
+        WignerGrid((-3.0, 3.0), (-2.0, 2.0), 60, 50, plateaus),
+        WignerGrid((-1.0, 1.0), (-1.0, 1.0), 30, 40, with_nan),
+        wigner(point_c_grid[0]),
+    ]
+    for grid in grids:
+        expected = _local_maxima_loop(grid)
+        assert expected
+        assert local_maxima(grid) == expected
 
 
 def test_wigner_rejects_non_hermitian():

@@ -11,15 +11,19 @@ from duffspec.cli import main
 from duffspec.closedform import dw_response
 from duffspec.fock import ModelParams
 from duffspec.perturbation import fano_q
+from duffspec.phasespace import WignerGrid
 from duffspec.sweep import (
     ConfigError,
     SweepConfig,
+    SweepResult,
+    _write_wigner,
     analyze,
     config_from_dict,
     line_scan,
     resolve_circuit,
     run_sweep_to_dir,
     sweep,
+    write_sweep_csv,
 )
 
 TINY_GRID = dict(
@@ -176,8 +180,79 @@ def test_run_sweep_artifacts_and_determinism(tmp_path):
         man["config"].pop("out_dir")
         man["config"].pop("workers")
     assert man_a == man_b
-    log = (tmp_path / "a" / "run.log").read_text()
-    assert "started_unix=" in log and "elapsed_seconds=" in log
+    log = json.loads((tmp_path / "a" / "run.log").read_text())
+    assert set(log) == {"started_unix", "elapsed_s", "phase_s"}
+    assert set(log["phase_s"]) == {"numeric", "closed_form", "write"}
+
+
+def _oracle_sweep_csv(result):
+    # one row at a time, each float through f"{x:.16e}" and |z| through
+    # abs() of the numpy complex scalar: the writer must match this byte
+    # for byte
+    methods = [m for m in ("numeric", "closed-form", "series") if m in result.values]
+    header = ["delta", "epsilon"]
+    for m in methods:
+        tag = m.replace("-", "_")
+        header += [f"re_{tag}", f"im_{tag}", f"abs_{tag}", f"residual_{tag}"]
+    header.append("dim")
+    if result.discrepancy is not None:
+        header.append("discrepancy")
+    lines = [",".join(header)]
+    for i, d in enumerate(result.deltas):
+        for j, e in enumerate(result.epsilons):
+            row = [f"{d:.16e}", f"{e:.16e}"]
+            for m in methods:
+                v = result.values[m][i, j]
+                r = result.residuals[m][i, j]
+                row += [f"{v.real:.16e}", f"{v.imag:.16e}", f"{abs(v):.16e}", f"{r:.16e}"]
+            row.append(str(int(result.dims[i, j])))
+            if result.discrepancy is not None:
+                row.append(f"{result.discrepancy[i, j]:.16e}")
+            lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_sweep_csv_matches_row_oracle(tmp_path):
+    inf, nan = np.inf, np.nan
+    # np.abs and Python abs round |z| of this value differently
+    z = -0.1321048632913019 - 0.5022445517110371j
+    numeric = np.array(
+        [[z, complex(-0.0, 5e-324)], [complex(nan, 1.0), complex(inf, -inf)],
+         [complex(1e300, -1e300), complex(-inf, -0.0)]]
+    )
+    closed = np.array(
+        [[complex(5e-324, -5e-324), z], [complex(-0.0, -0.0), complex(1e300, nan)],
+         [complex(0.5, -inf), complex(-1e300, 2.0)]]
+    )
+    result = SweepResult(
+        deltas=np.array([-0.0, 5e-324, 1e300]),
+        epsilons=np.array([-inf, 0.25]),
+        values={"numeric": numeric, "closed-form": closed},
+        residuals={
+            "numeric": np.array([[0.0, 5e-324], [nan, 1e-16], [inf, -0.0]]),
+            "closed-form": np.array([[1e300, -inf], [3e-17, nan], [0.0, 5e-324]]),
+        },
+        dims=np.array([[12, 13], [14, 15], [160, 2]]),
+        discrepancy=np.abs(numeric - closed),
+        metadata={},
+    )
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, path)
+    assert path.read_bytes() == _oracle_sweep_csv(result)
+
+
+def test_write_wigner_matches_row_oracle(tmp_path):
+    # a non-square grid, so that swapping the x and y columns shows
+    values = np.random.default_rng(3).standard_normal((7, 5))
+    values[0, 0], values[3, 2], values[6, 4] = -0.0, 5e-324, -1e300
+    grid = WignerGrid((-1.5, 2.0), (-0.5, 0.7), 7, 5, values)
+    files = _write_wigner(grid, str(tmp_path), "w", ModelParams(-5.2, 1.0, 3.2, 2.0), 18)
+    assert files == ["w.csv", "w.json"]
+    lines = ["x,y,w"]
+    for i, x in enumerate(grid.re_points):
+        for j, y in enumerate(grid.im_points):
+            lines.append(f"{x:.16e},{y:.16e},{values[i, j]:.16e}")
+    assert (tmp_path / "w.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_analyze_point_c_task_suite(tmp_path):
@@ -303,6 +378,9 @@ def test_analyze_isolates_task_failures(tmp_path):
     assert failure["status"] == "error"
     assert failure["error_type"] == "AnalysisError"
     assert "epsilon" in failure["message"]
+    # run.log times every task, the failed one included
+    log = json.loads(open(os.path.join(out_dir, "run.log")).read())
+    assert set(log["phase_s"]) == {"entropy", "metastable"}
 
 
 def test_analyze_requires_point_and_tasks():
