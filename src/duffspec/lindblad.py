@@ -12,9 +12,24 @@ becomes dvec/dt = S vec.  Row (k, l) of S holds at most six entries:
 with h the truncated Hamiltonian, so S is written straight into CSR
 arrays.  The steady state is the kernel of S: one redundant row is
 replaced by the trace constraint, and the system is factorized once by
-sparse LU, solved, and refined once with the same factors.  The slow
-spectrum comes from dense eigendecomposition at small truncation and
-shift-inverted Arnoldi iteration above it.
+sparse LU, solved, and refined with the same factors against a residual
+formed in extended precision.  The slow spectrum comes from dense
+eigendecomposition at small truncation and shift-inverted Arnoldi
+iteration above it.
+
+Every sparse LU here, of the trace-replaced system and of S - sigma I,
+uses the SuperLU settings in _SPLU_OPTIONS: minimum-degree ordering on
+the pattern of A + A^T, and the diagonal entry as pivot unless it is
+below 1e-3 of the largest candidate in its column.  S is structurally
+near-symmetric (only the jump entries (k, l; k+1, l+1) and the trace row
+lack a transposed partner), and with gamma > 0 every diagonal entry of
+the trace-replaced system is nonzero (the trace row's is 1, row (k, l)'s
+has real part -(gamma/2)(k + l)), so this fills less than the default
+column ordering with partial pivoting: 0.31M against 0.47M entries in
+L + U at dim 80.  The threshold matters at weak damping, where a
+population row's diagonal -gamma k sits beside drive entries ~epsilon:
+taking it whatever its size leaves refinement unable to converge from
+gamma ~1e-8 on (chi = 1, epsilon = 0.5).
 """
 
 import math
@@ -42,6 +57,11 @@ TOL_BOUNDARY = 1e-7
 # Largest truncation for which low_lying_spectrum eigendecomposes the full
 # superoperator densely; beyond this the Arnoldi path takes over.
 DENSE_EIG_MAX_DIM = 32
+
+# SuperLU settings of every factorization in this module (module docstring).
+_SPLU_OPTIONS = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True)
+)
 
 
 class DegenerateKernelError(RuntimeError):
@@ -116,23 +136,51 @@ def _trace_replaced_system(S):
     return A.tocsc(), b
 
 
+def _trace_replaced_residual(S, data, x):
+    """b - A x for the trace-replaced system, in the precision of x.
+
+    Formed from S's own CSR entries (``data`` is S.data in x's dtype):
+    rows 1.. are -(S x), row 0 is 1 - Tr x.  reduceat needs every row of
+    S to be nonempty, which holds for gamma != 0: row (k, l) holds the
+    jump entry gamma sqrt(k+1) sqrt(l+1) or, at the top of the ladder,
+    a nonzero damping diagonal.
+    """
+    d = _superoperator_dim(S)
+    r = -np.add.reduceat(data * x[S.indices], S.indptr[:-1])
+    r[0] = 1 - x[:: d + 1].sum()
+    return r
+
+
 def steady_state(S):
     """Unique steady state of the generator S as a density matrix.
 
     One redundant row of the singular system S x = 0 is replaced by the
     trace constraint Tr rho = 1.  The result is factorized once by sparse
-    LU, solved, and improved by one step of iterative refinement with the
-    same factors, x += LU^-1 (b - A x) (Moler, J. ACM 14, 316 (1967)):
-    next to the Duffing bifurcation the unrefined solve leaves <a> off by
-    up to 3e-5 and rho slightly indefinite while max|S rho| reads ~1e-16.
-    The returned matrix is Hermitized, renormalized, and validated
-    (residual < TOL_RESID, PSD within tolerance).
+    LU (_SPLU_OPTIONS: minimum-degree ordering on A + A^T, diagonal
+    pivots above a 1e-3 threshold), solved, and refined with the same
+    factors, x += LU^-1 (b - A x) (Moler, J. ACM 14, 316 (1967)).  x is
+    kept and the residual formed in np.clongdouble from S's entries; each
+    correction is solved in double.  Refinement repeats while the
+    relative max-norm correction max|dx| / max|x| at least halves, and
+    stops at <= 1e-15 or after 8 steps.
+
+    Next to the Duffing bifurcation (condition number ~1e9) the unrefined
+    solve leaves <a> off by up to 3e-5 while max|S rho| reads ~1e-16, and
+    refinement against a residual in double stalls at an error that
+    depends on the pivot order and the BLAS thread count.  With the
+    extended residual the answer depends on neither (the 21 hard-regime
+    test cells agree to 1e-11 across thread counts); what is left is the
+    rounding of S's entries to double, <= 5e-7 in <a> there.  The
+    returned matrix is Hermitized, renormalized, and validated (residual
+    < TOL_RESID, PSD within tolerance).
 
     Raises DegenerateKernelError when the kernel of S is not
     one-dimensional: for a generator without damping (every diagonal
     entry purely imaginary, gamma = 0), where every function of H is
     stationary, and when the LU factorization fails, since the
-    trace-replaced matrix is singular exactly then.
+    trace-replaced matrix is singular exactly then.  Raises RuntimeError
+    when the last refinement correction is still above 1e-6 relative to
+    max|x|: the LU is too inaccurate for refinement to converge.
     """
     d = _superoperator_dim(S)
     if not np.any(S.diagonal().real):
@@ -141,12 +189,25 @@ def steady_state(S):
         )
     A, b = _trace_replaced_system(S)
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, **_SPLU_OPTIONS)
     except RuntimeError as exc:
         raise DegenerateKernelError(f"trace-replaced system is singular: {exc}") from exc
-    x = lu.solve(b)
-    x += lu.solve(b - A @ x)
-    rho = x.reshape(d, d)
+    data = S.data.astype(np.clongdouble)
+    x = lu.solve(b).astype(np.clongdouble)
+    previous = np.inf
+    for _ in range(8):
+        dx = lu.solve(_trace_replaced_residual(S, data, x).astype(complex))
+        x += dx
+        correction = float(np.max(np.abs(dx)) / np.max(np.abs(x)))
+        if correction <= 1e-15 or correction > 0.5 * previous:
+            break
+        previous = correction
+    # written so that a NaN correction fails too
+    if not correction <= 1e-6:
+        raise RuntimeError(
+            f"steady-state refinement stalled at relative correction {correction:.3e}"
+        )
+    rho = x.astype(complex).reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     residual = np.max(np.abs(S @ rho.reshape(-1)))
@@ -288,9 +349,13 @@ def low_lying_spectrum(S, count=6):
     Up to DENSE_EIG_MAX_DIM the full spectrum is computed densely and the
     ``count`` eigenvalues with largest real part are kept.  Beyond it,
     shift-inverted Arnoldi returns the count + 6 eigenvalues nearest the
-    real shift just right of zero (_arnoldi_shift), and the ``count`` of
-    those with largest real part are kept.  Nearest the shift is not the
-    same as largest real part: a slowly decaying mode with a large
+    real shift sigma just right of zero (_arnoldi_shift), and the
+    ``count`` of those with largest real part are kept.  ARPACK applies
+    (S - sigma I)^-1 through one sparse LU with the module's settings
+    (_SPLU_OPTIONS: minimum-degree ordering on A + A^T, diagonal pivots
+    above a 1e-3 threshold; every diagonal entry of S - sigma I has real
+    part <= -sigma < 0), without refinement.  Nearest the shift is not
+    the same as largest real part: a slowly decaying mode with a large
     imaginary part can be missed (at delta=0.4, chi=1, epsilon=0.05,
     gamma=0.01, dim 40, the -0.0051 +- 0.4103i pair is).
 
@@ -306,9 +371,12 @@ def low_lying_spectrum(S, count=6):
         w, v = dense_eig(S.toarray())
     else:
         k = min(count + 6, d * d - 2)
+        sigma = _arnoldi_shift(S)
+        lu = spla.splu((S - sigma * sp.identity(d * d, format="csr")).tocsc(), **_SPLU_OPTIONS)
+        opinv = spla.LinearOperator(S.shape, matvec=lu.solve, dtype=complex)
         try:
             w, v = spla.eigs(
-                S.tocsc(), k=k, sigma=_arnoldi_shift(S), v0=_arnoldi_start(S), maxiter=5000
+                S, k=k, sigma=sigma, OPinv=opinv, v0=_arnoldi_start(S), maxiter=5000
             )
         except spla.ArpackNoConvergence as exc:
             raise EigenSolverError(f"Arnoldi iteration did not converge: {exc}") from exc

@@ -217,13 +217,17 @@ def local_maxima(grid, rel_threshold=0.05):
 
     Returns a list of (re, im, value) for cells strictly greater than all
     eight neighbors, useful for counting phase-space lobes, in row-major
-    order.  A NaN cell, or a cell next to one, is never a maximum; a NaN
-    max(W) disables the cutoff.
+    order.  max(W) is taken over the finite cells, so a NaN cell leaves
+    the cutoff in place; a NaN cell, or a cell next to one, is never a
+    maximum.
     """
     v = grid.values
+    finite = v[np.isfinite(v)]
+    if finite.size == 0:
+        return []
     nx, ny = v.shape
     center = v[1:-1, 1:-1]
-    keep = ~(center <= rel_threshold * np.max(v))
+    keep = center > rel_threshold * finite.max()
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di or dj:

@@ -60,7 +60,8 @@ def _cubic_real_roots(a3, a2, a1, a0):
 
     The depressed cubic is solved trigonometrically when three real roots
     exist and by the single-real-root Cardano formula otherwise; each root
-    gets a couple of Newton polish steps on the original cubic.
+    gets three Newton polish steps on the original cubic in np.longdouble
+    and is returned as a float.
     """
     b = a2 / a3
     c = a1 / a3
@@ -92,12 +93,13 @@ def _cubic_real_roots(a3, a2, a1, a0):
 
     polished = []
     for x in roots:
+        x = np.longdouble(x)
         for _ in range(3):
             slope = dpoly(x)
             if slope == 0.0:
                 break
             x -= poly(x) / slope
-        polished.append(x)
+        polished.append(float(x))
     return polished
 
 
@@ -117,7 +119,12 @@ def classical_steady_states(params):
     if x == 0.0:
         ns = [e * e / (d * d + g * g / 4.0)]
     else:
-        ns = _cubic_real_roots(4.0 * x * x, 4.0 * x * d, d * d + g * g / 4.0, -e * e)
+        # Two nearly coincident roots move by ~sqrt(rounding of the
+        # coefficients): formed and polished in double they can miss the
+        # amplitude check below (1.4e-10 at delta=-10, chi=0.175,
+        # epsilon=0.3021, gamma=0.02); in np.longdouble they pass it.
+        dl, xl, el, gl = (np.longdouble(v) for v in (d, x, e, g))
+        ns = _cubic_real_roots(4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el)
     scale = max(abs(n) for n in ns)
     ns = sorted(n for n in ns if n > _REAL_TOL * max(1.0, scale))
     if len(ns) == 2:

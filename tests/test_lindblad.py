@@ -202,6 +202,70 @@ def test_adaptive_hard_regime_matches_closed_form(epsilon):
         assert abs(a_num - mp_dw(float(delta), epsilon, g, chi)) <= 1e-6
 
 
+def colamd_refined_steady_state(S, steps=4):
+    """Oracle: COLAMD ordering, partial pivoting, refinement against a clongdouble residual."""
+    d = int(round(np.sqrt(S.shape[0])))
+    A, b = _trace_replaced_system(S)
+    lu = spla.splu(A, permc_spec="COLAMD", diag_pivot_thresh=1.0)
+    coo = A.tocoo()
+    data = coo.data.astype(np.clongdouble)
+    x = lu.solve(b).astype(np.clongdouble)
+    for _ in range(steps):
+        ax = np.zeros(d * d, dtype=np.clongdouble)
+        np.add.at(ax, coo.row, data * x[coo.col])
+        x += lu.solve((b - ax).astype(complex))
+    rho = x.astype(complex).reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def test_hard_regime_independent_of_lu_pivoting():
+    # the refined state must not depend on how the LU was ordered and
+    # pivoted; refinement in double alone left 1e-7..1e-6 between the two
+    g, chi = HARD_REGIME.gamma, HARD_REGIME.chi
+    worst = 0.0
+    for epsilon in (0.5, 1.0, 1.5):
+        for delta in np.linspace(-2.5, -1.5, 7):
+            params = ModelParams(delta=float(delta), chi=chi, epsilon=epsilon, gamma=g)
+            rho, dim, _ = solve_steady_state_adaptive(params)
+            ref = colamd_refined_steady_state(build_superoperator(params, dim))
+            a = annihilation(dim)
+            worst = max(worst, abs(expectation(a, rho) - expectation(a, ref)))
+    assert worst <= 1e-8
+
+
+def test_adaptive_large_start_dim_near_fold():
+    # starts at dim 229; a steady state refined in double had a -1.5e-6 eigenvalue
+    params = ModelParams(delta=-8.8866, chi=0.08484, epsilon=4.6769, gamma=0.05277)
+    rho, dim, _ = solve_steady_state_adaptive(params)
+    assert dim == 229
+    a_num = expectation(annihilation(dim), rho)
+    assert abs(a_num - mp_dw(params.delta, params.epsilon, params.gamma, params.chi)) <= 1e-6
+
+
+def test_steady_state_weak_damping():
+    # population pivots are -gamma k next to drive entries ~epsilon: the LU
+    # must leave the diagonal there, or refinement cannot converge
+    for delta, epsilon in ((-1.0, 0.5), (-2.0, 1.0), (0.3, 0.2)):
+        params = ModelParams(delta=delta, chi=1.0, epsilon=epsilon, gamma=1e-9)
+        rho, dim, _ = solve_steady_state_adaptive(params)
+        a_num = expectation(annihilation(dim), rho)
+        assert abs(a_num - mp_dw(delta, epsilon, params.gamma, params.chi)) <= 1e-10
+
+
+def test_steady_state_refinement_failure_raises():
+    # at gamma = 1e-20 the trace-replaced system is singular to working precision
+    S = build_superoperator(ModelParams(delta=-1.0, chi=1.0, epsilon=0.5, gamma=1e-20), 6)
+    with pytest.raises(RuntimeError, match="refinement"):
+        steady_state(S)
+
+
+def test_longdouble_is_extended_precision():
+    # steady_state refines against a clongdouble residual; where longdouble
+    # is plain double that residual is no better than the LU's own
+    assert np.finfo(np.longdouble).eps < 1e-18
+
+
 def test_kernel_uniqueness_and_stability_seeded():
     rng = np.random.default_rng(21)
     for _ in range(4):

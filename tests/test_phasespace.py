@@ -180,6 +180,12 @@ def test_local_maxima_matches_loop_oracle(point_c_grid):
     ]
     for grid in grids:
         expected = _local_maxima_loop(grid)
+        if np.isnan(grid.values).any():
+            # the loop's cutoff is NaN there; local_maxima takes it from the finite cells
+            cutoff = 0.05 * np.nanmax(grid.values)
+            fixed = [m for m in expected if m[2] > cutoff]
+            assert len(fixed) < len(expected)
+            expected = fixed
         assert expected
         assert local_maxima(grid) == expected
 

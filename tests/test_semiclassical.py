@@ -42,6 +42,21 @@ def test_roots_match_numpy_seeded():
             assert resid < 1e-10 * max(1.0, params.epsilon)
 
 
+def test_nearly_coincident_roots_pass_residual_check():
+    # the two upper roots are 0.32 apart at n ~ 28.5, close to a fold; in
+    # double the polished roots failed the amplitude check (1.4e-10)
+    import mpmath
+
+    params = ModelParams(delta=-10.0, chi=0.175, epsilon=0.3021, gamma=0.02)
+    branches = classical_steady_states(params)
+    with mpmath.workdps(50):
+        d, x, e, g = (mpmath.mpf(v) for v in (-10.0, 0.175, 0.3021, 0.02))
+        roots = mpmath.polyroots([4 * x * x, 4 * x * d, d * d + g * g / 4, -e * e], extraprec=100)
+        exact = sorted(float(r.real) for r in roots)
+    assert branches.stable == (True, False, True)
+    assert np.allclose(branches.photon_numbers, exact, rtol=1e-12, atol=0.0)
+
+
 def test_branch_count_across_fold_window():
     chi, gamma, delta = 1.0, 0.2, -1.0
     bnd = bifurcation_boundary(chi, gamma, [delta])
