@@ -396,6 +396,7 @@ class _PointContext:
         self._rho0 = None
         self._spectrum = None
         self._pair = None
+        self._wigner = None
 
     def rho0(self):
         if self._rho0 is None:
@@ -428,6 +429,29 @@ class _PointContext:
             rho0, _, _ = self.rho0()
             self._pair = metastable_extremes(rho0, spec.eigenmatrices[1])
         return self._pair
+
+    def wigner_grids(self):
+        """Wigner grids of the requested states, evaluated in one pass.
+
+        Keys are "rho0" when the wigner task is requested and "rho_plus",
+        "rho_minus" when the metastable task is.  A pair that cannot be
+        formed is left out, so the wigner task's grid and status never
+        depend on the metastable task; that task raises the error itself.
+        """
+        if self._wigner is None:
+            states = {}
+            if "wigner" in self.config.analyze:
+                states["rho0"] = self.rho0()[0]
+            if "metastable" in self.config.analyze:
+                try:
+                    pair = self.metastable_pair()
+                except Exception:
+                    pass
+                else:
+                    states["rho_plus"], states["rho_minus"] = pair.rho_plus, pair.rho_minus
+            grids = wigner_many(list(states.values()), **_wigner_kwargs(self.config))
+            self._wigner = dict(zip(states, grids))
+        return self._wigner
 
 
 def _wigner_kwargs(config):
@@ -491,8 +515,8 @@ def _task_spectrum(ctx, out_dir, circuit):
 
 
 def _task_wigner(ctx, out_dir, circuit):
-    rho0, dim, _ = ctx.rho0()
-    grid = wigner_many([rho0], **_wigner_kwargs(ctx.config))[0]
+    _, dim, _ = ctx.rho0()
+    grid = ctx.wigner_grids()["rho0"]
     files = _write_wigner(grid, out_dir, "wigner_rho0", ctx.params, dim)
     maxima = local_maxima(grid)
     summary = {
@@ -507,9 +531,9 @@ def _task_wigner(ctx, out_dir, circuit):
 def _task_metastable(ctx, out_dir, circuit):
     pair = ctx.metastable_pair()
     rho0, dim, _ = ctx.rho0()
-    grids = wigner_many([pair.rho_plus, pair.rho_minus], **_wigner_kwargs(ctx.config))
-    files = _write_wigner(grids[0], out_dir, "wigner_rho_plus", ctx.params, dim)
-    files += _write_wigner(grids[1], out_dir, "wigner_rho_minus", ctx.params, dim)
+    grids = ctx.wigner_grids()
+    files = _write_wigner(grids["rho_plus"], out_dir, "wigner_rho_plus", ctx.params, dim)
+    files += _write_wigner(grids["rho_minus"], out_dir, "wigner_rho_minus", ctx.params, dim)
     summary = {
         "beta_plus": pair.beta_plus,
         "beta_minus": pair.beta_minus,

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
-from duffspec.closedform import dw_response
+from duffspec.closedform import dw_response, dw_response_grid
 from duffspec.fock import ModelParams, annihilation, expectation
 from duffspec.lindblad import build_superoperator, solve_steady_state_adaptive
 from duffspec.perturbation import (
     FanoFitError,
+    _fano_basis,
+    _fano_from_coefficients,
     bw_steady_state,
     fano_fit,
     fano_q,
@@ -273,6 +276,136 @@ def test_fano_fit_handles_symmetric_lorentzians():
     peak = 1.0 + 0.4 / (1.0 + (deltas / 0.05) ** 2)
     with pytest.raises(FanoFitError):
         fano_fit(deltas, peak)
+
+
+def five_parameter_fano_fit(deltas, mags):
+    """Oracle: the profile fitted in all five parameters (bg, amp, center,
+    width, q) by finite-difference Levenberg-Marquardt from 12 starts, then
+    mapped to the amp > 0 representation; same checks as fano_fit.
+    Returns (bg, amp, center, width, q, residual_rms)."""
+
+    def model(theta):
+        bg, amp, center, width, q = theta
+        x = (deltas - center) / width
+        return bg + amp * (x - q) ** 2 / (x**2 + 1.0)
+
+    span = mags.max() - mags.min()
+    i_min, i_max = int(np.argmin(mags)), int(np.argmax(mags))
+    center0 = 0.5 * (deltas[i_min] + deltas[i_max])
+    width0 = max(abs(deltas[i_max] - deltas[i_min]) / 2.0, 2.0 * abs(deltas[1] - deltas[0]))
+    q_sign = -1.0 if deltas[i_min] < deltas[i_max] else 1.0
+    best = None
+    for w_scale in (1.0, 0.5, 2.0):
+        for q_mag in (1.0, 1.5, 2.5, 0.5):
+            q0 = q_sign * q_mag
+            theta0 = [mags.min(), span / (1.0 + q0**2), center0, width0 * w_scale, q0]
+            result = least_squares(lambda th: model(th) - mags, theta0, method="lm", max_nfev=200)
+            if result.success and (best is None or result.cost < best.cost):
+                best = result
+    if best is None:
+        raise FanoFitError("no start converged")
+    bg, amp, center, width, q = best.x
+    if width < 0:
+        width, q = -width, -q
+    if amp < 0 and q != 0:
+        bg, amp, q = bg + amp * (1.0 + q**2), -amp * q**2, -1.0 / q
+    if abs(q) > 50.0 or amp <= 0.0 or width <= 0.0 or width > 10.0 * (deltas[-1] - deltas[0]):
+        raise FanoFitError("degenerate profile")
+    rms = np.sqrt(np.mean(best.fun**2))
+    if rms > 0.05 * span:
+        raise FanoFitError("residual too large")
+    return np.array([bg, amp, center, width, q, rms])
+
+
+def normalized_two_photon_line(gamma, chi, epsilon, half_width, samples=801):
+    """|<a>| across the two-photon line over the linear background, as the
+    CLI fano task fits it."""
+    deltas = np.linspace(-chi - half_width, -chi + half_width, samples)
+    values, _ = dw_response_grid(deltas, np.array([epsilon]), gamma, chi)
+    background = 2.0 * epsilon / np.abs(2.0 * deltas - 1j * gamma)
+    return deltas, np.abs(values[:, 0]) / background
+
+
+@pytest.mark.parametrize(
+    "gamma, chi, eps_factor",
+    [
+        (0.002, 1.0, 0.2),
+        (0.002, 0.5, 3.0),
+        (0.02, 0.5, 1.32),
+        (0.04, 1.0, 3.0),
+        (0.04, 0.5, 0.2),
+        (0.04, 0.5, 1.88),
+    ],
+)
+def test_fano_fit_matches_five_parameter_oracle(gamma, chi, eps_factor):
+    # lines of the grid gamma x chi x epsilon in [0.2, 3] gamma over +-8 gamma;
+    # at gamma = 0.04, chi = 0.5 the window holds more than one feature and
+    # both fits must reject the line
+    deltas, mags = normalized_two_photon_line(gamma, chi, eps_factor * gamma, 8.0 * gamma)
+    try:
+        expected = five_parameter_fano_fit(deltas, mags)
+    except FanoFitError:
+        with pytest.raises(FanoFitError):
+            fano_fit(deltas, mags)
+        return
+    fit = fano_fit(deltas, mags)
+    got = [fit.background, fit.amplitude, fit.center, fit.width, fit.q, fit.residual_rms]
+    assert np.allclose(got, expected, rtol=1e-5, atol=0.0)
+
+
+def test_fano_fit_matches_oracle_on_two_photon_line():
+    deltas, mags = normalized_two_photon_line(0.01, 1.0, 0.012, 0.08)
+    fit = fano_fit(deltas, mags)
+    got = [fit.background, fit.amplitude, fit.center, fit.width, fit.q]
+    expected = five_parameter_fano_fit(deltas, mags)
+    assert np.allclose(got, expected[:5], rtol=1e-5, atol=0.0)
+    assert fit.residual_rms == pytest.approx(expected[5], rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [-1.2, 0.97, 1.4])
+def test_fano_fit_recovers_noise_free_lines_in_either_representation(q):
+    bg, amp, center, width = 0.8, 0.03, -1.0, 0.005
+    deltas = np.linspace(center - 12 * width, center + 12 * width, 401)
+    truth = [bg, amp, center, width, q]
+    mirror = [bg + amp * (1 + q**2), -amp * q**2, center, width, -1.0 / q]
+    for params in (truth, mirror):
+        fit = fano_fit(deltas, synthetic_fano(deltas, *params))
+        got = [fit.background, fit.amplitude, fit.center, fit.width, fit.q]
+        assert np.allclose(got, truth, rtol=1e-8, atol=0.0)
+        assert fit.residual_rms < 1e-12
+
+
+def test_fano_coefficient_map_avoids_cancellation():
+    # c1 > 0 with |c2| << c1: the naive root (sqrt(c1^2 + c2^2) - c1) / 2
+    # cancels to 0, while amp = c2^2 / (4 c1) to relative O(c2^2 / c1^2)
+    c0, c1 = 1.5, 0.2
+    c2 = 1e-9 * c1
+    bg, amp, q = _fano_from_coefficients(c0, c1, c2)
+    assert 0.5 * (np.hypot(c1, c2) - c1) == 0.0
+    assert amp == pytest.approx(c2**2 / (4.0 * c1), rel=1e-15)
+    assert q == pytest.approx(-2.0 * c1 / c2, rel=1e-15)
+    assert bg == c0 - amp
+    # and the map inverts c1 = amp (q^2 - 1), c2 = -2 amp q on both branches
+    for amp_in, q_in in ((0.03, 0.97), (0.03, -1.2), (0.4, 0.0), (1e-3, 40.0)):
+        bg, amp, q = _fano_from_coefficients(0.5 + amp_in, amp_in * (q_in**2 - 1), -2 * amp_in * q_in)
+        assert np.allclose([bg, amp, q], [0.5, amp_in, q_in], rtol=1e-13, atol=1e-15)
+
+
+def test_fano_fit_rejects_non_finite_input():
+    deltas = np.linspace(-1.1, -0.9, 201)
+    mags = synthetic_fano(deltas, 1.0, 0.03, -1.0, 0.01, 0.97)
+    bad = mags.copy()
+    bad[7] = np.nan
+    with pytest.raises(ValueError, match="magnitudes"):
+        fano_fit(deltas, bad)
+    bad_deltas = deltas.copy()
+    bad_deltas[3] = np.inf
+    with pytest.raises(ValueError, match="deltas"):
+        fano_fit(bad_deltas, mags)
+    # a start whose width reaches 0 has no finite projected residual; it
+    # raises here and fano_fit counts the start as failed
+    with pytest.raises(FloatingPointError):
+        _fano_basis(deltas, -1.0, 0.0)
 
 
 def test_onset_scaling_exponents():

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import duffspec.sweep as sweep_mod
 from duffspec.cli import main
 from duffspec.closedform import dw_response
 from duffspec.fock import ModelParams
@@ -381,6 +382,70 @@ def test_analyze_isolates_task_failures(tmp_path):
     # run.log times every task, the failed one included
     log = json.loads(open(os.path.join(out_dir, "run.log")).read())
     assert set(log["phase_s"]) == {"entropy", "metastable"}
+
+
+def _point_analysis(out_dir, epsilon, tasks):
+    return analyze(
+        config_from_dict(
+            {
+                "gamma": 2.0,
+                "chi": 1.0,
+                "point": {"delta": -5.2, "epsilon": epsilon},
+                "analyze": tasks,
+                "wigner_grid": {"nx": 41, "ny": 41},
+                "out_dir": str(out_dir),
+            }
+        )
+    )
+
+
+WIGNER_FILES = ("wigner_rho0.csv", "wigner_rho0.json")
+PAIR_FILES = ("wigner_rho_plus.csv", "wigner_rho_plus.json", "wigner_rho_minus.csv", "wigner_rho_minus.json")
+
+
+def test_analyze_evaluates_wigner_and_pair_in_one_pass(tmp_path, monkeypatch):
+    calls = []
+    wigner_many = sweep_mod.wigner_many
+
+    def counting_wigner_many(rhos, **kwargs):
+        calls.append(len(rhos))
+        return wigner_many(rhos, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "wigner_many", counting_wigner_many)
+    both = _point_analysis(tmp_path / "both", 3.2, ["metastable", "wigner"])
+    assert both["failed_tasks"] == 0
+    assert calls == [3]
+    calls.clear()
+    _point_analysis(tmp_path / "wigner", 3.2, ["wigner"])
+    _point_analysis(tmp_path / "pair", 3.2, ["metastable"])
+    assert calls == [1, 2]
+    # one shared pass gives the same bytes as separate passes
+    for sub, names in (("wigner", WIGNER_FILES), ("pair", PAIR_FILES)):
+        for name in names:
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / sub / name).read_bytes()
+
+
+def test_analyze_wigner_alone_computes_no_spectrum(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the wigner task must not need the decay spectrum")
+
+    monkeypatch.setattr(sweep_mod, "low_lying_spectrum", forbidden)
+    monkeypatch.setattr(sweep_mod, "metastable_extremes", forbidden)
+    manifest = _point_analysis(tmp_path, 3.2, ["wigner"])
+    assert manifest["tasks"]["wigner"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("tasks", [["wigner", "metastable"], ["metastable", "wigner"]])
+def test_failing_metastable_task_leaves_wigner_unchanged(tmp_path, tasks):
+    # at epsilon = 0 the metastable pair raises AnalysisError
+    alone = _point_analysis(tmp_path / "alone", 0.0, ["wigner"])
+    both = _point_analysis(tmp_path / "both", 0.0, tasks)
+    assert both["failed_tasks"] == 1
+    assert both["tasks"]["metastable"]["error_type"] == "AnalysisError"
+    assert both["tasks"]["wigner"] == alone["tasks"]["wigner"]
+    assert both["outputs"] == list(WIGNER_FILES)
+    for name in WIGNER_FILES:
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_analyze_requires_point_and_tasks():
