@@ -10,7 +10,7 @@ Usage examples::
     duffspec --point delta=-5.2,epsilon=3.2 \
         --analyze entropy,spectrum,metastable,mixing-curve --out-dir out
 
-    duffspec --circuit circuit.json --analyze entropy --out-dir out
+    duffspec --circuit data/circuit.json --analyze entropy --out-dir out
 
 Options given on the command line override the same keys from --config.
 On failure a machine-readable error report is written to stderr as JSON

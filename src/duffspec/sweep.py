@@ -1,8 +1,9 @@
 """Deterministic parameter sweeps, line scans, and point analyses.
 
-Grids are evaluated cell by cell with no cross-cell state, so a sweep is
-reproducible bit-for-bit regardless of worker count: results are keyed by
-cell index and JSON is emitted with sorted keys.  Every CSV goes through
+No cell's result depends on another cell (the numeric route solves cells
+in blocks, but no step mixes them), so a sweep is reproducible
+bit-for-bit regardless of worker count: results keep the grid's cell
+order and JSON is emitted with sorted keys.  Every CSV goes through
 one writer, which formats each float once, as a Python float, with
 ``{:.16e}`` (17 significant digits), builds the file column by column and
 streams it row by row with LF line endings.  Moduli |z| come from Python's
@@ -30,6 +31,7 @@ from .lindblad import (
     low_lying_spectrum,
     metastable_extremes,
     solve_steady_state_adaptive,
+    solve_steady_states,
     build_superoperator,
 )
 from .perturbation import fano_fit, fano_q, onset_scan, onset_slope, response_series
@@ -178,33 +180,33 @@ class SweepResult:
     metadata: dict
 
 
-def _numeric_cell(task):
-    i, j, delta, epsilon, gamma, chi, dim = task
-    params = ModelParams(delta=delta, chi=chi, epsilon=epsilon, gamma=gamma)
-    rho, used_dim, residual = solve_steady_state_adaptive(params, dim=dim)
-    value = expectation(annihilation(used_dim), rho)
-    return i, j, value, used_dim, residual
+def _numeric_values(cells, dim):
+    """(<a>, truncation, residual) of each cell, solved as one solve_steady_states call."""
+    out = []
+    for rho, used_dim, residual in solve_steady_states(cells, dim=dim):
+        out.append((expectation(annihilation(used_dim), rho), used_dim, residual))
+    return out
 
 
 def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
-    tasks = [
-        (i, j, float(d), float(e), gamma, chi, dim)
-        for i, d in enumerate(deltas)
-        for j, e in enumerate(epsilons)
+    cells = [
+        ModelParams(delta=float(d), chi=chi, epsilon=float(e), gamma=gamma)
+        for d in deltas
+        for e in epsilons
     ]
-    values = np.zeros((deltas.size, epsilons.size), dtype=complex)
-    dims = np.zeros((deltas.size, epsilons.size), dtype=int)
-    residuals = np.zeros((deltas.size, epsilons.size), dtype=float)
     if workers > 1:
+        # one contiguous run of cells per worker; a cell's result does not
+        # depend on which cells share its call
+        bounds = np.linspace(0, len(cells), workers + 1).round().astype(int)
+        runs = [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            results = list(pool.map(_numeric_cell, tasks, chunksize=chunk))
+            results = [r for run in pool.map(_numeric_values, runs, [dim] * workers) for r in run]
     else:
-        results = map(_numeric_cell, tasks)
-    for i, j, value, used_dim, residual in results:
-        values[i, j] = value
-        dims[i, j] = used_dim
-        residuals[i, j] = residual
+        results = _numeric_values(cells, dim)
+    shape = (deltas.size, epsilons.size)
+    values = np.array([r[0] for r in results], dtype=complex).reshape(shape)
+    dims = np.array([r[1] for r in results], dtype=int).reshape(shape)
+    residuals = np.array([r[2] for r in results], dtype=float).reshape(shape)
     return values, dims, residuals
 
 

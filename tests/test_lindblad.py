@@ -21,14 +21,17 @@ from duffspec.lindblad import (
     DegenerateKernelError,
     TruncationLimitError,
     _spectrum_order,
-    _trace_replaced_system,
+    _trace_replaced_pattern,
+    adaptive_start_dim,
     build_superoperator,
     low_lying_spectrum,
     metastable_extremes,
     solve_steady_state_adaptive,
+    solve_steady_states,
     steady_state,
     steady_state_residual,
 )
+from duffspec import lindblad
 from duffspec.closedform import dw_response
 from duffspec.perturbation import s0_eigenvalue
 from test_closedform import mp_dw
@@ -105,13 +108,18 @@ def test_superoperator_matches_kronecker_oracle(params, dim):
 @pytest.mark.parametrize("dim", [2, 3, 10])
 def test_trace_replaced_system_swaps_row_zero(params, dim):
     S = build_superoperator(params, dim)
-    A, b = _trace_replaced_system(S)
+    A, source = _trace_replaced_pattern(dim, S.indptr, S.indices)
+    A.data = np.append(S.data, 1.0)[source]
     expected = S.toarray()
     expected[0, :] = 0.0
     expected[0, np.arange(dim) * (dim + 1)] = 1.0
     assert A.format == "csc"
     assert np.array_equal(A.toarray(), expected)
-    assert np.array_equal(b, np.eye(1, dim * dim, dtype=complex)[0])
+    # same entries in the same order as the spliced CSR converted by scipy
+    ref = sp.csr_matrix(expected).tocsc()
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert A.data.tobytes() == ref.data.tobytes()
 
 
 def test_superoperator_matches_dense_rhs():
@@ -178,6 +186,86 @@ def test_adaptive_truncation_limit():
         solve_steady_state_adaptive(POINT_C, top_pop_tol=1e-30, max_dim=32)
 
 
+# start dims 18, 10 (doubles to 20), 10 (epsilon = 0), 97 (hard regime),
+# 11 (doubles to 22), 10, and 18 again
+MIXED_CELLS = [
+    POINT_C,
+    ModelParams(delta=-1.0, chi=1.0, epsilon=2.0, gamma=0.5),
+    ModelParams(delta=-0.7, chi=1.0, epsilon=0.0, gamma=0.4),
+    HARD_REGIME,
+    ModelParams(delta=0.5, chi=1.0, epsilon=5.0, gamma=2.0),
+    ModelParams(delta=-1.0, chi=1.0, epsilon=0.3, gamma=1.0),
+    ModelParams(delta=-5.4, chi=1.0, epsilon=3.0, gamma=2.0),
+]
+
+
+@pytest.fixture(scope="module")
+def mixed_alone():
+    return [solve_steady_state_adaptive(p) for p in MIXED_CELLS]
+
+
+@pytest.mark.parametrize("block_pairs", [1, 500, lindblad._BLOCK_PAIRS, 10**9])
+def test_blocked_solve_matches_single_cells(mixed_alone, block_pairs, monkeypatch):
+    # every cell, in any split into calls and blocks, gets bit for bit the
+    # state, truncation and residual it gets alone
+    assert [dim for _, dim, _ in mixed_alone] == [18, 20, 10, 97, 22, 10, 18]
+    monkeypatch.setattr(lindblad, "_BLOCK_PAIRS", block_pairs)
+    for picks in ([0, 1, 2, 3, 4, 5, 6], [6, 2, 0, 5, 3, 1, 4], [0, 1, 2], [3, 4, 5, 6]):
+        got = solve_steady_states([MIXED_CELLS[i] for i in picks])
+        for i, (rho, dim, residual) in zip(picks, got, strict=True):
+            rho1, dim1, residual1 = mixed_alone[i]
+            assert (dim, residual) == (dim1, residual1)
+            assert rho.tobytes() == rho1.tobytes()
+
+
+def test_blocked_fixed_dim_matches_steady_state():
+    got = solve_steady_states(MIXED_CELLS[:3], dim=12)
+    for params, (rho, dim, residual) in zip(MIXED_CELLS[:3], got, strict=True):
+        S = build_superoperator(params, 12)
+        assert dim == 12
+        assert rho.tobytes() == steady_state(S).tobytes()
+        assert residual == steady_state_residual(S, rho)
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_blocked_error_is_first_failing_cell(first):
+    # the cell starting at dim 11 fails at dim 22, after point C has failed
+    # at 18; whichever comes first in the input is the one reported
+    cells = [ModelParams(delta=0.5, chi=1.0, epsilon=5.0, gamma=2.0), POINT_C]
+    cells = cells[first:] + cells[:first]
+    kwargs = dict(top_pop_tol=1e-30, max_dim=32)
+    expected = _raised(lambda: solve_steady_state_adaptive(cells[0], **kwargs))
+    assert expected[0] is TruncationLimitError
+    assert _raised(lambda: solve_steady_states(cells, **kwargs)) == expected
+    assert _raised(lambda: solve_steady_states(cells[1:], **kwargs)) != expected
+    # a cell that cannot be solved at all, ahead of them, wins
+    undamped = ModelParams(delta=-1.0, chi=1.0, epsilon=0.3, gamma=0.0)
+    assert _raised(lambda: solve_steady_states([undamped] + cells, **kwargs)) == (
+        ValueError,
+        "steady state requires gamma > 0",
+    )
+
+
+def test_start_dim_from_largest_classical_branch():
+    # bistable: a 16-level state on the lower branch has empty top levels,
+    # so the population test passes, yet <a> is far off
+    params = ModelParams(delta=float(np.linspace(-2.5, -1.5, 7)[5]), chi=0.05, epsilon=1.5, gamma=0.1)
+    exact = dw_response(params)
+    rho, dim, _ = solve_steady_state_adaptive(params, dim=16)
+    assert rho[15, 15].real + rho[14, 14].real < 1e-8
+    assert abs(expectation(annihilation(dim), rho) - exact) > 4.0
+    assert adaptive_start_dim(params) == 84
+    rho, dim, _ = solve_steady_state_adaptive(params)
+    assert dim == 84
+    assert abs(expectation(annihilation(dim), rho) - exact) < 1e-6
+
+
 def test_degenerate_kernel_detected():
     # gamma=0 makes every function of H stationary, driven or not
     for delta, epsilon, chi, dim in itertools.product(
@@ -205,7 +293,12 @@ def test_adaptive_hard_regime_matches_closed_form(epsilon):
 def colamd_refined_steady_state(S, steps=4):
     """Oracle: COLAMD ordering, partial pivoting, refinement against a clongdouble residual."""
     d = int(round(np.sqrt(S.shape[0])))
-    A, b = _trace_replaced_system(S)
+    A = S.tolil()
+    A[0, :] = 0.0
+    A[0, np.arange(d) * (d + 1)] = 1.0
+    A = A.tocsc()
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
     lu = spla.splu(A, permc_spec="COLAMD", diag_pivot_thresh=1.0)
     coo = A.tocoo()
     data = coo.data.astype(np.clongdouble)

@@ -455,22 +455,22 @@ def test_analyze_requires_point_and_tasks():
         analyze(config_from_dict({"point": {"delta": -1.0, "epsilon": 0.1}}))
 
 
+CIRCUIT = {
+    "L": 1e-9,
+    "L4": 4e-37,
+    "C": 99e-15,
+    "Cc": 1e-15,
+    "Z0": 50.0,
+    "R": 1e6,
+    "Vs": 4.6e-10,
+    "omega_p": 1.0000514e11,
+}
+SHIPPED_CIRCUIT = os.path.join(os.path.dirname(__file__), os.pardir, "data", "circuit.json")
+
+
 def test_resolve_circuit_scales_rates(tmp_path):
     circuit_file = tmp_path / "circuit.json"
-    circuit_file.write_text(
-        json.dumps(
-            {
-                "L": 1e-9,
-                "L4": 4e-37,
-                "C": 99e-15,
-                "Cc": 1e-15,
-                "Z0": 50.0,
-                "R": 1e6,
-                "Vs": 4.6e-10,
-                "omega_p": 1.0000514e11,
-            }
-        )
-    )
+    circuit_file.write_text(json.dumps(CIRCUIT))
     config = config_from_dict({"circuit": str(circuit_file)})
     resolved, circuit, point = resolve_circuit(config)
     assert circuit is not None
@@ -486,6 +486,18 @@ def test_resolve_circuit_scales_rates(tmp_path):
     assert resolved2.gamma == 0.5
     assert resolved2.chi == 2.0
     assert resolved2.point == {"delta": -1, "epsilon": 1}
+
+
+def test_shipped_circuit_example(tmp_path):
+    # the file the README's --circuit example names
+    with open(SHIPPED_CIRCUIT, encoding="utf-8") as fh:
+        assert json.load(fh) == CIRCUIT
+    config = config_from_dict({"circuit": SHIPPED_CIRCUIT, "out_dir": str(tmp_path)})
+    resolved, circuit, point = resolve_circuit(config)
+    assert circuit is not None and resolved.chi == 1.0
+    assert resolved.point == point
+    assert point["delta"] == pytest.approx(-5.199, abs=1e-3)
+    assert point["epsilon"] == pytest.approx(3.204, abs=1e-3)
 
 
 def test_cli_sweep_success(tmp_path, capsys):
