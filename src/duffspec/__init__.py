@@ -12,115 +12,59 @@ its spectroscopic response along several independent routes (sparse
 superoperator algebra, a closed-form hypergeometric expression, a
 perturbative series) together with phase-space, metastability, and
 semiclassical diagnostics, and exposes a deterministic sweep CLI.
+
+Public names load on first use: ``import duffspec`` imports no submodule,
+and ``duffspec.X`` (or ``from duffspec import X``) imports only the
+submodule that defines X.  The closed-form and series routes need numpy
+alone; scipy's sparse and dense linear algebra load with ``lindblad``, and
+``scipy.optimize`` loads on the first Fano fit.
 """
 
-from .fock import (
-    ModelParams,
-    annihilation,
-    creation,
-    number_operator,
-    fock_state,
-    fock_projector,
-    build_hamiltonian,
-    expectation,
-    von_neumann_entropy,
-    binary_entropy,
-    validate_density_matrix,
-)
-from .lindblad import (
-    build_superoperator,
-    steady_state,
-    solve_steady_state_adaptive,
-    low_lying_spectrum,
-    metastable_extremes,
-    SpectrumSlice,
-    MetastablePair,
-)
-from .closedform import hyper_0f2, dw_response, dw_response_grid
-from .semiclassical import (
-    classical_steady_states,
-    bifurcation_boundary,
-    bistability_cusp,
-    ClassicalBranches,
-    BifurcationBoundary,
-)
-from .phasespace import (
-    WignerGrid,
-    displacement_operator,
-    local_maxima,
-    wigner,
-    wigner_integral,
-    wigner_many,
-    wigner_purity,
-)
-from .perturbation import (
-    s0_eigenvalue,
-    s0_eigenpair,
-    s0_eigensystem,
-    verify_s0_eigenpair,
-    bw_steady_state,
-    response_series,
-    fano_q,
-    fano_fit,
-    onset_scan,
-    onset_slope,
-    S0Eigenpair,
-    FanoFit,
-)
-from .circuit import CircuitParams, load_circuit, to_model, v2_signal, V2Quadratures
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelParams",
-    "annihilation",
-    "creation",
-    "number_operator",
-    "fock_state",
-    "fock_projector",
-    "build_hamiltonian",
-    "expectation",
-    "von_neumann_entropy",
-    "binary_entropy",
-    "validate_density_matrix",
-    "build_superoperator",
-    "steady_state",
-    "solve_steady_state_adaptive",
-    "low_lying_spectrum",
-    "metastable_extremes",
-    "SpectrumSlice",
-    "MetastablePair",
-    "hyper_0f2",
-    "dw_response",
-    "dw_response_grid",
-    "classical_steady_states",
-    "bifurcation_boundary",
-    "bistability_cusp",
-    "ClassicalBranches",
-    "BifurcationBoundary",
-    "displacement_operator",
-    "wigner",
-    "wigner_many",
-    "wigner_integral",
-    "wigner_purity",
-    "local_maxima",
-    "WignerGrid",
-    "s0_eigenvalue",
-    "s0_eigenpair",
-    "s0_eigensystem",
-    "verify_s0_eigenpair",
-    "bw_steady_state",
-    "response_series",
-    "fano_q",
-    "fano_fit",
-    "onset_scan",
-    "onset_slope",
-    "S0Eigenpair",
-    "FanoFit",
-    "CircuitParams",
-    "load_circuit",
-    "to_model",
-    "v2_signal",
-    "V2Quadratures",
-    "__version__",
-]
+# The public names, by the submodule that defines each.
+_PUBLIC = {
+    "fock": (
+        "ModelParams", "annihilation", "creation", "number_operator", "fock_state",
+        "fock_projector", "build_hamiltonian", "expectation", "von_neumann_entropy",
+        "binary_entropy", "validate_density_matrix",
+    ),
+    "lindblad": (
+        "build_superoperator", "steady_state", "solve_steady_state_adaptive",
+        "low_lying_spectrum", "metastable_extremes", "SpectrumSlice", "MetastablePair",
+    ),
+    "closedform": ("hyper_0f2", "dw_response", "dw_response_grid"),
+    "semiclassical": (
+        "classical_steady_states", "bifurcation_boundary", "bistability_cusp",
+        "ClassicalBranches", "BifurcationBoundary",
+    ),
+    "phasespace": (
+        "displacement_operator", "wigner", "wigner_many", "wigner_integral",
+        "wigner_purity", "local_maxima", "WignerGrid",
+    ),
+    "perturbation": (
+        "s0_eigenvalue", "s0_eigenpair", "s0_eigensystem", "verify_s0_eigenpair",
+        "bw_steady_state", "response_series", "fano_q", "fano_fit", "onset_scan",
+        "onset_slope", "S0Eigenpair", "FanoFit",
+    ),
+    "circuit": ("CircuitParams", "load_circuit", "to_model", "v2_signal", "V2Quadratures"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    """Import a public name's submodule on first use and keep the name here."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

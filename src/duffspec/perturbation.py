@@ -22,11 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .closedform import dw_response_grid
 from .fock import ModelParams, annihilation, creation, fock_projector
-from .lindblad import build_superoperator
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
@@ -136,6 +134,8 @@ def verify_s0_eigenpair(pair, params):
     Warns when the eigenmatrix carries weight above 1e-6 in the top two
     levels, where truncation would contaminate the comparison.
     """
+    from .lindblad import build_superoperator
+
     dim = pair.right.shape[0]
     s0 = build_superoperator(
         ModelParams(params.delta, params.chi, 0.0, params.gamma), dim
@@ -329,6 +329,8 @@ def fano_fit(deltas, magnitudes, window=None):
     as for a symmetric Lorentzian peak), or the residual exceeds
     _FANO_RESIDUAL_FRAC of the line amplitude.
     """
+    from scipy.optimize import least_squares
+
     deltas = np.asarray(deltas, dtype=float)
     mags = np.asarray(magnitudes, dtype=float)
     if deltas.shape != mags.shape or deltas.ndim != 1:

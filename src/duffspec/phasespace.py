@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock import annihilation
 
@@ -49,6 +48,8 @@ def displacement_operator(alpha, dim):
     then cropped to dim x dim.  The crop of the inverse equals the adjoint
     of the crop, so D(-alpha) never needs a second exponential.
     """
+    from scipy.linalg import expm
+
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
     alpha = complex(alpha)

@@ -9,7 +9,9 @@ one writer, which formats each float once, as a Python float, with
 streams it row by row with LF line endings.  Moduli |z| come from Python's
 ``abs`` on each complex value, because ``np.abs`` rounds some of them one
 ulp differently.  Wall-clock time per phase goes to the JSON side log
-run.log, never into the manifest.
+run.log, never into the manifest.  The ``lindblad`` names are imported in
+the functions that call them, so closed-form and series runs never load
+scipy's sparse and dense linear algebra.
 """
 
 import json
@@ -26,14 +28,6 @@ from . import __version__
 from .circuit import load_circuit, to_model, v2_signal
 from .closedform import dw_response_grid
 from .fock import ModelParams, annihilation, expectation, von_neumann_entropy, binary_entropy
-from .lindblad import (
-    TOL_EIG,
-    low_lying_spectrum,
-    metastable_extremes,
-    solve_steady_state_adaptive,
-    solve_steady_states,
-    build_superoperator,
-)
 from .perturbation import fano_fit, fano_q, onset_scan, onset_slope, response_series
 from .phasespace import local_maxima, wigner_integral, wigner_many, wigner_purity
 
@@ -182,6 +176,8 @@ class SweepResult:
 
 def _numeric_values(cells, dim):
     """(<a>, truncation, residual) of each cell, solved as one solve_steady_states call."""
+    from .lindblad import solve_steady_states
+
     out = []
     for rho, used_dim, residual in solve_steady_states(cells, dim=dim):
         out.append((expectation(annihilation(used_dim), rho), used_dim, residual))
@@ -402,11 +398,15 @@ class _PointContext:
 
     def rho0(self):
         if self._rho0 is None:
+            from .lindblad import solve_steady_state_adaptive
+
             self._rho0 = solve_steady_state_adaptive(self.params, dim=self.config.dim)
         return self._rho0
 
     def spectrum(self):
         if self._spectrum is None:
+            from .lindblad import build_superoperator, low_lying_spectrum
+
             _, dim, _ = self.rho0()
             S = build_superoperator(self.params, dim)
             self._spectrum = low_lying_spectrum(S, count=self.config.spectrum_count)
@@ -414,6 +414,8 @@ class _PointContext:
 
     def metastable_pair(self):
         if self._pair is None:
+            from .lindblad import TOL_EIG, metastable_extremes
+
             if self.params.epsilon == 0:
                 raise AnalysisError(
                     "metastable analysis requires epsilon > 0: without a drive the "

@@ -1,0 +1,117 @@
+"""Which scipy modules each route loads, each case in a fresh interpreter.
+
+``import duffspec`` imports no submodule; a public name loads its
+submodule on first use.  The closed-form and series routes need numpy
+alone, only the Lindblad route loads scipy's sparse and dense linear
+algebra, and only the Fano fit loads scipy.optimize.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+README_LINE_SCAN = (
+    "--method closed-form --gamma 0.01 --chi 1 --delta-range=-1.08:-0.92:801 --scan epsilon=0.012"
+)
+README_SWEEP = "--method both --gamma 2 --chi 1 --delta-range=-8:-2:61 --epsilon-range=0.5:4:8"
+README_POINT_C = (
+    "--point delta=-5.2,epsilon=3.2 --gamma 2 --chi 1 "
+    "--analyze entropy,spectrum,metastable,mixing-curve,wigner"
+)
+
+
+def scipy_modules_after(code, cwd):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = (
+        code
+        + "\nimport json, sys\n"
+        + "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def cli_runs(*commands):
+    """Code that runs each README command line through cli.main, in order."""
+    lines = ["from duffspec.cli import main"]
+    for k, command in enumerate(commands):
+        argv = command.split() + ["--out-dir", f"run{k}"]
+        lines.append(f"assert main({argv!r}) == 0")
+    return "\n".join(lines)
+
+
+def under(modules, *packages):
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def test_import_duffspec_loads_no_scipy(tmp_path):
+    assert scipy_modules_after("import duffspec", tmp_path) == []
+
+
+def test_closed_form_and_series_routes_load_no_scipy(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from duffspec import ModelParams, dw_response_grid, onset_scan, response_series\n"
+        "dw_response_grid(np.array([-1.0, 0.0]), np.array([0.1, 0.2]), 1.0, 1.0)\n"
+        "response_series(ModelParams(-1.0, 1.0, 0.1, 0.1))\n"
+        "onset_scan(1, [0.01], samples=121)\n"
+    )
+    assert scipy_modules_after(code, tmp_path) == []
+
+
+def test_readme_line_scan_loads_no_scipy_linear_algebra(tmp_path):
+    loaded = scipy_modules_after(cli_runs(README_LINE_SCAN), tmp_path)
+    assert under(loaded, "scipy.sparse", "scipy.linalg", "scipy.optimize") == []
+    assert (tmp_path / "run0" / "scan.csv").is_file()
+
+
+def test_readme_numeric_runs_load_no_optimizer(tmp_path):
+    loaded = scipy_modules_after(cli_runs(README_SWEEP, README_POINT_C), tmp_path)
+    assert under(loaded, "scipy.sparse")
+    assert under(loaded, "scipy.optimize") == []
+
+
+def test_fano_fit_as_first_call(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from duffspec import fano_fit\n"
+        "x = np.linspace(-10.0, 10.0, 201)\n"
+        "fit = fano_fit(-1.0 + 0.005 * x, 1.0 + 0.03 * (x - 0.97) ** 2 / (x**2 + 1.0))\n"
+        "assert abs(fit.q - 0.97) < 1e-6 and abs(fit.width - 0.005) < 1e-8, fit\n"
+    )
+    assert under(scipy_modules_after(code, tmp_path), "scipy.optimize")
+
+
+def test_star_import_binds_the_submodule_objects(tmp_path):
+    code = (
+        "import sys\n"
+        "import duffspec\n"
+        "assert len(duffspec.__all__) == 51 and duffspec.__version__ == '0.1.0'\n"
+        "assert set(duffspec.__all__) <= set(dir(duffspec))\n"
+        "namespace = {}\n"
+        "exec('from duffspec import *', namespace)\n"
+        "for name in set(duffspec.__all__) - {'__version__'}:\n"
+        "    value = namespace[name]\n"
+        "    assert value.__module__.startswith('duffspec.'), name\n"
+        "    assert vars(sys.modules[value.__module__])[name] is value, name\n"
+        "    assert getattr(duffspec, name) is value, name\n"
+        "try:\n"
+        "    duffspec.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown names must raise AttributeError')\n"
+    )
+    scipy_modules_after(code, tmp_path)

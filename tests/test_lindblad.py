@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvals
 
 from duffspec.fock import (
     TOL_PSD,
@@ -403,6 +404,24 @@ def test_undriven_arnoldi_spectrum_sees_coherences():
     assert abs(spec.eigenvalues[0]) < 1e-9
     assert abs(spec.eigenvalues[1] - lam) < 1e-9
     assert abs(spec.eigenvalues[2] - lam.conjugate()) < 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 4: Arnoldi around the one real shift returns the modes "
+        "nearest it and misses the slow -0.0051 +- 0.4103i pair at dim 40"
+    ),
+)
+def test_arnoldi_spectrum_holds_slow_oscillating_pair():
+    params = ModelParams(delta=0.4, chi=1.0, epsilon=0.05, gamma=0.01)
+    # dense eigenvalues at dim 20 already agree with dim 16 and 24 to 1e-13
+    w = eigvals(build_superoperator(params, 20).toarray())
+    lam = w[np.argmin(np.abs(w - (-0.00510 + 0.41028j)))]
+    assert abs(lam - (-0.00510 + 0.41028j)) < 1e-5
+    spec = low_lying_spectrum(build_superoperator(params, 40), count=6)
+    for member in (lam, lam.conjugate()):
+        assert np.min(np.abs(spec.eigenvalues - member)) < 1e-6
 
 
 def test_arnoldi_spectrum_repeatable():

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import duffspec.lindblad as lindblad_mod
 import duffspec.sweep as sweep_mod
 from duffspec.cli import main
 from duffspec.closedform import dw_response
@@ -429,8 +430,9 @@ def test_analyze_wigner_alone_computes_no_spectrum(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the wigner task must not need the decay spectrum")
 
-    monkeypatch.setattr(sweep_mod, "low_lying_spectrum", forbidden)
-    monkeypatch.setattr(sweep_mod, "metastable_extremes", forbidden)
+    # sweep imports the lindblad names when it calls them, so patch them there
+    monkeypatch.setattr(lindblad_mod, "low_lying_spectrum", forbidden)
+    monkeypatch.setattr(lindblad_mod, "metastable_extremes", forbidden)
     manifest = _point_analysis(tmp_path, 3.2, ["wigner"])
     assert manifest["tasks"]["wigner"]["status"] == "ok"
 
