@@ -552,10 +552,12 @@ def _spectrum_order(w):
     The members of a conjugate pair agree only to rounding (~1e-14), so
     sorting on their raw values would let LAPACK/ARPACK rounding decide
     which comes first.  Each -Im member is therefore keyed by the real
-    part and |Im| of its +Im partner.
+    part and |Im| of its +Im partner.  Also returns, in sorted order, the
+    mask of -Im members that sit right after their partner.
     """
     re_key = w.real.copy()
     im_key = np.abs(w.imag)
+    partner = np.full(w.size, -1)
     upper = np.nonzero(w.imag > TOL_EIG)[0]
     lower = np.nonzero(w.imag < -TOL_EIG)[0]
     if upper.size and lower.size:
@@ -563,9 +565,12 @@ def _spectrum_order(w):
         nearest = np.argmin(dist, axis=1)
         tol = 1e-6 * np.maximum(1.0, np.abs(w[lower]))
         paired = dist[np.arange(lower.size), nearest] < tol
-        re_key[lower[paired]] = re_key[upper[nearest[paired]]]
-        im_key[lower[paired]] = im_key[upper[nearest[paired]]]
-    return np.lexsort((-np.sign(w.imag), -im_key, -re_key))
+        partner[lower[paired]] = upper[nearest[paired]]
+        re_key[lower[paired]] = re_key[partner[lower[paired]]]
+        im_key[lower[paired]] = im_key[partner[lower[paired]]]
+    order = np.lexsort((-np.sign(w.imag), -im_key, -re_key))
+    follows = np.r_[False, partner[order[1:]] == order[:-1]]
+    return order, follows
 
 
 def low_lying_spectrum(S, count=6):
@@ -605,15 +610,13 @@ def low_lying_spectrum(S, count=6):
             )
         except spla.ArpackNoConvergence as exc:
             raise EigenSolverError(f"Arnoldi iteration did not converge: {exc}") from exc
-    order = _spectrum_order(w)
+    order, follows = _spectrum_order(w)
     w = w[order]
     v = v[:, order]
     n_keep = min(count, w.size)
     # keep conjugate partners together across the cutoff
-    if n_keep < w.size:
-        last = w[n_keep - 1]
-        if abs(last.imag) > TOL_EIG and abs(w[n_keep] - last.conjugate()) < 1e-6 * max(1.0, abs(last)):
-            n_keep += 1
+    if n_keep < w.size and follows[n_keep]:
+        n_keep += 1
     w = w[:n_keep]
     mats = [v[:, i].reshape(d, d).copy() for i in range(n_keep)]
 
@@ -628,7 +631,6 @@ def low_lying_spectrum(S, count=6):
         )
 
     out = []
-    paired = {}
     for i, lam in enumerate(w):
         m = mats[i]
         if i == 0:
@@ -643,18 +645,14 @@ def low_lying_spectrum(S, count=6):
             m = _leading_diagonal_sign(m) * m
             out.append(m)
             continue
-        if i in paired:
-            out.append(paired[i])
+        if follows[i]:
+            out.append(out[-1].conj().T)
             continue
-        # normalize this member, adjoint-pair its partner
+        # normalize this member; its partner takes the adjoint
         j = np.argmax(np.abs(m))
         m = m / np.linalg.norm(m)
         m = m * np.exp(-1j * np.angle(m.reshape(-1)[j]))
         out.append(m)
-        for i2 in range(i + 1, w.size):
-            if abs(w[i2] - lam.conjugate()) < 1e-6 * max(1.0, abs(lam)):
-                paired[i2] = m.conj().T
-                break
     return SpectrumSlice(eigenvalues=w, eigenmatrices=tuple(out), dim=d)
 
 

@@ -2,7 +2,8 @@
 
 With the drive switched off the generator S0 conserves the coherence
 offset n = (row - column), and inside each offset sector it is upper
-bidiagonal in the lower index t, so its spectrum is known in closed form:
+bidiagonal in the lower index t: <t+n| rho |t> decays at its own rate and
+is fed from <t+n+1| rho |t+1>.  Its spectrum is known in closed form,
 
     lambda_nq = -(q + n/2) gamma - i n delta - i n (n - 1 + 2q) chi
 
@@ -10,11 +11,10 @@ with right eigenmatrices supported on t <= q,
 
     <t+n| rho_nq |t> = (-1 - 2 i n chi / gamma)^t / ((q - t)! sqrt((t+n)! t!)),
 
-and adjoint partners for the conjugate sectors.  Left eigenmatrices
-follow from back-substitution on the same bidiagonal structure (support
-t >= q) and are normalized biorthogonally.  The drive enters as a
-Brillouin-Wigner series around the vacuum kernel, whose exact eigenvalue
-stays zero, so the resolvent denominators are simply -lambda_nq.
+adjoint partners for the conjugate sectors, and biorthogonal left
+eigenmatrices on t >= q.  The drive enters as a series around the vacuum
+kernel, whose eigenvalue stays exactly zero; each order is one
+back-substitution through the bidiagonal sectors (_drive_orders).
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import dw_response_grid
-from .fock import ModelParams, annihilation, creation, fock_projector
+from .fock import ModelParams
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
@@ -158,26 +158,48 @@ def verify_s0_eigenpair(pair, params):
     return residual
 
 
-def _drive_commutator(dim):
-    xop = annihilation(dim) + creation(dim)
+def _drive_orders(params, order, dim):
+    """rho_0 ... rho_order of the drive expansion on a dim-level truncation.
 
-    def apply(mat):
-        return -1j * (xop @ mat - mat @ xop)
-
-    return apply
+    rho_0 = |0><0|; rho_k solves S0 rho_k = i[a + a^dagger, rho_{k-1}] with
+    the vacuum row replaced by Tr rho_k = 0.  delta, chi and gamma may be
+    arrays; each rho_k has shape broadcast + (dim, dim).
+    """
+    d, x, g = (np.asarray(v)[..., None, None] for v in (params.delta, params.chi, params.gamma))
+    if np.any(g <= 0):
+        raise ValueError("drive expansion requires gamma > 0")
+    k = np.arange(dim)
+    h = d * k + x * k * (k - 1)
+    lam = -1j * (h.swapaxes(-1, -2) - h) - 0.5 * g * (k[:, None] + k)
+    lam[..., 0, 0] = 1.0  # placeholder: the trace condition sets the vacuum entry
+    decay = g * np.sqrt(np.outer(k + 1, k + 1))
+    down, up = np.sqrt(k)[:, None], np.sqrt(k + 1)[:, None]
+    # rho_k sits inside a zero border, so the ladder shifts need no edge cases
+    pad = np.zeros(lam.shape[:-2] + (dim + 2, dim + 2), dtype=complex)
+    pad[..., 1, 1] = 1.0
+    terms = [pad[..., 1:-1, 1:-1]]
+    for _ in range(order):
+        prev, pad = pad, np.zeros_like(pad)
+        x_rho = down * prev[..., :-2, 1:-1] + up * prev[..., 2:, 1:-1]
+        r = 1j * (x_rho - prev[..., 1:-1, :-2] * down.T - prev[..., 1:-1, 2:] * up.T)
+        # back-substitute from the top level down; finished entries recompute unchanged
+        for t in range(dim - 1, -1, -1):
+            pad[..., t + 1 : -1, t + 1 : -1] = (
+                r[..., t:, t:] - decay[..., t:, t:] * pad[..., t + 2 :, t + 2 :]
+            ) / lam[..., t:, t:]
+        pad[..., 1, 1] = -np.diagonal(pad, 0, -2, -1)[..., 2:].sum(axis=-1)
+        terms.append(pad[..., 1:-1, 1:-1])
+    return terms
 
 
 def bw_steady_state(params, order=3, dim=12):
     """Drive expansion of the steady state to the given order in epsilon.
 
-    Expands around the vacuum kernel of the undriven generator.  Because
-    the steady-state eigenvalue is exactly zero at every order, the
-    expansion needs no eigenvalue corrections: each order applies the
-    drive commutator and the undriven resolvent once.  Intermediate sums
-    run over the complete analytic eigensystem of every reachable
-    coherence sector, so the result is the exact order-by-order solution
-    of the truncated problem.  The trace stays 1 exactly; corrections are
-    traceless.
+    Expands around the vacuum kernel of the undriven generator, whose
+    eigenvalue stays exactly zero at every order, so each order is one
+    undriven solve (_drive_orders) with no eigenvalue correction.  Order k
+    lives on |m><n| with m + n <= k, so the result is exact on any
+    dim >= order + 4.  The trace stays 1 exactly; corrections are traceless.
 
     A two-orders-higher term is evaluated as a convergence gauge; if it
     exceeds 10% of the kept top-order term, a divergence warning is
@@ -185,32 +207,9 @@ def bw_steady_state(params, order=3, dim=12):
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    if params.gamma <= 0:
-        raise ValueError("drive expansion requires gamma > 0")
     if dim < order + 4:
         raise ValueError(f"dim must be >= order + 4 to hold the order-{order} support")
-    probes = order + 2
-    resolvent = []
-    for n in range(min(probes, dim - 1) + 1):
-        for q in range(dim - n):
-            if n == 0 and q == 0:
-                continue
-            pair = s0_eigenpair(n, q, params, dim)
-            resolvent.append((pair.eigenvalue, pair.right, pair.left))
-            if n > 0:
-                resolvent.append(
-                    (pair.eigenvalue.conjugate(), pair.right.conj().T, pair.left.conj().T)
-                )
-    apply_v = _drive_commutator(dim)
-    terms = [fock_projector(0, dim)]
-    for _ in range(probes):
-        driven = apply_v(terms[-1])
-        nxt = np.zeros((dim, dim), dtype=complex)
-        for lam, right, left in resolvent:
-            coeff = np.sum(left * driven) / (-lam)
-            if coeff != 0.0:
-                nxt = nxt + coeff * right
-        terms.append(nxt)
+    terms = _drive_orders(params, order + 2, dim)
     e = params.epsilon
     rho = terms[0].copy()
     for k in range(1, order + 1):
@@ -233,16 +232,16 @@ def response_series(params):
         <a> = 2 eps / (-2 delta + i gamma)
               + 32 chi eps^3 / [(2 delta - i gamma)^2 (2 chi + 2 delta - i gamma) (2 delta + i gamma)]
 
-    The linear term is the Lorentzian response; the cubic one carries the
-    anharmonic pole at 2 delta + 2 chi = 0.  At chi = 0 the response is the
-    pure Lorentzian at every drive.  The parameters may be arrays, which
-    broadcast together.
+    read from rho_1 and rho_3 of the drive expansion on 5 levels, which hold
+    them without truncation.  The linear term is the Lorentzian response;
+    the cubic one carries the anharmonic pole at 2 delta + 2 chi = 0.  At
+    chi = 0 the response is the pure Lorentzian at every drive.  The
+    parameters may be arrays, which broadcast together.  Requires gamma > 0.
     """
-    d, x, e, g = params.delta, params.chi, params.epsilon, params.gamma
-    a = 2.0 * d - 1j * g
-    linear = -2.0 * e / a
-    cubic = 32.0 * x * e**3 / (a * a * (2.0 * x + 2.0 * d - 1j * g) * np.conj(a))
-    return linear + cubic
+    _, rho1, _, rho3 = _drive_orders(params, 3, 5)
+    # <a> = sum_k sqrt(k + 1) rho[k + 1, k]
+    a1, a3 = (np.diagonal(rho, -1, -2, -1) @ np.sqrt(np.arange(1.0, 5)) for rho in (rho1, rho3))
+    return params.epsilon * a1 + params.epsilon**3 * a3
 
 
 def fano_q(params):

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -191,6 +190,8 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
         for e in epsilons
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # one contiguous run of cells per worker; a cell's result does not
         # depend on which cells share its call
         bounds = np.linspace(0, len(cells), workers + 1).round().astype(int)

@@ -3,7 +3,8 @@
 ``import duffspec`` imports no submodule; a public name loads its
 submodule on first use.  The closed-form and series routes need numpy
 alone, only the Lindblad route loads scipy's sparse and dense linear
-algebra, and only the Fano fit loads scipy.optimize.
+algebra, and only the Fano fit loads scipy.optimize.  The process pool
+loads only for a sweep with more than one worker.
 """
 
 import json
@@ -24,12 +25,12 @@ README_POINT_C = (
 )
 
 
-def scipy_modules_after(code, cwd):
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+def modules_after(code, cwd, package="scipy"):
+    """The modules of ``package`` loaded once ``code`` has run in a fresh interpreter."""
     probe = (
         code
         + "\nimport json, sys\n"
-        + "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        + f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -57,7 +58,7 @@ def under(modules, *packages):
 
 
 def test_import_duffspec_loads_no_scipy(tmp_path):
-    assert scipy_modules_after("import duffspec", tmp_path) == []
+    assert modules_after("import duffspec", tmp_path) == []
 
 
 def test_closed_form_and_series_routes_load_no_scipy(tmp_path):
@@ -68,19 +69,31 @@ def test_closed_form_and_series_routes_load_no_scipy(tmp_path):
         "response_series(ModelParams(-1.0, 1.0, 0.1, 0.1))\n"
         "onset_scan(1, [0.01], samples=121)\n"
     )
-    assert scipy_modules_after(code, tmp_path) == []
+    assert modules_after(code, tmp_path) == []
 
 
 def test_readme_line_scan_loads_no_scipy_linear_algebra(tmp_path):
-    loaded = scipy_modules_after(cli_runs(README_LINE_SCAN), tmp_path)
+    loaded = modules_after(cli_runs(README_LINE_SCAN), tmp_path)
     assert under(loaded, "scipy.sparse", "scipy.linalg", "scipy.optimize") == []
     assert (tmp_path / "run0" / "scan.csv").is_file()
 
 
 def test_readme_numeric_runs_load_no_optimizer(tmp_path):
-    loaded = scipy_modules_after(cli_runs(README_SWEEP, README_POINT_C), tmp_path)
+    loaded = modules_after(cli_runs(README_SWEEP, README_POINT_C), tmp_path)
     assert under(loaded, "scipy.sparse")
     assert under(loaded, "scipy.optimize") == []
+
+
+def test_serial_runs_load_no_process_pool(tmp_path):
+    code = cli_runs(README_LINE_SCAN, README_SWEEP, README_POINT_C)
+    assert "concurrent.futures.process" not in modules_after(code, tmp_path, "concurrent")
+
+
+def test_parallel_sweep_loads_process_pool_and_matches_serial(tmp_path):
+    code = cli_runs(README_SWEEP, README_SWEEP + " --workers 2")
+    assert "concurrent.futures.process" in modules_after(code, tmp_path, "concurrent")
+    serial, parallel = (tmp_path / f"run{k}" / "sweep.csv" for k in (0, 1))
+    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_fano_fit_as_first_call(tmp_path):
@@ -91,7 +104,7 @@ def test_fano_fit_as_first_call(tmp_path):
         "fit = fano_fit(-1.0 + 0.005 * x, 1.0 + 0.03 * (x - 0.97) ** 2 / (x**2 + 1.0))\n"
         "assert abs(fit.q - 0.97) < 1e-6 and abs(fit.width - 0.005) < 1e-8, fit\n"
     )
-    assert under(scipy_modules_after(code, tmp_path), "scipy.optimize")
+    assert under(modules_after(code, tmp_path), "scipy.optimize")
 
 
 def test_star_import_binds_the_submodule_objects(tmp_path):
@@ -114,4 +127,4 @@ def test_star_import_binds_the_submodule_objects(tmp_path):
         "else:\n"
         "    raise AssertionError('unknown names must raise AttributeError')\n"
     )
-    scipy_modules_after(code, tmp_path)
+    modules_after(code, tmp_path)

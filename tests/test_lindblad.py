@@ -451,7 +451,9 @@ def test_spectrum_point_c_frozen(point_c_spectrum):
 def test_spectrum_order_ignores_rounding_within_a_pair():
     # the -Im member's real part is larger by rounding; +Im still comes first
     w = np.array([-1.5 - 4.1j + 2e-14, 1e-15 + 0j, -1.5 + 4.1j, -0.2 - 1e-16j, -1.5 + 2.0j])
-    assert _spectrum_order(w).tolist() == [1, 3, 2, 0, 4]
+    order, follows = _spectrum_order(w)
+    assert order.tolist() == [1, 3, 2, 0, 4]
+    assert follows.tolist() == [False, False, False, True, False]
 
 
 def test_spectrum_eigenmatrix_conventions(point_c_spectrum):

@@ -10,6 +10,7 @@ from duffspec.lindblad import build_superoperator, solve_steady_state_adaptive
 from duffspec.perturbation import (
     FanoFitError,
     _fano_basis,
+    _drive_orders,
     _fano_from_coefficients,
     bw_steady_state,
     fano_fit,
@@ -427,3 +428,66 @@ def test_onset_validation():
         onset_scan(1, (0.5,))
     with pytest.raises(ValueError):
         onset_slope([(0.01, 0.02)])
+
+
+def odd_coefficients_0f2(params, count, dps=50):
+    """Taylor coefficients of <a> at eps^1, eps^3, ... eps^(2 count - 1), in 50 digits.
+
+    <a> = -eps / (delta - i gamma/2) 0F2(; a+1, b; z) / 0F2(; a, b; z) with
+    a, b = (delta -+ i gamma/2) / chi and z = 2 eps^2 / chi^2: both 0F2 are
+    power series in eps^2, and their ratio is one power-series division.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        shift = mpmath.mpc(params.delta, -params.gamma / 2)
+        a, b = shift / params.chi, shift.conjugate() / params.chi
+        w = 2 / mpmath.mpf(params.chi) ** 2
+
+        def coefficients(lower):
+            return [
+                w**n / (mpmath.rf(lower, n) * mpmath.rf(b, n) * mpmath.factorial(n))
+                for n in range(count)
+            ]
+
+        num, den = coefficients(a + 1), coefficients(a)
+        ratio = []
+        for n in range(count):
+            ratio.append(num[n] - sum(ratio[m] * den[n - m] for m in range(n)))
+        return [complex(-q / shift) for q in ratio]
+
+
+@pytest.mark.parametrize(
+    "params, top, rtol",
+    [
+        (ModelParams(delta=-5.2, chi=1.0, epsilon=0.0, gamma=2.0), 25, 1e-12),
+        (ModelParams(delta=-1.0, chi=1.0, epsilon=0.0, gamma=0.01), 25, 1e-13),
+        (ModelParams(delta=-2.0, chi=0.05, epsilon=0.0, gamma=0.1), 11, 1e-11),
+    ],
+    ids=["point-c", "fano-line", "hard-regime"],
+)
+def test_drive_orders_match_closed_form_taylor_coefficients(params, top, rtol):
+    dim = top + 2
+    coeffs = [expectation(annihilation(dim), rho) for rho in _drive_orders(params, top, dim)]
+    reference = odd_coefficients_0f2(params, top // 2 + 1)
+    for k in range(1, top + 1, 2):
+        ref = reference[k // 2]
+        assert abs(coeffs[k] - ref) <= rtol * abs(ref), k
+    assert all(coeffs[k] == 0 for k in range(0, top + 1, 2))
+
+
+def test_bw_steady_state_has_no_truncation_error():
+    # order 3 lives on |m><n| with m + n <= 3; every larger truncation
+    # repeats the same numbers and adds exact zeros
+    params = ModelParams(delta=-1.0, chi=1.0, epsilon=0.02, gamma=0.1)
+    small, mid, large = (bw_steady_state(params, order=3, dim=dim) for dim in (7, 12, 80))
+    assert np.array_equal(mid[:7, :7], small)
+    assert np.array_equal(large[:7, :7], small)
+    assert not np.any(large[4:]) and not np.any(large[:, 4:])
+
+
+def test_response_series_requires_damping():
+    with pytest.raises(ValueError):
+        response_series(ModelParams(delta=-1.0, chi=1.0, epsilon=0.01, gamma=0.0))
+    with pytest.raises(ValueError):
+        response_series(ModelParams(delta=-1.0, chi=1.0, epsilon=0.01, gamma=np.array([0.1, 0.0])))
