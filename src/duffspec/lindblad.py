@@ -10,43 +10,39 @@ becomes dvec/dt = S vec.  Row (k, l) of S holds at most six entries:
     (k+1, l+1)      gamma sqrt(k+1) sqrt(l+1)
 
 with h the truncated Hamiltonian, so S is written straight into CSR
-arrays.  The steady state is the kernel of S: one redundant row is
-replaced by the trace constraint, and the system is factorized once by
-sparse LU, solved, and refined with the same factors against a residual
-formed in extended precision.  The slow spectrum comes from dense
+arrays.  The steady state is the kernel of S with one redundant row
+replaced by the trace constraint.  The drive moves the coherence offset
+n = k - l by one and nothing else does, so S is block-tridiagonal over
+offset sectors, and the system is solved by Risken's matrix continued
+fraction (_SectorFraction): one dense inverse per sector, from the top
+sector down, with Hermiticity closing the recursion at the populations.
+The solution is refined with the same inverses against a residual formed
+in extended precision.  The slow spectrum comes from dense
 eigendecomposition at small truncation and shift-inverted Arnoldi
 iteration above it.
 
-Many steady states are solved in blocks (solve_steady_states).  Cells at
-the same truncation whose generators share a nonzero pattern (epsilon = 0
-drops the drive entries) form blocks of at most _BLOCK_PAIRS Fock pairs
-(cells x dim^2).  For a whole block at once, numpy forms the entry table,
-the index arrays of the trace-replaced CSC and the permutation that fills
-its data from the table, and after the solves the Hermitization,
+Many steady states are solved in blocks (solve_steady_states): cells at
+the same truncation, at most _BLOCK_PAIRS Fock pairs (cells x dim^2) per
+block.  Every step runs in numpy across the whole block: the entry
+table, the sector inverses (stacked np.linalg.inv), the solves and the
+extended-precision refinement, each cell stopping on its own, then the
 normalization, residual, validation (one stacked eigvalsh) and
-top-population test.  Only the factorization, solve and refinement run
-cell by cell, each LU freed before the next; the extended-precision copy
-of a cell's entries is made after its factorization, so that it does not
-raise the peak memory at large truncation.
-No step mixes cells, so a cell's state is bit for bit the same in any
-block, alone included: steady_state and solve_steady_state_adaptive are
-the same solve on one cell.  Per-cell sparse-matrix construction and
-validation cost about as much as SuperLU itself at the 10-24 levels of
-the README sweep; blocking removes most of that.
+top-population test.  No step mixes cells, so a cell's state is bit for
+bit the same in any block, alone included: steady_state and
+solve_steady_state_adaptive are the same solve on one cell.  The
+inverses of the sectors' m x m blocks cost sum m^3 ~ dim^4 / 4
+operations per cell, more than a sparse LU at large truncation, but no
+step is a per-cell call: at the 10-24 levels of a README sweep, one
+SuperLU factorization per cell was most of the time.
 
-Every sparse LU here, of the trace-replaced system and of S - sigma I,
-uses the SuperLU settings in _SPLU_OPTIONS: minimum-degree ordering on
-the pattern of A + A^T, and the diagonal entry as pivot unless it is
-below 1e-3 of the largest candidate in its column.  S is structurally
-near-symmetric (only the jump entries (k, l; k+1, l+1) and the trace row
-lack a transposed partner), and with gamma > 0 every diagonal entry of
-the trace-replaced system is nonzero (the trace row's is 1, row (k, l)'s
-has real part -(gamma/2)(k + l)), so this fills less than the default
-column ordering with partial pivoting: 0.31M against 0.47M entries in
-L + U at dim 80.  The threshold matters at weak damping, where a
-population row's diagonal -gamma k sits beside drive entries ~epsilon:
-taking it whatever its size leaves refinement unable to converge from
-gamma ~1e-8 on (chi = 1, epsilon = 0.5).
+The Arnoldi shift-invert factorizes S - sigma I with the SuperLU
+settings in _SPLU_OPTIONS: minimum-degree ordering on the pattern of
+A + A^T, and the diagonal entry as pivot unless it is below 1e-3 of the
+largest candidate in its column.  S is structurally near-symmetric (only
+the jump entries (k, l; k+1, l+1) lack a transposed partner), and every
+diagonal entry of S - sigma I is nonzero, so this fills less than the
+default column ordering with partial pivoting: at point C, 0.32M against
+0.48M entries in L + U at dim 80 and 1.7M against 2.8M at dim 160.
 """
 
 import math
@@ -54,8 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eig as dense_eig
 
 from .fock import (
     TOL_HERM,
@@ -76,7 +70,11 @@ DENSE_EIG_MAX_DIM = 32
 # Most Fock pairs (cells x dim^2) that solve_steady_states puts in one block.
 _BLOCK_PAIRS = 8192
 
-# SuperLU settings of every factorization in this module (module docstring).
+# Row (k, l)'s six entries sit in columns (k + i, l + j), in this order
+# (the slots of _entry_table).
+_SLOT_STEPS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+
+# SuperLU settings of the Arnoldi shift-invert (low_lying_spectrum).
 _SPLU_OPTIONS = dict(
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True)
 )
@@ -127,27 +125,37 @@ def _entry_table(cells, dim):
     g = column("gamma")[:, :, None]
     k = np.arange(dim)[:, None]
     l = np.arange(dim)[None, :]
-    # 0.0 - x and level[l] - level[k] give +0 where the Kronecker sum does
+    # 0.0 - x and level[l] - level[k] give +0 where the Kronecker sum does,
+    # and a zero entry is +0 in both parts, as S's missing entries read in
+    # _table_from_csr: both routes then solve with the same bits
     vals = np.zeros((len(cells), dim, dim, 6), dtype=complex)
-    vals.imag[..., 0] = -drive[:, k]
+    vals.imag[..., 0] = 0.0 - drive[:, k]
     vals.imag[..., 1] = drive[:, l]
     vals.real[..., 2] = 0.0 - (0.5 * g) * (k + l)
     vals.imag[..., 2] = level[:, l] - level[:, k]
     vals.imag[..., 3] = drive[:, l + 1]
-    vals.imag[..., 4] = -drive[:, k + 1]
+    vals.imag[..., 4] = 0.0 - drive[:, k + 1]
     vals.real[..., 5] = g * (root[k] * root[l])
     return vals
 
 
-def _csr_pattern(keep):
-    """CSR indptr and column indices of the (dim, dim, 6) slot mask ``keep``."""
-    dim = keep.shape[0]
+def _block_csr(vals):
+    """The block-diagonal CSR matrix of the generators with entry tables ``vals``.
+
+    ``vals`` is (cells, dim, dim, 6).  Each row's entries are written in
+    ascending column order and exact zeros are left out, so the stored
+    pattern is the nonzero pattern.
+    """
+    m, dim = vals.shape[:2]
     k = np.arange(dim)[:, None]
     l = np.arange(dim)[None, :]
-    cols = (k * dim + l)[..., None] + np.array([-dim, -1, 0, 1, dim, dim + 1])
-    indptr = np.zeros(dim * dim + 1, dtype=np.int64)
-    np.cumsum(keep.reshape(dim * dim, 6).sum(axis=1), out=indptr[1:])
-    return indptr, cols[keep]
+    cols = (k * dim + l)[..., None] + np.array([i * dim + j for i, j in _SLOT_STEPS])
+    cols = cols + dim * dim * np.arange(m)[:, None, None, None]
+    keep = vals != 0
+    size = m * dim * dim
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(keep.reshape(size, 6).sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(size, size))
 
 
 def build_superoperator(params, dim):
@@ -163,122 +171,226 @@ def build_superoperator(params, dim):
     sum -i(H (x) I - I (x) H^T) + gamma (a (x) a*) - (gamma/2)(N (x) I +
     I (x) N) rounds it, down to the sign of zero parts.
     """
-    vals = _entry_table([params], dim)[0]
-    keep = vals != 0
-    indptr, indices = _csr_pattern(keep)
-    return sp.csr_matrix((vals[keep], indices, indptr), shape=(dim * dim, dim * dim))
+    return _block_csr(_entry_table([params], dim))
 
 
-def _trace_replaced_pattern(d, indptr, indices):
-    """S's pattern with row 0 replaced by the trace functional, as a CSC matrix.
+def _sectors(d):
+    """Lower-triangle entries (k, l), k >= l, in sector order, and each sector's start.
 
-    (indptr, indices) is S's CSR pattern.  Returns the matrix, with its
-    data still to be filled, and ``source``: CSC entry m holds S.data[
-    source[m]], or 1 (a trace-row entry) where source[m] == S.nnz.  Within
-    each column the rows ascend, as csr_matrix.tocsc() orders them.
+    Sector n = k - l holds rho[t + n, t] for t = 0 .. d - n - 1, so the
+    sector-n entries of a packed lower triangle are x[starts[n]:starts[n + 1]].
     """
-    nnz = indices.size
-    start = indptr[1]
-    rows = np.repeat(np.arange(d * d), np.diff(indptr))
-    cols = np.concatenate((np.arange(d) * (d + 1), indices[start:]))
-    order = np.argsort(cols, kind="stable")
-    source = np.concatenate((np.full(d, nnz), np.arange(start, nnz)))[order]
-    row_of = np.concatenate((np.zeros(d, dtype=np.int64), rows[start:]))[order]
-    col_ptr = np.zeros(d * d + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=d * d), out=col_ptr[1:])
-    data = np.zeros(order.size, dtype=complex)
-    return sp.csc_matrix((data, row_of, col_ptr), shape=(d * d, d * d)), source
+    sizes = np.arange(d, 0, -1)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    n = np.repeat(np.arange(d), sizes)
+    t = np.arange(starts[-1]) - starts[n]
+    return t + n, t, starts
 
 
-def _trace_replaced_residual(d, indices, starts, data, x):
-    """b - A x for the trace-replaced system, in the precision of x.
+def _inverse(m):
+    """Inverses of the stacked matrices m, and the mask of the singular ones.
 
-    Formed from S's own CSR entries (``data`` is S.data in x's dtype,
-    ``starts`` is S.indptr[:-1]): rows 1.. are -(S x), row 0 is 1 - Tr x.
-    reduceat needs every row of S to be nonempty, which holds for
-    gamma != 0: row (k, l) holds the jump entry gamma sqrt(k+1) sqrt(l+1)
-    or, at the top of the ladder, a nonzero damping diagonal.
+    A singular matrix gets NaN for its inverse, so it fails only its cell.
     """
-    r = -np.add.reduceat(data * x[indices], starts)
-    r[0] = 1 - x[:: d + 1].sum()
+    singular = np.zeros(len(m), dtype=bool)
+    try:
+        return np.linalg.inv(m), singular
+    except np.linalg.LinAlgError:
+        out = np.full_like(m, np.nan)
+        for c in range(len(m)):
+            try:
+                out[c] = np.linalg.inv(m[c])
+            except np.linalg.LinAlgError:
+                singular[c] = True
+        return out, singular
+
+
+def _matvec(m, v):
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _couple(p, r, z):
+    """p z[t] + r z[t + 1] for each row t of a sector: z is read along axis 1."""
+    return p * z[:, :-1] + r * z[:, 1:]
+
+
+def _pad(y):
+    """y with a zero before and after it along axis 1."""
+    out = np.zeros((y.shape[0], y.shape[1] + 2) + y.shape[2:], dtype=y.dtype)
+    out[:, 1:-1] = y
+    return out
+
+
+class _SectorFraction:
+    """Risken's matrix continued fraction over the offset sectors of a block of cells.
+
+    ``coef`` holds each cell's six slots of every lower-triangle row, in
+    _sectors order.  In sector n >= 1 the rows read sector n itself (A_n:
+    slot 2 on the diagonal, the jump slot 5 above it), sector n + 1
+    (B_n: slots 1 and 4) and sector n - 1 (C_n: slots 0 and 3), so with
+    x_n = R_n x_{n-1} + s_n from the top sector down,
+
+        M_n = A_n + B_n R_{n+1},  R_n = -M_n^-1 C_n,  s_n = M_n^-1 (r_n - B_n s_{n+1}).
+
+    Only M_n^-1 is kept; R_n is applied through it.  Sector -1 is the
+    adjoint of sector 1, so the populations solve the real system
+    A_0 + 2 Re(B_0 R_1) with row 0 replaced by the trace.
+
+    Entries of M_n^-1 below 1e-100 in magnitude are set to zero.  Left
+    in, they carry subnormal numbers into the sectors below, where
+    arithmetic on them is slow: point C at dim 160 takes 0.68 s without
+    the cut and 0.49 s with it (one x86-64 core), and refinement against
+    the full residual leaves <a> the same to the bit.
+    """
+
+    def __init__(self, coef, d):
+        self.coef, self.d = coef, d
+        self.starts = _sectors(d)[2]
+        self.inverses = [None] * d
+        self.singular = np.zeros(len(coef), dtype=bool)
+        for n in range(d - 1, -1, -1):
+            q = self.sector(coef, n)
+            m = d - n
+            rows = np.arange(m)
+            own = q if n else q.real
+            a = np.zeros((len(coef), m, m), dtype=own.dtype)
+            a[:, rows, rows] = own[..., 2]
+            a[:, rows[:-1], rows[1:]] = own[:, :-1, 5]
+            if n < d - 1:
+                # B_n M_{n+1}^-1 C_{n+1}, both couplings bidiagonal
+                g = self.inverses[n + 1]
+                c = self.sector(coef, n + 1)[:, None]
+                w = np.zeros((len(coef), m - 1, m), dtype=complex)
+                w[..., :-1] = g * c[..., 0]
+                w[..., 1:] += g * c[..., 3]
+                coupling = _couple(q[..., 1, None], q[..., 4, None], _pad(w))
+                # sector -1 mirrors sector 1 into the populations
+                a -= coupling if n else 2.0 * coupling.real
+            if n == 0:
+                a[:, 0] = 1.0
+            inv, singular = _inverse(a)
+            if n:
+                inv[np.abs(inv) < 1e-100] = 0.0
+            self.inverses[n] = inv
+            self.singular |= singular
+
+    def sector(self, x, n):
+        return x[:, self.starts[n]:self.starts[n + 1]]
+
+    def solve(self, rhs):
+        """x with A x = rhs, A the trace-replaced S; both packed lower triangles."""
+        d, inverses = self.d, self.inverses
+        s = [None] * d
+        for n in range(d - 1, 0, -1):
+            u = self.sector(rhs, n)
+            if n < d - 1:
+                q = self.sector(self.coef, n)
+                u = u - _couple(q[..., 1], q[..., 4], _pad(s[n + 1]))
+            s[n] = _matvec(inverses[n], u)
+        q = self.sector(self.coef, 0)
+        u = rhs[:, :d].real - 2.0 * _couple(q[..., 1], q[..., 4], _pad(s[1])).real
+        u[:, 0] = rhs[:, 0].real
+        x = np.empty_like(rhs)
+        x[:, :d] = _matvec(inverses[0], u)
+        for n in range(1, d):
+            q = self.sector(self.coef, n)
+            below = _couple(q[..., 0], q[..., 3], self.sector(x, n - 1))
+            self.sector(x, n)[...] = s[n] - _matvec(inverses[n], below)
+        return x
+
+
+def _neighbours(d):
+    """Where slot s of each lower-triangle row reads z = (x, conj x, 0), x packed."""
+    k, l, _ = _sectors(d)
+    size = k.size
+    at = np.full((d + 2, d + 2), 2 * size)
+    at[l + 1, k + 1] = size + np.arange(size)
+    at[k + 1, l + 1] = np.arange(size)
+    return np.stack([at[k + 1 + i, l + 1 + j] for i, j in _SLOT_STEPS], axis=-1)
+
+
+def _residual(coef, neighbours, d, x):
+    """b - A x for the trace-replaced system on the lower triangle, in x's precision.
+
+    ``coef`` holds S's entries in x's dtype; the upper triangle is read as
+    the adjoint of the lower.  Rows other than (0, 0) are -(S x), row
+    (0, 0) is 1 - Tr x.
+    """
+    z = np.concatenate((x, x.conj(), np.zeros((len(x), 1), dtype=x.dtype)), axis=1)
+    r = np.zeros_like(x)
+    for s in range(6):
+        r -= coef[..., s] * z[:, neighbours[:, s]]
+    r[:, 0] = 1 - x[:, :d].sum(axis=1)
     return r
 
 
-def _refined_solve(A, d, indices, starts, data):
-    """Solution of the trace-replaced system A x = e_0, refined (see steady_state).
+def _refined_sectors(coef, d):
+    """Packed lower triangles x of the trace-replaced systems A x = e_0, refined.
 
-    ``data`` is S.data.  The LU lives only inside this call, so it is
-    freed before the next cell is factorized.  The extended-precision copy
-    of the entries is made after the factorization, so that it does not
-    add to the LU's peak memory at large truncation.
+    Returns (x, correction, singular): the last relative correction of
+    each cell, and the mask of cells with a singular sector block.  See
+    steady_state; every cell stops on its own.
     """
-    try:
-        lu = spla.splu(A, **_SPLU_OPTIONS)
-    except RuntimeError as exc:
-        raise DegenerateKernelError(f"trace-replaced system is singular: {exc}") from exc
-    data = data.astype(np.clongdouble)
-    b = np.zeros(d * d, dtype=complex)
-    b[0] = 1.0
-    x = lu.solve(b).astype(np.clongdouble)
-    previous = np.inf
+    fraction = _SectorFraction(coef, d)
+    n = len(coef)
+    b = np.zeros(coef.shape[:2], dtype=complex)
+    b[:, 0] = 1.0
+    x = fraction.solve(b).astype(np.clongdouble)
+    coef = coef.astype(np.clongdouble)
+    neighbours = _neighbours(d)
+    previous = np.full(n, np.inf)
+    correction = np.full(n, np.nan)
+    active = np.ones(n, dtype=bool)
     for _ in range(8):
-        dx = lu.solve(_trace_replaced_residual(d, indices, starts, data, x).astype(complex))
-        x += dx
-        correction = float(np.max(np.abs(dx)) / np.max(np.abs(x)))
-        if correction <= 1e-15 or correction > 0.5 * previous:
+        dx = fraction.solve(_residual(coef, neighbours, d, x).astype(complex))
+        x[active] += dx[active]
+        step = np.max(np.abs(dx), axis=1) / np.max(np.abs(x), axis=1)
+        correction[active] = step[active].astype(float)
+        active &= ~((correction <= 1e-15) | (correction > 0.5 * previous))
+        previous = correction.copy()
+        if not active.any():
             break
-        previous = correction
-    # written so that a NaN correction fails too
-    if not correction <= 1e-6:
-        raise RuntimeError(
-            f"steady-state refinement stalled at relative correction {correction:.3e}"
-        )
-    return x.astype(complex)
+    return x.astype(complex), correction, fraction.singular
 
 
-def _solve_block(d, indptr, indices, data):
-    """Steady states of generators sharing one CSR pattern, one per row of ``data``.
+def _solve_block(vals):
+    """Steady states of a block of cells from their entry tables ``vals`` (cells, d, d, 6).
 
-    (indptr, indices) is the common pattern of S on a d-level truncation
-    and data[c] the entries of cell c's S.  Returns (rho, residual,
-    errors): the states (cells, d, d), max|S rho| per cell, and per cell
-    the exception steady_state raises for it, or None.  The pattern, the
-    trace-replaced CSC and its data, and the final normalization, residual
-    and validation are formed once for the block; each cell is factorized,
-    solved and refined on its own.  Every cell's result is independent of
-    the other rows.
+    Returns (rho, residual, errors): the states (cells, d, d), max|S rho|
+    per cell, and per cell the exception steady_state raises for it, or
+    None.  Each step is numpy across the whole block, and no step mixes
+    cells: every cell's result is independent of the others.
     """
-    n = data.shape[0]
+    n, d = vals.shape[:2]
     errors = [None] * n
-    diagonal = indices == np.repeat(np.arange(d * d), np.diff(indptr))
-    damped = np.any(data[:, diagonal].real, axis=1)
-    A, source = _trace_replaced_pattern(d, indptr, indices)
-    a_data = np.concatenate((data, np.ones((n, 1), dtype=complex)), axis=1).take(source, axis=1)
-    # not needed through the factorizations, which set the peak memory
-    del diagonal, source
-    starts = indptr[:-1]
-    x = np.zeros((n, d * d), dtype=complex)
-    for c in range(n):
-        if not damped[c]:
-            errors[c] = DegenerateKernelError(
-                "generator has no damping; every function of the Hamiltonian is stationary"
-            )
-            continue
-        A.data = a_data[c]
-        try:
-            x[c] = _refined_solve(A, d, indices, starts, data[c])
-        except RuntimeError as exc:
-            errors[c] = exc
-    rho = x.reshape(n, d, d)
+    damped = np.any(vals[..., 2].real, axis=(1, 2))
+    for c in np.flatnonzero(~damped):
+        errors[c] = DegenerateKernelError(
+            "generator has no damping; every function of the Hamiltonian is stationary"
+        )
+    k, l, _ = _sectors(d)
+    x = np.zeros((n, k.size), dtype=complex)
+    if damped.any():
+        x[damped], correction, singular = _refined_sectors(vals[damped][:, k, l], d)
+        for c, value, bad in zip(np.flatnonzero(damped), correction, singular):
+            if bad:
+                errors[c] = DegenerateKernelError("a sector block of the system is singular")
+            # written so that a NaN correction fails too
+            elif not value <= 1e-6:
+                errors[c] = RuntimeError(
+                    f"steady-state refinement stalled at relative correction {value:.3e}"
+                )
+    rho = np.zeros((n, d, d), dtype=complex)
+    rho[:, l, k] = x.conj()
+    rho[:, k, l] = x
     residual = np.full(n, np.nan)
     solved = np.array([e is None for e in errors], dtype=bool)
     if not solved.any():
         return rho, residual, errors
     r = rho[solved]
-    r = 0.5 * (r + r.conj().transpose(0, 2, 1))
     r /= np.trace(r, axis1=1, axis2=2).real[:, None, None]
     rho[solved] = r
-    residual[solved] = _block_residual(d, indptr, indices, data[solved], r)
+    residual[solved] = _block_residual(vals[solved], r)
     suspect = _suspect_states(r)
     for c, bad in zip(np.flatnonzero(solved), suspect):
         # written so that a NaN residual fails too
@@ -294,23 +406,14 @@ def _solve_block(d, indptr, indices, data):
     return rho, residual, errors
 
 
-def _block_residual(d, indptr, indices, data, rho):
+def _block_residual(vals, rho):
     """max|S rho| of each cell, from one product with the block-diagonal matrix of all S.
 
-    Each row is then summed by the same CSR product as S @ rho, so the
-    value is steady_state_residual's to the bit.
+    Each row is summed as S @ rho sums it, so the value is
+    steady_state_residual's to the bit.
     """
-    m, nnz = data.shape
-    offsets = np.arange(m)[:, None]
-    big = sp.csr_matrix(
-        (
-            data.ravel(),
-            (indices + d * d * offsets).ravel(),
-            np.append((indptr[:-1] + nnz * offsets).ravel(), m * nnz),
-        ),
-        shape=(m * d * d, m * d * d),
-    )
-    return np.max(np.abs(big @ rho.ravel()).reshape(m, d * d), axis=1)
+    r = _block_csr(vals) @ rho.ravel()
+    return np.max(np.abs(r).reshape(len(rho), -1), axis=1)
 
 
 def _suspect_states(rho):
@@ -325,41 +428,66 @@ def _suspect_states(rho):
     return (herm > TOL_HERM) | (trace > TOL_TRACE) | (lowest < -TOL_PSD)
 
 
+def _table_from_csr(S):
+    """S's entries as one cell's (d, d, 6) entry table (_entry_table's layout).
+
+    Raises ValueError for an entry outside the six slots of its row.
+    """
+    S = S.tocsr(copy=True)
+    S.sum_duplicates()
+    d = _superoperator_dim(S)
+    rows = np.repeat(np.arange(d * d), np.diff(S.indptr))
+    l = rows % d
+    offset = S.indices - rows
+    slot = np.full(rows.size, -1)
+    inside = (True, l >= 1, True, l <= d - 2, True, l <= d - 2)
+    for s, ((i, j), ok) in enumerate(zip(_SLOT_STEPS, inside)):
+        slot[(offset == i * d + j) & ok] = s
+    if np.any(slot < 0):
+        row = rows[np.argmax(slot < 0)]
+        raise ValueError(
+            f"entry in row ({row // d}, {row % d}) is not a master-equation coupling"
+        )
+    vals = np.zeros((d * d, 6), dtype=complex)
+    vals[rows, slot] = S.data
+    return vals.reshape(1, d, d, 6)
+
+
 def steady_state(S):
     """Unique steady state of the generator S as a density matrix.
 
     One redundant row of the singular system S x = 0 is replaced by the
-    trace constraint Tr rho = 1.  The result is factorized once by sparse
-    LU (_SPLU_OPTIONS: minimum-degree ordering on A + A^T, diagonal
-    pivots above a 1e-3 threshold), solved, and refined with the same
-    factors, x += LU^-1 (b - A x) (Moler, J. ACM 14, 316 (1967)).  x is
-    kept and the residual formed in np.clongdouble from S's entries; each
-    correction is solved in double.  Refinement repeats while the
-    relative max-norm correction max|dx| / max|x| at least halves, and
-    stops at <= 1e-15 or after 8 steps.
+    trace constraint Tr rho = 1.  The drive moves the coherence offset
+    n = k - l by one, so S is block-tridiagonal over offset sectors, and
+    the system is solved by Risken's matrix continued fraction (H.
+    Risken, The Fokker-Planck Equation, 2nd ed., Springer 1989, ch. 9;
+    _SectorFraction): one dense inverse per sector, with Hermiticity
+    closing the recursion at the populations.  The solution is refined
+    with the same inverses, x += A^-1 (b - A x) (Moler, J. ACM 14, 316
+    (1967)).  x is kept and the residual formed in np.clongdouble from
+    S's entries; each correction is solved in double.  Refinement
+    repeats while the relative max-norm correction max|dx| / max|x| at
+    least halves, and stops at <= 1e-15 or after 8 steps.
 
-    Next to the Duffing bifurcation (condition number ~1e9) the unrefined
-    solve leaves <a> off by up to 3e-5 while max|S rho| reads ~1e-16, and
-    refinement against a residual in double stalls at an error that
-    depends on the pivot order and the BLAS thread count.  With the
-    extended residual the answer depends on neither (the 21 hard-regime
-    test cells agree to 1e-11 across thread counts); what is left is the
+    Next to the Duffing bifurcation (condition number ~1e9) an unrefined
+    solve leaves <a> off by up to 3e-5 while max|S rho| reads ~1e-16.
+    With the extended residual the 21 hard-regime test cells agree to
+    2e-13 between one and two BLAS threads, and to 5e-10 with a sparse LU
+    with partial pivoting refined the same way; what is left is the
     rounding of S's entries to double, <= 5e-7 in <a> there.  The
-    returned matrix is Hermitized, renormalized, and validated (residual
-    < TOL_RESID, PSD within tolerance).  This is solve_steady_states'
-    solve, on S's entries as a block of one cell.
+    returned matrix is Hermitian by construction, renormalized, and
+    validated (residual < TOL_RESID, PSD within tolerance).  This is
+    solve_steady_states' solve, on S's entries as a block of one cell.
 
-    Raises DegenerateKernelError when the kernel of S is not
-    one-dimensional: for a generator without damping (every diagonal
-    entry purely imaginary, gamma = 0), where every function of H is
-    stationary, and when the LU factorization fails, since the
-    trace-replaced matrix is singular exactly then.  Raises RuntimeError
-    when the last refinement correction is still above 1e-6 relative to
-    max|x|: the LU is too inaccurate for refinement to converge.
+    Raises ValueError when S holds an entry outside the six couplings of
+    its row (module docstring).  Raises DegenerateKernelError for a
+    generator without damping (every diagonal entry purely imaginary,
+    gamma = 0), where every function of H is stationary, and when a
+    sector block of the recursion is singular.  Raises
+    RuntimeError when the last refinement correction is still above 1e-6
+    relative to max|x|.
     """
-    S = S.tocsr()
-    d = _superoperator_dim(S)
-    rho, _, errors = _solve_block(d, S.indptr, S.indices, S.data[None, :])
+    rho, _, errors = _solve_block(_table_from_csr(S))
     if errors[0] is not None:
         raise errors[0]
     return rho[0]
@@ -387,33 +515,6 @@ def adaptive_start_dim(params):
     return max(10, math.ceil(4.0 * (nbar + 1.0)))
 
 
-def _cell_blocks(cells, members, d):
-    """Blocks of the cells ``members`` at truncation d, each sharing one pattern.
-
-    Yields (block members, S's CSR indptr and indices, entries per cell).
-    A block holds at most _BLOCK_PAIRS Fock pairs (cells x d^2), and at
-    least one cell.  Cells fall into different patterns only where an
-    entry vanishes, as the drive entries do at epsilon = 0.
-    """
-    per_block = max(1, _BLOCK_PAIRS // (d * d))
-    for first in range(0, len(members), per_block):
-        chunk = members[first:first + per_block]
-        vals = _entry_table([cells[i] for i in chunk], d)
-        keep = vals != 0
-        flat = keep.reshape(len(chunk), -1)
-        rest = np.arange(len(chunk))
-        blocks = []
-        while rest.size:
-            same = np.all(flat[rest] == flat[rest[0]], axis=1)
-            group, rest = rest[same], rest[~same]
-            pattern = keep[group[0]]
-            indptr, indices = _csr_pattern(pattern)
-            blocks.append(([chunk[g] for g in group], indptr, indices, vals[group][:, pattern]))
-        # the table is not kept alive through the factorizations
-        del vals, keep, flat
-        yield from blocks
-
-
 def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
     """Steady states of many parameter cells with automatic truncation control.
 
@@ -424,10 +525,9 @@ def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
     every cell at that size.  ``residual`` is max|S rho|, as steady_state
     checks it.
 
-    Cells at the same truncation whose generators share a nonzero pattern
-    are solved together in blocks of at most _BLOCK_PAIRS Fock pairs
-    (_solve_block); cells that fail the population test move on to the
-    blocks at twice their truncation.  Every cell's result is bit for bit
+    Cells at the same truncation are solved together in blocks of at most
+    _BLOCK_PAIRS Fock pairs (_solve_block); cells that fail the population
+    test move on to the blocks at twice their truncation.  Every cell's result is bit for bit
     the one it gets when solved alone.
 
     Raises the exception the first failing cell, in input order, raises
@@ -450,8 +550,11 @@ def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
         pending.setdefault(d, []).append(i)
     while pending:
         d = min(pending)
-        for members, indptr, indices, data in _cell_blocks(cells, pending.pop(d), d):
-            rho, residual, errors = _solve_block(d, indptr, indices, data)
+        waiting = pending.pop(d)
+        per_block = max(1, _BLOCK_PAIRS // (d * d))
+        for first in range(0, len(waiting), per_block):
+            members = waiting[first:first + per_block]
+            rho, residual, errors = _solve_block(_entry_table([cells[i] for i in members], d))
             tails = rho[:, d - 1, d - 1].real + rho[:, d - 2, d - 2].real
             for c, i in enumerate(members):
                 if errors[c] is not None:
@@ -594,6 +697,10 @@ def low_lying_spectrum(S, count=6):
     pair, the partner is included as well (so the result can hold
     count + 1 entries).
     """
+    # loaded here, their only user, so that steady states load neither
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import eig as dense_eig
+
     d = _superoperator_dim(S)
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -2,9 +2,10 @@
 
 ``import duffspec`` imports no submodule; a public name loads its
 submodule on first use.  The closed-form and series routes need numpy
-alone, only the Lindblad route loads scipy's sparse and dense linear
-algebra, and only the Fano fit loads scipy.optimize.  The process pool
-loads only for a sweep with more than one worker.
+alone, the Lindblad steady states load scipy.sparse, only the spectrum
+loads scipy's sparse and dense linear algebra, and only the Fano fit
+loads scipy.optimize.  The process pool loads only for a sweep with
+more than one worker.
 """
 
 import json
@@ -76,6 +77,13 @@ def test_readme_line_scan_loads_no_scipy_linear_algebra(tmp_path):
     loaded = modules_after(cli_runs(README_LINE_SCAN), tmp_path)
     assert under(loaded, "scipy.sparse", "scipy.linalg", "scipy.optimize") == []
     assert (tmp_path / "run0" / "scan.csv").is_file()
+
+
+def test_readme_sweep_loads_no_linear_algebra(tmp_path):
+    loaded = modules_after(cli_runs(README_SWEEP), tmp_path)
+    assert under(loaded, "scipy.sparse")
+    assert under(loaded, "scipy.sparse.linalg", "scipy.linalg") == []
+    assert (tmp_path / "run0" / "sweep.csv").is_file()
 
 
 def test_readme_numeric_runs_load_no_optimizer(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,10 +20,10 @@ from duffspec.fock import (
 )
 from duffspec.lindblad import (
     TOL_BOUNDARY,
+    TOL_RESID,
     DegenerateKernelError,
     TruncationLimitError,
     _spectrum_order,
-    _trace_replaced_pattern,
     adaptive_start_dim,
     build_superoperator,
     low_lying_spectrum,
@@ -103,24 +104,6 @@ def test_superoperator_matches_kronecker_oracle(params, dim):
         assert np.array_equal(S.indptr, ref.indptr)
         assert np.array_equal(S.indices, ref.indices)
         assert S.data.tobytes() == ref.data.tobytes()
-
-
-@pytest.mark.parametrize("params", [POINT_C, ModelParams(delta=0.4, chi=1.0, epsilon=0.0, gamma=0.01)])
-@pytest.mark.parametrize("dim", [2, 3, 10])
-def test_trace_replaced_system_swaps_row_zero(params, dim):
-    S = build_superoperator(params, dim)
-    A, source = _trace_replaced_pattern(dim, S.indptr, S.indices)
-    A.data = np.append(S.data, 1.0)[source]
-    expected = S.toarray()
-    expected[0, :] = 0.0
-    expected[0, np.arange(dim) * (dim + 1)] = 1.0
-    assert A.format == "csc"
-    assert np.array_equal(A.toarray(), expected)
-    # same entries in the same order as the spliced CSR converted by scipy
-    ref = sp.csr_matrix(expected).tocsc()
-    assert np.array_equal(A.indptr, ref.indptr)
-    assert np.array_equal(A.indices, ref.indices)
-    assert A.data.tobytes() == ref.data.tobytes()
 
 
 def test_superoperator_matches_dense_rhs():
@@ -347,11 +330,67 @@ def test_steady_state_weak_damping():
         assert abs(a_num - mp_dw(delta, epsilon, params.gamma, params.chi)) <= 1e-10
 
 
-def test_steady_state_refinement_failure_raises():
-    # at gamma = 1e-20 the trace-replaced system is singular to working precision
-    S = build_superoperator(ModelParams(delta=-1.0, chi=1.0, epsilon=0.5, gamma=1e-20), 6)
-    with pytest.raises(RuntimeError, match="refinement"):
-        steady_state(S)
+def mp_trace_replaced_mean_a(S, digits=60):
+    """<a> of the trace-replaced system S x = e_0 solved by mpmath LU at ``digits`` digits."""
+    d = int(round(np.sqrt(S.shape[0])))
+    A = S.toarray()
+    A[0, :] = 0.0
+    A[0, np.arange(d) * (d + 1)] = 1.0
+    with mpmath.workdps(digits):
+        m = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in A])
+        b = mpmath.matrix([1] + [0] * (d * d - 1))
+        x = mpmath.lu_solve(m, b)
+        a = sum(mpmath.sqrt(k + 1) * x[(k + 1) * d + k] for k in range(d - 1))
+        return complex(a)
+
+
+@pytest.mark.parametrize("gamma", [1e-20, 1e-16])
+def test_steady_state_vanishing_damping_matches_mpmath(gamma):
+    # the trace-replaced system is singular to working precision here (a
+    # sparse LU of it fails), yet the sector recursion stays accurate
+    S = build_superoperator(ModelParams(delta=-1.0, chi=1.0, epsilon=0.5, gamma=gamma), 6)
+    a_num = expectation(annihilation(6), steady_state(S))
+    assert abs(a_num - mp_trace_replaced_mean_a(S)) <= 1e-12
+
+
+def test_steady_state_refinement_failure_raises(monkeypatch):
+    # a residual that never shrinks repeats the same correction, which
+    # stops halving relative to the growing x; refinement must give up
+    # instead of returning the state
+    def stuck(coef, neighbours, d, x):
+        r = np.zeros(x.shape, dtype=complex)
+        r[:, 0] = 1.0
+        return r
+
+    monkeypatch.setattr(lindblad, "_residual", stuck)
+    with pytest.raises(RuntimeError, match="refinement stalled"):
+        steady_state(build_superoperator(POINT_C, 8))
+
+
+def test_steady_state_rejects_entry_outside_pattern():
+    S = build_superoperator(POINT_C, 6).tolil()
+    S[0, 2 * 6] = 0.25
+    with pytest.raises(ValueError, match="coupling"):
+        steady_state(S.tocsr())
+
+
+def test_singular_sector_fails_only_its_cell():
+    # a generator whose top sector has no diagonal cannot be solved by the
+    # sector recursion; the cell next to it in the block is unaffected
+    vals = lindblad._entry_table([POINT_C, POINT_C], 8)
+    vals[1, 7, 0, 2] = 0.0
+    rho, residual, errors = lindblad._solve_block(vals)
+    assert errors[0] is None and isinstance(errors[1], DegenerateKernelError)
+    alone = steady_state(build_superoperator(POINT_C, 8))
+    assert rho[0].tobytes() == alone.tobytes()
+
+
+def test_large_truncation_flushes_tiny_inverse_entries():
+    # at dim 160 the sector inverses of point C carry entries below 1e-100,
+    # set to zero; refinement against the full residual absorbs that
+    [(rho, dim, residual)] = solve_steady_states([POINT_C], dim=160)
+    assert dim == 160 and residual <= TOL_RESID
+    assert abs(expectation(annihilation(dim), rho) - dw_response(POINT_C)) <= 1e-12
 
 
 def test_longdouble_is_extended_precision():
