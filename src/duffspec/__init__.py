@@ -27,9 +27,8 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines each.
 _PUBLIC = {
     "fock": (
-        "ModelParams", "annihilation", "creation", "number_operator", "fock_state",
-        "fock_projector", "build_hamiltonian", "expectation", "von_neumann_entropy",
-        "binary_entropy", "validate_density_matrix",
+        "ModelParams", "annihilation", "fock_state", "fock_projector", "build_hamiltonian",
+        "expectation", "von_neumann_entropy", "binary_entropy", "validate_density_matrix",
     ),
     "lindblad": (
         "build_superoperator", "steady_state", "solve_steady_state_adaptive",
@@ -37,17 +36,17 @@ _PUBLIC = {
     ),
     "closedform": ("hyper_0f2", "dw_response", "dw_response_grid"),
     "semiclassical": (
-        "classical_steady_states", "bifurcation_boundary", "bistability_cusp",
-        "ClassicalBranches", "BifurcationBoundary",
+        "classical_steady_states", "bifurcation_boundary", "ClassicalBranches",
+        "BifurcationBoundary",
     ),
     "phasespace": (
-        "displacement_operator", "wigner", "wigner_many", "wigner_integral",
-        "wigner_purity", "local_maxima", "WignerGrid",
+        "wigner", "wigner_many", "wigner_integral", "wigner_purity", "local_maxima",
+        "WignerGrid",
     ),
     "perturbation": (
-        "s0_eigenvalue", "s0_eigenpair", "s0_eigensystem", "verify_s0_eigenpair",
-        "bw_steady_state", "response_series", "fano_q", "fano_fit", "onset_scan",
-        "onset_slope", "S0Eigenpair", "FanoFit",
+        "s0_eigenvalue", "s0_eigenpair", "verify_s0_eigenpair", "bw_steady_state",
+        "response_series", "fano_q", "fano_fit", "onset_scan", "onset_slope",
+        "S0Eigenpair", "FanoFit",
     ),
     "circuit": ("CircuitParams", "load_circuit", "to_model", "v2_signal", "V2Quadratures"),
 }

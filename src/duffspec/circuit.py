@@ -89,7 +89,7 @@ def to_model(circuit):
     """
     c_total = circuit.C + circuit.Cc
     omega0 = 1.0 / math.sqrt(circuit.L * c_total)
-    kappa = omega0 * circuit.Cc * circuit.Z0
+    kappa = coupling_strength(circuit)
     if kappa > _COUPLING_LIMIT:
         warnings.warn(
             f"line coupling omega0*Cc*Z0 = {kappa:.3f} > {_COUPLING_LIMIT}; "

@@ -30,9 +30,7 @@ from .sweep import (
     SweepConfig,
     analyze,
     config_from_dict,
-    resolve_circuit,
     run_sweep_to_dir,
-    validate_config,
 )
 
 
@@ -164,7 +162,7 @@ def merge_config(args):
     # none, the default range must not reject the fixed value.
     for axis, value in (merged["scan"] or {}).items():
         key = f"{axis}_range"
-        if key in merged and key not in raw and key not in overrides and isinstance(value, (int, float)):
+        if key in merged and key not in raw and key not in overrides:
             merged[key] = (value, value, 1)
     return config_from_dict(merged)
 
@@ -201,12 +199,10 @@ def main(argv=None):
                 )
                 return 1
         elif config.scan is not None:
-            config, _, _ = resolve_circuit(config)
-            manifest = run_sweep_to_dir(validate_config(config), kind="scan")
+            manifest = run_sweep_to_dir(config, kind="scan")
             print(f"scan: {manifest['grid']} -> {config.out_dir}")
         else:
-            config, _, _ = resolve_circuit(config)
-            manifest = run_sweep_to_dir(validate_config(config), kind="sweep")
+            manifest = run_sweep_to_dir(config, kind="sweep")
             print(f"sweep: {manifest['grid']} -> {config.out_dir}")
     except ConfigError as exc:
         _emit_error("config", exc)

@@ -63,17 +63,6 @@ def annihilation(dim):
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def creation(dim):
-    """Creation operator, adjoint of ``annihilation``."""
-    return annihilation(dim).conj().T
-
-
-def number_operator(dim):
-    """Photon-number operator a'a (diagonal)."""
-    dim = _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 def fock_state(n, dim):
     """Number state |n> as a column vector."""
     dim = _check_dim(dim)

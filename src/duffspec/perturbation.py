@@ -117,17 +117,6 @@ def s0_eigenpair(n, q, params, dim, conjugate=False):
     return S0Eigenpair(n=n, q=q, conjugate=conjugate, eigenvalue=lam, right=right, left=left)
 
 
-def s0_eigensystem(params, dim, n_max, q_max):
-    """All analytic eigenpairs with n <= n_max, q <= q_max, plus conjugates."""
-    pairs = []
-    for n in range(min(n_max, dim - 1) + 1):
-        for q in range(min(q_max, dim - 1 - n) + 1):
-            pairs.append(s0_eigenpair(n, q, params, dim))
-            if n > 0:
-                pairs.append(s0_eigenpair(n, q, params, dim, conjugate=True))
-    return pairs
-
-
 def verify_s0_eigenpair(pair, params):
     """Max-norm eigen-residual of an analytic pair against the assembled generator.
 

@@ -1,4 +1,4 @@
-"""Displacement operators and Wigner quasiprobability grids.
+"""Wigner quasiprobability grids.
 
 The Wigner function is evaluated as the displaced-parity expectation
 
@@ -24,38 +24,11 @@ double rounding floor.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import annihilation
-
-_PAD = 8
 _HERM_TOL = 1e-10
 _EDGE_TOL = 1e-6
-
-
-@lru_cache(maxsize=64)
-def _ladder(dim):
-    a = annihilation(dim)
-    return a, a.conj().T
-
-
-def displacement_operator(alpha, dim):
-    """D(alpha) = exp(alpha a' - alpha* a) on a dim-level truncation.
-
-    Computed by scaling-and-squaring matrix exponential at dim + 8 levels,
-    then cropped to dim x dim.  The crop of the inverse equals the adjoint
-    of the crop, so D(-alpha) never needs a second exponential.
-    """
-    from scipy.linalg import expm
-
-    if dim < 2:
-        raise ValueError(f"truncation dimension must be >= 2, got {dim}")
-    alpha = complex(alpha)
-    a, adag = _ladder(dim + _PAD)
-    d_full = expm(alpha * adag - alpha.conjugate() * a)
-    return np.ascontiguousarray(d_full[:dim, :dim])
 
 
 def _wigner_values(rhos, betas, real_t):

@@ -190,15 +190,3 @@ def bifurcation_boundary(chi, gamma, deltas):
         eps_upper=np.array(upper),
     )
 
-
-def bistability_cusp(chi, gamma):
-    """Cusp point (delta*, epsilon*) where the two fold lines meet.
-
-    At the cusp the cubic has a triple root n* = gamma sqrt(3)/(6 chi)
-    and bistability first becomes possible: delta* = -(sqrt(3)/2) gamma.
-    """
-    if chi <= 0 or gamma <= 0:
-        raise ValueError("bistability cusp requires chi > 0 and gamma > 0")
-    delta_star = -0.5 * math.sqrt(3.0) * gamma
-    n_star = -delta_star / (3.0 * chi)
-    return delta_star, _eps_of_n(n_star, delta_star, chi, gamma)

@@ -16,6 +16,7 @@ scipy's sparse and dense linear algebra.
 
 import json
 import math
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -78,25 +79,33 @@ class SweepConfig:
 def _check_range(name, rng):
     try:
         start, stop, count = rng
+        start, stop, count = float(start), float(stop), int(count)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be (start, stop, count), got {rng!r}") from None
-    start, stop, count = float(start), float(stop), int(count)
     if count < 1 or (count > 1 and not stop > start):
         raise ConfigError(f"{name} needs stop > start and count >= 1, got {rng!r}")
     return (start, stop, count)
 
 
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def validate_config(config):
     if config.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {config.method!r}")
-    if not (config.gamma > 0 and math.isfinite(config.gamma)):
+    if not (_is_real(config.gamma) and config.gamma > 0):
         raise ConfigError(f"gamma must be positive, got {config.gamma!r}")
-    if not (config.chi > 0 and math.isfinite(config.chi)):
+    if not (_is_real(config.chi) and config.chi > 0):
         raise ConfigError(f"chi must be positive, got {config.chi!r}")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.dim is not None and config.dim < 2:
-        raise ConfigError(f"dim must be >= 2, got {config.dim}")
+    if not (_is_int(config.workers) and config.workers >= 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {config.workers!r}")
+    if config.dim is not None and not (_is_int(config.dim) and config.dim >= 2):
+        raise ConfigError(f"dim must be an integer >= 2, got {config.dim!r}")
     for task in config.analyze:
         if task not in ANALYZE_TASKS:
             raise ConfigError(f"unknown analyze task {task!r}; choose from {ANALYZE_TASKS}")
@@ -112,6 +121,10 @@ def validate_config(config):
     if config.point is not None:
         if set(config.point) != {"delta", "epsilon"}:
             raise ConfigError(f"point must set delta and epsilon, got {config.point!r}")
+    for name in ("scan", "point"):
+        for key, value in (getattr(config, name) or {}).items():
+            if not _is_real(value):
+                raise ConfigError(f"{name} {key} must be a finite real number, got {value!r}")
     return config
 
 
@@ -208,8 +221,11 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
 
 
 def sweep(config):
-    """Evaluate the response over the configured (delta, epsilon) grid."""
-    config = validate_config(config)
+    """Evaluate the response over the configured (delta, epsilon) grid.
+
+    A configured circuit file sets gamma and chi, as in ``analyze``.
+    """
+    config, _, _ = resolve_circuit(validate_config(config))
     deltas = _grid_points(config.delta_range)
     epsilons = _grid_points(config.epsilon_range)
     started = time.time()

@@ -119,7 +119,7 @@ def test_star_import_binds_the_submodule_objects(tmp_path):
     code = (
         "import sys\n"
         "import duffspec\n"
-        "assert len(duffspec.__all__) == 51 and duffspec.__version__ == '0.1.0'\n"
+        "assert len(duffspec.__all__) == 46 and duffspec.__version__ == '0.1.0'\n"
         "assert set(duffspec.__all__) <= set(dir(duffspec))\n"
         "namespace = {}\n"
         "exec('from duffspec import *', namespace)\n"

@@ -19,7 +19,6 @@ from duffspec.perturbation import (
     onset_slope,
     response_series,
     s0_eigenpair,
-    s0_eigensystem,
     s0_eigenvalue,
     verify_s0_eigenpair,
 )
@@ -69,7 +68,12 @@ def test_verify_examples_large_truncations():
 
 def test_left_right_biorthonormality():
     params = RATE_SETS[1]
-    pairs = s0_eigensystem(params, dim=16, n_max=3, q_max=3)
+    pairs = [
+        s0_eigenpair(n, q, params, dim=16, conjugate=conjugate)
+        for n in range(4)
+        for q in range(4)
+        for conjugate in ((False, True) if n else (False,))
+    ]
     for i, pi in enumerate(pairs):
         assert np.isclose(np.sum(pi.left * pi.right), 1.0, atol=1e-10)
         for j, pj in enumerate(pairs):

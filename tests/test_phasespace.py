@@ -1,4 +1,4 @@
-"""Tests for displacement operators and Wigner-function evaluation."""
+"""Tests for Wigner-function evaluation."""
 
 import math
 import warnings
@@ -10,7 +10,6 @@ from duffspec.fock import ModelParams, fock_projector, fock_state
 from duffspec.lindblad import solve_steady_state_adaptive
 from duffspec.phasespace import (
     WignerGrid,
-    displacement_operator,
     local_maxima,
     wigner,
     wigner_integral,
@@ -36,29 +35,6 @@ def coherent_projector(alpha, dim):
 def point_c_grid():
     rho, _, _ = solve_steady_state_adaptive(POINT_C)
     return rho, wigner(rho, nx=101, ny=101)
-
-
-def test_displacement_zero_is_identity():
-    assert np.array_equal(displacement_operator(0.0, 7), np.eye(7, dtype=complex))
-
-
-def test_displacement_first_column_is_coherent_state():
-    for alpha in (0.6, 1.5, -0.8 + 1.1j):
-        # truncation rule: dim >= |alpha|^2 + 6 |alpha| keeps the column accurate
-        dim = int(np.ceil(abs(alpha) ** 2 + 6 * abs(alpha))) + 1
-        D = displacement_operator(alpha, dim)
-        assert np.max(np.abs(D[:, 0] - coherent_column(alpha, dim))) < 1e-9
-
-
-def test_displacement_inverse_and_unitarity_blocks():
-    # entries near the truncation edge carry crop error, so test the
-    # well-converged principal block only
-    for alpha, dim, blk in ((1.0, 24, 6), (1.5, 32, 8), (2.0, 40, 10)):
-        D = displacement_operator(alpha, dim)
-        P = D @ displacement_operator(-alpha, dim)
-        U = D.conj().T @ D
-        assert np.max(np.abs(P[:blk, :blk] - np.eye(blk))) < 1e-9
-        assert np.max(np.abs(U[:blk, :blk] - np.eye(blk))) < 1e-9
 
 
 def test_wigner_vacuum_gaussian():

@@ -6,7 +6,6 @@ import pytest
 from duffspec.fock import ModelParams
 from duffspec.semiclassical import (
     bifurcation_boundary,
-    bistability_cusp,
     classical_steady_states,
 )
 
@@ -99,13 +98,10 @@ def test_zero_damping_rejected():
         classical_steady_states(ModelParams(-1.0, 1.0, 0.5, 0.0))
 
 
-def test_cusp_location_and_scale():
+def test_boundary_starts_at_cusp_detuning():
+    # the fold lines meet at delta* = -(sqrt(3)/2) gamma
     chi, gamma = 1.0, 0.6
-    delta_star, eps_star = bistability_cusp(chi, gamma)
-    assert np.isclose(delta_star, -0.5 * np.sqrt(3.0) * gamma, atol=1e-15)
-    # triple root n* = gamma sqrt(3) / (6 chi), and eps*^2 = n* gamma^2 / 3
-    n_star = gamma * np.sqrt(3.0) / (6.0 * chi)
-    assert np.isclose(eps_star**2, n_star * gamma**2 / 3.0, rtol=1e-12)
+    delta_star = -0.5 * np.sqrt(3.0) * gamma
     # no bistable window on the shallow side of the cusp
     assert bifurcation_boundary(chi, gamma, [delta_star * 0.9]).deltas.size == 0
     assert bifurcation_boundary(chi, gamma, [delta_star * 1.5]).deltas.size == 1
@@ -134,5 +130,3 @@ def test_boundary_traces_root_count_changes():
 def test_boundary_validation():
     with pytest.raises(ValueError):
         bifurcation_boundary(0.0, 0.1, [-1.0])
-    with pytest.raises(ValueError):
-        bistability_cusp(1.0, 0.0)

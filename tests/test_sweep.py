@@ -502,6 +502,22 @@ def test_shipped_circuit_example(tmp_path):
     assert point["epsilon"] == pytest.approx(3.204, abs=1e-3)
 
 
+def test_api_circuit_sweep_matches_cli(tmp_path):
+    # the Python API honours config.circuit as the CLI does
+    grid = dict(method="closed-form", delta_range=(-8.0, -2.0, 13), epsilon_range=(1.0, 4.0, 4))
+    run_sweep_to_dir(SweepConfig(circuit=SHIPPED_CIRCUIT, out_dir=str(tmp_path / "api"), **grid))
+    code = main(
+        [
+            "--method", "closed-form", "--circuit", SHIPPED_CIRCUIT,
+            "--delta-range=-8:-2:13", "--epsilon-range=1:4:4", "--out-dir", str(tmp_path / "cli"),
+        ]
+    )
+    assert code == 0
+    api = (tmp_path / "api" / "sweep.csv").read_bytes()
+    assert api == (tmp_path / "cli" / "sweep.csv").read_bytes()
+    assert read_manifest(tmp_path / "api")["config"]["gamma"] == pytest.approx(12.64, abs=0.01)
+
+
 def test_cli_sweep_success(tmp_path, capsys):
     out_dir = str(tmp_path / "cli-sweep")
     code = main(
@@ -570,6 +586,30 @@ def test_cli_bad_config_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.err)["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"dim": 20.5},
+        {"workers": 2.5},
+        {"gamma": "abc"},
+        {"delta_range": ["abc", -5.0, 3]},
+        {"scan": {"epsilon": "abc"}},
+        {"point": {"delta": -5.2, "epsilon": "abc"}, "analyze": ["entropy"]},
+    ],
+)
+def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    code = main(
+        [
+            "--config", str(cfg), "--method", "both",
+            "--delta-range=-5.5:-5:3", "--epsilon-range=3:3.4:2", "--out-dir", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
 def test_cli_runtime_failure_exit_code(tmp_path, capsys):
