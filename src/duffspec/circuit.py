@@ -69,10 +69,15 @@ def load_circuit(path):
     return CircuitParams(**raw)
 
 
+def _loaded_resonance(circuit):
+    """(C', omega0): the line-loaded capacitance C + Cc and 1/sqrt(L C')."""
+    c_total = circuit.C + circuit.Cc
+    return c_total, 1.0 / math.sqrt(circuit.L * c_total)
+
+
 def coupling_strength(circuit):
     """Dimensionless line coupling omega0 Cc Z0 controlling the mapping validity."""
-    c_total = circuit.C + circuit.Cc
-    omega0 = 1.0 / math.sqrt(circuit.L * c_total)
+    _, omega0 = _loaded_resonance(circuit)
     return omega0 * circuit.Cc * circuit.Z0
 
 
@@ -87,8 +92,7 @@ def to_model(circuit):
     A warning is issued when omega0 Cc Z0 > 0.1, where the weak-coupling
     reduction degrades.
     """
-    c_total = circuit.C + circuit.Cc
-    omega0 = 1.0 / math.sqrt(circuit.L * c_total)
+    c_total, omega0 = _loaded_resonance(circuit)
     kappa = coupling_strength(circuit)
     if kappa > _COUPLING_LIMIT:
         warnings.warn(
@@ -129,8 +133,7 @@ def v2_signal(a_expectation, circuit):
     amplitude to volts.
     """
     a_expectation = complex(a_expectation)
-    c_total = circuit.C + circuit.Cc
-    omega0 = 1.0 / math.sqrt(circuit.L * c_total)
+    c_total, omega0 = _loaded_resonance(circuit)
     zero_point = math.sqrt(circuit.hbar / 2.0) * (c_total / circuit.L) ** 0.25 / c_total
     weight = omega0 * circuit.Cc * circuit.Z0 * zero_point
     return V2Quadratures(

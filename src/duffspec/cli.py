@@ -13,9 +13,10 @@ Usage examples::
     duffspec --circuit data/circuit.json --analyze entropy --out-dir out
 
 Options given on the command line override the same keys from --config.
-On failure a machine-readable error report is written to stderr as JSON
-and the exit status is nonzero (2 for configuration problems, 1 for
-runtime failures).
+The flags are only parsed here; ``sweep.validate_config`` checks their
+values.  On failure a machine-readable error report is written to stderr
+as JSON and the exit status is nonzero (2 for configuration problems,
+malformed flags included, 1 for runtime failures).
 """
 
 import argparse
@@ -34,6 +35,13 @@ from .sweep import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -44,15 +52,13 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from None
 
 
-def _parse_assignments(text, allowed):
+def _parse_assignments(text):
     out = {}
     for item in text.split(","):
         if "=" not in item:
             raise argparse.ArgumentTypeError(f"expected key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in allowed:
-            raise argparse.ArgumentTypeError(f"unknown key {key!r}; allowed: {sorted(allowed)}")
         try:
             out[key] = float(value)
         except ValueError as exc:
@@ -60,32 +66,12 @@ def _parse_assignments(text, allowed):
     return out
 
 
-def _parse_scan(text):
-    out = _parse_assignments(text, {"epsilon", "delta"})
-    if len(out) != 1:
-        raise argparse.ArgumentTypeError("scan takes exactly one of epsilon=/delta=")
-    return out
-
-
-def _parse_point(text):
-    out = _parse_assignments(text, {"epsilon", "delta"})
-    if set(out) != {"epsilon", "delta"}:
-        raise argparse.ArgumentTypeError("point needs delta=...,epsilon=...")
-    return out
-
-
-def _parse_analyze(text):
-    tasks = tuple(t.strip() for t in text.split(",") if t.strip())
-    for task in tasks:
-        if task not in ANALYZE_TASKS:
-            raise argparse.ArgumentTypeError(
-                f"unknown task {task!r}; choose from {', '.join(ANALYZE_TASKS)}"
-            )
-    return tasks
+def _parse_list(text):
+    return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="duffspec",
         description=(
             "Steady-state response of a driven, damped Kerr oscillator: "
@@ -94,7 +80,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"duffspec {__version__}")
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--method", choices=METHODS, help="response evaluation method")
+    parser.add_argument("--method", help=f"response evaluation method ({', '.join(METHODS)})")
     parser.add_argument("--gamma", type=float, help="decay rate")
     parser.add_argument("--chi", type=float, help="anharmonicity")
     parser.add_argument(
@@ -105,19 +91,19 @@ def build_parser():
     )
     parser.add_argument(
         "--scan",
-        type=_parse_scan,
+        type=_parse_assignments,
         metavar="epsilon=V|delta=V",
         help="run a 1-D line scan at the fixed value",
     )
     parser.add_argument(
         "--point",
-        type=_parse_point,
+        type=_parse_assignments,
         metavar="delta=V,epsilon=V",
         help="parameter point for --analyze",
     )
     parser.add_argument(
         "--analyze",
-        type=_parse_analyze,
+        type=_parse_list,
         metavar="TASK[,TASK...]",
         help=f"point analyses to run ({', '.join(ANALYZE_TASKS)})",
     )
@@ -145,6 +131,11 @@ _FLAG_FIELDS = (
 
 
 def merge_config(args):
+    """The config file's keys overridden by the flags that are set.
+
+    The file is validated on its own first, so a malformed value in it is
+    an error even where a flag overrides it.
+    """
     raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -177,10 +168,8 @@ def _emit_error(kind, exc):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = merge_config(args)
+        config = merge_config(build_parser().parse_args(argv))
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         _emit_error("config", exc)
         return 2

@@ -104,35 +104,39 @@ def expectation(op, rho):
     return complex(np.sum(op * rho.T))
 
 
-def validate_density_matrix(rho, herm_tol=TOL_HERM, trace_tol=TOL_TRACE, psd_tol=TOL_PSD):
-    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD within tolerance."""
+def validate_density_matrix(rho):
+    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD.
+
+    The tolerances are TOL_HERM, TOL_TRACE and TOL_PSD.
+    """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > herm_tol:
-        raise ValueError(f"not Hermitian: max |rho - rho'| = {herm_dev:.3e} > {herm_tol:.1e}")
+    if herm_dev > TOL_HERM:
+        raise ValueError(f"not Hermitian: max |rho - rho'| = {herm_dev:.3e} > {TOL_HERM:.1e}")
     trace_dev = abs(np.trace(rho) - 1.0)
-    if trace_dev > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {trace_tol:.1e}")
+    if trace_dev > TOL_TRACE:
+        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {TOL_TRACE:.1e}")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < -psd_tol:
-        raise ValueError(f"negative eigenvalue {w.min():.3e} below -{psd_tol:.1e}")
+    if w.min() < -TOL_PSD:
+        raise ValueError(f"negative eigenvalue {w.min():.3e} below -{TOL_PSD:.1e}")
     return rho
 
 
-def von_neumann_entropy(rho, herm_tol=TOL_HERM, clamp_tol=TOL_PSD):
+def von_neumann_entropy(rho):
     """Von Neumann entropy of rho in bits.
 
-    Eigenvalues below ``clamp_tol`` are clamped to zero before taking the
-    log, which regularizes the truncation tail.
+    rho must be Hermitian within TOL_HERM.  Eigenvalues below TOL_PSD are
+    clamped to zero before taking the log, which regularizes the
+    truncation tail.
     """
     rho = np.asarray(rho)
     herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > herm_tol:
-        raise ValueError(f"not Hermitian: max |rho - rho'| = {herm_dev:.3e} > {herm_tol:.1e}")
+    if herm_dev > TOL_HERM:
+        raise ValueError(f"not Hermitian: max |rho - rho'| = {herm_dev:.3e} > {TOL_HERM:.1e}")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    w = w[w > clamp_tol]
+    w = w[w > TOL_PSD]
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log2(w)))

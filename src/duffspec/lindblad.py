@@ -400,7 +400,7 @@ def _solve_block(vals):
             )
         elif bad:
             try:
-                validate_density_matrix(rho[c], TOL_HERM, TOL_TRACE, TOL_PSD)
+                validate_density_matrix(rho[c])
             except ValueError as exc:
                 errors[c] = exc
     return rho, residual, errors

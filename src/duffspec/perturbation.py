@@ -292,7 +292,7 @@ def _fano_from_coefficients(c0, c1, c2):
     return c0 - amp, amp, q
 
 
-def fano_fit(deltas, magnitudes, window=None):
+def fano_fit(deltas, magnitudes):
     """Fit a Fano profile to a resonance line |a|(delta).
 
     The profile (U. Fano, Phys. Rev. 124, 1866 (1961)) is linear in three
@@ -310,12 +310,11 @@ def fano_fit(deltas, magnitudes, window=None):
     curve's two representations; a symmetric Lorentzian peak (c1 > 0,
     c2 = 0) gives amp = 0.
 
-    ``window`` restricts the fit to deltas in [lo, hi]; at least 50
-    samples must remain and the window should bracket exactly one
-    resonance.  Raises ValueError for non-finite input and FanoFitError
-    when every start fails, the profile degenerates (|q| > 50 or amp = 0,
-    as for a symmetric Lorentzian peak), or the residual exceeds
-    _FANO_RESIDUAL_FRAC of the line amplitude.
+    The fit uses every sample: at least 50 are needed, and the window they
+    span should bracket exactly one resonance.  Raises ValueError for
+    non-finite input and FanoFitError when every start fails, the profile
+    degenerates (|q| > 50 or amp = 0, as for a symmetric Lorentzian peak),
+    or the residual exceeds _FANO_RESIDUAL_FRAC of the line amplitude.
     """
     from scipy.optimize import least_squares
 
@@ -326,9 +325,6 @@ def fano_fit(deltas, magnitudes, window=None):
     for name, values in (("deltas", deltas), ("magnitudes", mags)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite")
-    if window is not None:
-        keep = (deltas >= window[0]) & (deltas <= window[1])
-        deltas, mags = deltas[keep], mags[keep]
     if deltas.size < 50:
         raise ValueError(f"need >= 50 samples in the window, got {deltas.size}")
     span = float(mags.max() - mags.min())
@@ -398,13 +394,13 @@ def _has_stationary_point(params_gamma, chi, epsilon, deltas, mask):
     return bool(np.any(flips & mask))
 
 
-def onset_scan(n, gammas, chi=1.0, window_factor=10.0, samples=961):
+def onset_scan(n, gammas, chi=1.0, samples=961):
     """Drive threshold where the n-th multiphoton line first flattens.
 
     For each damping rate the detuning neighborhood |delta + n chi| <
-    window_factor * gamma is scanned with the closed-form response; the
-    onset is the smallest drive for which |a|(delta) acquires a stationary
-    point there, located by bisection in log-drive.  Returns a list of
+    10 gamma is scanned with the closed-form response; the onset is the
+    smallest drive for which |a|(delta) acquires a stationary point there,
+    located by bisection in log-drive.  Returns a list of
     (gamma, epsilon_onset).  Requires gamma << chi so the line is
     spectrally resolved.
     """
@@ -414,7 +410,7 @@ def onset_scan(n, gammas, chi=1.0, window_factor=10.0, samples=961):
     for gamma in gammas:
         if gamma <= 0 or gamma >= 0.3 * chi:
             raise ValueError(f"onset scan requires 0 < gamma << chi, got gamma={gamma}")
-        w = window_factor * gamma
+        w = 10.0 * gamma
         deltas = np.linspace(-n * chi - 1.2 * w, -n * chi + 1.2 * w, samples)
         mid = 0.5 * (deltas[:-2] + deltas[2:])
         mask = np.abs(mid + n * chi) < w

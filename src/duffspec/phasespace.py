@@ -186,8 +186,8 @@ def wigner_purity(grid):
     return float(np.pi * np.sum(grid.values**2) * grid.cell_area)
 
 
-def local_maxima(grid, rel_threshold=0.05):
-    """Interior local maxima of W above rel_threshold * max(W).
+def local_maxima(grid):
+    """Interior local maxima of W above 5 % of max(W).
 
     Returns a list of (re, im, value) for cells strictly greater than all
     eight neighbors, useful for counting phase-space lobes, in row-major
@@ -201,7 +201,7 @@ def local_maxima(grid, rel_threshold=0.05):
         return []
     nx, ny = v.shape
     center = v[1:-1, 1:-1]
-    keep = center > rel_threshold * finite.max()
+    keep = center > 0.05 * finite.max()
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di or dj:

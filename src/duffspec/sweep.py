@@ -52,7 +52,11 @@ class SweepConfig:
     line scan; ``point`` holds {"delta": ..., "epsilon": ...} for analyses.
     ``circuit`` names a circuit-parameter JSON file whose derived rates
     (scaled by chi) fill gamma, chi, and the analysis point unless they
-    are given explicitly.
+    are given explicitly.  ``wigner_grid`` holds the "re" and "im" ranges
+    and the "nx" x "ny" size of the Wigner grid.  The other analysis grids
+    are fixed: 6 decay eigenvalues, 201 mixing-curve samples, 801 Fano
+    samples over -chi +- 8 gamma, and onset scans of the lines n = 1, 2 at
+    gamma = 0.003, 0.01, 0.03.
     """
 
     method: str = "both"
@@ -69,22 +73,18 @@ class SweepConfig:
     wigner_grid: dict = field(
         default_factory=lambda: {"re": (-5.0, 5.0), "im": (-5.0, 5.0), "nx": 201, "ny": 201}
     )
-    spectrum_count: int = 6
-    mixing_samples: int = 201
-    fano: dict = None
-    onset: dict = None
     circuit: str = None
 
 
 def _check_range(name, rng):
     try:
         start, stop, count = rng
-        start, stop, count = float(start), float(stop), int(count)
+        start, stop = float(start), float(stop)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be (start, stop, count), got {rng!r}") from None
-    if count < 1 or (count > 1 and not stop > start):
-        raise ConfigError(f"{name} needs stop > start and count >= 1, got {rng!r}")
-    return (start, stop, count)
+    if not (_is_int(count) and count >= 1) or (count > 1 and not stop > start):
+        raise ConfigError(f"{name} needs stop > start and an integer count >= 1, got {rng!r}")
+    return (start, stop, int(count))
 
 
 def _is_real(value):
@@ -106,6 +106,8 @@ def validate_config(config):
         raise ConfigError(f"workers must be an integer >= 1, got {config.workers!r}")
     if config.dim is not None and not (_is_int(config.dim) and config.dim >= 2):
         raise ConfigError(f"dim must be an integer >= 2, got {config.dim!r}")
+    if not isinstance(config.analyze, (list, tuple)):
+        raise ConfigError(f"analyze must be a list of tasks, got {config.analyze!r}")
     for task in config.analyze:
         if task not in ANALYZE_TASKS:
             raise ConfigError(f"unknown analyze task {task!r}; choose from {ANALYZE_TASKS}")
@@ -116,10 +118,10 @@ def validate_config(config):
         analyze=tuple(config.analyze),
     )
     if config.scan is not None:
-        if set(config.scan) not in ({"epsilon"}, {"delta"}):
+        if not isinstance(config.scan, dict) or set(config.scan) not in ({"epsilon"}, {"delta"}):
             raise ConfigError(f"scan must set exactly one of epsilon/delta, got {config.scan!r}")
     if config.point is not None:
-        if set(config.point) != {"delta", "epsilon"}:
+        if not isinstance(config.point, dict) or set(config.point) != {"delta", "epsilon"}:
             raise ConfigError(f"point must set delta and epsilon, got {config.point!r}")
     for name in ("scan", "point"):
         for key, value in (getattr(config, name) or {}).items():
@@ -129,6 +131,8 @@ def validate_config(config):
 
 
 def config_from_dict(raw):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {raw!r}")
     known = set(SweepConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -148,7 +152,10 @@ def resolve_circuit(config):
     """
     if config.circuit is None:
         return config, None, None
-    circuit = load_circuit(config.circuit)
+    try:
+        circuit = load_circuit(config.circuit)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"circuit file {config.circuit!r}: {exc}") from None
     params, _omega0 = to_model(circuit)
     scale = params.chi
     derived_point = {"delta": params.delta / scale, "epsilon": params.epsilon / scale}
@@ -267,29 +274,20 @@ def sweep(config):
     )
 
 
-def line_scan(config, fixed=None):
-    """1-D scan at fixed epsilon (over delta) or fixed delta (over epsilon).
+def line_scan(config):
+    """1-D scan over one axis at the other's config.scan value.
 
-    ``fixed`` defaults to config.scan.  The fixed value must lie inside
-    the configured range for its axis.
+    The fixed value must lie inside the configured range for its axis.
     """
     config = validate_config(config)
-    fixed = dict(fixed if fixed is not None else (config.scan or {}))
-    if set(fixed) not in ({"epsilon"}, {"delta"}):
-        raise ConfigError(f"scan must fix exactly one of epsilon/delta, got {fixed!r}")
-    if "epsilon" in fixed:
-        value = float(fixed["epsilon"])
-        lo, hi, _ = config.epsilon_range
-        if not lo <= value <= hi:
-            raise ConfigError(f"fixed epsilon {value} outside range [{lo}, {hi}]")
-        cfg = replace(config, epsilon_range=(value, value, 1))
-    else:
-        value = float(fixed["delta"])
-        lo, hi, _ = config.delta_range
-        if not lo <= value <= hi:
-            raise ConfigError(f"fixed delta {value} outside range [{lo}, {hi}]")
-        cfg = replace(config, delta_range=(value, value, 1))
-    return sweep(cfg)
+    if config.scan is None:
+        raise ConfigError("line_scan needs a scan {epsilon: value} or {delta: value}")
+    ((axis, value),) = config.scan.items()
+    value = float(value)
+    lo, hi, _ = getattr(config, f"{axis}_range")
+    if not lo <= value <= hi:
+        raise ConfigError(f"fixed {axis} {value} outside range [{lo}, {hi}]")
+    return sweep(replace(config, **{f"{axis}_range": (value, value, 1)}))
 
 
 def _config_echo(config):
@@ -426,7 +424,7 @@ class _PointContext:
 
             _, dim, _ = self.rho0()
             S = build_superoperator(self.params, dim)
-            self._spectrum = low_lying_spectrum(S, count=self.config.spectrum_count)
+            self._spectrum = low_lying_spectrum(S)
         return self._spectrum
 
     def metastable_pair(self):
@@ -587,7 +585,7 @@ def mixing_curve(pair, samples=201):
 
 def _task_mixing_curve(ctx, out_dir, circuit):
     pair = ctx.metastable_pair()
-    xs, entropy, linear, excess, binary = mixing_curve(pair, ctx.config.mixing_samples)
+    xs, entropy, linear, excess, binary = mixing_curve(pair)
     columns = [_column(c) for c in (xs, entropy, linear, excess, binary)]
     header = "x,entropy_bits,linear_bits,excess_bits,binary_bits"
     _write_csv(os.path.join(out_dir, "mixing_curve.csv"), header, columns)
@@ -618,11 +616,8 @@ def _interior_trough(deltas, mags, center):
 
 def _task_fano(ctx, out_dir, circuit):
     p = ctx.params
-    options = ctx.config.fano or {}
-    half_width = float(options.get("half_width", 8.0 * p.gamma))
-    samples = int(options.get("samples", 801))
-    center = -p.chi
-    window = options.get("window", (center - half_width, center + half_width))
+    center, samples = -p.chi, 801
+    window = (center - 8.0 * p.gamma, center + 8.0 * p.gamma)
     deltas = np.linspace(window[0], window[1], samples)
     values, _ = dw_response_grid(deltas, np.array([p.epsilon]), p.gamma, p.chi)
     mags = np.abs(values[:, 0])
@@ -655,13 +650,10 @@ def _task_fano(ctx, out_dir, circuit):
 
 
 def _task_onset(ctx, out_dir, circuit):
-    options = ctx.config.onset or {}
-    orders = [int(v) for v in options.get("n", (1, 2))]
-    gammas = [float(g) for g in options.get("gammas", (0.003, 0.01, 0.03))]
     n_column, all_pairs = [], []
     summary = {"slopes": {}}
-    for order in orders:
-        pairs = onset_scan(order, gammas, chi=ctx.params.chi)
+    for order in (1, 2):
+        pairs = onset_scan(order, (0.003, 0.01, 0.03), chi=ctx.params.chi)
         n_column += [str(order)] * len(pairs)
         all_pairs += pairs
         summary["slopes"][str(order)] = onset_slope(pairs)

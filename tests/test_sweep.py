@@ -12,7 +12,7 @@ import duffspec.sweep as sweep_mod
 from duffspec.cli import main
 from duffspec.closedform import dw_response
 from duffspec.fock import ModelParams
-from duffspec.perturbation import fano_q
+from duffspec.perturbation import fano_q, onset_scan, onset_slope
 from duffspec.phasespace import WignerGrid
 from duffspec.sweep import (
     ConfigError,
@@ -140,7 +140,7 @@ def test_line_scan_out_of_range_fixed_value():
     with pytest.raises(ConfigError):
         line_scan(config)
     with pytest.raises(ConfigError):
-        line_scan(SweepConfig(method="closed-form", **TINY_GRID), fixed={"delta": 1.5})
+        line_scan(SweepConfig(method="closed-form", scan={"delta": 1.5}, **TINY_GRID))
 
 
 def test_run_sweep_artifacts_and_determinism(tmp_path):
@@ -360,6 +360,25 @@ def test_analyze_fano_task(tmp_path):
     assert -1.0 < summary["normalized_trough_delta"] < -0.99
     line = open(os.path.join(out_dir, "fano_line.csv")).readline().strip()
     assert line == "delta,abs_a,abs_a_normalized"
+
+
+def test_analyze_onset_task(tmp_path):
+    out_dir = str(tmp_path / "onset")
+    config = config_from_dict(
+        {
+            "gamma": 0.01,
+            "chi": 1.0,
+            "point": {"delta": -1.0, "epsilon": 0.012},
+            "analyze": ["onset"],
+            "out_dir": out_dir,
+        }
+    )
+    manifest = analyze(config)
+    assert manifest["failed_tasks"] == 0
+    slopes = manifest["tasks"]["onset"]["summary"]["slopes"]
+    assert slopes == {str(n): onset_slope(onset_scan(n, (0.003, 0.01, 0.03), 1.0)) for n in (1, 2)}
+    line = open(os.path.join(out_dir, "onset.csv")).readline().strip()
+    assert line == "n,gamma,epsilon_onset"
 
 
 def test_analyze_isolates_task_failures(tmp_path):
@@ -597,6 +616,11 @@ def test_cli_bad_config_file(tmp_path, capsys):
         {"delta_range": ["abc", -5.0, 3]},
         {"scan": {"epsilon": "abc"}},
         {"point": {"delta": -5.2, "epsilon": "abc"}, "analyze": ["entropy"]},
+        {"delta_range": [-2, -1, 2.7]},
+        {"scan": 5},
+        {"point": 5, "analyze": ["entropy"]},
+        {"analyze": 5},
+        5,
     ],
 )
 def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
@@ -610,6 +634,38 @@ def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
     )
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--analyze", "bogus", "--point", "delta=-1,epsilon=1"],
+        ["--scan", "epsilon=1,delta=2"],
+        ["--method", "magic"],
+        ["--point", "delta=-1,gamma=1", "--analyze", "entropy"],
+        ["--delta-range", "1:2"],
+    ],
+)
+def test_cli_flag_errors_exit_2_with_json(tmp_path, capsys, flags):
+    # flag values go through validate_config, flag syntax through the parser;
+    # either way the error is one JSON object on stderr
+    code = main([*flags, "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["kind"] == "config"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("content", [None, {"L": 1e-9}, "{not json"])
+def test_cli_bad_circuit_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "circuit.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main(["--circuit", str(path), "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["kind"] == "config"
+    assert report["error"]["type"] == "ConfigError"
 
 
 def test_cli_runtime_failure_exit_code(tmp_path, capsys):
