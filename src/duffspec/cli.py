@@ -22,6 +22,7 @@ malformed flags included, 1 for runtime failures).
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .sweep import (
@@ -148,7 +149,7 @@ def merge_config(args):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    merged = {**_as_dict(base), **overrides}
+    merged = {**asdict(base), **overrides}
     # A line scan never uses the range of its fixed axis; when the user set
     # none, the default range must not reject the fixed value.
     for axis, value in (merged["scan"] or {}).items():
@@ -156,10 +157,6 @@ def merge_config(args):
         if key in merged and key not in raw and key not in overrides:
             merged[key] = (value, value, 1)
     return config_from_dict(merged)
-
-
-def _as_dict(config):
-    return {name: getattr(config, name) for name in SweepConfig.__dataclass_fields__}
 
 
 def _emit_error(kind, exc):

@@ -17,9 +17,7 @@ offset sectors, and the system is solved by Risken's matrix continued
 fraction (_SectorFraction): one dense inverse per sector, from the top
 sector down, with Hermiticity closing the recursion at the populations.
 The solution is refined with the same inverses against a residual formed
-in extended precision.  The slow spectrum comes from dense
-eigendecomposition at small truncation and shift-inverted Arnoldi
-iteration above it.
+in extended precision.
 
 Many steady states are solved in blocks (solve_steady_states): cells at
 the same truncation, at most _BLOCK_PAIRS Fock pairs (cells x dim^2) per
@@ -35,14 +33,18 @@ operations per cell, more than a sparse LU at large truncation, but no
 step is a per-cell call: at the 10-24 levels of a README sweep, one
 SuperLU factorization per cell was most of the time.
 
-The Arnoldi shift-invert factorizes S - sigma I with the SuperLU
-settings in _SPLU_OPTIONS: minimum-degree ordering on the pattern of
-A + A^T, and the diagonal entry as pivot unless it is below 1e-3 of the
-largest candidate in its column.  S is structurally near-symmetric (only
-the jump entries (k, l; k+1, l+1) lack a transposed partner), and every
-diagonal entry of S - sigma I is nonzero, so this fills less than the
-default column ordering with partial pivoting: at point C, 0.32M against
-0.48M entries in L + U at dim 80 and 1.7M against 2.8M at dim 160.
+S maps Hermitian matrices to Hermitian ones, so on the orthonormal basis
+of Hermitian matrices (the columns of the sparse unitary T) it is the real
+matrix R = T^H S T.  The slow spectrum is R's: dense at small truncation,
+real shift-inverted Arnoldi above it through one SuperLU factorization
+of S - sigma I.  S is structurally near-symmetric (only the jump entries
+lack a transposed partner) and every diagonal entry of S - sigma I is
+nonzero, so the settings in _SPLU_OPTIONS (minimum-degree ordering on
+A + A^T, diagonal pivots unless below 1e-3 of the column) fill less than
+the default ordering with partial pivoting: at point C, 0.32M against
+0.48M entries in L + U at dim 80 and 1.7M against 2.8M at dim 160.  An
+eigenvector v of R maps back to the eigenmatrix T v, exactly Hermitian
+for a real eigenvalue.
 """
 
 import math
@@ -592,7 +594,7 @@ class SpectrumSlice:
 
     eigenvalues      complex array, sorted by descending real part
     eigenmatrices    matching right eigenmatrices; the stationary one has
-                     unit trace, real-eigenvalue ones are Hermitian,
+                     unit trace, real-eigenvalue ones are exactly Hermitian,
                      traceless, unit Frobenius norm with positive leading
                      diagonal entry, and complex-pair partners are exact
                      adjoints of each other
@@ -613,27 +615,32 @@ def _arnoldi_shift(S):
     return 0.3 * scale
 
 
-def _arnoldi_start(S):
-    """Fixed ARPACK start vector: a seeded random unit vector.
+def _arnoldi_start(n):
+    """Fixed ARPACK start: a seeded random real unit vector of Hermitian-basis coordinates.
 
-    Without one, ARPACK draws its start from a seed it keeps between
+    Without a fixed start, ARPACK draws one from a seed it keeps between
     calls, so a result would depend on the eigs calls made before it.
     The vector is generic on purpose: vec(I), say, lies in the population
     sector, which an undriven generator leaves invariant, and Arnoldi
     from it never sees the coherence eigenvalues.
     """
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(S.shape[0]) + 1j * rng.standard_normal(S.shape[0])
+    v = np.random.default_rng(0).standard_normal(n)
     return v / np.linalg.norm(v)
 
 
-def _fix_phase_hermitian(m):
-    """Rotate a real-eigenvalue eigenmatrix onto its Hermitian representative."""
-    idx = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    ratio = m.conj().T[idx] / m[idx]
-    phase = np.exp(0.5j * np.angle(ratio))
-    mh = phase * m
-    return 0.5 * (mh + mh.conj().T)
+def _hermitian_basis(d):
+    """Sparse unitary T: columns E_kk, then (E_kl + E_lk)/sqrt 2 and i(E_kl - E_lk)/sqrt 2, k < l.
+
+    T c is the (row-major) vectorization of a Hermitian matrix for every
+    real c, and T conj(c) that of its adjoint.
+    """
+    k, l = np.triu_indices(d, 1)
+    p, c = k.size, math.sqrt(0.5)
+    sym = d + np.arange(p)
+    rows = np.concatenate((np.arange(d) * (d + 1), *[k * d + l, l * d + k] * 2))
+    cols = np.concatenate((np.arange(d), sym, sym, sym + p, sym + p))
+    vals = np.concatenate((np.ones(d), np.full(2 * p, c), np.full(p, 1j * c), np.full(p, -1j * c)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
 
 
 def _leading_diagonal_sign(m):
@@ -652,9 +659,9 @@ def _leading_diagonal_sign(m):
 def _spectrum_order(w):
     """Indices sorting w by descending real part, conjugate partners adjacent, +Im first.
 
-    The members of a conjugate pair agree only to rounding (~1e-14), so
-    sorting on their raw values would let LAPACK/ARPACK rounding decide
-    which comes first.  Each -Im member is therefore keyed by the real
+    The members of a conjugate pair may agree only to rounding (~1e-14),
+    so sorting on their raw values would let that rounding decide which
+    comes first.  Each -Im member is therefore keyed by the real
     part and |Im| of its +Im partner.  Also returns, in sorted order, the
     mask of -Im members that sit right after their partner.
     """
@@ -679,23 +686,21 @@ def _spectrum_order(w):
 def low_lying_spectrum(S, count=6):
     """The ``count`` slowest eigenvalues of S, plus eigenmatrices.
 
-    Up to DENSE_EIG_MAX_DIM the full spectrum is computed densely and the
-    ``count`` eigenvalues with largest real part are kept.  Beyond it,
-    shift-inverted Arnoldi returns the count + 6 eigenvalues nearest the
-    real shift sigma just right of zero (_arnoldi_shift), and the
-    ``count`` of those with largest real part are kept.  ARPACK applies
-    (S - sigma I)^-1 through one sparse LU with the module's settings
-    (_SPLU_OPTIONS: minimum-degree ordering on A + A^T, diagonal pivots
-    above a 1e-3 threshold; every diagonal entry of S - sigma I has real
-    part <= -sigma < 0), without refinement.  Nearest the shift is not
-    the same as largest real part: a slowly decaying mode with a large
-    imaginary part can be missed (at delta=0.4, chi=1, epsilon=0.05,
-    gamma=0.01, dim 40, the -0.0051 +- 0.4103i pair is).
+    Both branches solve R = T^H S T, real on the Hermitian basis T
+    (_hermitian_basis).  Up to DENSE_EIG_MAX_DIM all of R's eigenvalues
+    are computed densely.  Beyond it, real shift-inverted Arnoldi returns
+    the count + 6 eigenvalues nearest the real shift sigma just right of
+    zero (_arnoldi_shift), applying (R - sigma I)^-1 = T^H (S - sigma I)^-1 T
+    through one sparse LU of S - sigma I (_SPLU_OPTIONS), unrefined.
+    Either way the ``count`` with largest real part are kept.  Nearest the
+    shift is not largest real part: a slow mode with a large imaginary
+    part can be missed (at delta=0.4, chi=1, epsilon=0.05, gamma=0.01,
+    dim 40, the -0.0051 +- 0.4103i pair is).
 
     Eigenvalues come in descending real part, each complex-conjugate pair
-    adjacent with its +Im member first.  If the cutoff would split a
-    pair, the partner is included as well (so the result can hold
-    count + 1 entries).
+    adjacent with its +Im member first; a pair the cutoff would split is
+    kept whole (so the result can hold count + 1 entries).  Raises
+    ValueError when max|Im R| > 1e-12 max|R|: S does not preserve Hermiticity.
     """
     # loaded here, their only user, so that steady states load neither
     import scipy.sparse.linalg as spla
@@ -704,17 +709,21 @@ def low_lying_spectrum(S, count=6):
     d = _superoperator_dim(S)
     if count < 1:
         raise ValueError("count must be >= 1")
+    T = _hermitian_basis(d)
+    Th = T.conj().T.tocsr()
+    R = Th @ S @ T
+    if abs(R.imag).max() > 1e-12 * abs(R).max():
+        raise ValueError("S does not preserve Hermiticity: T^H S T is not real")
+    R = R.real
     if d <= DENSE_EIG_MAX_DIM:
-        w, v = dense_eig(S.toarray())
+        w, v = dense_eig(R.toarray())
     else:
         k = min(count + 6, d * d - 2)
         sigma = _arnoldi_shift(S)
         lu = spla.splu((S - sigma * sp.identity(d * d, format="csr")).tocsc(), **_SPLU_OPTIONS)
-        opinv = spla.LinearOperator(S.shape, matvec=lu.solve, dtype=complex)
+        opinv = spla.LinearOperator(R.shape, lambda x: (Th @ lu.solve(T @ x)).real, dtype=float)
         try:
-            w, v = spla.eigs(
-                S, k=k, sigma=sigma, OPinv=opinv, v0=_arnoldi_start(S), maxiter=5000
-            )
+            w, v = spla.eigs(R, k, sigma=sigma, OPinv=opinv, v0=_arnoldi_start(d * d), maxiter=5000)
         except spla.ArpackNoConvergence as exc:
             raise EigenSolverError(f"Arnoldi iteration did not converge: {exc}") from exc
     order, follows = _spectrum_order(w)
@@ -725,7 +734,6 @@ def low_lying_spectrum(S, count=6):
     if n_keep < w.size and follows[n_keep]:
         n_keep += 1
     w = w[:n_keep]
-    mats = [v[:, i].reshape(d, d).copy() for i in range(n_keep)]
 
     scale = max(1.0, float(np.max(np.abs(w))))
     if abs(w[0]) > TOL_EIG * scale:
@@ -739,27 +747,22 @@ def low_lying_spectrum(S, count=6):
 
     out = []
     for i, lam in enumerate(w):
-        m = mats[i]
+        real = abs(lam.imag) <= TOL_EIG * scale
+        # a real eigenvalue's real coordinates give a Hermitian matrix
+        m = (T @ (v[:, i].real if real else v[:, i])).reshape(d, d)
         if i == 0:
-            m = 0.5 * (m + m.conj().T)
-            m = m / np.trace(m)
-            out.append(m)
-            continue
-        if abs(lam.imag) <= TOL_EIG * scale:
-            m = _fix_phase_hermitian(m)
-            m = m - (np.trace(m) / d) * np.eye(d)
+            out.append(m / np.trace(m).real)
+        elif real:
+            m = m - (np.trace(m).real / d) * np.eye(d)
             m = m / np.linalg.norm(m)
-            m = _leading_diagonal_sign(m) * m
-            out.append(m)
-            continue
-        if follows[i]:
+            out.append(_leading_diagonal_sign(m) * m)
+        elif follows[i]:
             out.append(out[-1].conj().T)
-            continue
-        # normalize this member; its partner takes the adjoint
-        j = np.argmax(np.abs(m))
-        m = m / np.linalg.norm(m)
-        m = m * np.exp(-1j * np.angle(m.reshape(-1)[j]))
-        out.append(m)
+        else:
+            # normalize this member; its partner takes the adjoint
+            j = np.argmax(np.abs(m))
+            m = m / np.linalg.norm(m)
+            out.append(m * np.exp(-1j * np.angle(m.reshape(-1)[j])))
     return SpectrumSlice(eigenvalues=w, eigenmatrices=tuple(out), dim=d)
 
 

@@ -20,7 +20,7 @@ import numbers
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .phasespace import local_maxima, wigner_integral, wigner_many, wigner_purit
 
 METHODS = ("numeric", "closed-form", "series", "both")
 ANALYZE_TASKS = ("entropy", "spectrum", "wigner", "metastable", "mixing-curve", "fano", "onset")
+_WIGNER_GRID = {"re": (-5.0, 5.0), "im": (-5.0, 5.0), "nx": 201, "ny": 201}
 
 
 class ConfigError(ValueError):
@@ -53,10 +54,11 @@ class SweepConfig:
     ``circuit`` names a circuit-parameter JSON file whose derived rates
     (scaled by chi) fill gamma, chi, and the analysis point unless they
     are given explicitly.  ``wigner_grid`` holds the "re" and "im" ranges
-    and the "nx" x "ny" size of the Wigner grid.  The other analysis grids
-    are fixed: 6 decay eigenvalues, 201 mixing-curve samples, 801 Fano
-    samples over -chi +- 8 gamma, and onset scans of the lines n = 1, 2 at
-    gamma = 0.003, 0.01, 0.03.
+    and the "nx" x "ny" size of the Wigner grid; a key left out keeps its
+    default (-5 to 5, 201 points).  The other analysis grids are fixed: 6
+    decay eigenvalues, 201 mixing-curve samples, 801 Fano samples over
+    -chi +- 8 gamma, and onset scans of the lines n = 1, 2 at gamma =
+    0.003, 0.01, 0.03.
     """
 
     method: str = "both"
@@ -70,9 +72,7 @@ class SweepConfig:
     scan: dict = None
     point: dict = None
     analyze: tuple = ()
-    wigner_grid: dict = field(
-        default_factory=lambda: {"re": (-5.0, 5.0), "im": (-5.0, 5.0), "nx": 201, "ny": 201}
-    )
+    wigner_grid: dict = field(default_factory=lambda: dict(_WIGNER_GRID))
     circuit: str = None
 
 
@@ -85,6 +85,22 @@ def _check_range(name, rng):
     if not (_is_int(count) and count >= 1) or (count > 1 and not stop > start):
         raise ConfigError(f"{name} needs stop > start and an integer count >= 1, got {rng!r}")
     return (start, stop, int(count))
+
+
+def _check_wigner_grid(grid):
+    """The Wigner grid with its unset keys at their defaults, or ConfigError."""
+    if not isinstance(grid, dict) or not set(grid) <= set(_WIGNER_GRID):
+        raise ConfigError(f"wigner_grid must be an object with keys re, im, nx, ny, got {grid!r}")
+    grid = {**_WIGNER_GRID, **grid}
+    for key in ("re", "im"):
+        pair = grid[key]
+        ok = isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair))
+        if not (ok and pair[0] < pair[1]):
+            raise ConfigError(f"wigner_grid {key} must be finite reals lo < hi, got {pair!r}")
+    for key in ("nx", "ny"):
+        if not (_is_int(grid[key]) and grid[key] >= 2):
+            raise ConfigError(f"wigner_grid {key} must be an integer >= 2, got {grid[key]!r}")
+    return grid
 
 
 def _is_real(value):
@@ -116,6 +132,7 @@ def validate_config(config):
         delta_range=_check_range("delta_range", config.delta_range),
         epsilon_range=_check_range("epsilon_range", config.epsilon_range),
         analyze=tuple(config.analyze),
+        wigner_grid=_check_wigner_grid(config.wigner_grid),
     )
     if config.scan is not None:
         if not isinstance(config.scan, dict) or set(config.scan) not in ({"epsilon"}, {"delta"}):
@@ -266,7 +283,7 @@ def sweep(config):
         dims=dims,
         discrepancy=discrepancy,
         metadata={
-            "config": _config_echo(config),
+            "config": asdict(config),
             "started_at": started,
             "finished_at": time.time(),
             "phase_s": phase_s,
@@ -288,16 +305,6 @@ def line_scan(config):
     if not lo <= value <= hi:
         raise ConfigError(f"fixed {axis} {value} outside range [{lo}, {hi}]")
     return sweep(replace(config, **{f"{axis}_range": (value, value, 1)}))
-
-
-def _config_echo(config):
-    echo = {}
-    for name in SweepConfig.__dataclass_fields__:
-        value = getattr(config, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        echo[name] = value
-    return echo
 
 
 def _column(values):
@@ -357,8 +364,9 @@ def _tool_block():
 
 def run_sweep_to_dir(config, kind="sweep"):
     """Run a sweep or scan and write sweep.csv/scan.csv plus manifest.json."""
-    os.makedirs(config.out_dir, exist_ok=True)
     result = line_scan(config) if kind == "scan" else sweep(config)
+    # made only now, so that a configuration error leaves no directory
+    os.makedirs(config.out_dir, exist_ok=True)
     csv_name = "scan.csv" if kind == "scan" else "sweep.csv"
     phase_s = result.metadata["phase_s"]
     with _timed(phase_s, "write"):
@@ -468,19 +476,12 @@ class _PointContext:
                     pass
                 else:
                     states["rho_plus"], states["rho_minus"] = pair.rho_plus, pair.rho_minus
-            grids = wigner_many(list(states.values()), **_wigner_kwargs(self.config))
+            g = self.config.wigner_grid
+            grids = wigner_many(
+                list(states.values()), re_range=g["re"], im_range=g["im"], nx=g["nx"], ny=g["ny"]
+            )
             self._wigner = dict(zip(states, grids))
         return self._wigner
-
-
-def _wigner_kwargs(config):
-    g = config.wigner_grid
-    return {
-        "re_range": tuple(g.get("re", (-5.0, 5.0))),
-        "im_range": tuple(g.get("im", (-5.0, 5.0))),
-        "nx": int(g.get("nx", 201)),
-        "ny": int(g.get("ny", 201)),
-    }
 
 
 def _write_wigner(grid, out_dir, stem, params, dim):
@@ -717,7 +718,7 @@ def analyze(config):
     manifest = {
         "kind": "analyze",
         "tool": _tool_block(),
-        "config": _config_echo(config),
+        "config": asdict(config),
         "point": {"delta": params.delta, "epsilon": params.epsilon},
         "tasks": tasks,
         "outputs": outputs,

@@ -515,6 +515,61 @@ def test_spectrum_eigenmatrix_conventions(point_c_spectrum):
     assert np.max(np.abs(mats[idx[0]] - mats[idx[1]].conj().T)) < 1e-10
 
 
+def assert_slowest_eigenvalues(spec, w, tol):
+    """spec's eigenvalues are members of the full spectrum w, and its slowest ones."""
+    lam = spec.eigenvalues
+    assert max(np.min(np.abs(w - x)) for x in lam) < tol
+    assert np.max(np.abs(np.sort(w.real)[::-1][: lam.size] - lam.real)) < tol
+
+
+@pytest.mark.parametrize(
+    "params, dim",
+    [
+        (POINT_C, 18),
+        (ModelParams(delta=-1.0, chi=1.0, epsilon=0.0, gamma=0.3), 12),
+        (HARD_REGIME, 24),
+    ],
+    ids=["point-c", "undriven", "hard-regime"],
+)
+def test_dense_spectrum_matches_complex_eig(params, dim):
+    # the real Hermitian-coordinate form against complex eig of S itself
+    S = build_superoperator(params, dim)
+    assert_slowest_eigenvalues(low_lying_spectrum(S), eigvals(S.toarray()), 1e-12)
+
+
+@pytest.mark.parametrize("dim", [34, 40])
+def test_arnoldi_spectrum_matches_dense_eig(dim):
+    S = build_superoperator(POINT_C, dim)
+    assert_slowest_eigenvalues(low_lying_spectrum(S), eigvals(S.toarray()), 1e-9)
+
+
+@pytest.mark.parametrize("dim", [18, 40], ids=["dense", "arnoldi"])
+def test_spectrum_eigenmatrices_exactly_hermitian(dim):
+    S = build_superoperator(POINT_C, dim)
+    spec = low_lying_spectrum(S)
+    mats = spec.eigenmatrices
+    pairs = 0
+    for i, (lam, m) in enumerate(zip(spec.eigenvalues, mats)):
+        if lam.imag == 0:
+            assert np.array_equal(m, m.conj().T)
+        elif lam.imag < 0:
+            # the -Im member follows its partner, as its exact adjoint
+            assert spec.eigenvalues[i - 1] == lam.conjugate()
+            assert np.array_equal(m, mats[i - 1].conj().T)
+            pairs += 1
+    assert pairs >= 2
+    assert np.max(np.abs(mats[0] - steady_state(S))) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [6, 34], ids=["dense", "arnoldi"])
+def test_spectrum_rejects_non_hermiticity_preserving_generator(dim):
+    S = build_superoperator(POINT_C, dim).tolil()
+    # the jump (0, 0) <- (1, 1), made imaginary: S rho is no longer Hermitian
+    S[0, dim + 1] *= 1j
+    with pytest.raises(ValueError, match="Hermiticity"):
+        low_lying_spectrum(S.tocsr())
+
+
 def test_metastable_two_level_exact():
     rho0 = 0.5 * np.eye(2, dtype=complex)
     drho1 = np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2.0)

@@ -621,6 +621,15 @@ def test_cli_bad_config_file(tmp_path, capsys):
         {"point": 5, "analyze": ["entropy"]},
         {"analyze": 5},
         5,
+        {"wigner_grid": {"nx": "a"}},
+        {"wigner_grid": {"nz": 41}},
+        {"wigner_grid": {"nx": 1}},
+        {"wigner_grid": {"ny": 40.0}},
+        {"wigner_grid": {"re": [5.0, -5.0]}},
+        {"wigner_grid": {"im": [-5.0, 1e999]}},
+        {"wigner_grid": {"re": [-5.0, 0.0, 5.0]}},
+        {"wigner_grid": {"im": "wide"}},
+        {"wigner_grid": [201, 201]},
     ],
 )
 def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
@@ -634,6 +643,7 @@ def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
     )
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(
@@ -666,6 +676,13 @@ def test_cli_bad_circuit_file_exits_2(tmp_path, capsys, content):
     report = json.loads(capsys.readouterr().err)
     assert report["error"]["kind"] == "config"
     assert report["error"]["type"] == "ConfigError"
+    # the sweep creates its out_dir only once the circuit file has resolved
+    assert not (tmp_path / "x").exists()
+
+
+def test_wigner_grid_keeps_defaults_for_unset_keys():
+    config = config_from_dict({"wigner_grid": {"nx": 41, "im": [-2, 3]}})
+    assert config.wigner_grid == {"re": (-5.0, 5.0), "im": [-2, 3], "nx": 41, "ny": 201}
 
 
 def test_cli_runtime_failure_exit_code(tmp_path, capsys):
