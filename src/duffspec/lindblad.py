@@ -242,7 +242,10 @@ class _SectorFraction:
     in, they carry subnormal numbers into the sectors below, where
     arithmetic on them is slow: point C at dim 160 takes 0.68 s without
     the cut and 0.49 s with it (one x86-64 core), and refinement against
-    the full residual leaves <a> the same to the bit.
+    the full residual leaves <a> the same to the bit.  The cut does not
+    keep subnormals out altogether: LAPACK still forms them inside the
+    next inverses, and at point C, dim 160, the m = 144 inverse takes
+    4.6 ms against 2.0 ms for m = 160.
     """
 
     def __init__(self, coef, d):
@@ -773,7 +776,9 @@ class MetastablePair:
     rho_plus/rho_minus are rho0 + beta_{+/-} drho1 at the largest
     coefficients keeping the matrix positive semidefinite; their smallest
     eigenvalues lie in [-TOL_PSD, TOL_BOUNDARY].  ``mixing_fraction`` is
-    the weight x0 with rho0 = x0 rho_plus + (1 - x0) rho_minus.
+    the weight x0 with rho0 = x0 rho_plus + (1 - x0) rho_minus.  The
+    betas are good to ~1e-10, not to the bisection width (see
+    metastable_extremes).
     """
 
     rho_plus: np.ndarray
@@ -836,6 +841,12 @@ def metastable_extremes(rho0, drho1):
     beta_minus < 0 < beta_plus located by bisection on the smallest
     eigenvalue; rescaling drho1 rescales the betas but leaves the end
     states invariant.
+
+    The bisection narrows beta to 1e-15, but the betas are good only to
+    ~1e-10: where the smallest eigenvalue of rho0 + beta drho1 crosses
+    -TOL_PSD it is nearly flat in beta, so rounding in the inputs is
+    amplified ~4000x (at point C, dim 18, an eigenmatrix change of
+    2.2e-14 moves beta_minus by 8.3e-11).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     drho1 = np.asarray(drho1, dtype=complex)

@@ -10,12 +10,18 @@ matrix elements of D(2 alpha) have the exact closed form
 
     <m+d| D(b) |m> = sqrt(m!/(m+d)!) b^d e^{-|b|^2/2} L_m^{(d)}(|b|^2)
 
-in associated Laguerre polynomials.  Evaluating W through stable upward
-Laguerre recurrences costs O(dim^2) per grid point, never truncates the
-displacement itself (the e^{-|b|^2/2} decay is exact, unlike
-exponentiating a cropped generator, which stays unitary however large
-the displacement), and leaves the vacuum value a single product with no
-cancellation.  The 2/pi prefactor normalizes W to integrate to Tr rho.
+in associated Laguerre polynomials.  Summed along each diagonal offset d
+of rho, these give one radial sum F_d(|b|^2) per offset, a function of
+the radius alone, and W = (2/pi) e^{-|b|^2/2} Re sum_d b^d/sqrt(d!) F_d.
+The radial sums come from stable upward Laguerre recurrences, costing
+O(dim^2) per distinct |b|^2 of the grid (a symmetric grid repeats most
+radii; the README's 201 x 201 grid has 10 524 distinct ones out of
+40 401 points), and the angular powers are added per grid point by
+Horner's rule in O(dim).  This never truncates the displacement itself
+(the e^{-|b|^2/2} decay is exact, unlike exponentiating a cropped
+generator, which stays unitary however large the displacement), and
+leaves the vacuum value a single product with no cancellation.  The 2/pi
+prefactor normalizes W to integrate to Tr rho.
 
 ``extended_precision=True`` runs the same recurrences in 80-bit floats
 for grid points where the physical parity cancellation approaches the
@@ -31,6 +37,37 @@ _HERM_TOL = 1e-10
 _EDGE_TOL = 1e-6
 
 
+def _radial_sums(rhos, d, y):
+    """Radial sums F_d(y) of every state along offset d, as a (state, y) array.
+
+        F_d(y) = sum_m (-1)^m c_d sqrt(m! d!/(m+d)!) conj(rho[m+d, m]) L_m^{(d)}(y)
+
+    with c_0 = 1 and c_d = 2 for d >= 1 (the conjugate off-diagonal folded
+    in).  The Laguerre values come from their upward three-term recurrence
+    in the precision of y (stable here: the dominant solution grows with
+    the index), and each state's sum runs over m on its own, so a state's
+    sums never depend on the other states passed.
+    """
+    real_t = y.dtype.type
+    dim = rhos[0].shape[0]
+    sums = np.zeros((len(rhos), y.size), dtype=np.promote_types(real_t, np.complex64))
+    weight = real_t(2.0 if d else 1.0)
+    l_prev = np.zeros_like(y)
+    l_cur = np.ones_like(y)
+    for m in range(dim - d):
+        if m >= 1:
+            l_next = ((2 * m + d - 1 - y) * l_cur - (m + d - 1) * l_prev) / m
+            l_prev, l_cur = l_cur, l_next
+            weight = weight * np.sqrt(real_t(m) / real_t(m + d))
+        signed = -weight if m % 2 else weight
+        for s, rho in zip(sums, rhos):
+            r = rho[m + d, m]
+            if r != 0.0:
+                s.real += (signed * real_t(r.real)) * l_cur
+                s.imag -= (signed * real_t(r.imag)) * l_cur
+    return sums
+
+
 def _wigner_values(rhos, betas, real_t):
     """(2/pi) Tr[rho D(beta) P] for every beta, via exact D elements.
 
@@ -38,51 +75,32 @@ def _wigner_values(rhos, betas, real_t):
     float64 or longdouble working precision.  Expanding the trace over
     diagonals of rho,
 
-        W = (2/pi) e^{-|b|^2/2} [ sum_m (-1)^m rho[m,m] L_m(|b|^2)
-            + sum_{d>=1} sum_m (-1)^m L_m^{(d)}(|b|^2)
-              * 2 Re( conj(rho[m+d, m]) b^d sqrt(m!/(m+d)!) ) ]
+        W = (2/pi) e^{-|b|^2/2} Re sum_{d>=0} b^d / sqrt(d!) F_d(|b|^2)
 
-    with the Laguerre values from their upward three-term recurrence
-    (stable here: the dominant solution grows with the index) and the
-    b^d sqrt(m!/(m+d)!) factor updated multiplicatively.  Intermediate
+    with the radial sums F_d of ``_radial_sums``.  They depend on beta only
+    through y = |b|^2, so they are formed once per distinct y of the grid
+    and gathered back.  The angular factor follows by Horner's rule in
+    b / sqrt(d), from the top offset down, and the envelope is applied
+    once at the end; memory stays O(states x grid points).  Intermediate
     magnitudes stay below e^{|b|^2/2}, so double precision holds to
     |beta| ~ 37; grids anywhere near that wide are unphysical for the
     truncations this package handles.
     """
     dim = rhos[0].shape[0]
-    cplx_t = np.clongdouble if real_t is np.longdouble else np.complex128
-    beta = betas.astype(cplx_t)
-    y = (beta.real.astype(real_t)) ** 2 + (beta.imag.astype(real_t)) ** 2
-    acc = [np.zeros(beta.shape, dtype=real_t) for _ in rhos]
-    l_prev = np.zeros_like(y)
-    l_cur = np.ones_like(y)
-    for m in range(dim):
-        if m >= 1:
-            l_next = ((2 * m - 1 - y) * l_cur - (m - 1) * l_prev) / m
-            l_prev, l_cur = l_cur, l_next
-        sign = -1.0 if m % 2 else 1.0
-        for k, rho in enumerate(rhos):
-            r = rho[m, m]
-            if r != 0.0:
-                acc[k] += (sign * r.real) * l_cur
-    g0 = np.ones(beta.shape, dtype=cplx_t)
-    for d in range(1, dim):
-        g0 = g0 * beta / np.sqrt(real_t(d))
-        g = g0
-        l_prev = np.zeros_like(y)
-        l_cur = np.ones_like(y)
-        for m in range(dim - d):
-            if m >= 1:
-                l_next = ((2 * m + d - 1 - y) * l_cur - (m + d - 1) * l_prev) / m
-                l_prev, l_cur = l_cur, l_next
-                g = g * np.sqrt(real_t(m) / real_t(m + d))
-            sign = -2.0 if m % 2 else 2.0
-            for k, rho in enumerate(rhos):
-                r = rho[m + d, m]
-                if r != 0.0:
-                    acc[k] += sign * (r.real * g.real + r.imag * g.imag) * l_cur
-    envelope = (2.0 / np.pi) * np.exp(-0.5 * y)
-    return [a * envelope for a in acc]
+    beta = betas.astype(np.promote_types(real_t, np.complex64)).ravel()
+    y, inverse = np.unique(
+        beta.real.astype(real_t) ** 2 + beta.imag.astype(real_t) ** 2, return_inverse=True
+    )
+    acc = np.zeros((len(rhos), beta.size), dtype=beta.dtype)
+    for d in range(dim - 1, 0, -1):
+        step = beta / np.sqrt(real_t(d))
+        for a, f in zip(acc, _radial_sums(rhos, d, y)):
+            a += f[inverse]
+            a *= step
+    for a, f in zip(acc, _radial_sums(rhos, 0, y)):
+        a += f[inverse]
+    envelope = ((2.0 / np.pi) * np.exp(-0.5 * y))[inverse]
+    return [(a.real * envelope).reshape(betas.shape) for a in acc]
 
 
 @dataclass(frozen=True)
@@ -124,9 +142,10 @@ def wigner_many(
 ):
     """Wigner grids for several Hermitian states on one shared grid.
 
-    The per-point Laguerre and displacement-power factors are computed
-    once and contracted against every state, so W is exactly linear
-    across the returned grids.  Inputs must be Hermitian (the evaluation
+    The Laguerre values are computed once per distinct radius and
+    contracted against each state on its own, so a state's grid is the
+    same bits whichever other states share the call.  Inputs must be
+    Hermitian (the evaluation
     folds conjugate off-diagonals together); non-Hermitian operators are
     rejected rather than silently projected.
     """

@@ -195,3 +195,55 @@ def test_wigner_far_tail_stays_tiny():
         warnings.simplefilter("ignore")  # clipped-grid warning is expected here
         grid = wigner(rho, re_range=(6.0, 8.0), im_range=(6.0, 8.0), nx=11, ny=11)
     assert np.max(np.abs(grid.values)) < 1e-20
+
+
+def _wigner_per_point(rho, re_range, im_range, nx, ny, real_t):
+    # the per-point evaluation the radial sums replaced, kept as their
+    # oracle: every (m, d) pass runs over the whole grid
+    dim = rho.shape[0]
+    cplx_t = np.clongdouble if real_t is np.longdouble else np.complex128
+    xs = np.linspace(re_range[0], re_range[1], nx)
+    ys = np.linspace(im_range[0], im_range[1], ny)
+    beta = (2.0 * (xs[:, None] + 1j * ys[None, :])).astype(cplx_t)
+    y = (beta.real.astype(real_t)) ** 2 + (beta.imag.astype(real_t)) ** 2
+    acc = np.zeros(beta.shape, dtype=real_t)
+    l_prev = np.zeros_like(y)
+    l_cur = np.ones_like(y)
+    for m in range(dim):
+        if m >= 1:
+            l_next = ((2 * m - 1 - y) * l_cur - (m - 1) * l_prev) / m
+            l_prev, l_cur = l_cur, l_next
+        acc += ((-1.0 if m % 2 else 1.0) * rho[m, m].real) * l_cur
+    g0 = np.ones(beta.shape, dtype=cplx_t)
+    for d in range(1, dim):
+        g0 = g0 * beta / np.sqrt(real_t(d))
+        g = g0
+        l_prev = np.zeros_like(y)
+        l_cur = np.ones_like(y)
+        for m in range(dim - d):
+            if m >= 1:
+                l_next = ((2 * m + d - 1 - y) * l_cur - (m + d - 1) * l_prev) / m
+                l_prev, l_cur = l_cur, l_next
+                g = g * np.sqrt(real_t(m) / real_t(m + d))
+            r = rho[m + d, m]
+            acc += (-2.0 if m % 2 else 2.0) * (r.real * g.real + r.imag * g.imag) * l_cur
+    return (acc * (2.0 / np.pi) * np.exp(-0.5 * y)).astype(float)
+
+
+@pytest.mark.parametrize(
+    "re_range, im_range, nx, ny, extended",
+    [
+        ((-5.0, 5.0), (-5.0, 5.0), 201, 201, False),  # the README grid
+        ((-3.0, 6.0), (-4.0, 2.0), 201, 151, False),  # fewer repeated radii
+        ((-5.0, 5.0), (-5.0, 5.0), 201, 201, True),
+    ],
+)
+def test_wigner_matches_per_point_oracle(point_c_grid, re_range, im_range, nx, ny, extended):
+    rho, _ = point_c_grid
+    real_t = np.longdouble if extended else np.float64
+    expected = _wigner_per_point(rho, re_range, im_range, nx, ny, real_t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the asymmetric grid clips the tail; fine here
+        got = wigner(rho, re_range, im_range, nx, ny, extended_precision=extended)
+    assert got.values.shape == (nx, ny)
+    assert np.max(np.abs(got.values - expected)) <= 1e-14

@@ -257,6 +257,24 @@ def test_write_wigner_matches_row_oracle(tmp_path):
     assert (tmp_path / "w.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_write_csv_chunks_match_per_value_format(tmp_path):
+    # more rows than one formatting chunk, so that a chunk seam shows
+    rows = 2 * sweep_mod._CSV_CHUNK + 3
+    special = [-0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf, 0.1, 1.0]
+    values = np.random.default_rng(5).standard_normal((2, rows)) * np.logspace(-300, 300, rows)
+    values[0, : len(special)] = special
+    values[1, sweep_mod._CSV_CHUNK - 5 : sweep_mod._CSV_CHUNK + 5] = special
+    labels = [str(k) for k in range(rows)]
+    words = [f"w{k % 7}" for k in range(rows)]
+    path = tmp_path / "t.csv"
+    sweep_mod._write_csv(path, "k,a,s,b", [labels, values[0], words, values[1]])
+    lines = ["k,a,s,b"]
+    for k in range(rows):
+        a, b = ("{:.16e}".format(float(v)) for v in values[:, k])
+        lines.append(",".join([labels[k], a, words[k], b]))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_analyze_point_c_task_suite(tmp_path):
     out_dir = str(tmp_path / "pointC")
     config = config_from_dict(
