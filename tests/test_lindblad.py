@@ -31,7 +31,6 @@ from duffspec.lindblad import (
     solve_steady_state_adaptive,
     solve_steady_states,
     steady_state,
-    steady_state_residual,
 )
 from duffspec import lindblad
 from duffspec.closedform import dw_response
@@ -161,7 +160,7 @@ def test_adaptive_converged_dim_and_residual(point_c_solution):
     # top of the truncated ladder is unpopulated
     assert rho[dim - 1, dim - 1].real < 1e-8
     S = build_superoperator(POINT_C, dim)
-    assert steady_state_residual(S, rho) < 1e-10
+    assert np.max(np.abs(S @ rho.reshape(-1))) < 1e-10
 
 
 def test_adaptive_truncation_limit():
@@ -208,7 +207,7 @@ def test_blocked_fixed_dim_matches_steady_state():
         S = build_superoperator(params, 12)
         assert dim == 12
         assert rho.tobytes() == steady_state(S).tobytes()
-        assert residual == steady_state_residual(S, rho)
+        assert residual == np.max(np.abs(S @ rho.reshape(-1)))
 
 
 def _raised(fn):
@@ -541,6 +540,44 @@ def test_dense_spectrum_matches_complex_eig(params, dim):
 def test_arnoldi_spectrum_matches_dense_eig(dim):
     S = build_superoperator(POINT_C, dim)
     assert_slowest_eigenvalues(low_lying_spectrum(S), eigvals(S.toarray()), 1e-9)
+
+
+@pytest.mark.parametrize("dim", [40, 80])
+def test_arnoldi_eigenpairs_match_dense_branch(point_c_spectrum, dim):
+    # every returned pair solves S vec(m) = lam vec(m) (to <= 2.8e-14 today),
+    # and the slowest eigenvalues are the dense branch's at the converged
+    # dim 18 (<= 6.5e-14 apart today)
+    S = build_superoperator(POINT_C, dim)
+    spec = low_lying_spectrum(S)
+    for lam, m in zip(spec.eigenvalues, spec.eigenmatrices, strict=True):
+        assert np.max(np.abs(S @ m.reshape(-1) - lam * m.reshape(-1))) <= 1e-11
+    dense = point_c_spectrum.eigenvalues
+    assert dense.size == spec.eigenvalues.size == 7
+    assert np.max(np.abs(spec.eigenvalues - dense)) <= 1e-11
+
+
+def test_arnoldi_factor_stays_sparse_at_weak_damping(monkeypatch):
+    # at gamma = 0.01 a coherence's damping is ~1e-5 of its frequency in
+    # R - sigma I; factored in R's own row order, the diagonal pivots fail
+    # SuperLU's test and L + U holds 1.0M entries (0.5 s at dim 40, 12 s at
+    # dim 64), against 69k with the frequency on the diagonal (_pivot_rows)
+    params = ModelParams(delta=0.4, chi=1.0, epsilon=0.05, gamma=0.01)
+    fills = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    spec = low_lying_spectrum(build_superoperator(params, 40))
+    assert len(fills) == 1 and fills[0] < 150_000
+    # and the modes it returns are dense ones at dim 20 (4e-11 apart at most
+    # today; these clustered slow modes move by that much between dense
+    # truncations and BLAS thread counts)
+    w = eigvals(build_superoperator(params, 20).toarray())
+    assert max(np.min(np.abs(w - lam)) for lam in spec.eigenvalues) < 1e-9
 
 
 @pytest.mark.parametrize("dim", [18, 40], ids=["dense", "arnoldi"])
