@@ -129,13 +129,23 @@ def von_neumann_entropy(rho):
 
     rho must be Hermitian within TOL_HERM.  Eigenvalues below TOL_PSD are
     clamped to zero before taking the log, which regularizes the
-    truncation tail.
+    truncation tail.  A stack of matrices (..., d, d) goes through one
+    ``eigvalsh`` call and gives an array of entropies, each the one its
+    matrix gives alone.
     """
     rho = np.asarray(rho)
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
+    rho_h = np.swapaxes(rho, -1, -2).conj()
+    herm_dev = np.max(np.abs(rho - rho_h))
     if herm_dev > TOL_HERM:
         raise ValueError(f"not Hermitian: max |rho - rho'| = {herm_dev:.3e} > {TOL_HERM:.1e}")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    w = np.linalg.eigvalsh(0.5 * (rho + rho_h))
+    if rho.ndim == 2:
+        return _entropy_bits(w)
+    return np.array([_entropy_bits(row) for row in w.reshape(-1, w.shape[-1])]).reshape(w.shape[:-1])
+
+
+def _entropy_bits(w):
+    """-sum w log2 w over the eigenvalues w above TOL_PSD."""
     w = w[w > TOL_PSD]
     if w.size == 0:
         return 0.0

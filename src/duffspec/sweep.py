@@ -4,9 +4,11 @@ No cell's result depends on another cell (the numeric route solves cells
 in blocks, but no step mixes them), so a sweep is reproducible
 bit-for-bit regardless of worker count: results keep the grid's cell
 order and JSON is emitted with sorted keys.  Every CSV goes through
-one writer, which formats each float once, as a Python float, with
-``%.16e`` (17 significant digits, the conversion ``{:.16e}`` makes too),
-one ``%`` operation per chunk of up to 4096 rows, and streams the chunks
+one writer, which writes each float as Python's ``%.16e`` does (17
+significant digits, the conversion ``{:.16e}`` makes too): numpy forms
+the correctly rounded digits of a chunk of up to 4096 rows at once, and
+the few values where that is in doubt go through ``%.16e`` itself.  A
+grid axis is formatted once per coordinate.  The chunks are streamed
 with LF line endings.  Moduli |z| come from Python's ``abs`` on each
 complex value, because ``np.abs`` rounds some of them one ulp
 differently.  Wall-clock time per phase goes to the JSON side log
@@ -15,6 +17,7 @@ the functions that call them, so closed-form and series runs never load
 scipy's sparse and dense linear algebra.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -22,7 +25,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, islice
 
 import numpy as np
 
@@ -310,33 +312,160 @@ def line_scan(config):
 
 
 _CSV_CHUNK = 4096
+# A float field with its separator fits in 25 bytes ("-1.2345678901234567e-308,").
+_RECORD = 32
+# Decimal exponents of the fast path's tables: |v| in [1e-280, 1e280] has
+# e in [-281, 280].  The 10^(16 - e) table reaches 10^299; the Veltkamp
+# split overflows from 10^301 on.
+_E_LIM = 283
+
+
+@functools.cache
+def _csv_tables():
+    """Lookup tables of ``_float_records``, built on the first CSV write.
+
+    For e = -_E_LIM .. _E_LIM (row e + _E_LIM): 10^(16 - e) as a
+    double-double (hi, lo), hi's Veltkamp halves, and, per separator,
+    "e" with the signed two- or three-digit exponent and the separator,
+    NUL-padded to 8 bytes.  ``digits4`` holds the four ASCII digits of
+    0..9999, one uint32 word each.
+    """
+    hi, lo = [], []
+    for e in range(-_E_LIM, _E_LIM + 1):
+        # 10^(16 - e) = num / den exactly; int division rounds correctly
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    hi1 = _split(hi)
+    exps = range(-_E_LIM, _E_LIM + 1)
+    exponent = {
+        sep: np.array([b"e%+03d%s" % (e, sep.encode()) for e in exps], "S8").view(np.uint8).reshape(-1, 8)
+        for sep in (",", "\n")
+    }
+    digits4 = np.array([b"%04d" % k for k in range(10000)], "S4").view(np.uint32)
+    return hi, np.array(lo), hi1, hi - hi1, exponent, digits4
+
+
+def _split(x):
+    """Veltkamp's high half of x: 26 leading bits, with x - high exact in 26 more."""
+    c = 134217729.0 * x  # 2^27 + 1
+    return c - (c - x)
+
+
+def _text_records(texts):
+    """Byte records of ASCII strings, NUL-padded to the longest."""
+    return np.array([t.encode() for t in texts], bytes).view(np.uint8).reshape(len(texts), -1)
+
+
+def _float_records(values, sep):
+    """Each value's ``"%.16e" % value`` followed by sep, as NUL-padded 32-byte records.
+
+    |v| in [1e-280, 1e280] is scaled to x = |v| 10^(16 - e), with
+    e = floor(log10 |v|), as the double-double p + err: Dekker's exact
+    product of |v| and the double nearest 10^(16 - e), plus |v| times the
+    rest of that power (Dekker, Numer. Math. 18, 224 (1971)).  Above 2^53
+    p is an integer, and |p + err - x| < 1e-14, so N = p + rint(err) is
+    x rounded to 17 digits, the correctly rounded digits Python prints
+    (Gay's dtoa), unless x lies within 1e-4 of a half-integer.  The exact
+    carry x -> 10^17 moves to the next decade.  Zeros are formatted here
+    too.  Non-finite values, |v| outside that range, near-ties and a
+    decade estimate that is off (x below 1e16, or N above 10^17) go
+    through ``"%.16e"`` itself.
+    """
+    hi, lo, hi1, hi2, exponent, digits4 = _csv_tables()
+    v = np.asarray(values, float).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    row = e + _E_LIM
+    p = a * hi[row]
+    a1 = _split(a)
+    a2 = a - a1
+    q = ((a1 * hi1[row] - p) + a1 * hi2[row] + a2 * hi1[row]) + a2 * hi2[row]
+    err = q + a * lo[row]
+    r = np.rint(err)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    fast &= np.abs(err - r) < 0.4999
+    fast &= ((p - 1e16) + err > 1e-9) & (n <= 10**17)
+    carry = n == 10**17
+    n[carry] //= 10
+    e[carry] += 1
+    zero = v == 0.0
+    n[zero] = 0
+    e[zero] = 0
+    lead, rest = np.divmod(n, 10**16)
+    rec = np.zeros((v.size, _RECORD), np.uint8)
+    rec[:, 0] = np.signbit(v) * ord("-")
+    rec[:, 1] = lead + ord("0")
+    rec[:, 2] = ord(".")
+    # the 16 digits after the point as four 4-digit groups, most significant first
+    halves = np.stack(np.divmod(rest, 10**8), axis=1).astype(np.int32)
+    groups = np.stack(np.divmod(halves, 10**4), axis=2)
+    rec[:, 3:19] = np.take(digits4, groups).view(np.uint8).reshape(-1, 16)
+    rec[:, 19:27] = np.take(exponent[sep], e + _E_LIM, axis=0)
+    slow = ~(fast | zero)
+    if slow.any():
+        texts = _text_records(["%.16e%s" % (x, sep) for x in v[slow].tolist()])
+        rec[slow] = 0
+        rec[slow, : texts.shape[1]] = texts
+    return rec
+
+
+@dataclass(frozen=True)
+class _GridAxis:
+    """A grid coordinate column, ``np.tile(np.repeat(values, repeat), tile)``.
+
+    The writer formats each value once and repeats its record.
+    """
+
+    values: np.ndarray
+    repeat: int
+    tile: int
 
 
 def _grid_columns(xs, ys):
-    """Row-major x and y string columns of a len(xs) x len(ys) grid.
+    """Row-major x and y columns of a len(xs) x len(ys) grid."""
+    xs, ys = np.asarray(xs, float).ravel(), np.asarray(ys, float).ravel()
+    return _GridAxis(xs, ys.size, 1), _GridAxis(ys, 1, xs.size)
 
-    Each coordinate is formatted once and repeated, not once per row.
-    """
-    x = ["%.16e" % v for v in np.asarray(xs, float).tolist()]
-    y = ["%.16e" % v for v in np.asarray(ys, float).tolist()]
-    return [v for v in x for _ in y], y * len(x)
+
+def _column_records(column, sep):
+    """(rows, records): records(a, b) gives the column's rows a..b-1 as
+    NUL-padded byte records, each the field's text followed by sep."""
+    if isinstance(column, _GridAxis):
+        recs = _float_records(column.values, sep)
+        rows = recs.shape[0] * column.repeat * column.tile
+        return rows, lambda a, b: np.take(recs, np.arange(a, b) // column.repeat % recs.shape[0], axis=0)
+    if isinstance(column, list):
+        return len(column), lambda a, b: _text_records([s + sep for s in column[a:b]])
+    values = np.asarray(column, float).ravel()
+    return values.size, lambda a, b: _float_records(values[a:b], sep)
 
 
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV.
 
-    A list column holds strings, written as they are; any other column
-    is read as floats and written as Python floats with ``%.16e``.  Rows
-    are formatted a chunk of at most _CSV_CHUNK at a time, each by one
-    ``%`` operation, and streamed to the file.
+    A list column holds strings, written as they are; a ``_GridAxis`` or
+    any other column is read as floats, each written as ``"%.16e" % v``
+    would write it (``_float_records``).  Rows are formatted a chunk of
+    at most _CSV_CHUNK at a time: the columns' records side by side, NUL
+    bytes dropped, streamed to the file.
     """
-    row = ",".join("%s" if isinstance(c, list) else "%.16e" for c in columns) + "\n"
-    cells = [c if isinstance(c, list) else np.asarray(c, float).ravel().tolist() for c in columns]
-    rows = zip(*cells)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        while chunk := list(islice(rows, _CSV_CHUNK)):
-            fh.write(row * len(chunk) % tuple(chain.from_iterable(chunk)))
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    parts = [_column_records(c, s) for c, s in zip(columns, seps)]
+    rows = parts[0][0]
+    if any(n != rows for n, _ in parts):
+        raise ValueError(f"CSV columns differ in length: {[n for n, _ in parts]}")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for a in range(0, rows, _CSV_CHUNK):
+            b = min(a + _CSV_CHUNK, rows)
+            block = np.hstack([records(a, b) for _, records in parts]).ravel()
+            fh.write(block[block != 0].tobytes())
 
 
 def write_sweep_csv(result, path):
@@ -589,9 +718,8 @@ def mixing_curve(pair, samples=201):
     s_plus = von_neumann_entropy(pair.rho_plus)
     s_minus = von_neumann_entropy(pair.rho_minus)
     xs = np.linspace(0.0, 1.0, samples)
-    entropy = np.empty(samples)
-    for idx, x in enumerate(xs):
-        entropy[idx] = von_neumann_entropy(x * pair.rho_plus + (1.0 - x) * pair.rho_minus)
+    w = xs[:, None, None]
+    entropy = von_neumann_entropy(w * pair.rho_plus + (1.0 - w) * pair.rho_minus)
     linear = xs * s_plus + (1.0 - xs) * s_minus
     excess = entropy - linear
     binary = np.array([binary_entropy(float(x)) for x in xs])

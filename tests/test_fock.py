@@ -170,6 +170,19 @@ def test_entropy_rejects_non_hermitian():
         von_neumann_entropy(bad)
 
 
+def test_entropy_of_a_stack_is_each_matrix_entropy_bit_for_bit():
+    rng = np.random.default_rng(29)
+    a, b = random_density_matrix(9, rng), fock_projector(2, 9)
+    xs = np.linspace(0.0, 1.0, 11)
+    stack = xs[:, None, None] * a + (1.0 - xs[:, None, None]) * b
+    alone = [von_neumann_entropy(x * a + (1.0 - x) * b) for x in xs]
+    assert von_neumann_entropy(stack).tolist() == alone
+    assert von_neumann_entropy(stack.reshape(1, 11, 9, 9)).shape == (1, 11)
+    stack[7, 0, 1] += 1e-6
+    with pytest.raises(ValueError):
+        von_neumann_entropy(stack)
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.5) == 1.0
     assert binary_entropy(0.0) == 0.0

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -273,6 +274,76 @@ def test_write_csv_chunks_match_per_value_format(tmp_path):
         a, b = ("{:.16e}".format(float(v)) for v in values[:, k])
         lines.append(",".join([labels[k], a, words[k], b]))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_float_records_match_percent_format_bit_for_bit():
+    rng = np.random.default_rng(17)
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    structured = np.concatenate(
+        [
+            [0.0, np.nan, np.inf],
+            pow10,
+            np.nextafter(pow10, 0.0),
+            np.nextafter(pow10, np.inf),
+            pow2,
+            3.0 * pow2[:-1],
+            # an exact tie at the 18th digit, and decade carries
+            [2.0**-25, 9.99999999999999999e22, 9.99999999999999999e-3, 99999999999999999.5],
+            [1e16, 1e17, np.nextafter(1e16, 0.0), np.nextafter(1e17, np.inf)],
+        ]
+    )
+    structured = np.concatenate([structured, -structured])
+    # NaN payloads, infinities and subnormals among them
+    random_bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    for values, sep in ((np.concatenate([structured, random_bits]), ","), (structured, "\n")):
+        records = sweep_mod._float_records(values, sep)
+        assert records.shape == (values.size, 32)
+        text = records.ravel()[records.ravel() != 0].tobytes().decode()
+        assert text == ("%.16e" + sep) * values.size % tuple(values.tolist())
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf])
+def test_float_records_stay_exact_when_log10_is_an_ulp_off(monkeypatch, toward):
+    # the decade estimate then misses at powers of ten: below, x passes 10^17
+    # (the carry to 1.0000000000000000e+k); above, x falls short of 10^16
+    log10 = np.log10
+    monkeypatch.setattr(sweep_mod.np, "log10", lambda a: np.nextafter(log10(a), toward))
+    pow10 = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    values = np.concatenate([pow10, np.nextafter(pow10, 0.0), np.nextafter(pow10, np.inf)])
+    records = sweep_mod._float_records(values, ",").ravel()
+    assert records[records != 0].tobytes().decode() == "%.16e," * values.size % tuple(values.tolist())
+
+
+def _percent_writer(path, header, columns):
+    # the writer before the record formatter: every float through Python's
+    # %.16e, one % operation per chunk of _CSV_CHUNK rows
+    row = ",".join("%s" if isinstance(c, list) else "%.16e" for c in columns) + "\n"
+    cells = [c if isinstance(c, list) else np.asarray(c, float).ravel().tolist() for c in columns]
+    rows = zip(*cells)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        while chunk := list(islice(rows, sweep_mod._CSV_CHUNK)):
+            fh.write(row * len(chunk) % tuple(chain.from_iterable(chunk)))
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (65, 63), (64, 64), (17, 241), (3, 2731)])
+def test_write_csv_matches_percent_writer(tmp_path, nx, ny):
+    # 1, 4095, 4096, 4097 and 8193 rows: no, one and two chunk seams
+    rows = nx * ny
+    rng = np.random.default_rng(rows)
+    xs = np.linspace(-5.0, 5.0, nx) * (1 + 1e-9 * rng.standard_normal(nx))
+    ys = np.concatenate([[-0.0], np.logspace(-300, 300, ny - 1)])[:ny]
+    w = rng.standard_normal(rows) * np.exp(rng.uniform(-700.0, 700.0, rows))
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1.0]
+    for edge in (0, sweep_mod._CSV_CHUNK - 4, 2 * sweep_mod._CSV_CHUNK - 4, rows - len(special)):
+        w[max(edge, 0) : edge + len(special)] = special[: rows - max(edge, 0)]
+    n = [str(k % 161) for k in range(rows)]
+    header = "x,y,w,n,v"
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    sweep_mod._write_csv(got, header, [*sweep_mod._grid_columns(xs, ys), w, n, -3.0 * w[::-1]])
+    _percent_writer(want, header, [np.repeat(xs, ny), np.tile(ys, nx), w, n, -3.0 * w[::-1]])
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_analyze_point_c_task_suite(tmp_path):
