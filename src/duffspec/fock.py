@@ -41,13 +41,13 @@ class ModelParams:
     def __post_init__(self):
         for name in ("delta", "chi", "epsilon", "gamma"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if np.any(np.less(self.chi, 0)):
+        if np.less(self.chi, 0).any():
             raise ValueError(f"chi must be >= 0, got {self.chi}")
-        if np.any(np.less(self.epsilon, 0)):
+        if np.less(self.epsilon, 0).any():
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if np.any(np.less(self.gamma, 0)):
+        if np.less(self.gamma, 0).any():
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 

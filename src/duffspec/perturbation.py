@@ -29,11 +29,16 @@ from .fock import ModelParams
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
 # Evaluation budget of one Fano start, per searched parameter (center and
-# width), Jacobian evaluations included.  On normalised two-photon lines
-# (gamma 0.002-0.04, epsilon 0.2-3 gamma, chi 0.5 and 1, 801 samples over
-# +-8 gamma) and on Lorentzian dips and peaks every start converges within
-# 11 evaluations, median 6; the budget only ends a start that wanders off.
+# width); one evaluation is a residual with its Jacobian.  On the 60
+# normalised two-photon lines (gamma 0.002-0.04, epsilon 0.2-3 gamma, chi
+# 0.5 and 1, 801 samples over +-8 gamma) every start converges within 32
+# evaluations, median 8; on Lorentzian dips and peaks within 15, median 10.
+# The budget only ends a start that wanders off.
 _FANO_NFEV_PER_PARAM = 40
+# Levenberg-Marquardt damping of a Fano start, relative to the scaled
+# diagonal, and the step, in widths, below which the search has converged.
+_FANO_DAMPING0 = 1e-3
+_FANO_XTOL = 1e-10
 # Largest accepted rms residual of a Fano fit, as a fraction of the line
 # amplitude.
 _FANO_RESIDUAL_FRAC = 0.05
@@ -292,6 +297,97 @@ def _fano_from_coefficients(c0, c1, c2):
     return c0 - amp, amp, q
 
 
+def _fano_projection(deltas, mags, center, width):
+    """Projected residual of the separable Fano model and its exact Jacobian.
+
+    For fixed (center, width) the coefficients c of the basis B = (1, L, D)
+    solve the linear least-squares problem through a thin QR, B = Q R, and
+    the residual is r = B c - y.  Its Jacobian in theta = (center, width) is
+    (G. H. Golub and V. Pereyra, SIAM J. Numer. Anal. 10, 413 (1973))
+
+        dr/dtheta = (I - Q Q^T) (dB/dtheta) c - Q R^-T (dB/dtheta)^T r,
+
+    where the first term is L. Kaufman's (BIT 15, 49 (1975)) and the second
+    vanishes with the residual.  dB/dtheta = (0, L', D') dx/dtheta, with
+    L' = -2 x L^2, D' = L - 2 x^2 L^2, dx/dcenter = -1/width and
+    dx/dwidth = -x/width.  Returns (r, dr/dtheta, c).
+
+    Raises FloatingPointError when the basis is not finite or not of full
+    rank (width -> 0).
+    """
+    basis = _fano_basis(deltas, center, width)
+    q, r = np.linalg.qr(basis)
+    qty = q.T @ mags
+    residual = q @ qty - mags
+    try:
+        r_inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError as exc:
+        raise FloatingPointError("Fano basis is rank-deficient") from exc
+    coef = r_inv @ qty
+    if not np.isfinite(coef).all():
+        raise FloatingPointError("Fano basis is rank-deficient")
+    x = (deltas - center) / width
+    lor = basis[:, 1]
+    d_lor = -2.0 * x * lor * lor
+    d_basis = np.column_stack((d_lor, lor + x * d_lor))
+    # (1, x) = -width dx/d(center, width), a factor both terms share
+    powers = np.column_stack((np.ones_like(x), x))
+    model = (d_basis @ coef[1:])[:, None] * powers
+    coupling = np.zeros((3, 2))
+    coupling[1:] = (d_basis * residual[:, None]).T @ powers
+    jacobian = (q @ (q.T @ model + r_inv.T @ coupling) - model) / width
+    return residual, jacobian, coef
+
+
+def _fano_search(deltas, mags, theta, max_nfev):
+    """Levenberg-Marquardt over theta = (center, width) on the projected residual.
+
+    The damped step solves (J^T J + mu D) h = -J^T r, with Marquardt's
+    scaling D (J. SIAM 11, 431 (1963)) kept at the largest diag(J^T J)
+    seen, as MINPACK keeps it, and mu updated by the gain ratio as in
+    H. B. Nielsen, IMM-REP-1999-05 (DTU, 1999).  A trial step whose basis
+    is not finite (width -> 0) is rejected and raises mu, like a step that
+    raises the cost.  The search has converged when the step moves center
+    and width by at most _FANO_XTOL widths.  Each evaluation of residual
+    and Jacobian counts against max_nfev.  Returns (cost, theta, (r, J, c))
+    at convergence, None when the start fails or runs out of evaluations.
+    """
+    try:
+        current = _fano_projection(deltas, mags, *theta)
+    except FloatingPointError:
+        return None
+    nfev, scale = 1, np.zeros(2)
+    damping, growth = _FANO_DAMPING0, 2.0
+    while True:
+        residual, jac, _ = current
+        cost = float(residual @ residual)
+        grad, normal = jac.T @ residual, jac.T @ jac
+        scale = np.maximum(scale, np.diag(normal))
+        try:
+            step = np.linalg.solve(normal + damping * np.diag(scale), -grad)
+        except np.linalg.LinAlgError:
+            return None
+        if np.max(np.abs(step)) <= _FANO_XTOL * abs(theta[1]):
+            return cost, theta, current
+        if nfev == max_nfev:
+            return None
+        nfev += 1
+        try:
+            trial = _fano_projection(deltas, mags, *(theta + step))
+        except FloatingPointError:
+            trial_cost = math.inf
+        else:
+            trial_cost = float(trial[0] @ trial[0])
+        if trial_cost < cost:
+            gain = (cost - trial_cost) / (step @ (damping * scale * step - grad))
+            theta, current = theta + step, trial
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+        else:
+            damping *= growth
+            growth *= 2.0
+
+
 def fano_fit(deltas, magnitudes):
     """Fit a Fano profile to a resonance line |a|(delta).
 
@@ -305,7 +401,12 @@ def fano_fit(deltas, magnitudes):
     width) the c's are one linear least-squares solve, so Levenberg-Marquardt
     searches only (center, width) on the projected residual (variable
     projection: G. H. Golub and V. Pereyra, SIAM J. Numer. Anal. 10, 413
-    (1973)), from three width scales.  amp is the non-negative root of
+    (1973)), from three width scales.  The search is numpy code
+    (_fano_search): each step takes the residual and its exact Jacobian
+    from one QR of the basis (_fano_projection), Kaufman's projected term
+    plus the Golub-Pereyra term that vanishes with the residual, so an
+    iteration costs one evaluation and no finite differences.  The start
+    with the lowest cost wins.  amp is the non-negative root of
     amp^2 + c1 amp - c2^2/4 = 0, which picks the amp > 0 member of the
     curve's two representations; a symmetric Lorentzian peak (c1 > 0,
     c2 = 0) gives amp = 0.
@@ -316,8 +417,6 @@ def fano_fit(deltas, magnitudes):
     degenerates (|q| > 50 or amp = 0, as for a symmetric Lorentzian peak),
     or the residual exceeds _FANO_RESIDUAL_FRAC of the line amplitude.
     """
-    from scipy.optimize import least_squares
-
     deltas = np.asarray(deltas, dtype=float)
     mags = np.asarray(magnitudes, dtype=float)
     if deltas.shape != mags.shape or deltas.ndim != 1:
@@ -331,11 +430,6 @@ def fano_fit(deltas, magnitudes):
     if span == 0.0:
         raise FanoFitError("line is flat over the window")
 
-    def projected_residual(theta):
-        basis = _fano_basis(deltas, *theta)
-        coef = np.linalg.lstsq(basis, mags, rcond=None)[0]
-        return basis @ coef - mags
-
     # Seed from the dip/peak pair: the profile minimum sits at x = q with
     # value = background, the maximum at x = -1/q, and their separation is
     # |q + 1/q| >= 2 widths.  Three width scales keep the search off the
@@ -345,22 +439,14 @@ def fano_fit(deltas, magnitudes):
     width0 = max(abs(deltas[i_max] - deltas[i_min]) / 2.0, 2.0 * abs(deltas[1] - deltas[0]))
     best = None
     for w_scale in (1.0, 0.5, 2.0):
-        try:
-            result = least_squares(
-                projected_residual,
-                np.array([center0, width0 * w_scale]),
-                method="lm",
-                max_nfev=_FANO_NFEV_PER_PARAM * 2,
-            )
-        except FloatingPointError:
-            continue
-        if result.success and (best is None or result.cost < best.cost):
-            best = result
+        found = _fano_search(
+            deltas, mags, np.array([center0, width0 * w_scale]), _FANO_NFEV_PER_PARAM * 2
+        )
+        if found is not None and (best is None or found[0] < best[0]):
+            best = found
     if best is None:
         raise FanoFitError("fit did not converge from any starting point")
-    center, width = best.x
-    basis = _fano_basis(deltas, center, width)
-    c0, c1, c2 = np.linalg.lstsq(basis, mags, rcond=None)[0]
+    _, (center, width), (residual, _, (c0, c1, c2)) = best
     if width < 0:
         width, c2 = -width, -c2
     bg, amp, q = _fano_from_coefficients(float(c0), float(c1), float(c2))
@@ -370,7 +456,7 @@ def fano_fit(deltas, magnitudes):
             f"degenerate profile (q={q:.3g}, amplitude={amp:.3g}, width={width:.3g}); "
             "the window may hold no asymmetric resonance"
         )
-    rms = float(np.sqrt(np.mean(best.fun**2)))
+    rms = float(np.sqrt(np.mean(residual**2)))
     if rms > _FANO_RESIDUAL_FRAC * span:
         raise FanoFitError(
             f"residual rms {rms:.3e} exceeds {_FANO_RESIDUAL_FRAC:.0%} of the line amplitude {span:.3e}"

@@ -36,6 +36,35 @@ def test_model_params_validation():
         ModelParams(delta=float("nan"), chi=1.0, epsilon=0.0, gamma=1.0)
 
 
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("delta", np.nan, "delta must be finite"),
+        ("chi", np.inf, "chi must be finite"),
+        ("epsilon", -np.inf, "epsilon must be finite"),
+        ("gamma", np.nan, "gamma must be finite"),
+        ("chi", -1.0, "chi must be >= 0"),
+        ("epsilon", -0.5, "epsilon must be >= 0"),
+        ("gamma", -2.0, "gamma must be >= 0"),
+    ],
+)
+@pytest.mark.parametrize("as_array", [False, True])
+def test_model_params_messages_for_scalars_and_arrays(name, bad, message, as_array):
+    # an array is checked element by element: one bad entry among good ones fails
+    good = {"delta": -1.0, "chi": 1.0, "epsilon": 0.5, "gamma": 0.1}
+    fields = dict(good)
+    fields[name] = np.array([good[name], bad, good[name]]) if as_array else bad
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        ModelParams(**fields)
+    fields[name] = np.full(3, good[name]) if as_array else good[name]
+    ModelParams(**fields)
+    # the finiteness checks run first, in field order
+    with pytest.raises(ValueError, match="^delta must be finite"):
+        ModelParams(**dict(fields, delta=np.nan, chi=-1.0))
+    with pytest.raises(ValueError, match="^chi must be >= 0"):
+        ModelParams(**dict(fields, chi=-1.0, gamma=-1.0))
+
+
 def test_annihilation_entries():
     a = annihilation(5)
     expected = np.zeros((5, 5))

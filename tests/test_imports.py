@@ -2,10 +2,11 @@
 
 ``import duffspec`` imports no submodule; a public name loads its
 submodule on first use.  The closed-form and series routes need numpy
-alone, the Lindblad steady states load scipy.sparse, only the spectrum
-loads scipy's sparse and dense linear algebra, and only the Fano fit
-loads scipy.optimize.  The process pool loads only for a sweep with
-more than one worker.
+alone, and so does the Fano fit, whose Levenberg-Marquardt search is
+numpy code.  The Lindblad steady states load scipy.sparse, only the
+spectrum loads scipy's sparse and dense linear algebra, and no route
+loads scipy.optimize.  The process pool loads only for a sweep with more
+than one worker.
 """
 
 import json
@@ -24,6 +25,7 @@ README_POINT_C = (
     "--point delta=-5.2,epsilon=3.2 --gamma 2 --chi 1 "
     "--analyze entropy,spectrum,metastable,mixing-curve,wigner"
 )
+README_FANO = "--point delta=-1,epsilon=0.012 --gamma 0.01 --chi 1 --analyze fano"
 
 
 def modules_after(code, cwd, package="scipy"):
@@ -112,7 +114,16 @@ def test_fano_fit_as_first_call(tmp_path):
         "fit = fano_fit(-1.0 + 0.005 * x, 1.0 + 0.03 * (x - 0.97) ** 2 / (x**2 + 1.0))\n"
         "assert abs(fit.q - 0.97) < 1e-6 and abs(fit.width - 0.005) < 1e-8, fit\n"
     )
-    assert under(modules_after(code, tmp_path), "scipy.optimize")
+    loaded = modules_after(code, tmp_path)
+    assert under(loaded, "scipy.optimize", "scipy.sparse", "scipy.linalg") == []
+
+
+def test_readme_fano_point_loads_no_scipy_linear_algebra(tmp_path):
+    loaded = modules_after(cli_runs(README_FANO), tmp_path)
+    assert under(loaded, "scipy.optimize", "scipy.sparse", "scipy.linalg") == []
+    manifest = json.loads((tmp_path / "run0" / "manifest.json").read_text())
+    assert manifest["tasks"]["fano"]["status"] == "ok"
+    assert (tmp_path / "run0" / "fano_line.csv").is_file()
 
 
 def test_star_import_binds_the_submodule_objects(tmp_path):

@@ -12,6 +12,8 @@ from duffspec.perturbation import (
     _fano_basis,
     _drive_orders,
     _fano_from_coefficients,
+    _fano_projection,
+    _fano_search,
     bw_steady_state,
     fano_fit,
     fano_q,
@@ -379,6 +381,76 @@ def test_fano_fit_recovers_noise_free_lines_in_either_representation(q):
         got = [fit.background, fit.amplitude, fit.center, fit.width, fit.q]
         assert np.allclose(got, truth, rtol=1e-8, atol=0.0)
         assert fit.residual_rms < 1e-12
+
+
+def fit_recording_starts(deltas, mags, monkeypatch):
+    """fano_fit of the line, and the (center, width) starts it searched from."""
+    starts = []
+
+    def recorded(deltas_, mags_, theta, max_nfev):
+        starts.append(tuple(theta))
+        return search(deltas_, mags_, theta, max_nfev)
+
+    search = _fano_search
+    monkeypatch.setattr("duffspec.perturbation._fano_search", recorded)
+    return fano_fit(deltas, mags), starts
+
+
+def test_fano_projection_jacobian_matches_central_differences(monkeypatch):
+    # the two-photon line of the benchmark: gamma = 0.01, chi = 1, eps = 0.012,
+    # 801 samples over -1.08 ... -0.92
+    deltas, mags = normalized_two_photon_line(0.01, 1.0, 0.012, 0.08)
+    fit, starts = fit_recording_starts(deltas, mags, monkeypatch)
+    assert len(starts) == 3
+    for center, width in [(fit.center, fit.width)] + starts:
+        residual, jac, coef = _fano_projection(deltas, mags, center, width)
+        assert np.allclose(residual, _fano_basis(deltas, center, width) @ coef - mags, atol=1e-15)
+        h = 1e-6 * width
+        central = np.column_stack(
+            [
+                (
+                    _fano_projection(deltas, mags, center + dc, width + dw)[0]
+                    - _fano_projection(deltas, mags, center - dc, width - dw)[0]
+                )
+                / (2.0 * h)
+                for dc, dw in ((h, 0.0), (0.0, h))
+            ]
+        )
+        rel = np.linalg.norm(jac - central, axis=0) / np.linalg.norm(central, axis=0)
+        assert np.all(rel < 1e-6), (center, width, rel)
+
+
+def test_fano_search_survives_a_first_step_through_zero_width(monkeypatch):
+    deltas, mags = normalized_two_photon_line(0.01, 1.0, 0.012, 0.08)
+    fit, starts = fit_recording_starts(deltas, mags, monkeypatch)
+    # from ten widths out, the first Gauss-Newton step overshoots to a
+    # negative width; the profile is even in (width, c2), so the search
+    # converges on the mirrored optimum
+    trials = []
+
+    def recorded(deltas_, mags_, center, width):
+        trials.append(width)
+        return _fano_projection(deltas_, mags_, center, width)
+
+    monkeypatch.setattr("duffspec.perturbation._fano_projection", recorded)
+    cost, (center, width), _ = _fano_search(deltas, mags, np.array([-1.0001, 0.05]), 80)
+    assert trials[1] < 0.0 < trials[0]
+    assert np.allclose([center, abs(width)], [fit.center, fit.width], rtol=1e-8, atol=0.0)
+    assert np.sqrt(cost / deltas.size) == pytest.approx(fit.residual_rms, rel=1e-9)
+
+    # a first step landing on width 0 exactly has no finite basis: the step is
+    # rejected, the damping raised, and the search goes on to the same optimum
+    trials.clear()
+
+    def zero_first_trial(deltas_, mags_, center, width):
+        trials.append(width)
+        return _fano_projection(deltas_, mags_, center, 0.0 if len(trials) == 2 else width)
+
+    monkeypatch.setattr("duffspec.perturbation._fano_projection", zero_first_trial)
+    cost, (center, width), _ = _fano_search(deltas, mags, np.array(starts[0]), 80)
+    assert len(trials) > 2
+    assert np.allclose([center, abs(width)], [fit.center, fit.width], rtol=1e-8, atol=0.0)
+    assert np.sqrt(cost / deltas.size) == pytest.approx(fit.residual_rms, rel=1e-9)
 
 
 def test_fano_coefficient_map_avoids_cancellation():
