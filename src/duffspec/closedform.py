@@ -5,8 +5,10 @@ as a ratio of 0F2 functions of z = 2 epsilon^2 / chi^2 with complex lower
 parameters built from (delta, chi, gamma).  0F2 is entire in z, so the
 power series always converges; the practical hazards are parameter poles
 (nonpositive-integer lower parameters, only reachable at gamma = 0) and
-catastrophic cancellation at large |z|, which triggers an
-extended-precision re-evaluation.
+catastrophic cancellation at large |z|.  One rule escalates a cell to
+50-digit arithmetic: its partial sums peak more than CANCEL_RATIO above
+its final value, or its series reaches SERIES_MAX_TERMS terms (_escalates).
+The scalar dw_response is dw_response_grid on a one-cell grid.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ from .fock import ModelParams
 
 SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 20000
-# Ratio of peak partial-sum magnitude to final magnitude beyond which the
-# caller must re-evaluate in extended precision.
+# Ratio of peak partial-sum magnitude to final magnitude beyond which a
+# cell is re-evaluated in extended precision (_escalates).
 CANCEL_RATIO = 1e8
 # Cells summed together; bounds the size of the per-term scratch arrays.
 _SERIES_BLOCK = 4096
@@ -26,10 +28,6 @@ _INT_TOL = 1e-12
 
 class ParameterPoleError(ValueError):
     """A lower parameter of 0F2 sits on a nonpositive integer."""
-
-
-class SeriesConvergenceError(RuntimeError):
-    """The 0F2 series failed to converge within the term budget."""
 
 
 def _check_pole(b):
@@ -145,27 +143,24 @@ def hyp0f2_series(b1, b2, z, min_terms=0):
 def hyper_0f2(b1, b2, z, min_terms=0):
     """0F2(; b1, b2; z) for complex parameters and argument.
 
-    Evaluated by direct power series with incremental Pochhammer products;
-    if the running partial sums exceed the final magnitude by more than
-    CANCEL_RATIO the value is recomputed with 50-digit arithmetic.
+    Evaluated by direct power series with incremental Pochhammer products,
+    and recomputed in 50 digits by the grid's rule (_escalates): when the
+    partial sums peak more than CANCEL_RATIO above the final magnitude, or
+    the series reaches SERIES_MAX_TERMS terms.  Raises ParameterPoleError
+    when b1 or b2 sits on a nonpositive integer.
     """
     b1 = _check_pole(b1)
     b2 = _check_pole(b2)
     z = complex(z)
     value, ratio, terms, _tail = hyp0f2_series(b1, b2, z, min_terms)
-    return _cell_value(b1, b2, z, value, ratio, terms)
-
-
-def _cell_value(b1, b2, z, value, ratio, terms):
-    """One summed cell as a complex, in 50 digits if it cancelled; raises if it did not converge."""
-    if ratio > CANCEL_RATIO:
+    if _escalates(ratio, terms):
         return _hyp0f2_mpmath(b1, b2, z)
-    if terms >= SERIES_MAX_TERMS:
-        raise SeriesConvergenceError(
-            f"0F2 series did not converge within {SERIES_MAX_TERMS} terms "
-            f"(b1={b1}, b2={b2}, z={z})"
-        )
     return complex(value)
+
+
+def _escalates(ratio, terms):
+    """Cells to redo in 50 digits; a zero sum has an infinite peak ratio, so it is one."""
+    return (ratio > CANCEL_RATIO) | (terms >= SERIES_MAX_TERMS)
 
 
 def _dw_mpmath(delta, epsilon, gamma, chi):
@@ -198,27 +193,12 @@ def dw_response(params):
     limit agree with the linear response of the master equation with drive
     +epsilon (a + a'); the response is odd in epsilon exactly (z is even).
 
-    Requires chi > 0 and gamma > 0 (at gamma = 0 the lower parameters can
-    hit nonpositive integers, which raises ParameterPoleError).
+    The value is dw_response_grid's cell on the one-cell grid (delta,
+    epsilon), escalated to 50 digits by the same rule (_escalates).
+    Requires chi > 0 and gamma > 0 (ValueError otherwise).
     """
-    if params.chi <= 0:
-        raise ValueError("closed-form response requires chi > 0")
-    d, x, e, g = params.delta, params.chi, params.epsilon, params.gamma
-    if e == 0.0:
-        return 0.0 + 0.0j
-    z = complex(2.0 * e * e / (x * x))
-    b_num = _check_pole(complex(d + x, -0.5 * g) / x)
-    b_den = _check_pole(complex(d, -0.5 * g) / x)
-    b_shared = _check_pole(complex(d, 0.5 * g) / x)
-    # both series in one call; if either cancels (a zero denominator has an
-    # infinite peak ratio), the whole ratio is redone in 50 digits, as in
-    # dw_response_grid
-    sums, ratios, terms, _tails = hyp0f2_series([b_num, b_den], b_shared, z)
-    if np.any(ratios > CANCEL_RATIO):
-        return _dw_mpmath(d, e, g, x)
-    num = _cell_value(b_num, b_shared, z, sums[0], ratios[0], terms[0])
-    den = _cell_value(b_den, b_shared, z, sums[1], ratios[1], terms[1])
-    return -(e / complex(d, -0.5 * g)) * num / den
+    values, _ = dw_response_grid([params.delta], [params.epsilon], params.gamma, params.chi)
+    return complex(values[0, 0])
 
 
 def dw_response_grid(deltas, epsilons, gamma, chi):
@@ -226,8 +206,11 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
 
     Returns (values, tails) where tails holds the relative magnitude of
     the last series term per cell (0 for cells that were escalated to
-    extended precision).  Cells flagged for cancellation are re-evaluated
-    with mpmath, so the output is deterministic for a given grid.
+    extended precision).  A cell whose numerator or denominator series
+    escalates (_escalates) is re-evaluated whole with mpmath, so the
+    output is deterministic for a given grid.  The rest is rounded as
+    Python's complex arithmetic rounds it, so a cell is the formula on
+    hyper_0f2's values bit for bit.
     """
     if chi <= 0:
         raise ValueError("closed-form response requires chi > 0")
@@ -243,15 +226,32 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
     b_first = np.stack(((d + chi - 0.5j * gamma) / chi, (d - 0.5j * gamma) / chi))
     sums, ratios, terms, tails = hyp0f2_series(b_first, b_shared, z)
     num, den = sums
-    # a zero denominator has an infinite peak ratio, so it is flagged too
-    bad = np.any(ratios > CANCEL_RATIO, axis=0) | np.any(terms >= SERIES_MAX_TERMS, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = -(e / (d - 0.5j * gamma)) * num / den
+        # -(e / (d - i gamma/2)) * num / den, where -(e / c) is e / (-c) to
+        # the bit; numpy's complex product fuses a multiply-add on FMA CPUs
+        fr, fi = _quot(e, 0.0, -d, 0.5 * gamma)
+        qr, qi = fr * num.real - fi * num.imag, fr * num.imag + fi * num.real
+        vr, vi = _quot(qr, qi, den.real, den.imag)
+    values = np.empty(vr.shape, dtype=complex)
+    values.real, values.imag = vr, vi
     tails = np.max(tails, axis=0)
-    for i, j in np.argwhere(bad):
-        if epsilons[j] == 0.0:
-            values[i, j] = 0.0
-        else:
-            values[i, j] = _dw_mpmath(deltas[i], epsilons[j], gamma, chi)
+    for i, j in np.argwhere(np.any(_escalates(ratios, terms), axis=0)):
+        values[i, j] = _dw_mpmath(deltas[i], epsilons[j], gamma, chi)
         tails[i, j] = 0.0
     return values, tails
+
+
+def _quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) in parts, as Python's complex division forms it.
+
+    That is Smith's division (CACM 5, 435 (1962)); numpy's complex
+    division multiplies by a reciprocal instead.  Where |bi| > |br| the
+    quotient is formed as a (-i) / b (-i), which swaps the parts exactly.
+    """
+    swap = np.abs(br) < np.abs(bi)
+    if swap.any():
+        ar, ai = np.where(swap, ai, ar), np.where(swap, -ar, ai)
+        br, bi = np.where(swap, bi, br), np.where(swap, -br, bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom

@@ -105,23 +105,38 @@ def expectation(op, rho):
 
 
 def validate_density_matrix(rho):
-    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD.
-
-    The tolerances are TOL_HERM, TOL_TRACE and TOL_PSD.
-    """
+    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD (_density_matrix_errors)."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > TOL_HERM:
-        raise ValueError(f"not Hermitian: max |rho - rho'| = {herm_dev:.3e} > {TOL_HERM:.1e}")
-    trace_dev = abs(np.trace(rho) - 1.0)
-    if trace_dev > TOL_TRACE:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e} > {TOL_TRACE:.1e}")
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < -TOL_PSD:
-        raise ValueError(f"negative eigenvalue {w.min():.3e} below -{TOL_PSD:.1e}")
+    [error] = _density_matrix_errors(rho[None])
+    if error is not None:
+        raise error
     return rho
+
+
+def _density_matrix_errors(rho):
+    """Per matrix of the stack rho (n, d, d), the ValueError it fails with, or None.
+
+    A matrix fails the first of these checks it does not pass:
+    max |rho - rho'| <= TOL_HERM, |Tr rho - 1| <= TOL_TRACE, and every
+    eigenvalue of the Hermitian part >= -TOL_PSD (one stacked eigvalsh).
+    """
+    rho_h = rho.conj().transpose(0, 2, 1)
+    herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
+    trace = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    lowest = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
+    errors = []
+    for h, t, w in zip(herm, trace, lowest):
+        if h > TOL_HERM:
+            errors.append(ValueError(f"not Hermitian: max |rho - rho'| = {h:.3e} > {TOL_HERM:.1e}"))
+        elif t > TOL_TRACE:
+            errors.append(ValueError(f"trace deviates from 1 by {t:.3e} > {TOL_TRACE:.1e}"))
+        elif w < -TOL_PSD:
+            errors.append(ValueError(f"negative eigenvalue {w:.3e} below -{TOL_PSD:.1e}"))
+        else:
+            errors.append(None)
+    return errors
 
 
 def von_neumann_entropy(rho):

@@ -62,6 +62,7 @@ from .fock import (
     TOL_HERM,
     TOL_PSD,
     TOL_TRACE,
+    _density_matrix_errors,
     validate_density_matrix,
 )
 from .semiclassical import classical_steady_states
@@ -402,18 +403,14 @@ def _solve_block(vals):
     r /= np.trace(r, axis1=1, axis2=2).real[:, None, None]
     rho[solved] = r
     residual[solved] = _block_residual(vals[solved], r)
-    suspect = _suspect_states(r)
-    for c, bad in zip(np.flatnonzero(solved), suspect):
+    for c, invalid in zip(np.flatnonzero(solved), _density_matrix_errors(r)):
         # written so that a NaN residual fails too
-        if not residual[c] <= TOL_RESID:
+        if residual[c] <= TOL_RESID:
+            errors[c] = invalid
+        else:
             errors[c] = RuntimeError(
                 f"steady-state residual {residual[c]:.3e} exceeds {TOL_RESID:.1e}"
             )
-        elif bad:
-            try:
-                validate_density_matrix(rho[c])
-            except ValueError as exc:
-                errors[c] = exc
     return rho, residual, errors
 
 
@@ -425,18 +422,6 @@ def _block_residual(vals, rho):
     """
     r = _block_csr(vals) @ rho.ravel()
     return np.max(np.abs(r).reshape(len(rho), -1), axis=1)
-
-
-def _suspect_states(rho):
-    """Mask of the stacked states validate_density_matrix may reject.
-
-    Each test is validate_density_matrix's, on the whole stack at once
-    (one stacked eigvalsh); a flagged state is validated again on its own.
-    """
-    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
-    trace = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().transpose(0, 2, 1)))[:, 0]
-    return (herm > TOL_HERM) | (trace > TOL_TRACE) | (lowest < -TOL_PSD)
 
 
 def _table_from_csr(S):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from duffspec import closedform
 from duffspec.closedform import (
     ModelParams,
     ParameterPoleError,
@@ -129,7 +130,7 @@ def test_dw_response_grid_matches_scalar():
     for i, d in enumerate(deltas):
         for j, e in enumerate(epsilons):
             ref = dw_response(ModelParams(delta=float(d), chi=1.0, epsilon=float(e), gamma=2.0))
-            assert abs(values[i, j] - ref) < 1e-12
+            assert values[i, j] == ref
 
 
 def test_dw_response_grid_escalation_deterministic():
@@ -151,7 +152,7 @@ def test_dw_response_grid_escalation_deterministic():
     assert np.array_equal(e1, e2)
     # z and the lower parameters are formed in 50 digits, not rounded to
     # double first, so the escalated value is the exact one for its inputs;
-    # the scalar path escalates the whole ratio the same way
+    # the scalar response is the grid's cell
     ref = mp_dw(delta, eps, gamma, 1.0)
     assert abs(e1[0, 0] - ref) / abs(ref) < 1e-12
     scalar = dw_response(ModelParams(delta=delta, chi=1.0, epsilon=eps, gamma=gamma))
@@ -161,6 +162,8 @@ def test_dw_response_grid_escalation_deterministic():
 def test_dw_requires_positive_chi_and_gamma():
     with pytest.raises(ValueError):
         dw_response(ModelParams(delta=0.0, chi=0.0, epsilon=1.0, gamma=1.0))
+    with pytest.raises(ValueError, match="gamma > 0"):
+        dw_response(ModelParams(delta=-3.0, chi=1.0, epsilon=1.0, gamma=0.0))
     with pytest.raises(ValueError):
         dw_response_grid(np.array([0.0]), np.array([1.0]), -1.0, 1.0)
 
@@ -196,19 +199,44 @@ def test_hyp0f2_series_min_terms_leaves_array_values():
 _ESCALATING_CELL = (-9.131118029238847, 3.9, 1e-9)
 
 
+def _mpmath_random_cells():
+    rng = np.random.default_rng(13)  # the cells of test_dw_response_vs_mpmath_random
+    cells = [(float(rng.uniform(-10, 2)), float(rng.uniform(0.05, 5)), float(rng.uniform(0.3, 3))) for _ in range(15)]
+    return [(np.array([d]), np.array([e]), g, []) for d, e, g in cells]
+
+
 @pytest.mark.parametrize(
     "deltas, epsilons, gamma, escalated",
     [
         (np.linspace(-3.0, 0.5, 15), np.array([0.0, 0.012, 0.5, 2.5]), 0.01, []),
         (np.array([-9.5, _ESCALATING_CELL[0]]), np.array([_ESCALATING_CELL[1]]), _ESCALATING_CELL[2], [[1, 0]]),
-    ],
+        # the README sweep and line scan grids
+        (np.linspace(-8.0, -2.0, 61), np.linspace(0.5, 4.0, 8), 2.0, []),
+        (np.linspace(-1.08, -0.92, 801), np.array([0.012]), 0.01, []),
+    ]
+    + _mpmath_random_cells(),
 )
 def test_dw_response_grid_matches_scalar_cell_by_cell(deltas, epsilons, gamma, escalated):
-    # gamma = 2 is covered by test_dw_response_grid_matches_scalar
+    # the scalar response is the grid's cell, bit for bit
     values, tails = dw_response_grid(deltas, epsilons, gamma, 1.0)
     for i, d in enumerate(deltas):
         for j, e in enumerate(epsilons):
             ref = dw_response(ModelParams(delta=float(d), chi=1.0, epsilon=float(e), gamma=gamma))
-            assert abs(values[i, j] - ref) <= 1e-12 * abs(ref)
+            assert values[i, j] == ref
     # escalated cells report a zero tail; so do undriven cells, whose series stop at 1
     assert np.argwhere((tails == 0.0) & (epsilons != 0.0)).tolist() == escalated
+
+
+def test_term_cap_escalates_every_path(monkeypatch):
+    # a cell that reaches SERIES_MAX_TERMS is redone in 50 digits, on the
+    # grid, in dw_response and in hyper_0f2 alike
+    delta, eps, gamma = -5.2, 3.2, 2.0
+    b1, b2, z = complex(delta, -1.0), complex(delta, 1.0), 2.0 * eps * eps
+    assert hyp0f2_series(b1, b2, z)[2] > 5
+    monkeypatch.setattr(closedform, "SERIES_MAX_TERMS", 5)
+    exact = closedform._dw_mpmath(delta, eps, gamma, 1.0)
+    values, tails = dw_response_grid(np.array([delta]), np.array([eps]), gamma, 1.0)
+    assert values[0, 0] == exact and tails[0, 0] == 0.0
+    assert dw_response(ModelParams(delta=delta, chi=1.0, epsilon=eps, gamma=gamma)) == exact
+    assert hyper_0f2(b1, b2, z) == closedform._hyp0f2_mpmath(b1, b2, z)
+    assert abs(exact - mp_dw(delta, eps, gamma, 1.0)) <= 1e-15 * abs(exact)

@@ -12,6 +12,7 @@ from scipy.linalg import eigvals
 from duffspec.fock import (
     TOL_PSD,
     ModelParams,
+    _density_matrix_errors,
     annihilation,
     build_hamiltonian,
     expectation,
@@ -249,6 +250,15 @@ def test_start_dim_from_largest_classical_branch():
     assert abs(expectation(annihilation(dim), rho) - exact) < 1e-6
 
 
+def test_start_dim_where_the_photon_number_is_a_whole_half():
+    # n-bar is exactly 4.5 and 2.5 at these cells, and the cubic reads it
+    # one ulp low (4.499999999999999, 2.4999999999999996); a batched cubic
+    # one ulp high would start at 23 and 15, so it must round as this one
+    for delta, epsilon, start in ((-8.0, 3.0, 22), (-2.0, 5.0, 14)):
+        params = ModelParams(delta=delta, chi=1.0, epsilon=epsilon, gamma=2.0)
+        assert adaptive_start_dim(params) == start
+
+
 def test_degenerate_kernel_detected():
     # gamma=0 makes every function of H stationary, driven or not
     for delta, epsilon, chi, dim in itertools.product(
@@ -382,6 +392,32 @@ def test_singular_sector_fails_only_its_cell():
     assert errors[0] is None and isinstance(errors[1], DegenerateKernelError)
     alone = steady_state(build_superoperator(POINT_C, 8))
     assert rho[0].tobytes() == alone.tobytes()
+
+
+def test_stacked_density_matrix_checks_match_validate_density_matrix():
+    # each matrix gets the verdict and message validate_density_matrix
+    # gives it alone, from one pass over the stack
+    good = np.diag([0.25, 0.75, 0.0, 0.0]).astype(complex)
+    skew = good.copy()
+    skew[0, 1] = 0.5
+    indefinite = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    stack = np.stack([good, skew, 2.0 * good, indefinite])
+    expected = [
+        None,
+        "not Hermitian: max |rho - rho'| = 5.000e-01 > 1.0e-09",
+        "trace deviates from 1 by 1.000e+00 > 1.0e-09",
+        "negative eigenvalue -5.000e-01 below -1.0e-08",
+    ]
+    errors = _density_matrix_errors(stack)
+    assert [None if e is None else str(e) for e in errors] == expected
+    assert all(e is None or type(e) is ValueError for e in errors)
+    for rho, message in zip(stack, expected):
+        if message is None:
+            validate_density_matrix(rho)
+        else:
+            with pytest.raises(ValueError) as raised:
+                validate_density_matrix(rho)
+            assert str(raised.value) == message
 
 
 def test_large_truncation_flushes_tiny_inverse_entries():

@@ -480,8 +480,11 @@ def test_fano_fit_rejects_non_finite_input():
     bad_deltas[3] = np.inf
     with pytest.raises(ValueError, match="deltas"):
         fano_fit(bad_deltas, mags)
-    # a start whose width reaches 0 has no finite projected residual; it
-    # raises here and fano_fit counts the start as failed
+    # at width 0 the basis has no finite projected residual and raises
+    # here.  Only a start that begins at width 0 fails for it, and fano_fit
+    # counts that start as failed; a trial step that lands on width 0 is
+    # rejected and the search goes on
+    # (test_fano_search_survives_a_first_step_through_zero_width)
     with pytest.raises(FloatingPointError):
         _fano_basis(deltas, -1.0, 0.0)
 
