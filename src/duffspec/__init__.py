@@ -15,9 +15,10 @@ semiclassical diagnostics, and exposes a deterministic sweep CLI.
 
 Public names load on first use: ``import duffspec`` imports no submodule,
 and ``duffspec.X`` (or ``from duffspec import X``) imports only the
-submodule that defines X.  The closed-form and series routes and the Fano
-fit need numpy alone; scipy's sparse and dense linear algebra load with
-``lindblad``, and no route loads ``scipy.optimize``.
+submodule that defines X.  The closed-form, series and steady-state
+routes and the Fano fit need numpy alone; scipy.sparse loads with the
+first sparse generator or decay spectrum, and no route loads
+``scipy.optimize``.
 """
 
 from importlib import import_module

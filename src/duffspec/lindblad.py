@@ -9,29 +9,31 @@ becomes dvec/dt = S vec.  Row (k, l) of S holds at most six entries:
     (k, l +- 1)     +i h_{l+-1, l}
     (k+1, l+1)      gamma sqrt(k+1) sqrt(l+1)
 
-with h the truncated Hamiltonian, so S is written straight into CSR
-arrays.  The steady state is the kernel of S with one redundant row
-replaced by the trace constraint.  The drive moves the coherence offset
-n = k - l by one and nothing else does, so S is block-tridiagonal over
-offset sectors, and the system is solved by Risken's matrix continued
-fraction (_SectorFraction): one dense inverse per sector, from the top
-sector down, with Hermiticity closing the recursion at the populations.
-The solution is refined with the same inverses against a residual formed
-in extended precision.
+with h the truncated Hamiltonian, so S is a table of six entries per row
+(_entry_table), which build_superoperator writes into CSR arrays.  The
+steady state is the kernel of S with one redundant row replaced by the
+trace constraint.  The drive moves the coherence offset n = k - l by one
+and nothing else does, so S is block-tridiagonal over offset sectors,
+and the system is solved by Risken's matrix continued fraction
+(_SectorFraction): one dense inverse per sector, from the top sector
+down, with Hermiticity closing the recursion at the populations.  The
+solution is refined with the same inverses against a residual formed in
+extended precision.
 
 Many steady states are solved in blocks (solve_steady_states): cells at
 the same truncation, at most _BLOCK_PAIRS Fock pairs (cells x dim^2) per
-block.  Every step runs in numpy across the whole block: the entry
-table, the sector inverses (stacked np.linalg.inv), the solves and the
+block.  Every step runs in numpy across the whole block, on the entry
+table: the sector inverses (stacked np.linalg.inv), the solves and the
 extended-precision refinement, each cell stopping on its own, then the
-normalization, residual, validation (one stacked eigvalsh) and
+normalization, the residual max|S rho| (_table_product, the CSR
+product's to the bit), validation (one stacked eigvalsh) and
 top-population test.  No step mixes cells, so a cell's state is bit for
 bit the same in any block, alone included: steady_state and
 solve_steady_state_adaptive are the same solve on one cell.  The
-inverses of the sectors' m x m blocks cost sum m^3 ~ dim^4 / 4
-operations per cell, more than a sparse LU at large truncation, but no
-step is a per-cell call: at the 10-24 levels of a README sweep, one
-SuperLU factorization per cell was most of the time.
+inverses of the sectors' m x m blocks cost sum m^3 ~ dim^4/4 operations
+per cell, more than a sparse LU at large truncation, but no step is a
+per-cell call: at the 10-24 levels of a README sweep, one SuperLU
+factorization per cell was most of the time.
 
 S maps Hermitian matrices to Hermitian ones, so on the orthonormal basis
 of Hermitian matrices (the columns of the sparse unitary T) it is the real
@@ -56,7 +58,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     TOL_HERM,
@@ -148,25 +149,6 @@ def _entry_table(cells, dim):
     return vals
 
 
-def _block_csr(vals):
-    """The block-diagonal CSR matrix of the generators with entry tables ``vals``.
-
-    ``vals`` is (cells, dim, dim, 6).  Each row's entries are written in
-    ascending column order and exact zeros are left out, so the stored
-    pattern is the nonzero pattern.
-    """
-    m, dim = vals.shape[:2]
-    k = np.arange(dim)[:, None]
-    l = np.arange(dim)[None, :]
-    cols = (k * dim + l)[..., None] + np.array([i * dim + j for i, j in _SLOT_STEPS])
-    cols = cols + dim * dim * np.arange(m)[:, None, None, None]
-    keep = vals != 0
-    size = m * dim * dim
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(keep.reshape(size, 6).sum(axis=1), out=indptr[1:])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(size, size))
-
-
 def build_superoperator(params, dim):
     """Sparse master-equation generator on a dim-level truncation (CSR).
 
@@ -174,13 +156,23 @@ def build_superoperator(params, dim):
     The assembled matrix annihilates the trace functional exactly: the
     identity's vectorization is a left null vector in floating point.
 
-    Each row's entries (module docstring) are written in ascending column
+    Each row's entries (_entry_table) are written in ascending column
     order and exact zeros are left out, so the stored pattern is the
     nonzero pattern.  Every entry is rounded as the Kronecker-product
     sum -i(H (x) I - I (x) H^T) + gamma (a (x) a*) - (gamma/2)(N (x) I +
     I (x) N) rounds it, down to the sign of zero parts.
     """
-    return _block_csr(_entry_table([params], dim))
+    import scipy.sparse as sp
+
+    vals = _entry_table([params], dim)[0]
+    k = np.arange(dim)[:, None]
+    l = np.arange(dim)[None, :]
+    cols = (k * dim + l)[..., None] + np.array([i * dim + j for i, j in _SLOT_STEPS])
+    keep = vals != 0
+    size = dim * dim
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(keep.reshape(size, 6).sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(size, size))
 
 
 def _sectors(d):
@@ -365,6 +357,27 @@ def _refined_sectors(coef, d):
     return x.astype(complex), correction, fraction.singular
 
 
+def _table_product(vals, rho):
+    """S vec(rho) of each cell from its entry table ``vals``, shape (cells, d, d).
+
+    Each row is summed slot by slot in ascending column order, with the
+    complex products written out in real parts (numpy's complex ``*``
+    fuses a multiply-add on FMA CPUs), as the CSR product S @ vec(rho)
+    sums it: the two agree to the bit, as a zero entry adds a zero.
+    """
+    n, d = rho.shape[:2]
+    z = np.zeros((n, d + 2, d + 2), dtype=complex)
+    z[:, 1:-1, 1:-1] = rho
+    out = np.zeros((n, d, d), dtype=complex)
+    re, im = out.real, out.imag
+    for s, (i, j) in enumerate(_SLOT_STEPS):
+        a = vals[..., s]
+        w = z[:, 1 + i:1 + i + d, 1 + j:1 + j + d]
+        re += a.real * w.real - a.imag * w.imag
+        im += a.real * w.imag + a.imag * w.real
+    return out
+
+
 def _solve_block(vals):
     """Steady states of a block of cells from their entry tables ``vals`` (cells, d, d, 6).
 
@@ -402,7 +415,8 @@ def _solve_block(vals):
     r = rho[solved]
     r /= np.trace(r, axis1=1, axis2=2).real[:, None, None]
     rho[solved] = r
-    residual[solved] = _block_residual(vals[solved], r)
+    # np.abs, not np.hypot of the parts: the two differ in the last bit
+    residual[solved] = np.max(np.abs(_table_product(vals[solved], r)), axis=(1, 2))
     for c, invalid in zip(np.flatnonzero(solved), _density_matrix_errors(r)):
         # written so that a NaN residual fails too
         if residual[c] <= TOL_RESID:
@@ -412,16 +426,6 @@ def _solve_block(vals):
                 f"steady-state residual {residual[c]:.3e} exceeds {TOL_RESID:.1e}"
             )
     return rho, residual, errors
-
-
-def _block_residual(vals, rho):
-    """max|S rho| of each cell, from one product with the block-diagonal matrix of all S.
-
-    Each row is summed as S @ rho sums it, so the value is
-    np.max(np.abs(S @ rho.reshape(-1))) of the cell's own S to the bit.
-    """
-    r = _block_csr(vals) @ rho.ravel()
-    return np.max(np.abs(r).reshape(len(rho), -1), axis=1)
 
 
 def _table_from_csr(S):
@@ -472,8 +476,9 @@ def steady_state(S):
     with partial pivoting refined the same way; what is left is the
     rounding of S's entries to double, <= 5e-7 in <a> there.  The
     returned matrix is Hermitian by construction, renormalized, and
-    validated (residual < TOL_RESID, PSD within tolerance).  This is
-    solve_steady_states' solve, on S's entries as a block of one cell.
+    validated (residual max|S rho| < TOL_RESID, PSD within tolerance).
+    This is solve_steady_states' solve, on S's entries as a block of one
+    cell; only S's own methods are called, to read its entries.
 
     Raises ValueError when S holds an entry outside the six couplings of
     its row (module docstring).  Raises DegenerateKernelError for a
@@ -514,7 +519,8 @@ def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
     doubles until the combined population of the top two levels drops
     below ``top_pop_tol``; passing ``dim`` skips adaptation and solves
     every cell at that size.  ``residual`` is max|S rho|, as steady_state
-    checks it.
+    checks it: np.max(np.abs(S @ rho.reshape(-1))) to the bit, with S =
+    build_superoperator(params, dim), though no sparse matrix is built.
 
     Cells at the same truncation are solved together in blocks of at most
     _BLOCK_PAIRS Fock pairs (_solve_block); cells that fail the population
@@ -623,6 +629,8 @@ def _hermitian_basis(d):
     T c is the (row-major) vectorization of a Hermitian matrix for every
     real c, and T conj(c) that of its adjoint.
     """
+    import scipy.sparse as sp
+
     k, l = np.triu_indices(d, 1)
     p, c = k.size, math.sqrt(0.5)
     sym = d + np.arange(p)
@@ -670,27 +678,15 @@ def _leading_diagonal_sign(m):
 def _spectrum_order(w):
     """Indices sorting w by descending real part, conjugate partners adjacent, +Im first.
 
-    The members of a conjugate pair may agree only to rounding (~1e-14),
-    so sorting on their raw values would let that rounding decide which
-    comes first.  Each -Im member is therefore keyed by the real
-    part and |Im| of its +Im partner.  Also returns, in sorted order, the
-    mask of -Im members that sit right after their partner.
+    Real eig and real ARPACK return each complex pair as exact
+    conjugates, so one lexsort on (-Re, -|Im|, -sign Im) puts the members
+    side by side.  Also returns, in sorted order, the mask of members
+    with Im < -TOL_EIG that are the exact conjugate of the value before
+    them; values nearer the real axis are never paired.
     """
-    re_key = w.real.copy()
-    im_key = np.abs(w.imag)
-    partner = np.full(w.size, -1)
-    upper = np.nonzero(w.imag > TOL_EIG)[0]
-    lower = np.nonzero(w.imag < -TOL_EIG)[0]
-    if upper.size and lower.size:
-        dist = np.abs(w[upper][None, :] - w[lower].conj()[:, None])
-        nearest = np.argmin(dist, axis=1)
-        tol = 1e-6 * np.maximum(1.0, np.abs(w[lower]))
-        paired = dist[np.arange(lower.size), nearest] < tol
-        partner[lower[paired]] = upper[nearest[paired]]
-        re_key[lower[paired]] = re_key[partner[lower[paired]]]
-        im_key[lower[paired]] = im_key[partner[lower[paired]]]
-    order = np.lexsort((-np.sign(w.imag), -im_key, -re_key))
-    follows = np.r_[False, partner[order[1:]] == order[:-1]]
+    order = np.lexsort((-np.sign(w.imag), -np.abs(w.imag), -w.real))
+    v = w[order]
+    follows = np.r_[False, (v[1:].imag < -TOL_EIG) & (v[1:] == v[:-1].conj())]
     return order, follows
 
 
@@ -714,7 +710,8 @@ def low_lying_spectrum(S, count=6):
     kept whole (so the result can hold count + 1 entries).  Raises
     ValueError when max|Im R| > 1e-12 max|R|: S does not preserve Hermiticity.
     """
-    # loaded here, their only user, so that steady states load neither
+    # loaded here, the spectrum being their one user: steady states load no scipy
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     from scipy.linalg import eig as dense_eig
 

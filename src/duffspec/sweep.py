@@ -13,8 +13,8 @@ with LF line endings.  Moduli |z| come from Python's ``abs`` on each
 complex value, because ``np.abs`` rounds some of them one ulp
 differently.  Wall-clock time per phase goes to the JSON side log
 run.log, never into the manifest.  The ``lindblad`` names are imported in
-the functions that call them, so closed-form and series runs never load
-scipy's sparse and dense linear algebra.
+the functions that call them, and only a point analysis's decay spectrum
+loads scipy's sparse and dense linear algebra.
 """
 
 import functools
@@ -56,17 +56,17 @@ class SweepConfig:
     endpoints.  ``scan`` holds {"epsilon": value} or {"delta": value} for a
     line scan; ``point`` holds {"delta": ..., "epsilon": ...} for analyses.
     ``circuit`` names a circuit-parameter JSON file whose derived rates
-    (scaled by chi) fill gamma, chi, and the analysis point unless they
-    are given explicitly.  ``wigner_grid`` holds the "re" and "im" ranges
-    and the "nx" x "ny" size of the Wigner grid; a key left out keeps its
-    default (-5 to 5, 201 points).  The other analysis grids are fixed: 6
-    decay eigenvalues, 201 mixing-curve samples, 801 Fano samples over
-    -chi +- 8 gamma, and onset scans of the lines n = 1, 2 at gamma =
-    0.003, 0.01, 0.03.
+    (scaled by chi) fill gamma, chi, and the analysis point unless they are
+    given explicitly; an unset gamma (None) is 2.0 without a circuit.
+    ``wigner_grid`` holds the "re" and "im" ranges and the "nx" x "ny" size
+    of the Wigner grid; a key left out keeps its default (-5 to 5, 201
+    points).  The other analysis grids are fixed: 6 decay eigenvalues, 201
+    mixing-curve samples, 801 Fano samples over -chi +- 8 gamma, and onset
+    scans of the lines n = 1, 2 at gamma = 0.003, 0.01, 0.03.
     """
 
     method: str = "both"
-    gamma: float = 2.0
+    gamma: float = None
     chi: float = 1.0
     delta_range: tuple = (-10.0, 2.0, 241)
     epsilon_range: tuple = (0.05, 5.0, 100)
@@ -118,7 +118,7 @@ def _is_int(value):
 def validate_config(config):
     if config.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {config.method!r}")
-    if not (_is_real(config.gamma) and config.gamma > 0):
+    if config.gamma is not None and not (_is_real(config.gamma) and config.gamma > 0):
         raise ConfigError(f"gamma must be positive, got {config.gamma!r}")
     if not (_is_real(config.chi) and config.chi > 0):
         raise ConfigError(f"chi must be positive, got {config.chi!r}")
@@ -167,12 +167,14 @@ def resolve_circuit(config):
 
     The circuit rates are rescaled by chi (the engine is dimensionless),
     so chi becomes 1 and gamma, delta, epsilon are expressed in units of
-    the physical chi.  Explicit config values win over derived ones.
+    the physical chi.  Explicit config values win over derived ones; an
+    unset gamma (None) is the circuit's, or 2.0 without a circuit.
     Returns (config, circuit_params, scaled_point) where scaled_point is
     the circuit's own operating point.
     """
     if config.circuit is None:
-        return config, None, None
+        gamma = 2.0 if config.gamma is None else config.gamma
+        return replace(config, gamma=gamma), None, None
     try:
         circuit = load_circuit(config.circuit)
     except (OSError, TypeError, ValueError) as exc:
@@ -181,7 +183,7 @@ def resolve_circuit(config):
     scale = params.chi
     derived_point = {"delta": params.delta / scale, "epsilon": params.epsilon / scale}
     updates = {}
-    if config.gamma == SweepConfig.gamma:
+    if config.gamma is None:
         updates["gamma"] = params.gamma / scale
     if config.chi == SweepConfig.chi:
         updates["chi"] = 1.0

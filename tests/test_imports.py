@@ -3,10 +3,11 @@
 ``import duffspec`` imports no submodule; a public name loads its
 submodule on first use.  The closed-form and series routes need numpy
 alone, and so does the Fano fit, whose Levenberg-Marquardt search is
-numpy code.  The Lindblad steady states load scipy.sparse, only the
-spectrum loads scipy's sparse and dense linear algebra, and no route
-loads scipy.optimize.  The process pool loads only for a sweep with more
-than one worker.
+numpy code.  The Lindblad steady states are numpy code too, so the
+numeric sweep loads no scipy.sparse; only the decay spectrum loads
+scipy's sparse and dense linear algebra, and no route loads
+scipy.optimize.  The process pool loads only for a sweep with more than
+one worker.
 """
 
 import json
@@ -75,6 +76,15 @@ def test_closed_form_and_series_routes_load_no_scipy(tmp_path):
     assert modules_after(code, tmp_path) == []
 
 
+def test_adaptive_steady_state_loads_no_scipy(tmp_path):
+    code = (
+        "from duffspec import ModelParams, solve_steady_state_adaptive\n"
+        "rho, dim, residual = solve_steady_state_adaptive(ModelParams(-5.2, 1.0, 3.2, 2.0))\n"
+        "assert dim == 18 and residual < 1e-10, (dim, residual)\n"
+    )
+    assert modules_after(code, tmp_path) == []
+
+
 def test_readme_line_scan_loads_no_scipy_linear_algebra(tmp_path):
     loaded = modules_after(cli_runs(README_LINE_SCAN), tmp_path)
     assert under(loaded, "scipy.sparse", "scipy.linalg", "scipy.optimize") == []
@@ -83,8 +93,7 @@ def test_readme_line_scan_loads_no_scipy_linear_algebra(tmp_path):
 
 def test_readme_sweep_loads_no_linear_algebra(tmp_path):
     loaded = modules_after(cli_runs(README_SWEEP), tmp_path)
-    assert under(loaded, "scipy.sparse")
-    assert under(loaded, "scipy.sparse.linalg", "scipy.linalg") == []
+    assert under(loaded, "scipy.sparse", "scipy.linalg", "scipy.optimize") == []
     assert (tmp_path / "run0" / "sweep.csv").is_file()
 
 

@@ -21,6 +21,7 @@ from duffspec.fock import (
 )
 from duffspec.lindblad import (
     TOL_BOUNDARY,
+    TOL_EIG,
     TOL_RESID,
     DegenerateKernelError,
     TruncationLimitError,
@@ -202,13 +203,23 @@ def test_blocked_solve_matches_single_cells(mixed_alone, block_pairs, monkeypatc
             assert rho.tobytes() == rho1.tobytes()
 
 
-def test_blocked_fixed_dim_matches_steady_state():
-    got = solve_steady_states(MIXED_CELLS[:3], dim=12)
-    for params, (rho, dim, residual) in zip(MIXED_CELLS[:3], got, strict=True):
-        S = build_superoperator(params, 12)
-        assert dim == 12
-        assert rho.tobytes() == steady_state(S).tobytes()
-        assert residual == np.max(np.abs(S @ rho.reshape(-1)))
+def test_blocked_fixed_dim_matches_steady_state(mixed_alone):
+    # the first three cells at 12 levels, then every cell at its adaptive
+    # dim (10-97), cells of one dim in one block
+    runs = [(MIXED_CELLS[:3], 12)]
+    for d in sorted({dim for _, dim, _ in mixed_alone}):
+        runs.append(([p for p, (_, dim, _) in zip(MIXED_CELLS, mixed_alone) if dim == d], d))
+    for cells, d in runs:
+        got = solve_steady_states(cells, dim=d)
+        for params, (rho, dim, residual) in zip(cells, got, strict=True):
+            S = build_superoperator(params, d)
+            assert dim == d
+            assert rho.tobytes() == steady_state(S).tobytes()
+            assert residual == np.max(np.abs(S @ rho.reshape(-1)))
+            # the residual's product, read from the entry table, is the
+            # CSR product element by element
+            table = lindblad._table_product(lindblad._entry_table([params], d), rho[None])
+            assert table.tobytes() == (S @ rho.reshape(-1)).tobytes()
 
 
 def _raised(fn):
@@ -522,12 +533,27 @@ def test_spectrum_point_c_frozen(point_c_spectrum):
     assert np.isclose(reals[1].real, -2.2037814457180587, atol=1e-8)
 
 
-def test_spectrum_order_ignores_rounding_within_a_pair():
-    # the -Im member's real part is larger by rounding; +Im still comes first
-    w = np.array([-1.5 - 4.1j + 2e-14, 1e-15 + 0j, -1.5 + 4.1j, -0.2 - 1e-16j, -1.5 + 2.0j])
+@pytest.mark.parametrize(
+    "params, dim, count",
+    [
+        (POINT_C, 18, 6),
+        (POINT_C, 40, 6),
+        (ModelParams(delta=0.4, chi=1.0, epsilon=0.05, gamma=0.01), 40, 30),
+    ],
+    ids=["point-c-dense", "point-c-arnoldi", "weak-damping-arnoldi"],
+)
+def test_spectrum_pairs_are_exact_adjacent_conjugates(params, dim, count):
+    # dense (dim 18) and Arnoldi (dim 40) eigenvalues of the real R come as
+    # exact conjugate pairs, so a plain lexsort puts each pair side by side
+    w = low_lying_spectrum(build_superoperator(params, dim), count).eigenvalues
+    upper = np.flatnonzero(w.imag > TOL_EIG)
+    lower = np.flatnonzero(w.imag < -TOL_EIG)
+    assert upper.size >= 2
+    assert lower.tolist() == (upper + 1).tolist()
+    assert w[lower].tobytes() == w[upper].conj().tobytes()
     order, follows = _spectrum_order(w)
-    assert order.tolist() == [1, 3, 2, 0, 4]
-    assert follows.tolist() == [False, False, False, True, False]
+    assert order.tolist() == list(range(w.size))
+    assert np.flatnonzero(follows).tolist() == lower.tolist()
 
 
 def test_spectrum_eigenmatrix_conventions(point_c_spectrum):

@@ -626,6 +626,25 @@ def test_api_circuit_sweep_matches_cli(tmp_path):
     assert read_manifest(tmp_path / "api")["config"]["gamma"] == pytest.approx(12.64, abs=0.01)
 
 
+def test_circuit_keeps_an_explicit_gamma_of_two(tmp_path):
+    # gamma = 2 is the no-circuit default, yet given explicitly it wins over
+    # the circuit's derived gamma (12.64) from a flag, a file or the API
+    flags = ["--method", "closed-form", "--delta-range=-8:-2:13", "--epsilon-range=1:4:4"]
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"circuit": SHIPPED_CIRCUIT, "gamma": 2}))
+    runs = {
+        "flag": ["--circuit", SHIPPED_CIRCUIT, "--gamma", "2"],
+        "file": ["--config", str(config_file)],
+    }
+    for name, extra in runs.items():
+        assert main(flags + extra + ["--out-dir", str(tmp_path / name)]) == 0
+    grid = dict(method="closed-form", delta_range=(-8.0, -2.0, 13), epsilon_range=(1.0, 4.0, 4))
+    config = SweepConfig(gamma=2.0, circuit=SHIPPED_CIRCUIT, out_dir=str(tmp_path / "api"), **grid)
+    run_sweep_to_dir(config)
+    for name in ("flag", "file", "api"):
+        assert read_manifest(tmp_path / name)["config"]["gamma"] == 2.0, name
+
+
 def test_cli_sweep_success(tmp_path, capsys):
     out_dir = str(tmp_path / "cli-sweep")
     code = main(
