@@ -115,22 +115,6 @@ def build_parser():
     return parser
 
 
-_FLAG_FIELDS = (
-    "method",
-    "gamma",
-    "chi",
-    "delta_range",
-    "epsilon_range",
-    "scan",
-    "point",
-    "analyze",
-    "circuit",
-    "out_dir",
-    "workers",
-    "dim",
-)
-
-
 def merge_config(args):
     """The config file's keys overridden by the flags that are set.
 
@@ -144,11 +128,9 @@ def merge_config(args):
         base = config_from_dict(raw)
     else:
         base = SweepConfig()
-    overrides = {}
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    overrides = {
+        k: v for k, v in vars(args).items() if k in SweepConfig.__dataclass_fields__ and v is not None
+    }
     merged = {**asdict(base), **overrides}
     # A line scan never uses the range of its fixed axis; when the user set
     # none, the default range must not reject the fixed value.

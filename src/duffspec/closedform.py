@@ -61,7 +61,7 @@ def _store(out, idx, total, peak, mag, k):
     terms[idx] = k
 
 
-def _series_block(b1, b2, z, min_terms, out):
+def _series_block(b1, b2, z, out):
     """hyp0f2_series on one block of flat arrays, written into the ``out`` views.
 
     Every live cell takes the same term step; a cell leaves the live set
@@ -87,8 +87,6 @@ def _series_block(b1, b2, z, min_terms, out):
         decreasing = np.where(mag <= prev_mag, decreasing + 1, 0)
         prev_mag = mag
         k += 1
-        if k < min_terms:
-            continue
         done = (decreasing >= 3) & (mag <= SERIES_RTOL * amag)
         if done.any():
             _store(out, live[done], total[done], peak[done], mag[done], k)
@@ -101,7 +99,7 @@ def _series_block(b1, b2, z, min_terms, out):
     _store(out, live, total, peak, prev_mag, k)
 
 
-def hyp0f2_series(b1, b2, z, min_terms=0):
+def hyp0f2_series(b1, b2, z):
     """Power series for 0F2(; b1, b2; z) = sum_k z^k / (k! (b1)_k (b2)_k).
 
     Sums every cell of the broadcast arrays (b1, b2, z) at once, in
@@ -110,8 +108,6 @@ def hyp0f2_series(b1, b2, z, min_terms=0):
     below SERIES_RTOL *and* its terms have decreased for three
     consecutive orders, which guards against stopping on a dip before the
     series peak at large |z|; it also stops at SERIES_MAX_TERMS terms.
-    ``min_terms`` forces at least that many terms regardless (used to test
-    truncation robustness).
 
     Returns arrays (value, peak_ratio, terms, tail_rel) of the broadcast
     shape:
@@ -133,14 +129,11 @@ def hyp0f2_series(b1, b2, z, min_terms=0):
     for start in range(0, b1.size, _SERIES_BLOCK):
         # .flat copies just this block out of the (possibly broadcast) inputs
         block = slice(start, start + _SERIES_BLOCK)
-        _series_block(
-            b1.flat[block], b2.flat[block], z.flat[block], min_terms,
-            [a[block] for a in flat_out],
-        )
+        _series_block(b1.flat[block], b2.flat[block], z.flat[block], [a[block] for a in flat_out])
     return out
 
 
-def hyper_0f2(b1, b2, z, min_terms=0):
+def hyper_0f2(b1, b2, z):
     """0F2(; b1, b2; z) for complex parameters and argument.
 
     Evaluated by direct power series with incremental Pochhammer products,
@@ -152,7 +145,7 @@ def hyper_0f2(b1, b2, z, min_terms=0):
     b1 = _check_pole(b1)
     b2 = _check_pole(b2)
     z = complex(z)
-    value, ratio, terms, _tail = hyp0f2_series(b1, b2, z, min_terms)
+    value, ratio, terms, _tail = hyp0f2_series(b1, b2, z)
     if _escalates(ratio, terms):
         return _hyp0f2_mpmath(b1, b2, z)
     return complex(value)

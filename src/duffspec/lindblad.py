@@ -706,9 +706,11 @@ def low_lying_spectrum(S, count=6):
     dim 40, the -0.0051 +- 0.4103i pair is).
 
     Eigenvalues come in descending real part, each complex-conjugate pair
-    adjacent with its +Im member first; a pair the cutoff would split is
-    kept whole (so the result can hold count + 1 entries).  Raises
-    ValueError when max|Im R| > 1e-12 max|R|: S does not preserve Hermiticity.
+    adjacent with its +Im member first.  R is real, so a complex value
+    Arnoldi returns without its partner gets the exact conjugate added,
+    and a pair the cutoff would split is kept whole (so the result can
+    hold count + 1 entries).  Raises ValueError when max|Im R| > 1e-12
+    max|R|: S does not preserve Hermiticity.
     """
     # loaded here, the spectrum being their one user: steady states load no scipy
     import scipy.sparse as sp
@@ -737,6 +739,12 @@ def low_lying_spectrum(S, count=6):
             w, v = spla.eigs(R, k, sigma=sigma, OPinv=opinv, v0=_arnoldi_start(d * d), maxiter=5000)
         except spla.ArpackNoConvergence as exc:
             raise EigenSolverError(f"Arnoldi iteration did not converge: {exc}") from exc
+    # R is real, so (conj lam, conj v) is an eigenpair whenever (lam, v) is:
+    # add the partner of any complex value Arnoldi returned alone
+    lone = np.abs(w.imag) > TOL_EIG * max(1.0, float(np.max(np.abs(w))))
+    lone &= ~np.isin(w.conj(), w)
+    w = np.r_[w, w[lone].conj()]
+    v = np.c_[v, v[:, lone].conj()]
     order, follows = _spectrum_order(w)
     w = w[order]
     v = v[:, order]

@@ -42,6 +42,8 @@ _FANO_XTOL = 1e-10
 # Largest accepted rms residual of a Fano fit, as a fraction of the line
 # amplitude.
 _FANO_RESIDUAL_FRAC = 0.05
+# Detuning samples of one onset scan, over -n chi +- 12 gamma.
+_ONSET_SAMPLES = 961
 
 
 class FanoFitError(RuntimeError):
@@ -480,15 +482,15 @@ def _has_stationary_point(params_gamma, chi, epsilon, deltas, mask):
     return bool(np.any(flips & mask))
 
 
-def onset_scan(n, gammas, chi=1.0, samples=961):
+def onset_scan(n, gammas, chi=1.0):
     """Drive threshold where the n-th multiphoton line first flattens.
 
-    For each damping rate the detuning neighborhood |delta + n chi| <
-    10 gamma is scanned with the closed-form response; the onset is the
-    smallest drive for which |a|(delta) acquires a stationary point there,
-    located by bisection in log-drive.  Returns a list of
-    (gamma, epsilon_onset).  Requires gamma << chi so the line is
-    spectrally resolved.
+    For each damping rate the closed-form response is sampled at
+    _ONSET_SAMPLES detunings over |delta + n chi| <= 12 gamma; the onset is
+    the smallest drive for which |a|(delta) acquires a stationary point
+    within 10 gamma of the line, located by bisection in log-drive.
+    Returns a list of (gamma, epsilon_onset).  Requires gamma << chi so
+    the line is spectrally resolved.
     """
     if n < 1:
         raise ValueError("line index n must be >= 1")
@@ -497,7 +499,7 @@ def onset_scan(n, gammas, chi=1.0, samples=961):
         if gamma <= 0 or gamma >= 0.3 * chi:
             raise ValueError(f"onset scan requires 0 < gamma << chi, got gamma={gamma}")
         w = 10.0 * gamma
-        deltas = np.linspace(-n * chi - 1.2 * w, -n * chi + 1.2 * w, samples)
+        deltas = np.linspace(-n * chi - 1.2 * w, -n * chi + 1.2 * w, _ONSET_SAMPLES)
         mid = 0.5 * (deltas[:-2] + deltas[2:])
         mask = np.abs(mid + n * chi) < w
         eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)

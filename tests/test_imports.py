@@ -71,7 +71,7 @@ def test_closed_form_and_series_routes_load_no_scipy(tmp_path):
         "from duffspec import ModelParams, dw_response_grid, onset_scan, response_series\n"
         "dw_response_grid(np.array([-1.0, 0.0]), np.array([0.1, 0.2]), 1.0, 1.0)\n"
         "response_series(ModelParams(-1.0, 1.0, 0.1, 0.1))\n"
-        "onset_scan(1, [0.01], samples=121)\n"
+        "onset_scan(1, [0.01])\n"
     )
     assert modules_after(code, tmp_path) == []
 

@@ -538,14 +538,21 @@ def test_spectrum_point_c_frozen(point_c_spectrum):
     [
         (POINT_C, 18, 6),
         (POINT_C, 40, 6),
+        # Arnoldi's 18 values hold -4.1464 + 7.4423i without its partner
+        (POINT_C, 40, 12),
         (ModelParams(delta=0.4, chi=1.0, epsilon=0.05, gamma=0.01), 40, 30),
     ],
-    ids=["point-c-dense", "point-c-arnoldi", "weak-damping-arnoldi"],
+    ids=["point-c-dense", "point-c-arnoldi", "point-c-arnoldi-count-12", "weak-damping-arnoldi"],
 )
 def test_spectrum_pairs_are_exact_adjacent_conjugates(params, dim, count):
     # dense (dim 18) and Arnoldi (dim 40) eigenvalues of the real R come as
-    # exact conjugate pairs, so a plain lexsort puts each pair side by side
-    w = low_lying_spectrum(build_superoperator(params, dim), count).eigenvalues
+    # exact conjugate pairs (a partner Arnoldi leaves out is added as the
+    # exact conjugate), so a plain lexsort puts each pair side by side
+    S = build_superoperator(params, dim)
+    spec = low_lying_spectrum(S, count)
+    w = spec.eigenvalues
+    for lam, m in zip(w, spec.eigenmatrices):
+        assert np.max(np.abs(S @ m.reshape(-1) - lam * m.reshape(-1))) <= 1e-11
     upper = np.flatnonzero(w.imag > TOL_EIG)
     lower = np.flatnonzero(w.imag < -TOL_EIG)
     assert upper.size >= 2

@@ -178,15 +178,6 @@ def test_wigner_warns_when_grid_clips_state():
         wigner(rho, re_range=(-1.0, 1.0), im_range=(-1.0, 1.0), nx=21, ny=21)
 
 
-def test_wigner_extended_precision_agrees(point_c_grid):
-    rho, _ = point_c_grid
-    kw = dict(re_range=(-4.0, 4.0), im_range=(-4.0, 4.0), nx=41, ny=41)
-    fast = wigner(rho, **kw)
-    wide = wigner(rho, extended_precision=True, **kw)
-    assert wide.values.dtype == np.float64
-    assert np.max(np.abs(fast.values - wide.values)) < 1e-13
-
-
 def test_wigner_far_tail_stays_tiny():
     # cancellation-prone corner: far outside the occupied disc the value
     # must underflow smoothly instead of blowing up
@@ -231,19 +222,17 @@ def _wigner_per_point(rho, re_range, im_range, nx, ny, real_t):
 
 
 @pytest.mark.parametrize(
-    "re_range, im_range, nx, ny, extended",
+    "re_range, im_range, nx, ny",
     [
-        ((-5.0, 5.0), (-5.0, 5.0), 201, 201, False),  # the README grid
-        ((-3.0, 6.0), (-4.0, 2.0), 201, 151, False),  # fewer repeated radii
-        ((-5.0, 5.0), (-5.0, 5.0), 201, 201, True),
+        ((-5.0, 5.0), (-5.0, 5.0), 201, 201),  # the README grid
+        ((-3.0, 6.0), (-4.0, 2.0), 201, 151),  # fewer repeated radii
     ],
 )
-def test_wigner_matches_per_point_oracle(point_c_grid, re_range, im_range, nx, ny, extended):
+def test_wigner_matches_per_point_oracle(point_c_grid, re_range, im_range, nx, ny):
     rho, _ = point_c_grid
-    real_t = np.longdouble if extended else np.float64
-    expected = _wigner_per_point(rho, re_range, im_range, nx, ny, real_t)
+    expected = _wigner_per_point(rho, re_range, im_range, nx, ny, np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the asymmetric grid clips the tail; fine here
-        got = wigner(rho, re_range, im_range, nx, ny, extended_precision=extended)
+        got = wigner(rho, re_range, im_range, nx, ny)
     assert got.values.shape == (nx, ny)
     assert np.max(np.abs(got.values - expected)) <= 1e-14

@@ -10,7 +10,7 @@ import pytest
 
 import duffspec.lindblad as lindblad_mod
 import duffspec.sweep as sweep_mod
-from duffspec.cli import main
+from duffspec.cli import build_parser, main
 from duffspec.closedform import dw_response
 from duffspec.fock import ModelParams
 from duffspec.perturbation import fano_q, onset_scan, onset_slope
@@ -810,6 +810,13 @@ def test_cli_runtime_failure_exit_code(tmp_path, capsys):
     assert "metastable" in report["error"]["message"]
     # the manifest still records the failure details
     assert read_manifest(out_dir)["tasks"]["metastable"]["status"] == "error"
+
+
+def test_cli_flags_are_the_config_fields():
+    # every config key but the Wigner grid has a flag, and every flag but
+    # --config sets a config key: none is missing or silently ignored
+    flags = set(vars(build_parser().parse_args([]))) - {"config"}
+    assert flags == set(SweepConfig.__dataclass_fields__) - {"wigner_grid"}
 
 
 def test_cli_flags_override_config_file(tmp_path):
