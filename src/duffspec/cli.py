@@ -166,12 +166,9 @@ def main(argv=None):
                     ),
                 )
                 return 1
-        elif config.scan is not None:
-            manifest = run_sweep_to_dir(config, kind="scan")
-            print(f"scan: {manifest['grid']} -> {config.out_dir}")
         else:
-            manifest = run_sweep_to_dir(config, kind="sweep")
-            print(f"sweep: {manifest['grid']} -> {config.out_dir}")
+            manifest = run_sweep_to_dir(config)
+            print(f"{manifest['kind']}: {manifest['grid']} -> {config.out_dir}")
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2

@@ -79,6 +79,10 @@ DENSE_EIG_MAX_DIM = 32
 # Most Fock pairs (cells x dim^2) that solve_steady_states puts in one block.
 _BLOCK_PAIRS = 8192
 
+# Adaptive truncation's target top-two-level population and its level cap.
+_TOP_POP_TOL = 1e-8
+_MAX_DIM = 512
+
 # Row (k, l)'s six entries sit in columns (k + i, l + j), in this order
 # (the slots of _entry_table).
 _SLOT_STEPS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
@@ -511,13 +515,13 @@ def adaptive_start_dim(params):
     return max(10, math.ceil(4.0 * (nbar + 1.0)))
 
 
-def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
+def solve_steady_states(cells, dim=None):
     """Steady states of many parameter cells with automatic truncation control.
 
     Returns one (rho, dim, residual) per cell of ``cells`` (ModelParams),
     in order.  Each cell starts at adaptive_start_dim and its truncation
     doubles until the combined population of the top two levels drops
-    below ``top_pop_tol``; passing ``dim`` skips adaptation and solves
+    below _TOP_POP_TOL; passing ``dim`` skips adaptation and solves
     every cell at that size.  ``residual`` is max|S rho|, as steady_state
     checks it: np.max(np.abs(S @ rho.reshape(-1))) to the bit, with S =
     build_superoperator(params, dim), though no sparse matrix is built.
@@ -529,7 +533,7 @@ def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
 
     Raises the exception the first failing cell, in input order, raises
     on its own: ValueError for gamma <= 0, TruncationLimitError when the
-    truncation would pass ``max_dim``, or steady_state's errors.
+    truncation would pass _MAX_DIM, or steady_state's errors.
     """
     cells = list(cells)
     results = [None] * len(cells)
@@ -556,12 +560,12 @@ def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
             for c, i in enumerate(members):
                 if errors[c] is not None:
                     results[i] = errors[c]
-                elif dim is not None or tails[c] < top_pop_tol:
+                elif dim is not None or tails[c] < _TOP_POP_TOL:
                     results[i] = (rho[c], d, float(residual[c]))
-                elif 2 * d > max_dim:
+                elif 2 * d > _MAX_DIM:
                     results[i] = TruncationLimitError(
                         f"top-level population {float(tails[c]):.3e} still above "
-                        f"{top_pop_tol:.1e} at dim {d}"
+                        f"{_TOP_POP_TOL:.1e} at dim {d}"
                     )
                 else:
                     pending.setdefault(2 * d, []).append(i)
@@ -571,16 +575,16 @@ def solve_steady_states(cells, dim=None, top_pop_tol=1e-8, max_dim=512):
     return results
 
 
-def solve_steady_state_adaptive(params, dim=None, top_pop_tol=1e-8, max_dim=512):
+def solve_steady_state_adaptive(params, dim=None):
     """Steady state with automatic truncation control.
 
     Starting from a semiclassical estimate, the truncation doubles until
     the combined population of the top two levels drops below
-    ``top_pop_tol``.  Passing ``dim`` skips adaptation and solves at that
+    _TOP_POP_TOL.  Passing ``dim`` skips adaptation and solves at that
     fixed size.  Returns (rho, dim, residual): solve_steady_states on
     this one cell.
     """
-    return solve_steady_states([params], dim, top_pop_tol, max_dim)[0]
+    return solve_steady_states([params], dim)[0]
 
 
 @dataclass(frozen=True)
@@ -793,7 +797,7 @@ class MetastablePair:
     coefficients keeping the matrix positive semidefinite; their smallest
     eigenvalues lie in [-TOL_PSD, TOL_BOUNDARY].  ``mixing_fraction`` is
     the weight x0 with rho0 = x0 rho_plus + (1 - x0) rho_minus.  The
-    betas are good to ~1e-10, not to the bisection width (see
+    betas are good to ~5e-10, not to the bisection width (see
     metastable_extremes).
     """
 
@@ -861,10 +865,10 @@ def metastable_extremes(rho0, drho1):
     states invariant.
 
     The bisection narrows beta to 1e-15, but the betas are good only to
-    ~1e-10: where the smallest eigenvalue of rho0 + beta drho1 crosses
+    ~5e-10: where the smallest eigenvalue of rho0 + beta drho1 crosses
     -TOL_PSD it is nearly flat in beta, so rounding in the inputs is
-    amplified ~4000x (at point C, dim 18, an eigenmatrix change of
-    2.2e-14 moves beta_minus by 8.3e-11).
+    amplified ~4000x: at point C, dim 18, beta_minus spans 4.1e-10 over
+    the default and Prescott OpenBLAS kernels at one and two threads.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     drho1 = np.asarray(drho1, dtype=complex)

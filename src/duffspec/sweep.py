@@ -54,7 +54,9 @@ class SweepConfig:
 
     delta_range / epsilon_range are (start, stop, count) with inclusive
     endpoints.  ``scan`` holds {"epsilon": value} or {"delta": value} for a
-    line scan; ``point`` holds {"delta": ..., "epsilon": ...} for analyses.
+    line scan, which ``sweep()`` applies: that axis becomes the one value,
+    which must lie inside its range.  ``point`` holds {"delta": ...,
+    "epsilon": ...} for analyses.
     ``circuit`` names a circuit-parameter JSON file whose derived rates
     (scaled by chi) fill gamma, chi, and the analysis point unless they are
     given explicitly; an unset gamma (None) is 2.0 without a circuit.
@@ -166,30 +168,28 @@ def resolve_circuit(config):
     """Fold a circuit file's derived rates into the config.
 
     The circuit rates are rescaled by chi (the engine is dimensionless),
-    so chi becomes 1 and gamma, delta, epsilon are expressed in units of
-    the physical chi.  Explicit config values win over derived ones; an
-    unset gamma (None) is the circuit's, or 2.0 without a circuit.
-    Returns (config, circuit_params, scaled_point) where scaled_point is
-    the circuit's own operating point.
+    so gamma, delta, epsilon are expressed in units of the physical chi
+    and chi itself is 1 unless given.  Explicit config values win over
+    derived ones; an unset gamma (None) is the circuit's, or 2.0 without
+    a circuit, and an unset point is the circuit's operating point.
+    Returns (config, circuit_params), circuit_params None without a
+    circuit.
     """
     if config.circuit is None:
         gamma = 2.0 if config.gamma is None else config.gamma
-        return replace(config, gamma=gamma), None, None
+        return replace(config, gamma=gamma), None
     try:
         circuit = load_circuit(config.circuit)
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"circuit file {config.circuit!r}: {exc}") from None
     params, _omega0 = to_model(circuit)
     scale = params.chi
-    derived_point = {"delta": params.delta / scale, "epsilon": params.epsilon / scale}
     updates = {}
     if config.gamma is None:
         updates["gamma"] = params.gamma / scale
-    if config.chi == SweepConfig.chi:
-        updates["chi"] = 1.0
     if config.point is None:
-        updates["point"] = derived_point
-    return replace(config, **updates), circuit, derived_point
+        updates["point"] = {"delta": params.delta / scale, "epsilon": params.epsilon / scale}
+    return replace(config, **updates), circuit
 
 
 def _grid_points(rng):
@@ -253,9 +253,19 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
 def sweep(config):
     """Evaluate the response over the configured (delta, epsilon) grid.
 
-    A configured circuit file sets gamma and chi, as in ``analyze``.
+    A configured scan {axis: value} fixes that axis at the value, which
+    must lie inside the axis's configured range: the grid is then the
+    1-D line along the other axis.  A configured circuit file sets an
+    unset gamma, as in ``analyze``.
     """
-    config, _, _ = resolve_circuit(validate_config(config))
+    config = validate_config(config)
+    for axis, value in (config.scan or {}).items():
+        value = float(value)
+        lo, hi, _ = getattr(config, f"{axis}_range")
+        if not lo <= value <= hi:
+            raise ConfigError(f"fixed {axis} {value} outside range [{lo}, {hi}]")
+        config = replace(config, **{f"{axis}_range": (value, value, 1)})
+    config, _ = resolve_circuit(config)
     deltas = _grid_points(config.delta_range)
     epsilons = _grid_points(config.epsilon_range)
     started = time.time()
@@ -295,22 +305,6 @@ def sweep(config):
             "phase_s": phase_s,
         },
     )
-
-
-def line_scan(config):
-    """1-D scan over one axis at the other's config.scan value.
-
-    The fixed value must lie inside the configured range for its axis.
-    """
-    config = validate_config(config)
-    if config.scan is None:
-        raise ConfigError("line_scan needs a scan {epsilon: value} or {delta: value}")
-    ((axis, value),) = config.scan.items()
-    value = float(value)
-    lo, hi, _ = getattr(config, f"{axis}_range")
-    if not lo <= value <= hi:
-        raise ConfigError(f"fixed {axis} {value} outside range [{lo}, {hi}]")
-    return sweep(replace(config, **{f"{axis}_range": (value, value, 1)}))
 
 
 _CSV_CHUNK = 4096
@@ -507,12 +501,13 @@ def _tool_block():
     }
 
 
-def run_sweep_to_dir(config, kind="sweep"):
-    """Run a sweep or scan and write sweep.csv/scan.csv plus manifest.json."""
-    result = line_scan(config) if kind == "scan" else sweep(config)
+def run_sweep_to_dir(config):
+    """Run ``sweep`` and write sweep.csv (scan.csv for a scan) plus manifest.json."""
+    result = sweep(config)
     # made only now, so that a configuration error leaves no directory
     os.makedirs(config.out_dir, exist_ok=True)
-    csv_name = "scan.csv" if kind == "scan" else "sweep.csv"
+    kind = "sweep" if config.scan is None else "scan"
+    csv_name = f"{kind}.csv"
     phase_s = result.metadata["phase_s"]
     with _timed(phase_s, "write"):
         write_sweep_csv(result, os.path.join(config.out_dir, csv_name))
@@ -582,7 +577,7 @@ class _PointContext:
 
     def metastable_pair(self):
         if self._pair is None:
-            from .lindblad import TOL_EIG, metastable_extremes
+            from .lindblad import metastable_extremes
 
             if self.params.epsilon == 0:
                 raise AnalysisError(
@@ -592,14 +587,16 @@ class _PointContext:
             spec = self.spectrum()
             if len(spec.eigenvalues) < 2:
                 raise AnalysisError("spectrum does not include a second eigenvalue")
-            lam1 = spec.eigenvalues[1]
-            if abs(lam1.imag) > TOL_EIG * max(1.0, abs(lam1)):
+            # low_lying_spectrum gives exactly the modes it calls real an
+            # exactly Hermitian eigenmatrix, so that is the test of realness
+            drho1 = spec.eigenmatrices[1]
+            if not np.array_equal(drho1, drho1.conj().T):
                 raise AnalysisError(
-                    f"second eigenvalue {lam1} is complex; no Hermitian slow direction "
-                    "exists at this point"
+                    f"second eigenvalue {spec.eigenvalues[1]} is complex; no Hermitian slow "
+                    "direction exists at this point"
                 )
             rho0, _, _ = self.rho0()
-            self._pair = metastable_extremes(rho0, spec.eigenmatrices[1])
+            self._pair = metastable_extremes(rho0, drho1)
         return self._pair
 
     def wigner_grids(self):
@@ -826,8 +823,7 @@ def analyze(config):
     offending task labelled) and reported through the returned manifest
     rather than aborting the remaining tasks.
     """
-    config = validate_config(config)
-    config, circuit, _ = resolve_circuit(config)
+    config, circuit = resolve_circuit(validate_config(config))
     if config.point is None:
         raise ConfigError("analyze requires a point {delta, epsilon} or a circuit file")
     if not config.analyze:

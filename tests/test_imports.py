@@ -3,10 +3,10 @@
 ``import duffspec`` imports no submodule; a public name loads its
 submodule on first use.  The closed-form and series routes need numpy
 alone, and so does the Fano fit, whose Levenberg-Marquardt search is
-numpy code.  The Lindblad steady states are numpy code too, so the
-numeric sweep loads no scipy.sparse; only the decay spectrum loads
-scipy's sparse and dense linear algebra, and no route loads
-scipy.optimize.  The process pool loads only for a sweep with more than
+numpy code.  The Lindblad steady states and the undriven eigenpair check
+are numpy code too, so the numeric sweep loads no scipy.sparse; only the
+decay spectrum loads scipy's sparse and dense linear algebra, and no
+route loads scipy.optimize.  The process pool loads only for a sweep with more than
 one worker.
 """
 
@@ -81,6 +81,15 @@ def test_adaptive_steady_state_loads_no_scipy(tmp_path):
         "from duffspec import ModelParams, solve_steady_state_adaptive\n"
         "rho, dim, residual = solve_steady_state_adaptive(ModelParams(-5.2, 1.0, 3.2, 2.0))\n"
         "assert dim == 18 and residual < 1e-10, (dim, residual)\n"
+    )
+    assert modules_after(code, tmp_path) == []
+
+
+def test_verify_s0_eigenpair_loads_no_scipy(tmp_path):
+    code = (
+        "from duffspec import ModelParams, s0_eigenpair, verify_s0_eigenpair\n"
+        "p = ModelParams(-5.2, 1.0, 0.0, 2.0)\n"
+        "assert verify_s0_eigenpair(s0_eigenpair(2, 1, p, dim=20), p) < 1e-9\n"
     )
     assert modules_after(code, tmp_path) == []
 

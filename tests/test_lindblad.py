@@ -165,10 +165,12 @@ def test_adaptive_converged_dim_and_residual(point_c_solution):
     assert np.max(np.abs(S @ rho.reshape(-1))) < 1e-10
 
 
-def test_adaptive_truncation_limit():
-    # an unreachable tail tolerance forces doubling past max_dim
+def test_adaptive_truncation_limit(monkeypatch):
+    # an unreachable tail tolerance forces doubling past _MAX_DIM
+    monkeypatch.setattr(lindblad, "_TOP_POP_TOL", 1e-30)
+    monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
     with pytest.raises(TruncationLimitError):
-        solve_steady_state_adaptive(POINT_C, top_pop_tol=1e-30, max_dim=32)
+        solve_steady_state_adaptive(POINT_C)
 
 
 # start dims 18, 10 (doubles to 20), 10 (epsilon = 0), 97 (hard regime),
@@ -229,19 +231,20 @@ def _raised(fn):
 
 
 @pytest.mark.parametrize("first", [0, 1])
-def test_blocked_error_is_first_failing_cell(first):
+def test_blocked_error_is_first_failing_cell(first, monkeypatch):
     # the cell starting at dim 11 fails at dim 22, after point C has failed
     # at 18; whichever comes first in the input is the one reported
     cells = [ModelParams(delta=0.5, chi=1.0, epsilon=5.0, gamma=2.0), POINT_C]
     cells = cells[first:] + cells[:first]
-    kwargs = dict(top_pop_tol=1e-30, max_dim=32)
-    expected = _raised(lambda: solve_steady_state_adaptive(cells[0], **kwargs))
+    monkeypatch.setattr(lindblad, "_TOP_POP_TOL", 1e-30)
+    monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
+    expected = _raised(lambda: solve_steady_state_adaptive(cells[0]))
     assert expected[0] is TruncationLimitError
-    assert _raised(lambda: solve_steady_states(cells, **kwargs)) == expected
-    assert _raised(lambda: solve_steady_states(cells[1:], **kwargs)) != expected
+    assert _raised(lambda: solve_steady_states(cells)) == expected
+    assert _raised(lambda: solve_steady_states(cells[1:])) != expected
     # a cell that cannot be solved at all, ahead of them, wins
     undamped = ModelParams(delta=-1.0, chi=1.0, epsilon=0.3, gamma=0.0)
-    assert _raised(lambda: solve_steady_states([undamped] + cells, **kwargs)) == (
+    assert _raised(lambda: solve_steady_states([undamped] + cells)) == (
         ValueError,
         "steady state requires gamma > 0",
     )

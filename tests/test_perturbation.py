@@ -68,6 +68,30 @@ def test_verify_examples_large_truncations():
     assert verify_s0_eigenpair(s0_eigenpair(2, 3, RATE_SETS[1], dim=30), RATE_SETS[1]) < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:eigenmatrix weight")
+@pytest.mark.parametrize("dim", [8, 12, 20])
+@pytest.mark.parametrize(
+    "params",
+    [
+        RATE_SETS[0],
+        RATE_SETS[1],
+        ModelParams(delta=0.4, chi=1.0, epsilon=0.0, gamma=0.01),
+    ],
+    ids=["point-c", "delta-1-gamma-0.3", "delta-0.4-gamma-0.01"],
+)
+def test_verify_residual_is_the_csr_residual(params, dim):
+    # the entry-table product is the CSR product to the bit, so the
+    # residual is the one build_superoperator's matrix gives, exactly
+    s0 = build_superoperator(params, dim)
+    for n in range(4):
+        for q in range(4):
+            for conjugate in (False, True) if n else (False,):
+                pair = s0_eigenpair(n, q, params, dim, conjugate=conjugate)
+                vec = pair.right.reshape(-1)
+                residual = np.max(np.abs(s0 @ vec - pair.eigenvalue * vec)) / np.max(np.abs(vec))
+                assert verify_s0_eigenpair(pair, params) == float(residual), (n, q, conjugate)
+
+
 def test_left_right_biorthonormality():
     params = RATE_SETS[1]
     pairs = [

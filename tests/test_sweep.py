@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from dataclasses import replace
 from itertools import chain, islice
 
 import numpy as np
@@ -22,7 +23,6 @@ from duffspec.sweep import (
     _write_wigner,
     analyze,
     config_from_dict,
-    line_scan,
     resolve_circuit,
     run_sweep_to_dir,
     sweep,
@@ -104,7 +104,7 @@ def test_line_scan_linear_regime_is_lorentzian():
         epsilon_range=(1e-4, 1.0, 10),
         scan={"epsilon": 1e-4},
     )
-    result = line_scan(config)
+    result = sweep(config)
     assert result.epsilons.size == 1
     eps = result.epsilons[0]
     mags = np.abs(result.values["closed-form"][:, 0])
@@ -121,7 +121,7 @@ def test_line_scan_step_ordering_and_trough():
         epsilon_range=(0.05, 5.0, 4),
         scan={"epsilon": 3.2},
     )
-    result = line_scan(config)
+    result = sweep(config)
     deltas = result.deltas
     mags = np.abs(result.values["closed-form"][:, 0])
 
@@ -139,9 +139,9 @@ def test_line_scan_step_ordering_and_trough():
 def test_line_scan_out_of_range_fixed_value():
     config = SweepConfig(method="closed-form", scan={"epsilon": 99.0}, **TINY_GRID)
     with pytest.raises(ConfigError):
-        line_scan(config)
+        sweep(config)
     with pytest.raises(ConfigError):
-        line_scan(SweepConfig(method="closed-form", scan={"delta": 1.5}, **TINY_GRID))
+        sweep(SweepConfig(method="closed-form", scan={"delta": 1.5}, **TINY_GRID))
 
 
 def test_run_sweep_artifacts_and_determinism(tmp_path):
@@ -545,6 +545,37 @@ def test_analyze_wigner_alone_computes_no_spectrum(tmp_path, monkeypatch):
     assert manifest["tasks"]["wigner"]["status"] == "ok"
 
 
+def test_metastable_direction_is_real_when_its_eigenmatrix_is_hermitian(tmp_path, monkeypatch):
+    # at point C (max|w| 4.6) a second eigenvalue -0.215 + 3e-8i is real by
+    # low_lying_spectrum's tolerance, 1e-8 max|w|, though not by one scaled
+    # by |lambda_1|; the task follows the spectrum's Hermitian eigenmatrix
+    true = _point_analysis(tmp_path / "true", 3.2, ["metastable"])
+    low_lying_spectrum = lindblad_mod.low_lying_spectrum
+
+    def patched(swap):
+        def spectrum(S, count=6):
+            spec = low_lying_spectrum(S, count)
+            w, m = spec.eigenvalues.copy(), list(spec.eigenmatrices)
+            if swap:
+                # a real value with the complex mode's non-Hermitian matrix
+                w[1], m[1] = w[1].real, m[2]
+            else:
+                w[1] += 3e-8j
+            return replace(spec, eigenvalues=w, eigenmatrices=tuple(m))
+
+        return spectrum
+
+    monkeypatch.setattr(lindblad_mod, "low_lying_spectrum", patched(swap=False))
+    nearly = _point_analysis(tmp_path / "nearly", 3.2, ["metastable"])
+    assert nearly["tasks"] == true["tasks"]
+    for name in PAIR_FILES:
+        assert (tmp_path / "nearly" / name).read_bytes() == (tmp_path / "true" / name).read_bytes()
+    monkeypatch.setattr(lindblad_mod, "low_lying_spectrum", patched(swap=True))
+    failure = _point_analysis(tmp_path / "swapped", 3.2, ["metastable"])["tasks"]["metastable"]
+    assert failure["error_type"] == "AnalysisError"
+    assert "is complex; no Hermitian slow direction" in failure["message"]
+
+
 @pytest.mark.parametrize("tasks", [["wigner", "metastable"], ["metastable", "wigner"]])
 def test_failing_metastable_task_leaves_wigner_unchanged(tmp_path, tasks):
     # at epsilon = 0 the metastable pair raises AnalysisError
@@ -582,17 +613,16 @@ def test_resolve_circuit_scales_rates(tmp_path):
     circuit_file = tmp_path / "circuit.json"
     circuit_file.write_text(json.dumps(CIRCUIT))
     config = config_from_dict({"circuit": str(circuit_file)})
-    resolved, circuit, point = resolve_circuit(config)
+    resolved, circuit = resolve_circuit(config)
     assert circuit is not None
     assert resolved.chi == 1.0
     assert resolved.gamma > 0
-    assert set(point) == {"delta", "epsilon"}
-    assert resolved.point == point
+    assert set(resolved.point) == {"delta", "epsilon"}
     # explicit values win over derived ones
     explicit = config_from_dict(
         {"circuit": str(circuit_file), "gamma": 0.5, "chi": 2.0, "point": {"delta": -1, "epsilon": 1}}
     )
-    resolved2, _, _ = resolve_circuit(explicit)
+    resolved2, _ = resolve_circuit(explicit)
     assert resolved2.gamma == 0.5
     assert resolved2.chi == 2.0
     assert resolved2.point == {"delta": -1, "epsilon": 1}
@@ -603,9 +633,9 @@ def test_shipped_circuit_example(tmp_path):
     with open(SHIPPED_CIRCUIT, encoding="utf-8") as fh:
         assert json.load(fh) == CIRCUIT
     config = config_from_dict({"circuit": SHIPPED_CIRCUIT, "out_dir": str(tmp_path)})
-    resolved, circuit, point = resolve_circuit(config)
+    resolved, circuit = resolve_circuit(config)
     assert circuit is not None and resolved.chi == 1.0
-    assert resolved.point == point
+    point = resolved.point
     assert point["delta"] == pytest.approx(-5.199, abs=1e-3)
     assert point["epsilon"] == pytest.approx(3.204, abs=1e-3)
 
@@ -694,6 +724,48 @@ def test_cli_readme_line_scan(tmp_path, monkeypatch):
     assert code == 0
     lines = (tmp_path / "out" / "line" / "scan.csv").read_text().splitlines()
     assert len(lines) == 1 + 801
+
+
+def test_api_scan_matches_cli_readme_line_scan(tmp_path):
+    # run_sweep_to_dir takes the scan from the config, as the CLI does
+    config = SweepConfig(
+        method="closed-form", gamma=0.01, chi=1, delta_range=(-1.08, -0.92, 801),
+        epsilon_range=(0.012, 0.012, 1), scan={"epsilon": 0.012}, out_dir=str(tmp_path / "api"),
+    )
+    run_sweep_to_dir(config)
+    code = main(
+        [
+            "--method", "closed-form", "--gamma", "0.01", "--chi", "1",
+            "--delta-range=-1.08:-0.92:801", "--scan", "epsilon=0.012",
+            "--out-dir", str(tmp_path / "cli"),
+        ]
+    )
+    assert code == 0
+    assert not (tmp_path / "api" / "sweep.csv").exists()
+    api = (tmp_path / "api" / "scan.csv").read_bytes()
+    assert api == (tmp_path / "cli" / "scan.csv").read_bytes()
+    manifests = [read_manifest(tmp_path / name) for name in ("api", "cli")]
+    for m in manifests:
+        m["config"].pop("out_dir")
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["kind"] == "scan"
+    assert manifests[0]["outputs"] == ["scan.csv"]
+
+
+def test_sweep_applies_the_scan(tmp_path):
+    # the scanned axis is the one fixed value, whatever its configured range
+    grid = dict(method="closed-form", gamma=0.01, chi=1.0, delta_range=(-1.08, -0.92, 5))
+    config = SweepConfig(epsilon_range=(0.01, 0.02, 3), scan={"epsilon": 0.012}, **grid)
+    result = sweep(config)
+    assert result.epsilons.tolist() == [0.012]
+    assert result.values["closed-form"].shape == (5, 1)
+    assert result.metadata["config"]["epsilon_range"] == (0.012, 0.012, 1)
+    full = sweep(SweepConfig(epsilon_range=(0.012, 0.012, 1), **grid))
+    assert np.array_equal(result.values["closed-form"], full.values["closed-form"])
+    manifest = run_sweep_to_dir(replace(config, out_dir=str(tmp_path)))
+    assert manifest["kind"] == "scan"
+    assert manifest["grid"] == {"deltas": 5, "epsilons": 1}
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "run.log", "scan.csv"]
 
 
 def test_cli_config_error_emits_json(tmp_path, capsys):
