@@ -72,6 +72,11 @@ TOL_EIG = 1e-8
 TOL_RESID = 1e-10
 TOL_BOUNDARY = 1e-7
 
+# metastable_extremes puts the boundary where the smallest eigenvalue
+# reaches -_BOUNDARY_SHIFT.  The 2^-24 margin keeps rounding in the returned
+# mixtures above -TOL_PSD; beta_minus moves ~1e5 times any change in it.
+_BOUNDARY_SHIFT = TOL_PSD * (1.0 - 2.0**-24)
+
 # Largest truncation for which low_lying_spectrum eigendecomposes the full
 # superoperator densely; beyond this the Arnoldi path takes over.
 DENSE_EIG_MAX_DIM = 32
@@ -793,11 +798,11 @@ def low_lying_spectrum(S, count=6):
 class MetastablePair:
     """Extreme metastable states on the positivity boundary.
 
-    rho_plus/rho_minus are rho0 + beta_{+/-} drho1 at the largest
-    coefficients keeping the matrix positive semidefinite; their smallest
+    rho_plus/rho_minus are rho0 + beta_{+/-} drho1 at the coefficients
+    where the smallest eigenvalue reaches -TOL_PSD; their smallest
     eigenvalues lie in [-TOL_PSD, TOL_BOUNDARY].  ``mixing_fraction`` is
     the weight x0 with rho0 = x0 rho_plus + (1 - x0) rho_minus.  The
-    betas are good to ~5e-10, not to the bisection width (see
+    betas are reproducible to ~5e-10 at that tolerance (see
     metastable_extremes).
     """
 
@@ -817,58 +822,27 @@ def _mixture(rho0, drho1, beta):
     return rho / np.trace(rho).real
 
 
-def _min_eig(rho0, drho1, beta):
-    # bisect on the matrix metastable_extremes returns, so its bound holds
-    return float(np.linalg.eigvalsh(_mixture(rho0, drho1, beta))[0])
-
-
-def _boundary_beta(rho0, drho1, direction, spectral_norm):
-    """Largest |beta| along +-direction keeping rho0 + beta drho1 PSD.
-
-    ``spectral_norm`` is ||drho1||_2, which sets the first step.
-    """
-    step = 0.5 / spectral_norm
-    hi = None
-    b = step
-    for _ in range(80):
-        if _min_eig(rho0, drho1, direction * b) < -10.0 * TOL_BOUNDARY:
-            hi = b
-            break
-        b *= 2.0
-    if hi is None:
-        raise ValueError(
-            "no positivity boundary found along this direction; "
-            "the perturbation must be indefinite and traceless"
-        )
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _min_eig(rho0, drho1, direction * mid) >= -TOL_PSD:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    g = _min_eig(rho0, drho1, direction * lo)
-    if not (-TOL_PSD <= g <= TOL_BOUNDARY):
-        raise RuntimeError(f"boundary bisection left min eigenvalue at {g:.3e}")
-    return direction * lo
-
-
 def metastable_extremes(rho0, drho1):
     """Extreme mixtures rho0 + beta drho1 on the positivity boundary.
 
     rho0 must be a valid density matrix and drho1 a Hermitian traceless
     direction (the slowest decaying eigenmatrix).  Returns the pair at
-    beta_minus < 0 < beta_plus located by bisection on the smallest
-    eigenvalue; rescaling drho1 rescales the betas but leaves the end
-    states invariant.
+    beta_minus < 0 < beta_plus where the smallest eigenvalue of
+    rho0 + beta drho1 reaches -TOL_PSD; rescaling drho1 rescales the betas
+    but leaves the end states invariant.
 
-    The bisection narrows beta to 1e-15, but the betas are good only to
-    ~5e-10: where the smallest eigenvalue of rho0 + beta drho1 crosses
-    -TOL_PSD it is nearly flat in beta, so rounding in the inputs is
-    amplified ~4000x: at point C, dim 18, beta_minus spans 4.1e-10 over
-    the default and Prescott OpenBLAS kernels at one and two threads.
+    With rho0 + t I = L L^H, rho0 + beta drho1 + t I = L (I + beta M) L^H
+    for M = L^-1 drho1 L^-H, so the boundaries are beta = -1/mu at the
+    extreme eigenvalues mu of M (a symmetric-definite generalized
+    eigenproblem, Golub and Van Loan section 8.7), with t = _BOUNDARY_SHIFT
+    just inside TOL_PSD.
+
+    The betas are reproducible to ~5e-10: near the boundary the smallest
+    eigenvalue is nearly flat in beta, so rounding in drho1 is amplified;
+    at point C, dim 18, beta_minus spans 4.1e-10 over the default and
+    Prescott OpenBLAS kernels at one and two threads.  The tolerance sets
+    them more than rounding does: as TOL_PSD goes to 0, beta_minus at
+    point C moves by ~3 % (-0.37680 at 1e-8, -0.36545 at 1e-12).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     drho1 = np.asarray(drho1, dtype=complex)
@@ -887,12 +861,31 @@ def metastable_extremes(rho0, drho1):
     # exactly Hermitian parts, so every mixture is exactly Hermitian as well
     rho0 = 0.5 * (rho0 + rho0.conj().T)
     drho1 = 0.5 * (drho1 + drho1.conj().T)
-    spectral_norm = float(np.linalg.norm(drho1, 2))
-    beta_plus = _boundary_beta(rho0, drho1, +1.0, spectral_norm)
-    beta_minus = _boundary_beta(rho0, drho1, -1.0, spectral_norm)
-    return MetastablePair(
+    try:
+        chol = np.linalg.cholesky(rho0 + _BOUNDARY_SHIFT * np.eye(len(rho0)))
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"rho0 has an eigenvalue at the positivity tolerance -TOL_PSD = {-TOL_PSD:.1e}, "
+            f"below the boundary {-_BOUNDARY_SHIFT:.9e}"
+        ) from None
+    # L^-1 drho1 L^-H, from drho1 L^-H = (L^-1 drho1)^H
+    half = np.linalg.solve(chol, drho1)
+    mu = np.linalg.eigvalsh(np.linalg.solve(chol, half.conj().T))
+    if not mu[0] < 0.0 < mu[-1]:
+        raise ValueError(
+            "no positivity boundary found along this direction; "
+            "the perturbation must be indefinite and traceless"
+        )
+    beta_plus = -1.0 / mu[0]
+    beta_minus = -1.0 / mu[-1]
+    pair = MetastablePair(
         rho_plus=_mixture(rho0, drho1, beta_plus),
         rho_minus=_mixture(rho0, drho1, beta_minus),
         beta_plus=float(beta_plus),
         beta_minus=float(beta_minus),
     )
+    for rho in (pair.rho_plus, pair.rho_minus):
+        g = np.linalg.eigvalsh(rho)[0]
+        if not (-TOL_PSD <= g <= TOL_BOUNDARY):
+            raise RuntimeError(f"boundary left min eigenvalue at {g:.3e}")
+    return pair

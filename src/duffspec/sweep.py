@@ -128,6 +128,10 @@ def validate_config(config):
         raise ConfigError(f"workers must be an integer >= 1, got {config.workers!r}")
     if config.dim is not None and not (_is_int(config.dim) and config.dim >= 2):
         raise ConfigError(f"dim must be an integer >= 2, got {config.dim!r}")
+    if not isinstance(config.out_dir, str):
+        raise ConfigError(f"out_dir must be a path string, got {config.out_dir!r}")
+    if config.circuit is not None and not isinstance(config.circuit, str):
+        raise ConfigError(f"circuit must be a path string or null, got {config.circuit!r}")
     if not isinstance(config.analyze, (list, tuple)):
         raise ConfigError(f"analyze must be a list of tasks, got {config.analyze!r}")
     for task in config.analyze:

@@ -25,6 +25,7 @@ from duffspec.lindblad import (
     TOL_RESID,
     DegenerateKernelError,
     TruncationLimitError,
+    _mixture,
     _spectrum_order,
     adaptive_start_dim,
     build_superoperator,
@@ -706,13 +707,64 @@ def test_metastable_point_c_frozen(point_c_solution, point_c_spectrum):
     assert s_plus < s0 and s_minus < s0
 
 
-@pytest.mark.parametrize("dim", [40, 80])
-def test_metastable_extremes_satisfy_boundary_bound(dim):
-    S = build_superoperator(POINT_C, dim)
-    pair = metastable_extremes(steady_state(S), low_lying_spectrum(S).eigenmatrices[1])
+# The oracle for metastable_extremes: a doubling bracket and bisection on the
+# smallest eigenvalue of the mixture, independent of its closed form.
+def _min_eig(rho0, drho1, beta):
+    # bisect on the matrix metastable_extremes returns, so its bound holds
+    return float(np.linalg.eigvalsh(_mixture(rho0, drho1, beta))[0])
+
+
+def _boundary_beta(rho0, drho1, direction, spectral_norm):
+    """Largest |beta| along +-direction keeping rho0 + beta drho1 PSD.
+
+    ``spectral_norm`` is ||drho1||_2, which sets the first step.
+    """
+    step = 0.5 / spectral_norm
+    hi = None
+    b = step
+    for _ in range(80):
+        if _min_eig(rho0, drho1, direction * b) < -10.0 * TOL_BOUNDARY:
+            hi = b
+            break
+        b *= 2.0
+    if hi is None:
+        raise ValueError(
+            "no positivity boundary found along this direction; "
+            "the perturbation must be indefinite and traceless"
+        )
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _min_eig(rho0, drho1, direction * mid) >= -TOL_PSD:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    g = _min_eig(rho0, drho1, direction * lo)
+    if not (-TOL_PSD <= g <= TOL_BOUNDARY):
+        raise RuntimeError(f"boundary bisection left min eigenvalue at {g:.3e}")
+    return direction * lo
+
+
+def assert_matches_bisection(delta, dim, atol):
+    """metastable_extremes against the bisection oracle on the line through point C."""
+    S = build_superoperator(ModelParams(delta=delta, chi=1.0, epsilon=3.2, gamma=2.0), dim)
+    rho0, drho1 = steady_state(S), low_lying_spectrum(S).eigenmatrices[1]
+    pair = metastable_extremes(rho0, drho1)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    drho1 = 0.5 * (drho1 + drho1.conj().T)
+    spectral_norm = float(np.linalg.norm(drho1, 2))
+    assert abs(pair.beta_plus - _boundary_beta(rho0, drho1, +1.0, spectral_norm)) <= atol
+    assert abs(pair.beta_minus - _boundary_beta(rho0, drho1, -1.0, spectral_norm)) <= atol
     for rho in (pair.rho_plus, pair.rho_minus):
-        lowest = np.linalg.eigvalsh(rho)[0]
-        assert -TOL_PSD <= lowest <= TOL_BOUNDARY
+        assert -TOL_PSD <= np.linalg.eigvalsh(rho)[0] <= TOL_BOUNDARY
+
+
+@pytest.mark.parametrize("dim", [18, 40, 80])
+def test_metastable_extremes_satisfy_boundary_bound(dim):
+    for delta in (-5.2, -7.8):  # points C and A
+        assert_matches_bisection(delta, dim, atol=1e-10)
 
 
 def test_metastable_rescaling_invariance(point_c_solution, point_c_spectrum):
@@ -740,3 +792,23 @@ def test_metastable_input_validation():
         metastable_extremes(rho0, np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         metastable_extremes(np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex))
+
+
+def test_metastable_extremes_match_bisection_along_delta():
+    for delta in np.linspace(-8.0, -3.5, 10):
+        assert_matches_bisection(delta, 40, atol=2e-9)
+
+
+def test_metastable_semidefinite_direction_has_no_boundary():
+    # traceless within TOL_TRACE, but rho0 + beta drho1 is PSD for every beta > 0
+    with pytest.raises(ValueError, match="no positivity boundary"):
+        metastable_extremes(0.5 * np.eye(2, dtype=complex), np.diag([1e-10, 0.0]).astype(complex))
+
+
+def test_metastable_rho0_at_the_tolerance_is_refused():
+    # a valid density matrix, but rho0 + _BOUNDARY_SHIFT I is not positive definite
+    rho0 = np.diag([1.0 + 1e-8, -1e-8]).astype(complex)
+    validate_density_matrix(rho0)
+    drho1 = np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2.0)
+    with pytest.raises(ValueError, match="positivity tolerance"):
+        metastable_extremes(rho0, drho1)

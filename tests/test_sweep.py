@@ -67,6 +67,24 @@ def test_config_validation_errors():
         config_from_dict({"analyze": ("entropy", "nonsense")})
 
 
+@pytest.mark.parametrize(
+    "raw", [{"circuit": 0}, {"circuit": True}, {"circuit": ["c.json"]}, {"out_dir": 3}, {"out_dir": None}]
+)
+def test_config_path_fields_must_be_strings(raw):
+    # an integer or bool would open a file descriptor (0 is stdin, True is 1)
+    with pytest.raises(ConfigError, match=next(iter(raw))):
+        config_from_dict(raw)
+
+
+def test_cli_non_string_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": 3, "point": {"delta": -5.2, "epsilon": 3.2}, "analyze": ["entropy"]}))
+    assert main(["--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_sweep_both_methods_agree():
     config = SweepConfig(method="both", **TINY_GRID)
     result = sweep(config)
