@@ -28,16 +28,13 @@ from .fock import ModelParams
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
-# Evaluation budget of one Fano start, per searched parameter (center and
-# width); one evaluation is a residual with its Jacobian.  On the 60
-# normalised two-photon lines (gamma 0.002-0.04, epsilon 0.2-3 gamma, chi
-# 0.5 and 1, 801 samples over +-8 gamma) every start converges within 32
-# evaluations, median 8; on Lorentzian dips and peaks within 15, median 10.
-# The budget only ends a start that wanders off.
-_FANO_NFEV_PER_PARAM = 40
-# Levenberg-Marquardt damping of a Fano start, relative to the scaled
-# diagonal, and the step, in widths, below which the search has converged.
-_FANO_DAMPING0 = 1e-3
+# Evaluation budget of the Fano search; one evaluation is a residual with
+# its Jacobian.  On the 60 normalised two-photon lines (gamma 0.002-0.04,
+# epsilon 0.2-3 gamma, chi 0.5 and 1, 801 samples over +-8 gamma) the
+# search from the dip-peak seed converges within 25 evaluations, median 5.
+# The budget only ends a search that wanders off.
+_FANO_MAX_NFEV = 80
+# Step, in widths, below which the Fano search has converged.
 _FANO_XTOL = 1e-10
 # Largest accepted rms residual of a Fano fit, as a fraction of the line
 # amplitude.
@@ -343,35 +340,23 @@ def _fano_projection(deltas, mags, center, width):
 
 
 def _fano_search(deltas, mags, theta, max_nfev):
-    """Levenberg-Marquardt over theta = (center, width) on the projected residual.
+    """Damped Gauss-Newton over theta = (center, width) on the projected residual.
 
-    The damped step solves (J^T J + mu D) h = -J^T r, with Marquardt's
-    scaling D (J. SIAM 11, 431 (1963)) kept at the largest diag(J^T J)
-    seen, as MINPACK keeps it, and mu updated by the gain ratio as in
-    H. B. Nielsen, IMM-REP-1999-05 (DTU, 1999).  A trial step whose basis
-    is not finite (width -> 0) is rejected and raises mu, like a step that
-    raises the cost.  The search has converged when the step moves center
-    and width by at most _FANO_XTOL widths.  Each evaluation of residual
-    and Jacobian counts against max_nfev.  Returns (cost, theta, (r, J, c))
-    at convergence, None when the start fails or runs out of evaluations.
+    The step is the least-squares solution of J h = -r.  A step that does
+    not lower the cost, or whose basis is not finite (width -> 0), is
+    halved.  The search has converged when a step moves center and width
+    by at most _FANO_XTOL widths.  Each evaluation of residual and
+    Jacobian counts against max_nfev.  Returns (cost, theta, (r, J, c)) at
+    convergence, None when the start fails or runs out of evaluations.
     """
     try:
         current = _fano_projection(deltas, mags, *theta)
     except FloatingPointError:
         return None
-    nfev, scale = 1, np.zeros(2)
-    damping, growth = _FANO_DAMPING0, 2.0
-    while True:
-        residual, jac, _ = current
-        cost = float(residual @ residual)
-        grad, normal = jac.T @ residual, jac.T @ jac
-        scale = np.maximum(scale, np.diag(normal))
-        try:
-            step = np.linalg.solve(normal + damping * np.diag(scale), -grad)
-        except np.linalg.LinAlgError:
-            return None
-        if np.max(np.abs(step)) <= _FANO_XTOL * abs(theta[1]):
-            return cost, theta, current
+    nfev = 1
+    cost = float(current[0] @ current[0])
+    step = np.linalg.lstsq(current[1], -current[0], rcond=None)[0]
+    while np.max(np.abs(step)) > _FANO_XTOL * abs(theta[1]):
         if nfev == max_nfev:
             return None
         nfev += 1
@@ -382,13 +367,11 @@ def _fano_search(deltas, mags, theta, max_nfev):
         else:
             trial_cost = float(trial[0] @ trial[0])
         if trial_cost < cost:
-            gain = (cost - trial_cost) / (step @ (damping * scale * step - grad))
-            theta, current = theta + step, trial
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            growth = 2.0
+            theta, current, cost = theta + step, trial, trial_cost
+            step = np.linalg.lstsq(current[1], -current[0], rcond=None)[0]
         else:
-            damping *= growth
-            growth *= 2.0
+            step = 0.5 * step
+    return cost, theta, current
 
 
 def fano_fit(deltas, magnitudes):
@@ -401,22 +384,22 @@ def fano_fit(deltas, magnitudes):
 
     with x = (delta - center) / width, L = 1/(x^2 + 1), D = x L, and
     c0 = bg + amp, c1 = amp (q^2 - 1), c2 = -2 amp q.  For fixed (center,
-    width) the c's are one linear least-squares solve, so Levenberg-Marquardt
-    searches only (center, width) on the projected residual (variable
-    projection: G. H. Golub and V. Pereyra, SIAM J. Numer. Anal. 10, 413
-    (1973)), from three width scales.  The search is numpy code
-    (_fano_search): each step takes the residual and its exact Jacobian
-    from one QR of the basis (_fano_projection), Kaufman's projected term
-    plus the Golub-Pereyra term that vanishes with the residual, so an
-    iteration costs one evaluation and no finite differences.  The start
-    with the lowest cost wins.  amp is the non-negative root of
+    width) the c's are one linear least-squares solve, so one damped
+    Gauss-Newton search runs over (center, width) alone on the projected
+    residual (variable projection: G. H. Golub and V. Pereyra, SIAM J.
+    Numer. Anal. 10, 413 (1973)), from the dip-peak seed.  The search is
+    numpy code (_fano_search): each step takes the residual and its exact
+    Jacobian from one QR of the basis (_fano_projection), Kaufman's
+    projected term plus the Golub-Pereyra term that vanishes with the
+    residual, so an iteration costs one evaluation and no finite
+    differences.  amp is the non-negative root of
     amp^2 + c1 amp - c2^2/4 = 0, which picks the amp > 0 member of the
     curve's two representations; a symmetric Lorentzian peak (c1 > 0,
     c2 = 0) gives amp = 0.
 
     The fit uses every sample: at least 50 are needed, and the window they
     span should bracket exactly one resonance.  Raises ValueError for
-    non-finite input and FanoFitError when every start fails, the profile
+    non-finite input and FanoFitError when the search fails, the profile
     degenerates (|q| > 50 or amp = 0, as for a symmetric Lorentzian peak),
     or the residual exceeds _FANO_RESIDUAL_FRAC of the line amplitude.
     """
@@ -435,21 +418,14 @@ def fano_fit(deltas, magnitudes):
 
     # Seed from the dip/peak pair: the profile minimum sits at x = q with
     # value = background, the maximum at x = -1/q, and their separation is
-    # |q + 1/q| >= 2 widths.  Three width scales keep the search off the
-    # sloped-background saddle.
+    # |q + 1/q| >= 2 widths.
     i_min, i_max = int(np.argmin(mags)), int(np.argmax(mags))
     center0 = 0.5 * (deltas[i_min] + deltas[i_max])
     width0 = max(abs(deltas[i_max] - deltas[i_min]) / 2.0, 2.0 * abs(deltas[1] - deltas[0]))
-    best = None
-    for w_scale in (1.0, 0.5, 2.0):
-        found = _fano_search(
-            deltas, mags, np.array([center0, width0 * w_scale]), _FANO_NFEV_PER_PARAM * 2
-        )
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found
-    if best is None:
-        raise FanoFitError("fit did not converge from any starting point")
-    _, (center, width), (residual, _, (c0, c1, c2)) = best
+    found = _fano_search(deltas, mags, np.array([center0, width0]), _FANO_MAX_NFEV)
+    if found is None:
+        raise FanoFitError("fit did not converge from the dip-peak seed")
+    _, (center, width), (residual, _, (c0, c1, c2)) = found
     if width < 0:
         width, c2 = -width, -c2
     bg, amp, q = _fano_from_coefficients(float(c0), float(c1), float(c2))

@@ -144,6 +144,8 @@ def validate_config(config):
         analyze=tuple(config.analyze),
         wigner_grid=_check_wigner_grid(config.wigner_grid),
     )
+    if config.epsilon_range[0] < 0:
+        raise ConfigError(f"epsilon_range must start at a drive >= 0, got {config.epsilon_range!r}")
     if config.scan is not None:
         if not isinstance(config.scan, dict) or set(config.scan) not in ({"epsilon"}, {"delta"}):
             raise ConfigError(f"scan must set exactly one of epsilon/delta, got {config.scan!r}")
@@ -154,6 +156,8 @@ def validate_config(config):
         for key, value in (getattr(config, name) or {}).items():
             if not _is_real(value):
                 raise ConfigError(f"{name} {key} must be a finite real number, got {value!r}")
+            if key == "epsilon" and value < 0:
+                raise ConfigError(f"{name} epsilon must be a drive >= 0, got {value!r}")
     return config
 
 
@@ -236,11 +240,12 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
         for d in deltas
         for e in epsilons
     ]
+    workers = min(workers, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # one contiguous run of cells per worker; a cell's result does not
-        # depend on which cells share its call
+        # one contiguous run of cells per worker, and no more workers than
+        # cells; a cell's result does not depend on which cells share its call
         bounds = np.linspace(0, len(cells), workers + 1).round().astype(int)
         runs = [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:

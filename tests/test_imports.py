@@ -2,8 +2,8 @@
 
 ``import duffspec`` imports no submodule; a public name loads its
 submodule on first use.  The closed-form and series routes need numpy
-alone, and so does the Fano fit, whose Levenberg-Marquardt search is
-numpy code.  The Lindblad steady states and the undriven eigenpair check
+alone, and so does the Fano fit, whose Gauss-Newton search is numpy
+code.  The Lindblad steady states and the undriven eigenpair check
 are numpy code too, so the numeric sweep loads no scipy.sparse; only the
 decay spectrum loads scipy's sparse and dense linear algebra, and no
 route loads scipy.optimize.  The process pool loads only for a sweep with more than

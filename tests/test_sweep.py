@@ -65,6 +65,15 @@ def test_config_validation_errors():
         config_from_dict({"point": {"delta": -1.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"analyze": ("entropy", "nonsense")})
+    # a drive amplitude is >= 0, in a range, a scan or a point
+    for raw in (
+        {"epsilon_range": (-1.0, 1.0, 3)},
+        {"epsilon_range": (-1.0, -1.0, 1)},
+        {"scan": {"epsilon": -0.5}},
+        {"point": {"delta": -5.2, "epsilon": -3.2}},
+    ):
+        with pytest.raises(ConfigError, match="epsilon"):
+            config_from_dict(raw)
 
 
 @pytest.mark.parametrize(
@@ -204,6 +213,43 @@ def test_run_sweep_artifacts_and_determinism(tmp_path):
     log = json.loads((tmp_path / "a" / "run.log").read_text())
     assert set(log) == {"started_unix", "elapsed_s", "phase_s"}
     assert set(log["phase_s"]) == {"numeric", "closed_form", "write"}
+
+
+@pytest.mark.parametrize(
+    "grid, most",
+    [
+        (dict(delta_range=(-5.5, -5.0, 3), epsilon_range=(3.0, 3.0, 1)), 3),
+        (dict(delta_range=(-5.2, -5.2, 1), epsilon_range=(3.2, 3.2, 1)), None),
+    ],
+)
+def test_numeric_sweep_starts_no_more_workers_than_cells(monkeypatch, grid, most):
+    # no process starts here: the pool is an in-process stand-in that
+    # records the pool size asked for
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    config = SweepConfig(method="numeric", gamma=2.0, chi=1.0, workers=8, **grid)
+    pooled = sweep(config)
+    if most is None:
+        assert asked == []
+    else:
+        assert asked and max(asked) <= most
+    serial = sweep(replace(config, workers=1))
+    assert np.array_equal(pooled.values["numeric"], serial.values["numeric"])
+    assert np.array_equal(pooled.dims, serial.dims)
 
 
 def _oracle_sweep_csv(result):
@@ -852,6 +898,9 @@ def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
         ["--method", "magic"],
         ["--point", "delta=-1,gamma=1", "--analyze", "entropy"],
         ["--delta-range", "1:2"],
+        ["--point", "delta=-5.2,epsilon=-3.2", "--analyze", "entropy"],
+        ["--method", "both", "--epsilon-range=-1:1:3"],
+        ["--method", "closed-form", "--epsilon-range=-1:1:3"],
     ],
 )
 def test_cli_flag_errors_exit_2_with_json(tmp_path, capsys, flags):
