@@ -12,7 +12,8 @@ Usage examples::
 
     duffspec --circuit data/circuit.json --analyze entropy --out-dir out
 
-Options given on the command line override the same keys from --config.
+Options given on the command line override the same keys from --config;
+``--scan axis=V`` is the one-value range ``--axis-range V:V:1``.
 The flags are only parsed here; ``sweep.validate_config`` checks their
 values.  On failure a machine-readable error report is written to stderr
 as JSON and the exit status is nonzero (2 for configuration problems,
@@ -94,7 +95,7 @@ def build_parser():
         "--scan",
         type=_parse_assignments,
         metavar="epsilon=V|delta=V",
-        help="run a 1-D line scan at the fixed value",
+        help="1-D line scan at the fixed value; shorthand for --AXIS-range V:V:1",
     )
     parser.add_argument(
         "--point",
@@ -119,26 +120,24 @@ def merge_config(args):
     """The config file's keys overridden by the flags that are set.
 
     The file is validated on its own first, so a malformed value in it is
-    an error even where a flag overrides it.
+    an error even where a flag overrides it.  ``--scan axis=v`` is the
+    one-value range ``axis_range = (v, v, 1)``, overriding the file's.
     """
-    raw = {}
+    base = SweepConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        base = config_from_dict(raw)
-    else:
-        base = SweepConfig()
+            base = config_from_dict(json.load(fh))
     overrides = {
         k: v for k, v in vars(args).items() if k in SweepConfig.__dataclass_fields__ and v is not None
     }
-    merged = {**asdict(base), **overrides}
-    # A line scan never uses the range of its fixed axis; when the user set
-    # none, the default range must not reject the fixed value.
-    for axis, value in (merged["scan"] or {}).items():
-        key = f"{axis}_range"
-        if key in merged and key not in raw and key not in overrides:
-            merged[key] = (value, value, 1)
-    return config_from_dict(merged)
+    if args.scan is not None:
+        if set(args.scan) not in ({"epsilon"}, {"delta"}):
+            raise ConfigError(f"--scan must set exactly one of epsilon/delta, got {args.scan!r}")
+        [(axis, value)] = args.scan.items()
+        if f"{axis}_range" in overrides:
+            raise ConfigError(f"--scan {axis} and --{axis}-range both set the {axis} axis")
+        overrides[f"{axis}_range"] = (value, value, 1)
+    return config_from_dict({**asdict(base), **overrides})
 
 
 def _emit_error(kind, exc):

@@ -719,7 +719,11 @@ def low_lying_spectrum(S, count=6):
     Arnoldi returns without its partner gets the exact conjugate added,
     and a pair the cutoff would split is kept whole (so the result can
     hold count + 1 entries).  Raises ValueError when max|Im R| > 1e-12
-    max|R|: S does not preserve Hermiticity.
+    max|R|: S does not preserve Hermiticity.  Raises DegenerateKernelError,
+    as steady_state does, when S has no damping: its zero mode is then not
+    unique.  With damping it is, and the second eigenvalue is returned
+    however close to zero it lies (next to the Duffing bifurcation the
+    switching rate is ~1e-10).
     """
     # loaded here, the spectrum being their one user: steady states load no scipy
     import scipy.sparse as sp
@@ -729,6 +733,10 @@ def low_lying_spectrum(S, count=6):
     d = _superoperator_dim(S)
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not np.any(S.diagonal().real):
+        raise DegenerateKernelError(
+            "generator has no damping; every function of the Hamiltonian is stationary"
+        )
     T = _hermitian_basis(d)
     Th = T.conj().T.tocsr()
     R = Th @ S @ T
@@ -767,10 +775,6 @@ def low_lying_spectrum(S, count=6):
     if abs(w[0]) > TOL_EIG * scale:
         raise DegenerateKernelError(
             f"largest-real-part eigenvalue {w[0]} is not the stationary zero mode"
-        )
-    if w.size > 1 and abs(w[1].real) < TOL_EIG * 1e3:
-        raise DegenerateKernelError(
-            f"second eigenvalue {w[1]} too close to zero; steady state is not unique"
         )
 
     out = []

@@ -24,7 +24,7 @@ import numbers
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .phasespace import local_maxima, wigner_integral, wigner_many, wigner_purit
 
 METHODS = ("numeric", "closed-form", "series", "both")
 ANALYZE_TASKS = ("entropy", "spectrum", "wigner", "metastable", "mixing-curve", "fano", "onset")
-_WIGNER_GRID = {"re": (-5.0, 5.0), "im": (-5.0, 5.0), "nx": 201, "ny": 201}
 
 
 class ConfigError(ValueError):
@@ -52,19 +51,17 @@ class AnalysisError(RuntimeError):
 class SweepConfig:
     """Run configuration; JSON keys mirror the field names.
 
-    delta_range / epsilon_range are (start, stop, count) with inclusive
-    endpoints.  ``scan`` holds {"epsilon": value} or {"delta": value} for a
-    line scan, which ``sweep()`` applies: that axis becomes the one value,
-    which must lie inside its range.  ``point`` holds {"delta": ...,
-    "epsilon": ...} for analyses.
+    delta_range / epsilon_range are (start, stop, count) with inclusive,
+    finite endpoints; an axis with count 1 is the one value start, and a
+    grid with one value on either axis is a line scan.  ``point`` holds
+    {"delta": ..., "epsilon": ...} for analyses.
     ``circuit`` names a circuit-parameter JSON file whose derived rates
     (scaled by chi) fill gamma, chi, and the analysis point unless they are
     given explicitly; an unset gamma (None) is 2.0 without a circuit.
-    ``wigner_grid`` holds the "re" and "im" ranges and the "nx" x "ny" size
-    of the Wigner grid; a key left out keeps its default (-5 to 5, 201
-    points).  The other analysis grids are fixed: 6 decay eigenvalues, 201
-    mixing-curve samples, 801 Fano samples over -chi +- 8 gamma, and onset
-    scans of the lines n = 1, 2 at gamma = 0.003, 0.01, 0.03.
+    The analysis grids are fixed: 6 decay eigenvalues, a 201 x 201 Wigner
+    grid over -5..5 in each quadrature, 201 mixing-curve samples, 801 Fano
+    samples over -chi +- 8 gamma, and onset scans of the lines n = 1, 2 at
+    gamma = 0.003, 0.01, 0.03.
     """
 
     method: str = "both"
@@ -75,10 +72,8 @@ class SweepConfig:
     dim: int = None
     workers: int = 1
     out_dir: str = "duffspec-out"
-    scan: dict = None
     point: dict = None
     analyze: tuple = ()
-    wigner_grid: dict = field(default_factory=lambda: dict(_WIGNER_GRID))
     circuit: str = None
 
 
@@ -88,25 +83,10 @@ def _check_range(name, rng):
         start, stop = float(start), float(stop)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be (start, stop, count), got {rng!r}") from None
-    if not (_is_int(count) and count >= 1) or (count > 1 and not stop > start):
-        raise ConfigError(f"{name} needs stop > start and an integer count >= 1, got {rng!r}")
+    ok = math.isfinite(start) and math.isfinite(stop) and _is_int(count) and count >= 1
+    if not ok or (count > 1 and not stop > start):
+        raise ConfigError(f"{name} needs finite endpoints, stop > start and an integer count >= 1, got {rng!r}")
     return (start, stop, int(count))
-
-
-def _check_wigner_grid(grid):
-    """The Wigner grid with its unset keys at their defaults, or ConfigError."""
-    if not isinstance(grid, dict) or not set(grid) <= set(_WIGNER_GRID):
-        raise ConfigError(f"wigner_grid must be an object with keys re, im, nx, ny, got {grid!r}")
-    grid = {**_WIGNER_GRID, **grid}
-    for key in ("re", "im"):
-        pair = grid[key]
-        ok = isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair))
-        if not (ok and pair[0] < pair[1]):
-            raise ConfigError(f"wigner_grid {key} must be finite reals lo < hi, got {pair!r}")
-    for key in ("nx", "ny"):
-        if not (_is_int(grid[key]) and grid[key] >= 2):
-            raise ConfigError(f"wigner_grid {key} must be an integer >= 2, got {grid[key]!r}")
-    return grid
 
 
 def _is_real(value):
@@ -142,22 +122,17 @@ def validate_config(config):
         delta_range=_check_range("delta_range", config.delta_range),
         epsilon_range=_check_range("epsilon_range", config.epsilon_range),
         analyze=tuple(config.analyze),
-        wigner_grid=_check_wigner_grid(config.wigner_grid),
     )
     if config.epsilon_range[0] < 0:
         raise ConfigError(f"epsilon_range must start at a drive >= 0, got {config.epsilon_range!r}")
-    if config.scan is not None:
-        if not isinstance(config.scan, dict) or set(config.scan) not in ({"epsilon"}, {"delta"}):
-            raise ConfigError(f"scan must set exactly one of epsilon/delta, got {config.scan!r}")
     if config.point is not None:
         if not isinstance(config.point, dict) or set(config.point) != {"delta", "epsilon"}:
             raise ConfigError(f"point must set delta and epsilon, got {config.point!r}")
-    for name in ("scan", "point"):
-        for key, value in (getattr(config, name) or {}).items():
-            if not _is_real(value):
-                raise ConfigError(f"{name} {key} must be a finite real number, got {value!r}")
-            if key == "epsilon" and value < 0:
-                raise ConfigError(f"{name} epsilon must be a drive >= 0, got {value!r}")
+    for key, value in (config.point or {}).items():
+        if not _is_real(value):
+            raise ConfigError(f"point {key} must be a finite real number, got {value!r}")
+        if key == "epsilon" and value < 0:
+            raise ConfigError(f"point epsilon must be a drive >= 0, got {value!r}")
     return config
 
 
@@ -262,19 +237,11 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
 def sweep(config):
     """Evaluate the response over the configured (delta, epsilon) grid.
 
-    A configured scan {axis: value} fixes that axis at the value, which
-    must lie inside the axis's configured range: the grid is then the
-    1-D line along the other axis.  A configured circuit file sets an
+    An axis whose range has count 1 is that one value, so a line scan is
+    the grid of one value on that axis.  A configured circuit file sets an
     unset gamma, as in ``analyze``.
     """
-    config = validate_config(config)
-    for axis, value in (config.scan or {}).items():
-        value = float(value)
-        lo, hi, _ = getattr(config, f"{axis}_range")
-        if not lo <= value <= hi:
-            raise ConfigError(f"fixed {axis} {value} outside range [{lo}, {hi}]")
-        config = replace(config, **{f"{axis}_range": (value, value, 1)})
-    config, _ = resolve_circuit(config)
+    config, _ = resolve_circuit(validate_config(config))
     deltas = _grid_points(config.delta_range)
     epsilons = _grid_points(config.epsilon_range)
     started = time.time()
@@ -511,11 +478,15 @@ def _tool_block():
 
 
 def run_sweep_to_dir(config):
-    """Run ``sweep`` and write sweep.csv (scan.csv for a scan) plus manifest.json."""
+    """Run ``sweep`` and write sweep.csv plus manifest.json.
+
+    A grid with one value on either axis is a line scan: its CSV is
+    scan.csv, and the manifest's kind is "scan" rather than "sweep".
+    """
     result = sweep(config)
     # made only now, so that a configuration error leaves no directory
     os.makedirs(config.out_dir, exist_ok=True)
-    kind = "sweep" if config.scan is None else "scan"
+    kind = "scan" if 1 in (result.deltas.size, result.epsilons.size) else "sweep"
     csv_name = f"{kind}.csv"
     phase_s = result.metadata["phase_s"]
     with _timed(phase_s, "write"):
@@ -627,11 +598,7 @@ class _PointContext:
                     pass
                 else:
                     states["rho_plus"], states["rho_minus"] = pair.rho_plus, pair.rho_minus
-            g = self.config.wigner_grid
-            grids = wigner_many(
-                list(states.values()), re_range=g["re"], im_range=g["im"], nx=g["nx"], ny=g["ny"]
-            )
-            self._wigner = dict(zip(states, grids))
+            self._wigner = dict(zip(states, wigner_many(list(states.values()))))
         return self._wigner
 
 

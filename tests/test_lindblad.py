@@ -285,6 +285,24 @@ def test_degenerate_kernel_detected():
             steady_state(S)
 
 
+@pytest.mark.parametrize("dim", [6, 40], ids=["dense", "arnoldi"])
+def test_undamped_spectrum_is_degenerate(dim):
+    # without damping the zero mode is not unique: refused up front, as
+    # steady_state refuses it, on either eigen branch
+    S = build_superoperator(ModelParams(delta=-1.0, chi=1.0, epsilon=0.5, gamma=0.0), dim)
+    with pytest.raises(DegenerateKernelError, match="no damping"):
+        low_lying_spectrum(S)
+
+
+def test_hard_regime_spectrum_has_a_slow_real_mode():
+    # next to the bifurcation the switching rate is ~2e-10 (-1.93e-10 today),
+    # yet with damping the steady state is unique and the spectrum exists
+    _, dim, _ = solve_steady_state_adaptive(HARD_REGIME)
+    lam1 = low_lying_spectrum(build_superoperator(HARD_REGIME, dim)).eigenvalues[1]
+    assert lam1.imag == 0
+    assert -1e-6 < lam1.real < 0
+
+
 @pytest.mark.parametrize("epsilon", [0.5, 1.0, 1.5])
 def test_adaptive_hard_regime_matches_closed_form(epsilon):
     # next to the Duffing bifurcation the switching rate is ~1e-9; an

@@ -60,19 +60,29 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         config_from_dict({"dim": 1})
     with pytest.raises(ConfigError):
-        config_from_dict({"scan": {"epsilon": 1.0, "delta": 0.0}})
-    with pytest.raises(ConfigError):
         config_from_dict({"point": {"delta": -1.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"analyze": ("entropy", "nonsense")})
-    # a drive amplitude is >= 0, in a range, a scan or a point
+    # a scan is a one-value range and the Wigner grid is fixed: neither is a key
+    for raw in ({"scan": {"epsilon": 1.0}}, {"wigner_grid": {"nx": 41}}):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict(raw)
+    # a drive amplitude is >= 0, in a range (one-value ranges included) or a point
     for raw in (
         {"epsilon_range": (-1.0, 1.0, 3)},
         {"epsilon_range": (-1.0, -1.0, 1)},
-        {"scan": {"epsilon": -0.5}},
         {"point": {"delta": -5.2, "epsilon": -3.2}},
     ):
         with pytest.raises(ConfigError, match="epsilon"):
+            config_from_dict(raw)
+    # range endpoints are finite, or a closed-form sweep writes rows of nan
+    for raw in (
+        {"delta_range": (-np.inf, 2.0, 5)},
+        {"epsilon_range": (0.5, np.inf, 2)},
+        {"epsilon_range": (np.inf, np.inf, 1)},
+        {"delta_range": (np.nan, np.nan, 1)},
+    ):
+        with pytest.raises(ConfigError, match="finite"):
             config_from_dict(raw)
 
 
@@ -128,8 +138,7 @@ def test_line_scan_linear_regime_is_lorentzian():
         gamma=0.3,
         chi=1.0,
         delta_range=(-3.0, 1.0, 101),
-        epsilon_range=(1e-4, 1.0, 10),
-        scan={"epsilon": 1e-4},
+        epsilon_range=(1e-4, 1e-4, 1),
     )
     result = sweep(config)
     assert result.epsilons.size == 1
@@ -145,8 +154,7 @@ def test_line_scan_step_ordering_and_trough():
         gamma=2.0,
         chi=1.0,
         delta_range=(-8.0, -2.0, 241),
-        epsilon_range=(0.05, 5.0, 4),
-        scan={"epsilon": 3.2},
+        epsilon_range=(3.2, 3.2, 1),
     )
     result = sweep(config)
     deltas = result.deltas
@@ -161,14 +169,6 @@ def test_line_scan_step_ordering_and_trough():
     idx = np.nonzero((d[:-1] < 0) & (d[1:] >= 0))[0] + 1
     troughs = deltas[idx]
     assert any(-6.5 < t < -5.7 for t in troughs)
-
-
-def test_line_scan_out_of_range_fixed_value():
-    config = SweepConfig(method="closed-form", scan={"epsilon": 99.0}, **TINY_GRID)
-    with pytest.raises(ConfigError):
-        sweep(config)
-    with pytest.raises(ConfigError):
-        sweep(SweepConfig(method="closed-form", scan={"delta": 1.5}, **TINY_GRID))
 
 
 def test_run_sweep_artifacts_and_determinism(tmp_path):
@@ -418,7 +418,6 @@ def test_analyze_point_c_task_suite(tmp_path):
             "chi": 1.0,
             "point": {"delta": -5.2, "epsilon": 3.2},
             "analyze": ["entropy", "spectrum", "wigner", "metastable", "mixing-curve"],
-            "wigner_grid": {"re": [-5.0, 5.0], "im": [-5.0, 5.0], "nx": 101, "ny": 101},
             "out_dir": out_dir,
         }
     )
@@ -473,7 +472,7 @@ def test_analyze_point_c_task_suite(tmp_path):
 
     header = json.load(open(os.path.join(out_dir, "wigner_rho0.json")))
     assert header["columns"] == ["x", "y", "w"]
-    assert header["nx"] == 101 and header["ny"] == 101
+    assert header["nx"] == 201 and header["ny"] == 201
     assert header["dim"] == 18
     assert np.isclose(header["integral"], 1.0, atol=1e-6)
     first = open(os.path.join(out_dir, "wigner_rho0.csv")).readline().strip()
@@ -565,7 +564,6 @@ def _point_analysis(out_dir, epsilon, tasks):
                 "chi": 1.0,
                 "point": {"delta": -5.2, "epsilon": epsilon},
                 "analyze": tasks,
-                "wigner_grid": {"nx": 41, "ny": 41},
                 "out_dir": str(out_dir),
             }
         )
@@ -791,10 +789,11 @@ def test_cli_readme_line_scan(tmp_path, monkeypatch):
 
 
 def test_api_scan_matches_cli_readme_line_scan(tmp_path):
-    # run_sweep_to_dir takes the scan from the config, as the CLI does
+    # --scan epsilon=v is the one-value range (v, v, 1), which run_sweep_to_dir
+    # writes as a scan
     config = SweepConfig(
         method="closed-form", gamma=0.01, chi=1, delta_range=(-1.08, -0.92, 801),
-        epsilon_range=(0.012, 0.012, 1), scan={"epsilon": 0.012}, out_dir=str(tmp_path / "api"),
+        epsilon_range=(0.012, 0.012, 1), out_dir=str(tmp_path / "api"),
     )
     run_sweep_to_dir(config)
     code = main(
@@ -817,19 +816,39 @@ def test_api_scan_matches_cli_readme_line_scan(tmp_path):
 
 
 def test_sweep_applies_the_scan(tmp_path):
-    # the scanned axis is the one fixed value, whatever its configured range
-    grid = dict(method="closed-form", gamma=0.01, chi=1.0, delta_range=(-1.08, -0.92, 5))
-    config = SweepConfig(epsilon_range=(0.01, 0.02, 3), scan={"epsilon": 0.012}, **grid)
-    result = sweep(config)
-    assert result.epsilons.tolist() == [0.012]
-    assert result.values["closed-form"].shape == (5, 1)
-    assert result.metadata["config"]["epsilon_range"] == (0.012, 0.012, 1)
-    full = sweep(SweepConfig(epsilon_range=(0.012, 0.012, 1), **grid))
-    assert np.array_equal(result.values["closed-form"], full.values["closed-form"])
-    manifest = run_sweep_to_dir(replace(config, out_dir=str(tmp_path)))
-    assert manifest["kind"] == "scan"
-    assert manifest["grid"] == {"deltas": 5, "epsilons": 1}
-    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "run.log", "scan.csv"]
+    # a grid with one value on either axis is a scan, and the other grids sweeps
+    grid = dict(method="closed-form", gamma=0.01, chi=1.0)
+    for rng, kind, shape in (
+        (dict(delta_range=(-1.08, -0.92, 5), epsilon_range=(0.012, 0.012, 1)), "scan", (5, 1)),
+        (dict(delta_range=(-1.0, -1.0, 1), epsilon_range=(0.01, 0.02, 3)), "scan", (1, 3)),
+        (dict(delta_range=(-1.08, -0.92, 5), epsilon_range=(0.01, 0.02, 3)), "sweep", (5, 3)),
+    ):
+        out = tmp_path / f"{kind}{shape[0]}"
+        manifest = run_sweep_to_dir(SweepConfig(out_dir=str(out), **grid, **rng))
+        assert manifest["kind"] == kind
+        assert manifest["grid"] == {"deltas": shape[0], "epsilons": shape[1]}
+        assert manifest["outputs"] == [f"{kind}.csv"]
+        assert sorted(os.listdir(out)) == sorted(["manifest.json", "run.log", f"{kind}.csv"])
+
+
+def test_config_file_scan_matches_library(tmp_path, capsys):
+    # one JSON config gives the same scan through the CLI and the library,
+    # at a drive outside the default epsilon range too
+    raw = {
+        "method": "closed-form", "gamma": 0.01, "delta_range": [-1.08, -0.92, 5],
+        "epsilon_range": [7.0, 7.0, 1],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "cli")}))
+    assert main(["--config", str(cfg)]) == 0
+    assert "scan:" in capsys.readouterr().out
+    run_sweep_to_dir(config_from_dict({**raw, "out_dir": str(tmp_path / "api")}))
+    cli, api = (read_manifest(tmp_path / name) for name in ("cli", "api"))
+    assert cli["kind"] == api["kind"] == "scan"
+    assert (tmp_path / "cli" / "scan.csv").read_bytes() == (tmp_path / "api" / "scan.csv").read_bytes()
+    for m in (cli, api):
+        m["config"].pop("out_dir")
+    assert cli == api
 
 
 def test_cli_config_error_emits_json(tmp_path, capsys):
@@ -865,6 +884,7 @@ def test_cli_bad_config_file(tmp_path, capsys):
         {"point": 5, "analyze": ["entropy"]},
         {"analyze": 5},
         5,
+        # scan and wigner_grid are unknown keys, whatever their values
         {"wigner_grid": {"nx": "a"}},
         {"wigner_grid": {"nz": 41}},
         {"wigner_grid": {"nx": 1}},
@@ -901,6 +921,12 @@ def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
         ["--point", "delta=-5.2,epsilon=-3.2", "--analyze", "entropy"],
         ["--method", "both", "--epsilon-range=-1:1:3"],
         ["--method", "closed-form", "--epsilon-range=-1:1:3"],
+        ["--method", "closed-form", "--delta-range=-inf:2:5", "--epsilon-range=0.5:1:2"],
+        ["--method", "closed-form", "--epsilon-range=0.5:inf:2"],
+        ["--method", "numeric", "--delta-range=-inf:2:3", "--epsilon-range=0.5:1:2"],
+        ["--scan", "epsilon=inf"],
+        ["--scan", "gamma=1"],
+        ["--scan", "epsilon=3.2", "--epsilon-range=0:5:11"],
     ],
 )
 def test_cli_flag_errors_exit_2_with_json(tmp_path, capsys, flags):
@@ -927,11 +953,6 @@ def test_cli_bad_circuit_file_exits_2(tmp_path, capsys, content):
     assert not (tmp_path / "x").exists()
 
 
-def test_wigner_grid_keeps_defaults_for_unset_keys():
-    config = config_from_dict({"wigner_grid": {"nx": 41, "im": [-2, 3]}})
-    assert config.wigner_grid == {"re": (-5.0, 5.0), "im": [-2, 3], "nx": 41, "ny": 201}
-
-
 def test_cli_runtime_failure_exit_code(tmp_path, capsys):
     out_dir = str(tmp_path / "cli-fail")
     code = main(
@@ -952,10 +973,10 @@ def test_cli_runtime_failure_exit_code(tmp_path, capsys):
 
 
 def test_cli_flags_are_the_config_fields():
-    # every config key but the Wigner grid has a flag, and every flag but
-    # --config sets a config key: none is missing or silently ignored
-    flags = set(vars(build_parser().parse_args([]))) - {"config"}
-    assert flags == set(SweepConfig.__dataclass_fields__) - {"wigner_grid"}
+    # every config key has a flag, and every flag but --config and --scan
+    # (a one-value range) sets its own key: none is missing or silently ignored
+    flags = set(vars(build_parser().parse_args([]))) - {"config", "scan"}
+    assert flags == set(SweepConfig.__dataclass_fields__)
 
 
 def test_cli_flags_override_config_file(tmp_path):
