@@ -66,10 +66,14 @@ def _series_block(b1, b2, z, out):
 
     Every live cell takes the same term step; a cell leaves the live set
     as soon as it meets its stopping rule, so the work follows each cell's
-    own term count and a finished cell is never summed further.
+    own term count and a finished cell is never summed further.  The
+    guard k > max(-Re b1, -Re b2) (hyp0f2_series; k >= 1 here) is tested
+    only on the cells that meet the term rule, and only while k <= kmax,
+    the block's largest -Re b, past which it holds for every cell.
     """
     n = b1.size
     live = np.arange(n)
+    kmax = -float(min(b1.real.min(), b2.real.min()))
     total = np.ones(n, dtype=complex)
     term = np.ones(n, dtype=complex)
     peak = np.ones(n)
@@ -88,6 +92,8 @@ def _series_block(b1, b2, z, out):
         prev_mag = mag
         k += 1
         done = (decreasing >= 3) & (mag <= SERIES_RTOL * amag)
+        if k <= kmax and done.any():
+            done[done] = (b1.real[done] + k > 0) & (b2.real[done] + k > 0)
         if done.any():
             _store(out, live[done], total[done], peak[done], mag[done], k)
             keep = ~done
@@ -104,10 +110,16 @@ def hyp0f2_series(b1, b2, z):
 
     Sums every cell of the broadcast arrays (b1, b2, z) at once, in
     blocks of _SERIES_BLOCK cells.  Pochhammer factors accumulate
-    incrementally.  A cell stops once its relative term magnitude is
-    below SERIES_RTOL *and* its terms have decreased for three
-    consecutive orders, which guards against stopping on a dip before the
-    series peak at large |z|; it also stops at SERIES_MAX_TERMS terms.
+    incrementally.  A cell stops after term k once its relative term
+    magnitude is below SERIES_RTOL, its terms have decreased for three
+    consecutive orders (no stop on a dip before the series peak at large
+    |z|), and k > max(0, -Re b1, -Re b2); it also stops at
+    SERIES_MAX_TERMS terms.  The last condition matters where a lower
+    parameter has a large negative real part: the term ratio
+    z / ((k+1) (b1+k) (b2+k)) can fall and rise again while |b + k|
+    shrinks, up to k ~ -Re b, so the terms may dip below the tolerance
+    and then resurge.  Past k = -Re b every |b + k| grows, so the ratio
+    only falls and no later term can resurge.
 
     Returns arrays (value, peak_ratio, terms, tail_rel) of the broadcast
     shape:
@@ -136,8 +148,11 @@ def hyp0f2_series(b1, b2, z):
 def hyper_0f2(b1, b2, z):
     """0F2(; b1, b2; z) for complex parameters and argument.
 
-    Evaluated by direct power series with incremental Pochhammer products,
-    and recomputed in 50 digits by the grid's rule (_escalates): when the
+    Evaluated by direct power series with incremental Pochhammer products
+    (hyp0f2_series).  The series stops after a term k > max(0, -Re b1,
+    -Re b2), past which every |b + k| grows and no term can resurge, once
+    three falling terms are below SERIES_RTOL of the sum.  It is
+    recomputed in 50 digits by the grid's rule (_escalates): when the
     partial sums peak more than CANCEL_RATIO above the final magnitude, or
     the series reaches SERIES_MAX_TERMS terms.  Raises ParameterPoleError
     when b1 or b2 sits on a nonpositive integer.

@@ -520,26 +520,9 @@ def adaptive_start_dim(params):
     return max(10, math.ceil(4.0 * (nbar + 1.0)))
 
 
-def solve_steady_states(cells, dim=None):
-    """Steady states of many parameter cells with automatic truncation control.
-
-    Returns one (rho, dim, residual) per cell of ``cells`` (ModelParams),
-    in order.  Each cell starts at adaptive_start_dim and its truncation
-    doubles until the combined population of the top two levels drops
-    below _TOP_POP_TOL; passing ``dim`` skips adaptation and solves
-    every cell at that size.  ``residual`` is max|S rho|, as steady_state
-    checks it: np.max(np.abs(S @ rho.reshape(-1))) to the bit, with S =
-    build_superoperator(params, dim), though no sparse matrix is built.
-
-    Cells at the same truncation are solved together in blocks of at most
-    _BLOCK_PAIRS Fock pairs (_solve_block); cells that fail the population
-    test move on to the blocks at twice their truncation.  Every cell's result is bit for bit
-    the one it gets when solved alone.
-
-    Raises the exception the first failing cell, in input order, raises
-    on its own: ValueError for gamma <= 0, TruncationLimitError when the
-    truncation would pass _MAX_DIM, or steady_state's errors.
-    """
+def _steady_state_outcomes(cells, dim):
+    """solve_steady_states' (rho, dim, residual) per cell, or in its place
+    the exception that cell raises."""
     cells = list(cells)
     results = [None] * len(cells)
     pending = {}
@@ -574,6 +557,30 @@ def solve_steady_states(cells, dim=None):
                     )
                 else:
                     pending.setdefault(2 * d, []).append(i)
+    return results
+
+
+def solve_steady_states(cells, dim=None):
+    """Steady states of many parameter cells with automatic truncation control.
+
+    Returns one (rho, dim, residual) per cell of ``cells`` (ModelParams),
+    in order.  Each cell starts at adaptive_start_dim and its truncation
+    doubles until the combined population of the top two levels drops
+    below _TOP_POP_TOL; passing ``dim`` skips adaptation and solves
+    every cell at that size.  ``residual`` is max|S rho|, as steady_state
+    checks it: np.max(np.abs(S @ rho.reshape(-1))) to the bit, with S =
+    build_superoperator(params, dim), though no sparse matrix is built.
+
+    Cells at the same truncation are solved together in blocks of at most
+    _BLOCK_PAIRS Fock pairs (_solve_block); cells that fail the population
+    test move on to the blocks at twice their truncation.  Every cell's result is bit for bit
+    the one it gets when solved alone.
+
+    Raises the exception the first failing cell, in input order, raises
+    on its own: ValueError for gamma <= 0, TruncationLimitError when the
+    truncation would pass _MAX_DIM, or steady_state's errors.
+    """
+    results = _steady_state_outcomes(cells, dim)
     for out in results:
         if isinstance(out, Exception):
             raise out
@@ -725,10 +732,7 @@ def low_lying_spectrum(S, count=6):
     however close to zero it lies (next to the Duffing bifurcation the
     switching rate is ~1e-10).
     """
-    # loaded here, the spectrum being their one user: steady states load no scipy
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    from scipy.linalg import eig as dense_eig
 
     d = _superoperator_dim(S)
     if count < 1:
@@ -744,8 +748,13 @@ def low_lying_spectrum(S, count=6):
         raise ValueError("S does not preserve Hermiticity: T^H S T is not real")
     R = R.real
     if d <= DENSE_EIG_MAX_DIM:
-        w, v = dense_eig(R.toarray())
+        # numpy returns real arrays when every eigenvalue is real
+        w, v = np.linalg.eig(R.toarray())
+        w, v = w.astype(complex, copy=False), v.astype(complex, copy=False)
     else:
+        # loaded here, the Arnoldi branch being its one user
+        import scipy.sparse.linalg as spla
+
         k = min(count + 6, d * d - 2)
         sigma = _arnoldi_shift(S)
         rows = _pivot_rows(S, sigma)

@@ -3,7 +3,11 @@
 No cell's result depends on another cell (the numeric route solves cells
 in blocks, but no step mixes them), so a sweep is reproducible
 bit-for-bit regardless of worker count: results keep the grid's cell
-order and JSON is emitted with sorted keys.  Every CSV goes through
+order and JSON is emitted with sorted keys.  With n = min(workers,
+cells) > 1 the numeric cells are dealt round-robin into n shares; the
+process solves share 0 while a pool of n - 1 forked workers solves the
+rest, and a failing grid raises the error of its first failing cell in
+grid order, as the serial sweep does.  Every CSV goes through
 one writer, which writes each float as Python's ``%.16e`` does (17
 significant digits, the conversion ``{:.16e}`` makes too): numpy forms
 the correctly rounded digits of a chunk of up to 4096 rows at once, and
@@ -13,8 +17,9 @@ with LF line endings.  Moduli |z| come from Python's ``abs`` on each
 complex value, because ``np.abs`` rounds some of them one ulp
 differently.  Wall-clock time per phase goes to the JSON side log
 run.log, never into the manifest.  The ``lindblad`` names are imported in
-the functions that call them, and only a point analysis's decay spectrum
-loads scipy's sparse and dense linear algebra.
+the functions that call them.  Only a point analysis's decay spectrum
+loads scipy.sparse; its dense branch is numpy's, and only above
+DENSE_EIG_MAX_DIM levels does it load scipy.sparse.linalg.
 """
 
 import functools
@@ -200,13 +205,17 @@ class SweepResult:
 
 
 def _numeric_values(cells, dim):
-    """(<a>, truncation, residual) of each cell, solved as one solve_steady_states call."""
-    from .lindblad import solve_steady_states
+    """(<a>, truncation, residual) of each cell, or the exception the cell raises.
 
-    out = []
-    for rho, used_dim, residual in solve_steady_states(cells, dim=dim):
-        out.append((expectation(annihilation(used_dim), rho), used_dim, residual))
-    return out
+    The cells are solved as one call of solve_steady_states' solve.
+    """
+    from .lindblad import _steady_state_outcomes
+
+    return [
+        out if isinstance(out, Exception)
+        else (expectation(annihilation(out[1]), out[0]), out[1], out[2])
+        for out in _steady_state_outcomes(cells, dim)
+    ]
 
 
 def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
@@ -215,18 +224,28 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
         for d in deltas
         for e in epsilons
     ]
-    workers = min(workers, len(cells))
-    if workers > 1:
+    # Share w holds cells w, w + n, w + 2n, ...: a cell's cost (its
+    # adaptive truncation) drifts along the grid, so dealt shares cost
+    # about the same where contiguous runs did not.  This process solves
+    # share 0 while the pool solves the rest; a cell's result does not
+    # depend on its share.
+    n = min(workers, len(cells))
+    shares = [cells[w::n] for w in range(n)]
+    if n > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # one contiguous run of cells per worker, and no more workers than
-        # cells; a cell's result does not depend on which cells share its call
-        bounds = np.linspace(0, len(cells), workers + 1).round().astype(int)
-        runs = [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for run in pool.map(_numeric_values, runs, [dim] * workers) for r in run]
+        with ProcessPoolExecutor(max_workers=n - 1) as pool:
+            pooled = pool.map(_numeric_values, shares[1:], [dim] * (n - 1))
+            solved = [_numeric_values(shares[0], dim), *pooled]
     else:
-        results = _numeric_values(cells, dim)
+        solved = [_numeric_values(cells, dim)]
+    results = [None] * len(cells)
+    for w, share in enumerate(solved):
+        results[w::n] = share
+    # the serial sweep's error: the first failing cell in grid order
+    for out in results:
+        if isinstance(out, Exception):
+            raise out
     shape = (deltas.size, epsilons.size)
     values = np.array([r[0] for r in results], dtype=complex).reshape(shape)
     dims = np.array([r[1] for r in results], dtype=int).reshape(shape)

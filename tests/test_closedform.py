@@ -193,6 +193,34 @@ def test_hyp0f2_series_array_matches_mpmath():
     assert np.all(np.abs(value - ref) <= 1e-14 * np.abs(ref))
 
 
+def test_hyp0f2_series_sums_past_a_resurgence():
+    # The terms dip below SERIES_RTOL of the sum by k = 34 and resurge
+    # while |b + k| shrinks, up to k = -Re b = 48; a sum stopped at the dip
+    # reads 9.81 against 330.04.
+    b1, b2, z = -48.0 - 1.0j, -48.0 + 1.0j, 5000.0
+    value, _, terms, _ = hyp0f2_series(b1, b2, z)
+    assert terms > 48
+    ref = mp_hyp0f2(b1, b2, z)
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "delta, epsilon",
+    [
+        # the CLI cell: -168.98 - 18.92i when the series stopped at a dip,
+        # against -5.0250 - 0.5627i
+        (-2.4, 2.5),
+        # the hard-regime point, 9.5e-9 off when its series stopped at k = 23
+        (-2.0, 1.5),
+    ],
+)
+def test_dw_response_small_chi_sums_past_the_last_near_pole(delta, epsilon):
+    # chi = 0.05 puts -Re b at delta / chi = 48 and 40
+    got = dw_response(ModelParams(delta=delta, chi=0.05, epsilon=epsilon, gamma=0.1))
+    ref = mp_dw(delta, epsilon, 0.1, 0.05)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 # A zero of the numerator series at gamma = 1e-9: its partial sums peak
 # ~2e9 times above the final value, past CANCEL_RATIO, so the cell is
 # re-evaluated with mpmath.

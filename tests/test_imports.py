@@ -4,10 +4,12 @@
 submodule on first use.  The closed-form and series routes need numpy
 alone, and so does the Fano fit, whose Gauss-Newton search is numpy
 code.  The Lindblad steady states and the undriven eigenpair check
-are numpy code too, so the numeric sweep loads no scipy.sparse; only the
-decay spectrum loads scipy's sparse and dense linear algebra, and no
-route loads scipy.optimize.  The process pool loads only for a sweep with more than
-one worker.
+are numpy code too, so the numeric sweep loads no scipy.sparse.  Only
+the decay spectrum loads scipy.sparse; its dense branch is numpy's eig,
+and only its Arnoldi branch, above DENSE_EIG_MAX_DIM levels, loads
+scipy.sparse.linalg and with it scipy.linalg.  No route loads
+scipy.optimize.
+The process pool loads only for a sweep with more than one worker.
 """
 
 import json
@@ -112,16 +114,24 @@ def test_readme_numeric_runs_load_no_optimizer(tmp_path):
     assert under(loaded, "scipy.optimize") == []
 
 
+def test_readme_point_c_loads_no_scipy_linear_algebra(tmp_path):
+    # 18 levels: the dense spectrum is numpy's
+    loaded = modules_after(cli_runs(README_POINT_C), tmp_path)
+    assert under(loaded, "scipy.linalg", "scipy.sparse.linalg") == []
+    assert (tmp_path / "run0" / "spectrum.csv").is_file()
+
+
 def test_serial_runs_load_no_process_pool(tmp_path):
     code = cli_runs(README_LINE_SCAN, README_SWEEP, README_POINT_C)
     assert "concurrent.futures.process" not in modules_after(code, tmp_path, "concurrent")
 
 
 def test_parallel_sweep_loads_process_pool_and_matches_serial(tmp_path):
-    code = cli_runs(README_SWEEP, README_SWEEP + " --workers 2")
+    # three workers split the 488 cells unevenly: 163, 163 and 162
+    code = cli_runs(README_SWEEP, README_SWEEP + " --workers 2", README_SWEEP + " --workers 3")
     assert "concurrent.futures.process" in modules_after(code, tmp_path, "concurrent")
-    serial, parallel = (tmp_path / f"run{k}" / "sweep.csv" for k in (0, 1))
-    assert serial.read_bytes() == parallel.read_bytes()
+    serial, *parallel = ((tmp_path / f"run{k}" / "sweep.csv").read_bytes() for k in (0, 1, 2))
+    assert parallel == [serial, serial]
 
 
 def test_fano_fit_as_first_call(tmp_path):

@@ -215,16 +215,10 @@ def test_run_sweep_artifacts_and_determinism(tmp_path):
     assert set(log["phase_s"]) == {"numeric", "closed_form", "write"}
 
 
-@pytest.mark.parametrize(
-    "grid, most",
-    [
-        (dict(delta_range=(-5.5, -5.0, 3), epsilon_range=(3.0, 3.0, 1)), 3),
-        (dict(delta_range=(-5.2, -5.2, 1), epsilon_range=(3.2, 3.2, 1)), None),
-    ],
-)
-def test_numeric_sweep_starts_no_more_workers_than_cells(monkeypatch, grid, most):
-    # no process starts here: the pool is an in-process stand-in that
-    # records the pool size asked for
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The pool sizes asked for.  No process starts: the pool is an
+    in-process stand-in whose map solves the shares in turn."""
     asked = []
 
     class RecordingPool:
@@ -241,15 +235,48 @@ def test_numeric_sweep_starts_no_more_workers_than_cells(monkeypatch, grid, most
             return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "grid, shares",
+    [
+        (dict(delta_range=(-5.5, -5.0, 3), epsilon_range=(3.0, 3.0, 1)), 3),
+        (dict(delta_range=(-5.2, -5.2, 1), epsilon_range=(3.2, 3.2, 1)), None),
+    ],
+)
+def test_numeric_sweep_starts_no_more_workers_than_cells(recording_pool, grid, shares):
+    # eight workers asked for: three cells make three shares, the parent
+    # solves one and a pool of two the others; one cell starts no pool
     config = SweepConfig(method="numeric", gamma=2.0, chi=1.0, workers=8, **grid)
     pooled = sweep(config)
-    if most is None:
-        assert asked == []
-    else:
-        assert asked and max(asked) <= most
+    assert recording_pool == ([] if shares is None else [shares - 1])
     serial = sweep(replace(config, workers=1))
     assert np.array_equal(pooled.values["numeric"], serial.values["numeric"])
     assert np.array_equal(pooled.dims, serial.dims)
+
+
+def test_parallel_sweep_raises_the_serial_error(recording_pool, monkeypatch):
+    # Two shares deal five cells: the parent's share holds cells 0, 2, 4
+    # and the pool's cells 1 and 3.  Cells 1 and 2 fail, each with its own
+    # error; both runs raise cell 1's, the first failing cell in grid order.
+    failing = {-5.25: (lindblad_mod.TruncationLimitError, "cell 1"), -5.0: (ValueError, "cell 2")}
+    start_dim = lindblad_mod.adaptive_start_dim
+
+    def failing_start_dim(params):
+        if params.delta in failing:
+            kind, message = failing[params.delta]
+            raise kind(message)
+        return start_dim(params)
+
+    monkeypatch.setattr(lindblad_mod, "adaptive_start_dim", failing_start_dim)
+    config = SweepConfig(
+        method="numeric", gamma=2.0, chi=1.0, delta_range=(-5.5, -4.5, 5), epsilon_range=(3.0, 3.0, 1)
+    )
+    for workers in (1, 2):
+        with pytest.raises(lindblad_mod.TruncationLimitError, match="cell 1"):
+            sweep(replace(config, workers=workers))
+    assert recording_pool == [1]
 
 
 def _oracle_sweep_csv(result):
