@@ -20,6 +20,7 @@ back-substitution through the bidiagonal sectors (_drive_orders).
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +42,10 @@ _FANO_XTOL = 1e-10
 _FANO_RESIDUAL_FRAC = 0.05
 # Detuning samples of one onset scan, over -n chi +- 12 gamma.
 _ONSET_SAMPLES = 961
+# Half-width of the band an onset search runs on first, as a fraction of
+# the 10 gamma window: |delta + n chi| < 2 gamma, ~160 of the samples.  The
+# first slope flip appears within 0.13 gamma of the line centre.
+_ONSET_BAND = 0.2
 
 
 class FanoFitError(RuntimeError):
@@ -450,13 +455,49 @@ def fano_fit(deltas, magnitudes):
     )
 
 
-def _has_stationary_point(params_gamma, chi, epsilon, deltas, mask):
-    values, _ = dw_response_grid(deltas, np.array([epsilon]), params_gamma, chi)
+def _has_stationary_point(gamma, chi, epsilon, deltas, mask):
+    """Whether |a|(delta) on the samples ``deltas`` turns over where ``mask`` holds.
+
+    mask[j] stands for the slope flip at deltas[j + 1].
+    """
+    values, _ = dw_response_grid(deltas, np.array([epsilon]), gamma, chi)
     mags = np.abs(values[:, 0])
     slopes = np.diff(mags)
     signs = np.sign(slopes)
     flips = signs[:-1] * signs[1:] < 0
     return bool(np.any(flips & mask))
+
+
+def _bracket_onset(found, eps, gamma):
+    """Drives (lo, hi) with found(lo) false, found(hi) true and hi/lo ~ 1.25^(2^-40).
+
+    Steps down from eps by 1.25 until found is false, up by 1.25 until it
+    is true, then bisects 40 times in log-drive.  Every probe that came
+    out false was at a drive <= lo, every one that came out true at a
+    drive >= hi.
+    """
+    for _ in range(120):
+        if not found(eps):
+            break
+        eps /= 1.25
+    else:
+        raise OnsetError(f"no drive below the line onset found at gamma={gamma}")
+    lo = eps
+    for _ in range(120):
+        eps *= 1.25
+        if found(eps):
+            break
+        lo = eps
+    else:
+        raise OnsetError(f"no onset found up to epsilon={eps:.3g} at gamma={gamma}")
+    hi = eps
+    for _ in range(40):
+        mid_e = math.sqrt(lo * hi)
+        if found(mid_e):
+            hi = mid_e
+        else:
+            lo = mid_e
+    return lo, hi
 
 
 def onset_scan(n, gammas, chi=1.0):
@@ -465,54 +506,66 @@ def onset_scan(n, gammas, chi=1.0):
     For each damping rate the closed-form response is sampled at
     _ONSET_SAMPLES detunings over |delta + n chi| <= 12 gamma; the onset is
     the smallest drive for which |a|(delta) acquires a stationary point
-    within 10 gamma of the line, located by bisection in log-drive.
-    Returns a list of (gamma, epsilon_onset).  Requires gamma << chi so
-    the line is spectrally resolved.
+    within 10 gamma of the line, located by bisection in log-drive
+    (_bracket_onset).  Returns a list of (gamma, epsilon_onset).  Requires
+    a finite chi > 0 and 0 < gamma < 0.3 chi, so the line is spectrally
+    resolved.
+
+    The search runs first on the central band |delta + n chi| <
+    _ONSET_BAND * 10 gamma alone, about a sixth of the samples, where the
+    first slope flip appears.  Its bracket (lo, hi) is then checked on
+    the full grid: no stationary point at lo, one at hi.  If the band
+    search raises OnsetError or its bracket fails the check, the search
+    reruns on the full grid.  The onset is the full-grid search's either
+    way: a cell's closed form does not depend on the grid it sits in and
+    the band lies inside the window, so a flip in the band is one on the
+    full grid; every band probe without one was at a drive <= lo, where
+    the full grid has none either as long as the flattening is monotone
+    in the drive.  Both searches therefore take the same steps.
     """
     if n < 1:
         raise ValueError("line index n must be >= 1")
+    if not (math.isfinite(chi) and chi > 0):
+        raise ValueError(f"onset scan requires a finite chi > 0, got chi={chi}")
+    gammas = list(gammas)
+    for gamma in gammas:
+        if not (0 < gamma < 0.3 * chi):
+            raise ValueError(f"onset scan requires 0 < gamma << chi, got gamma={gamma}")
     out = []
     for gamma in gammas:
-        if gamma <= 0 or gamma >= 0.3 * chi:
-            raise ValueError(f"onset scan requires 0 < gamma << chi, got gamma={gamma}")
         w = 10.0 * gamma
         deltas = np.linspace(-n * chi - 1.2 * w, -n * chi + 1.2 * w, _ONSET_SAMPLES)
         mid = 0.5 * (deltas[:-2] + deltas[2:])
         mask = np.abs(mid + n * chi) < w
+        first, last = np.flatnonzero(np.abs(deltas + n * chi) < _ONSET_BAND * w)[[0, -1]]
+        band = partial(
+            _has_stationary_point,
+            gamma,
+            chi,
+            deltas=deltas[first : last + 1],
+            mask=mask[first : last - 1],
+        )
+        full = partial(_has_stationary_point, gamma, chi, deltas=deltas, mask=mask)
         eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)
-
-        def found(e):
-            return _has_stationary_point(gamma, chi, e, deltas, mask)
-
-        for _ in range(120):
-            if not found(eps):
-                break
-            eps /= 1.25
+        try:
+            lo, hi = _bracket_onset(band, eps, gamma)
+        except OnsetError:
+            checked = False
         else:
-            raise OnsetError(f"no drive below the line onset found at gamma={gamma}")
-        lo = eps
-        for _ in range(120):
-            eps *= 1.25
-            if found(eps):
-                break
-            lo = eps
-        else:
-            raise OnsetError(f"no onset found up to epsilon={eps:.3g} at gamma={gamma}")
-        hi = eps
-        for _ in range(40):
-            mid_e = math.sqrt(lo * hi)
-            if found(mid_e):
-                hi = mid_e
-            else:
-                lo = mid_e
+            checked = not full(lo) and full(hi)
+        if not checked:
+            lo, hi = _bracket_onset(full, eps, gamma)
         out.append((float(gamma), float(math.sqrt(lo * hi))))
     return out
 
 
 def onset_slope(pairs):
-    """Log-log slope of epsilon_onset against gamma from onset_scan output."""
-    if len(pairs) < 2:
-        raise ValueError("need at least two (gamma, onset) pairs")
+    """Log-log slope of epsilon_onset against gamma from onset_scan output.
+
+    Raises ValueError unless the pairs hold at least two distinct gammas.
+    """
+    if len({p[0] for p in pairs}) < 2:
+        raise ValueError(f"need pairs at two or more distinct gammas, got {list(pairs)}")
     gs = np.log([p[0] for p in pairs])
     es = np.log([p[1] for p in pairs])
     return float(np.polyfit(gs, es, 1)[0])

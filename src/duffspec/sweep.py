@@ -66,7 +66,7 @@ class SweepConfig:
     The analysis grids are fixed: 6 decay eigenvalues, a 201 x 201 Wigner
     grid over -5..5 in each quadrature, 201 mixing-curve samples, 801 Fano
     samples over -chi +- 8 gamma, and onset scans of the lines n = 1, 2 at
-    gamma = 0.003, 0.01, 0.03.
+    gamma / chi = 0.003, 0.01, 0.03.
     """
 
     method: str = "both"
@@ -787,10 +787,15 @@ def _task_fano(ctx, out_dir, circuit):
 
 
 def _task_onset(ctx, out_dir, circuit):
+    # The response depends on delta, gamma and epsilon only through their
+    # ratios to chi, so damping rates that scale with chi give the chi = 1
+    # slopes at any chi.
+    chi = ctx.params.chi
+    gammas = (0.003 * chi, 0.01 * chi, 0.03 * chi)
     n_column, all_pairs = [], []
     summary = {"slopes": {}}
     for order in (1, 2):
-        pairs = onset_scan(order, (0.003, 0.01, 0.03), chi=ctx.params.chi)
+        pairs = onset_scan(order, gammas, chi=chi)
         n_column += [str(order)] * len(pairs)
         all_pairs += pairs
         summary["slopes"][str(order)] = onset_slope(pairs)

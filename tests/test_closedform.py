@@ -221,6 +221,16 @@ def test_dw_response_small_chi_sums_past_the_last_near_pole(delta, epsilon):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+def test_dw_response_grid_small_chi_open_grid_matches_mpmath():
+    # The grid where 77 of the 2025 cells were more than 1e-9 off while a
+    # series could stop at a dip before its last near-pole; every cell is
+    # checked, which takes ~2 s of mpmath.
+    deltas, epsilons = np.linspace(-4.0, 0.0, 81), np.linspace(0.1, 2.5, 25)
+    values, _ = dw_response_grid(deltas, epsilons, 0.1, 0.05)
+    ref = np.array([[mp_dw(float(d), float(e), 0.1, 0.05) for e in epsilons] for d in deltas])
+    assert np.all(np.abs(values - ref) <= 1e-12 * np.abs(ref))
+
+
 # A zero of the numerator series at gamma = 1e-9: its partial sums peak
 # ~2e9 times above the final value, past CANCEL_RATIO, so the cell is
 # re-evaluated with mpmath.

@@ -1,9 +1,13 @@
 """Tests for the undriven eigensystem, drive expansion, Fano fits, and onsets."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from duffspec import perturbation
 from duffspec.closedform import dw_response, dw_response_grid
 from duffspec.fock import ModelParams, annihilation, expectation
 from duffspec.lindblad import build_superoperator, solve_steady_state_adaptive
@@ -552,6 +556,105 @@ def test_onset_scaling_exponents():
         assert 0.1 * gamma < eps < 10.0 * gamma
 
 
+def full_grid_onset(n, gamma, chi):
+    """The onset searched on the full 961-sample grid alone.
+
+    The oracle of onset_scan, which searches a central band first: the
+    same drive steps (down by 1.25, up by 1.25, 40 log-drive bisections)
+    with every probe on all samples and the +-10 gamma flip window.
+    """
+    w = 10.0 * gamma
+    deltas = np.linspace(-n * chi - 1.2 * w, -n * chi + 1.2 * w, 961)
+    mid = 0.5 * (deltas[:-2] + deltas[2:])
+    mask = np.abs(mid + n * chi) < w
+
+    def found(e):
+        mags = np.abs(dw_response_grid(deltas, np.array([e]), gamma, chi)[0][:, 0])
+        signs = np.sign(np.diff(mags))
+        return bool(np.any((signs[:-1] * signs[1:] < 0) & mask))
+
+    eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)
+    for _ in range(120):
+        if not found(eps):
+            break
+        eps /= 1.25
+    lo = eps
+    for _ in range(120):
+        eps *= 1.25
+        if found(eps):
+            break
+        lo = eps
+    hi = eps
+    for _ in range(40):
+        mid_e = math.sqrt(lo * hi)
+        if found(mid_e):
+            hi = mid_e
+        else:
+            lo = mid_e
+    return math.sqrt(lo * hi)
+
+
+@pytest.mark.parametrize("chi", [0.5, 1.0, 2.0])
+def test_onset_scan_equals_the_full_grid_search(chi):
+    gammas = (0.003, 0.01, 0.03)
+    for n in (1, 2, 3):
+        assert onset_scan(n, gammas, chi) == [(g, full_grid_onset(n, g, chi)) for g in gammas]
+
+
+def counting_grid_calls(monkeypatch):
+    """Counter of onset_scan's dw_response_grid calls by (gamma, samples)."""
+    calls = Counter()
+    real = perturbation.dw_response_grid
+
+    def counting(deltas, epsilons, gamma, chi):
+        calls[gamma, len(deltas)] += 1
+        return real(deltas, epsilons, gamma, chi)
+
+    monkeypatch.setattr(perturbation, "dw_response_grid", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_onset_scan_probes_the_full_grid_twice_per_gamma(monkeypatch, n):
+    # the band holds the first flip, so only the bracket check sees all
+    # 961 samples; every other probe is on the band, a sixth of them
+    calls = counting_grid_calls(monkeypatch)
+    gammas = (0.003, 0.01, 0.03)
+    onset_scan(n, gammas)
+    assert {g for g, _ in calls} == set(gammas)
+    for (g, samples), count in calls.items():
+        if samples == 961:
+            assert count <= 2
+        else:
+            assert samples < 961 // 5 and count > 40
+
+
+@pytest.mark.parametrize(
+    "hidden_below",
+    [
+        # the band never turns over: the band search raises OnsetError
+        math.inf,
+        # the band turns over only from 1.5 onsets up: its bracket's lo
+        # has a stationary point on the full grid
+        1.5,
+    ],
+)
+def test_onset_scan_falls_back_to_the_full_grid(monkeypatch, hidden_below):
+    n, gamma, chi = 2, 0.01, 1.0
+    onset = full_grid_onset(n, gamma, chi)
+    real = perturbation._has_stationary_point
+
+    def band_blind(g, x, e, deltas, mask):
+        if len(deltas) < 961 and e < hidden_below * onset:
+            return False
+        return real(g, x, e, deltas, mask)
+
+    monkeypatch.setattr(perturbation, "_has_stationary_point", band_blind)
+    calls = counting_grid_calls(monkeypatch)
+    assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
+    assert calls[gamma, 961] > 40
+
+
 def test_onset_validation():
     with pytest.raises(ValueError):
         onset_scan(0, (0.01,))
@@ -559,6 +662,28 @@ def test_onset_validation():
         onset_scan(1, (0.5,))
     with pytest.raises(ValueError):
         onset_slope([(0.01, 0.02)])
+    # a repeated gamma leaves no slope to fit
+    with pytest.raises(ValueError, match="distinct"):
+        onset_slope([(0.01, 0.1), (0.01, 0.2)])
+
+
+@pytest.mark.parametrize(
+    "gammas, chi, match",
+    [
+        ((0.01, math.nan), 1.0, "gamma=nan"),
+        ((0.01, math.inf), 1.0, "gamma=inf"),
+        ((0.01,), math.nan, "chi=nan"),
+        ((0.01,), math.inf, "chi=inf"),
+        ((0.01,), 0.0, "chi=0.0"),
+    ],
+)
+def test_onset_scan_rejects_non_finite_rates_before_probing(monkeypatch, gammas, chi, match):
+    def no_probe(*args):
+        raise AssertionError("onset_scan probed the line")
+
+    monkeypatch.setattr(perturbation, "dw_response_grid", no_probe)
+    with pytest.raises(ValueError, match=match):
+        onset_scan(1, gammas, chi)
 
 
 def odd_coefficients_0f2(params, count, dps=50):

@@ -541,23 +541,31 @@ def test_analyze_fano_task(tmp_path):
     assert line == "delta,abs_a,abs_a_normalized"
 
 
-def test_analyze_onset_task(tmp_path):
-    out_dir = str(tmp_path / "onset")
+def check_onset_task(out_dir, gamma, chi, point):
     config = config_from_dict(
-        {
-            "gamma": 0.01,
-            "chi": 1.0,
-            "point": {"delta": -1.0, "epsilon": 0.012},
-            "analyze": ["onset"],
-            "out_dir": out_dir,
-        }
+        {"gamma": gamma, "chi": chi, "point": point, "analyze": ["onset"], "out_dir": out_dir}
     )
     manifest = analyze(config)
     assert manifest["failed_tasks"] == 0
+    # the damping rates scale with chi
+    gammas = (0.003 * chi, 0.01 * chi, 0.03 * chi)
     slopes = manifest["tasks"]["onset"]["summary"]["slopes"]
-    assert slopes == {str(n): onset_slope(onset_scan(n, (0.003, 0.01, 0.03), 1.0)) for n in (1, 2)}
+    assert slopes == {str(n): onset_slope(onset_scan(n, gammas, chi)) for n in (1, 2)}
+    assert abs(slopes["1"] - 1.0) < 0.1 and abs(slopes["2"] - 0.5) < 0.1
+    rows = np.loadtxt(os.path.join(out_dir, "onset.csv"), delimiter=",", skiprows=1)
+    assert rows[:, 1].tolist() == list(gammas) * 2
     line = open(os.path.join(out_dir, "onset.csv")).readline().strip()
     assert line == "n,gamma,epsilon_onset"
+
+
+def test_analyze_onset_task(tmp_path):
+    check_onset_task(str(tmp_path / "onset"), 0.01, 1.0, {"delta": -1.0, "epsilon": 0.012})
+
+
+def test_analyze_onset_task_at_small_chi(tmp_path):
+    # the hard-regime point: an absolute gamma = 0.03 would break the
+    # scan's gamma < 0.3 chi at chi = 0.05
+    check_onset_task(str(tmp_path / "onset"), 0.1, 0.05, {"delta": -2.0, "epsilon": 1.5})
 
 
 def test_analyze_isolates_task_failures(tmp_path):
