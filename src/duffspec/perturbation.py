@@ -18,6 +18,7 @@ back-substitution through the bidiagonal sectors (_drive_orders).
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -46,6 +47,18 @@ _ONSET_SAMPLES = 961
 # the 10 gamma window: |delta + n chi| < 2 gamma, ~160 of the samples.  The
 # first slope flip appears within 0.13 gamma of the line centre.
 _ONSET_BAND = 0.2
+# Drive steps of each ladder of the onset search (down by 1.25, then up),
+# and how many of them one closed-form call probes.
+_ONSET_LADDER_STEPS = 120
+_ONSET_LADDER_BATCH = 4
+# Log-drive bisections of the onset bracket, and how many levels of them
+# one closed-form call probes (2^levels - 1 midpoints).  A call on the
+# ~160-sample band costs ~0.2 ms before its first cell and ~0.5 us per
+# cell: two and three levels take ~3/4 of one level's time, four no less
+# than one, as the midpoints off the search's path outgrow the calls
+# they save.  Two levels sum a quarter fewer cells than three.
+_ONSET_BISECTIONS = 40
+_ONSET_BISECT_LEVELS = 2
 
 
 class FanoFitError(RuntimeError):
@@ -455,49 +468,90 @@ def fano_fit(deltas, magnitudes):
     )
 
 
-def _has_stationary_point(gamma, chi, epsilon, deltas, mask):
-    """Whether |a|(delta) on the samples ``deltas`` turns over where ``mask`` holds.
+def _has_stationary_point(gamma, chi, epsilons, deltas, mask):
+    """Per drive, whether |a|(delta) on the samples ``deltas`` turns over where ``mask`` holds.
 
-    mask[j] stands for the slope flip at deltas[j + 1].
+    One closed-form call on the grid deltas x epsilons; mask[j] stands for
+    the slope flip at deltas[j + 1].  Returns a bool array over epsilons.
     """
-    values, _ = dw_response_grid(deltas, np.array([epsilon]), gamma, chi)
-    mags = np.abs(values[:, 0])
-    slopes = np.diff(mags)
-    signs = np.sign(slopes)
+    values, _ = dw_response_grid(deltas, epsilons, gamma, chi)
+    signs = np.sign(np.diff(np.abs(values), axis=0))
     flips = signs[:-1] * signs[1:] < 0
-    return bool(np.any(flips & mask))
+    return np.any(flips & mask[:, None], axis=0)
+
+
+def _ladder(found, eps, step, want):
+    """Drives eps, step(eps), step(step(eps)), ... up to the first where found is want.
+
+    At most _ONSET_LADDER_STEPS drives, probed _ONSET_LADDER_BATCH per
+    call of found.  Returns (drives, hit): the drives up to and including
+    the first hit, or all of them and hit False.  Drives of a batch past
+    the first hit are probed and discarded.
+    """
+    drives = []
+    while len(drives) < _ONSET_LADDER_STEPS:
+        batch = []
+        for _ in range(min(_ONSET_LADDER_BATCH, _ONSET_LADDER_STEPS - len(drives))):
+            batch.append(eps)
+            eps = step(eps)
+        hits = np.flatnonzero(found(np.array(batch)) == want)
+        if hits.size:
+            return drives + batch[: hits[0] + 1], True
+        drives += batch
+    return drives, False
+
+
+def _bisect(found, lo, hi):
+    """(lo, hi) after _ONSET_BISECTIONS log-drive bisection steps.
+
+    Each call of found probes the next _ONSET_BISECT_LEVELS levels at
+    once.  Every midpoint those steps might take is formed first, as one
+    step at a time forms it (math.sqrt(lo * hi) of the bracket it holds
+    then), in heap order: node i splits its bracket into children
+    2i + 1 (lower half) and 2i + 2 (upper half).  The steps then walk that
+    tree by found's answers; the midpoints off their path are probed and
+    discarded.
+    """
+    for done in range(0, _ONSET_BISECTIONS, _ONSET_BISECT_LEVELS):
+        levels = min(_ONSET_BISECT_LEVELS, _ONSET_BISECTIONS - done)
+        brackets, mids = [(lo, hi)], []
+        for i in range(2**levels - 1):
+            b_lo, b_hi = brackets[i]
+            mids.append(math.sqrt(b_lo * b_hi))
+            brackets += [(b_lo, mids[i]), (mids[i], b_hi)]
+        answers = found(np.array(mids))
+        i = 0
+        for _ in range(levels):
+            if answers[i]:
+                hi, i = mids[i], 2 * i + 1
+            else:
+                lo, i = mids[i], 2 * i + 2
+    return lo, hi
 
 
 def _bracket_onset(found, eps, gamma):
     """Drives (lo, hi) with found(lo) false, found(hi) true and hi/lo ~ 1.25^(2^-40).
 
-    Steps down from eps by 1.25 until found is false, up by 1.25 until it
-    is true, then bisects 40 times in log-drive.  Every probe that came
-    out false was at a drive <= lo, every one that came out true at a
-    drive >= hi.
+    found maps an array of drives to one answer per drive.  Steps down
+    from eps by 1.25 until found is false, up by 1.25 until it is true,
+    then bisects 40 times in log-drive.  The steps are probed a batch at
+    a time and the bisection a few levels at a time (_ladder, _bisect),
+    but every drive is formed by the same expression as in one-at-a-time
+    probing, so the search takes the same steps and returns the same
+    bits.  Every probe the search uses that came out false was at a
+    drive <= lo, every one that came out true at a drive >= hi; the
+    probes past a ladder's first answer and off the bisection's path are
+    made and discarded.
     """
-    for _ in range(120):
-        if not found(eps):
-            break
-        eps /= 1.25
-    else:
+    down, hit = _ladder(found, eps, lambda e: e / 1.25, False)
+    if not hit:
         raise OnsetError(f"no drive below the line onset found at gamma={gamma}")
-    lo = eps
-    for _ in range(120):
-        eps *= 1.25
-        if found(eps):
-            break
-        lo = eps
-    else:
-        raise OnsetError(f"no onset found up to epsilon={eps:.3g} at gamma={gamma}")
-    hi = eps
-    for _ in range(40):
-        mid_e = math.sqrt(lo * hi)
-        if found(mid_e):
-            hi = mid_e
-        else:
-            lo = mid_e
-    return lo, hi
+    lo = down[-1]
+    up, hit = _ladder(found, lo * 1.25, lambda e: e * 1.25, True)
+    if not hit:
+        raise OnsetError(f"no onset found up to epsilon={up[-1]:.3g} at gamma={gamma}")
+    lo, hi = ([lo] + up)[-2:]
+    return _bisect(found, lo, hi)
 
 
 def onset_scan(n, gammas, chi=1.0):
@@ -514,17 +568,22 @@ def onset_scan(n, gammas, chi=1.0):
     The search runs first on the central band |delta + n chi| <
     _ONSET_BAND * 10 gamma alone, about a sixth of the samples, where the
     first slope flip appears.  Its bracket (lo, hi) is then checked on
-    the full grid: no stationary point at lo, one at hi.  If the band
-    search raises OnsetError or its bracket fails the check, the search
-    reruns on the full grid.  The onset is the full-grid search's either
-    way: a cell's closed form does not depend on the grid it sits in and
-    the band lies inside the window, so a flip in the band is one on the
-    full grid; every band probe without one was at a drive <= lo, where
-    the full grid has none either as long as the flattening is monotone
-    in the drive.  Both searches therefore take the same steps.
+    the full grid, in one call on the drives (lo, hi): no stationary
+    point at lo, one at hi.  If the band search raises OnsetError or its
+    bracket fails the check, the search reruns on the full grid.  The
+    onset is the full-grid search's either way: a cell's closed form does
+    not depend on the grid it sits in and the band lies inside the
+    window, so a flip in the band is one on the full grid; every band
+    probe the search used without one was at a drive <= lo, where the
+    full grid has none either as long as the flattening is monotone in
+    the drive.  Both searches therefore take the same steps.  The drives
+    each closed-form call probes beyond those the search uses (the rest
+    of a ladder batch, the midpoints off the bisection's path) are made
+    and discarded.
     """
-    if n < 1:
-        raise ValueError("line index n must be >= 1")
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"line index n must be an integer >= 1, got n={n!r}")
+    n = int(n)
     if not (math.isfinite(chi) and chi > 0):
         raise ValueError(f"onset scan requires a finite chi > 0, got chi={chi}")
     gammas = list(gammas)
@@ -552,7 +611,8 @@ def onset_scan(n, gammas, chi=1.0):
         except OnsetError:
             checked = False
         else:
-            checked = not full(lo) and full(hi)
+            at_lo, at_hi = full(np.array([lo, hi]))
+            checked = not at_lo and at_hi
         if not checked:
             lo, hi = _bracket_onset(full, eps, gamma)
         out.append((float(gamma), float(math.sqrt(lo * hi))))

@@ -23,10 +23,12 @@ DENSE_EIG_MAX_DIM levels does it load scipy.sparse.linalg.
 """
 
 import functools
+import importlib.util
 import json
 import math
 import numbers
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -485,15 +487,34 @@ def _write_json(path, payload):
 
 
 def _tool_block():
-    import numpy
-    import scipy
-
     return {
         "name": "duffspec",
         "version": __version__,
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "numpy": np.__version__,
+        "scipy": _scipy_version(),
     }
+
+
+def _scipy_version():
+    """scipy.__version__, without importing scipy where no route has loaded it.
+
+    scipy's __init__ takes its __version__ from scipy/version.py, a file
+    with no imports; loading that file alone spares the 10 modules
+    ``import scipy`` loads.  Any failure there falls back to the import.
+    """
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    try:
+        spec = importlib.util.find_spec("scipy")
+        path = os.path.join(os.path.dirname(spec.origin), "version.py")
+        version_spec = importlib.util.spec_from_file_location("_duffspec_scipy_version", path)
+        module = importlib.util.module_from_spec(version_spec)
+        version_spec.loader.exec_module(module)
+        return module.version
+    except (ImportError, AttributeError, OSError, TypeError):
+        import scipy
+
+        return scipy.__version__
 
 
 def run_sweep_to_dir(config):

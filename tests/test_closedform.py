@@ -265,6 +265,52 @@ def test_dw_response_grid_matches_scalar_cell_by_cell(deltas, epsilons, gamma, e
     assert np.argwhere((tails == 0.0) & (epsilons != 0.0)).tolist() == escalated
 
 
+def onset_grid(n, gamma, band):
+    """The 961 detunings of an onset scan at chi = 1, or its central band |delta + n| < 2 gamma."""
+    deltas = np.linspace(-n - 12.0 * gamma, -n + 12.0 * gamma, 961)
+    return deltas[np.abs(deltas + n) < 2.0 * gamma] if band else deltas
+
+
+def drive_ladder(eps, steps):
+    """eps / 1.25^4, ..., eps * 1.25^(steps - 5), each formed from the last as the onset search forms it."""
+    for _ in range(4):
+        eps /= 1.25
+    drives = []
+    for _ in range(steps):
+        drives.append(eps)
+        eps *= 1.25
+    return np.array(drives)
+
+
+@pytest.mark.parametrize(
+    "deltas, epsilons, gamma",
+    [
+        # onset bands and full onset grids, with the drives an onset
+        # search steps through from its first drive 0.05 gamma^(1/n)
+        (onset_grid(n, 0.01, band), drive_ladder(0.05 * 0.01 ** (1.0 / n), 20), 0.01)
+        for n in (1, 2, 3)
+        for band in (True, False)
+    ]
+    + [
+        (
+            np.array([-9.5, _ESCALATING_CELL[0], -9.0]),
+            np.array([3.0, _ESCALATING_CELL[1], 0.5, 1.25 * _ESCALATING_CELL[1]]),
+            _ESCALATING_CELL[2],
+        )
+    ],
+)
+def test_dw_response_grid_columns_equal_one_drive_calls(deltas, epsilons, gamma):
+    # a many-drive call is its one-drive calls side by side, bit for bit in
+    # value and tail: the batched onset search rests on it
+    values, tails = dw_response_grid(deltas, epsilons, gamma, 1.0)
+    for j, e in enumerate(epsilons):
+        one_values, one_tails = dw_response_grid(deltas, np.array([e]), gamma, 1.0)
+        assert values[:, [j]].tobytes() == one_values.tobytes()
+        assert tails[:, [j]].tobytes() == one_tails.tobytes()
+    if gamma == _ESCALATING_CELL[2]:
+        assert tails[1, 1] == 0.0
+
+
 def test_term_cap_escalates_every_path(monkeypatch):
     # a cell that reaches SERIES_MAX_TERMS is redone in 50 digits, on the
     # grid, in dw_response and in hyper_0f2 alike

@@ -8,7 +8,9 @@ are numpy code too, so the numeric sweep loads no scipy.sparse.  Only
 the decay spectrum loads scipy.sparse; its dense branch is numpy's eig,
 and only its Arnoldi branch, above DENSE_EIG_MAX_DIM levels, loads
 scipy.sparse.linalg and with it scipy.linalg.  No route loads
-scipy.optimize.
+scipy.optimize.  The manifest's scipy version comes from scipy's
+version.py alone, so the README sweep (both routes), line scan and onset runs
+load no scipy module at all.
 The process pool loads only for a sweep with more than one worker.
 """
 
@@ -17,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import scipy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,6 +33,7 @@ README_POINT_C = (
     "--analyze entropy,spectrum,metastable,mixing-curve,wigner"
 )
 README_FANO = "--point delta=-1,epsilon=0.012 --gamma 0.01 --chi 1 --analyze fano"
+README_ONSET = "--point delta=-1,epsilon=0.012 --gamma 0.01 --chi 1 --analyze onset"
 
 
 def modules_after(code, cwd, package="scipy"):
@@ -96,16 +101,27 @@ def test_verify_s0_eigenpair_loads_no_scipy(tmp_path):
     assert modules_after(code, tmp_path) == []
 
 
+def manifest_scipy_version(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text())["tool"]["scipy"]
+
+
 def test_readme_line_scan_loads_no_scipy_linear_algebra(tmp_path):
-    loaded = modules_after(cli_runs(README_LINE_SCAN), tmp_path)
-    assert under(loaded, "scipy.sparse", "scipy.linalg", "scipy.optimize") == []
+    # the manifest's scipy version is read without importing scipy
+    assert modules_after(cli_runs(README_LINE_SCAN), tmp_path) == []
     assert (tmp_path / "run0" / "scan.csv").is_file()
+    assert manifest_scipy_version(tmp_path / "run0") == scipy.__version__
 
 
 def test_readme_sweep_loads_no_linear_algebra(tmp_path):
-    loaded = modules_after(cli_runs(README_SWEEP), tmp_path)
-    assert under(loaded, "scipy.sparse", "scipy.linalg", "scipy.optimize") == []
+    assert modules_after(cli_runs(README_SWEEP), tmp_path) == []
     assert (tmp_path / "run0" / "sweep.csv").is_file()
+    assert manifest_scipy_version(tmp_path / "run0") == scipy.__version__
+
+
+def test_readme_onset_loads_no_scipy(tmp_path):
+    assert modules_after(cli_runs(README_ONSET), tmp_path) == []
+    assert (tmp_path / "run0" / "onset.csv").is_file()
+    assert manifest_scipy_version(tmp_path / "run0") == scipy.__version__
 
 
 def test_readme_numeric_runs_load_no_optimizer(tmp_path):

@@ -1,7 +1,7 @@
 """Tests for the undriven eigensystem, drive expansion, Fano fits, and onsets."""
 
 import math
-from collections import Counter
+import re
 
 import numpy as np
 import pytest
@@ -601,32 +601,36 @@ def test_onset_scan_equals_the_full_grid_search(chi):
         assert onset_scan(n, gammas, chi) == [(g, full_grid_onset(n, g, chi)) for g in gammas]
 
 
-def counting_grid_calls(monkeypatch):
-    """Counter of onset_scan's dw_response_grid calls by (gamma, samples)."""
-    calls = Counter()
+def recording_grid_calls(monkeypatch):
+    """onset_scan's dw_response_grid calls, each as (gamma, samples, drives)."""
+    calls = []
     real = perturbation.dw_response_grid
 
-    def counting(deltas, epsilons, gamma, chi):
-        calls[gamma, len(deltas)] += 1
+    def recording(deltas, epsilons, gamma, chi):
+        calls.append((gamma, len(deltas), tuple(epsilons)))
         return real(deltas, epsilons, gamma, chi)
 
-    monkeypatch.setattr(perturbation, "dw_response_grid", counting)
+    monkeypatch.setattr(perturbation, "dw_response_grid", recording)
     return calls
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_onset_scan_probes_the_full_grid_twice_per_gamma(monkeypatch, n):
     # the band holds the first flip, so only the bracket check sees all
-    # 961 samples; every other probe is on the band, a sixth of them
-    calls = counting_grid_calls(monkeypatch)
+    # 961 samples: one call on the two drives (lo, hi), whose geometric
+    # mean is the onset.  Every other probe is on the band, a sixth of
+    # the samples, several drives per call.
+    calls = recording_grid_calls(monkeypatch)
     gammas = (0.003, 0.01, 0.03)
-    onset_scan(n, gammas)
-    assert {g for g, _ in calls} == set(gammas)
-    for (g, samples), count in calls.items():
-        if samples == 961:
-            assert count <= 2
-        else:
-            assert samples < 961 // 5 and count > 40
+    pairs = onset_scan(n, gammas)
+    assert {g for g, _, _ in calls} == set(gammas)
+    for gamma, onset in pairs:
+        full = [drives for g, samples, drives in calls if g == gamma and samples == 961]
+        band = [samples for g, samples, _ in calls if g == gamma and samples < 961]
+        assert len(full) == 1
+        lo, hi = full[0]
+        assert lo < hi and math.sqrt(lo * hi) == onset
+        assert max(band) < 961 // 5 and len(band) <= 30
 
 
 @pytest.mark.parametrize(
@@ -644,15 +648,116 @@ def test_onset_scan_falls_back_to_the_full_grid(monkeypatch, hidden_below):
     onset = full_grid_onset(n, gamma, chi)
     real = perturbation._has_stationary_point
 
-    def band_blind(g, x, e, deltas, mask):
-        if len(deltas) < 961 and e < hidden_below * onset:
-            return False
-        return real(g, x, e, deltas, mask)
+    def band_blind(g, x, epsilons, deltas, mask):
+        if len(deltas) == 961:
+            return real(g, x, epsilons, deltas, mask)
+        # the hidden drives are not evaluated: the band search steps up
+        # to 1.25^120 times the first drive when it never sees a flip
+        seen = epsilons >= hidden_below * onset
+        found = np.zeros(len(epsilons), dtype=bool)
+        if seen.any():
+            found[seen] = real(g, x, epsilons[seen], deltas, mask)
+        return found
 
     monkeypatch.setattr(perturbation, "_has_stationary_point", band_blind)
-    calls = counting_grid_calls(monkeypatch)
+    calls = recording_grid_calls(monkeypatch)
     assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
-    assert calls[gamma, 961] > 40
+    # the full-grid search probes its ~53 drives, not only the check's two
+    assert sum(len(drives) for _, samples, drives in calls if samples == 961) > 40
+
+
+def sequential_bracket(found, eps):
+    """_bracket_onset probing one drive at a time: the batched search's oracle.
+
+    Returns (lo, hi) and the drives probed, in order.
+    """
+    probed = []
+
+    def probe(e):
+        probed.append(e)
+        return found(e)
+
+    for _ in range(120):
+        if not probe(eps):
+            break
+        eps /= 1.25
+    else:
+        return None, probed
+    lo = eps
+    for _ in range(120):
+        eps *= 1.25
+        if probe(eps):
+            break
+        lo = eps
+    else:
+        return None, probed
+    hi = eps
+    for _ in range(40):
+        mid_e = math.sqrt(lo * hi)
+        if probe(mid_e):
+            hi = mid_e
+        else:
+            lo = mid_e
+    return (lo, hi), probed
+
+
+def batched(found):
+    """found over an array of drives, one answer per drive."""
+    return lambda drives: np.array([found(float(e)) for e in drives], dtype=bool)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 7])
+@pytest.mark.parametrize("batch", [1, 4, 7])
+def test_batched_onset_search_takes_the_sequential_steps(monkeypatch, levels, batch):
+    # pure Python: monotone threshold predicates, no closed form
+    monkeypatch.setattr(perturbation, "_ONSET_BISECT_LEVELS", levels)
+    monkeypatch.setattr(perturbation, "_ONSET_LADDER_BATCH", batch)
+    rng = np.random.default_rng(28)
+    eps = 0.05
+    thresholds = list(eps * np.exp(rng.uniform(-12.0, 12.0, 40)))
+    # thresholds exactly on drives the sequential search probes: ladder
+    # steps and bisection midpoints, with the predicate true at the
+    # threshold (>=) and false there (>)
+    _, probed = sequential_bracket(lambda e: e >= 0.7 * eps, eps)
+    thresholds += probed[:3] + probed[-45:]
+    for t in thresholds:
+        for found in (lambda e: e >= t, lambda e: e > t):
+            want, _ = sequential_bracket(found, eps)
+            assert perturbation._bracket_onset(batched(found), eps, 0.01) == want
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 7])
+def test_batched_bisection_takes_the_sequential_steps(monkeypatch, levels):
+    monkeypatch.setattr(perturbation, "_ONSET_BISECT_LEVELS", levels)
+    rng = np.random.default_rng(28)
+    lo, hi = 0.8, 1.0
+    inside = list(np.exp(rng.uniform(math.log(lo), math.log(hi), 20)))
+    mids = [math.sqrt(lo * hi), math.sqrt(lo * math.sqrt(lo * hi))]
+    # the threshold at random points, on a midpoint, at lo and at hi
+    for t in inside + mids + [lo, hi]:
+        for found in (lambda e: e >= t, lambda e: e > t):
+            want = (lo, hi)
+            for _ in range(40):
+                mid_e = math.sqrt(want[0] * want[1])
+                want = (want[0], mid_e) if found(mid_e) else (mid_e, want[1])
+            calls = []
+
+            def counted(drives, found=found):
+                calls.append(len(drives))
+                return batched(found)(drives)
+
+            assert perturbation._bisect(counted, lo, hi) == want
+            assert len(calls) == math.ceil(40 / levels)
+            assert calls[0] == 2**levels - 1
+
+
+def test_onset_scan_raises_when_no_drive_brackets_the_line(monkeypatch):
+    monkeypatch.setattr(perturbation, "_has_stationary_point", lambda g, x, e, deltas, mask: e > 0)
+    with pytest.raises(perturbation.OnsetError, match="no drive below the line onset"):
+        onset_scan(1, (0.01,))
+    monkeypatch.setattr(perturbation, "_has_stationary_point", lambda g, x, e, deltas, mask: e < 0)
+    with pytest.raises(perturbation.OnsetError, match="no onset found up to epsilon="):
+        onset_scan(1, (0.01,))
 
 
 def test_onset_validation():
@@ -665,6 +770,18 @@ def test_onset_validation():
     # a repeated gamma leaves no slope to fit
     with pytest.raises(ValueError, match="distinct"):
         onset_slope([(0.01, 0.1), (0.01, 0.2)])
+    # numpy integers are line indices too
+    assert onset_scan(np.int64(1), (0.01,)) == onset_scan(1, (0.01,))
+
+
+@pytest.fixture
+def no_probe(monkeypatch):
+    """Fail the test if onset_scan evaluates the closed form."""
+
+    def probe(*args):
+        raise AssertionError("onset_scan probed the line")
+
+    monkeypatch.setattr(perturbation, "dw_response_grid", probe)
 
 
 @pytest.mark.parametrize(
@@ -677,13 +794,17 @@ def test_onset_validation():
         ((0.01,), 0.0, "chi=0.0"),
     ],
 )
-def test_onset_scan_rejects_non_finite_rates_before_probing(monkeypatch, gammas, chi, match):
-    def no_probe(*args):
-        raise AssertionError("onset_scan probed the line")
-
-    monkeypatch.setattr(perturbation, "dw_response_grid", no_probe)
+def test_onset_scan_rejects_non_finite_rates_before_probing(no_probe, gammas, chi, match):
     with pytest.raises(ValueError, match=match):
         onset_scan(1, gammas, chi)
+
+
+@pytest.mark.parametrize("n", [1.5, "1", 2.0, True, None])
+def test_onset_scan_rejects_a_non_integer_line_before_probing(no_probe, n):
+    # 1.5 used to step the drive up a line that never flattens, and "1"
+    # raised a bare TypeError from the comparison with 1
+    with pytest.raises(ValueError, match=re.escape(f"got n={n!r}")):
+        onset_scan(n, (0.01,))
 
 
 def odd_coefficients_0f2(params, count, dps=50):
