@@ -23,8 +23,9 @@ extended precision.
 Many steady states are solved in blocks (solve_steady_states): cells at
 the same truncation, at most _BLOCK_PAIRS Fock pairs (cells x dim^2) per
 block.  Every step runs in numpy across the whole block, on the entry
-table: the sector inverses (stacked np.linalg.inv), the solves and the
-extended-precision refinement, each cell stopping on its own, then the
+table: the sector inverses (stacked LAPACK gesv against 2^600 I, kept at
+that scale; _inverse), the solves and the extended-precision refinement,
+each cell stopping on its own, then the
 normalization, the residual max|S rho| (_table_product, the CSR
 product's to the bit), validation (one stacked eigvalsh) and
 top-population test.  No step mixes cells, so a cell's state is bit for
@@ -87,6 +88,21 @@ _BLOCK_PAIRS = 8192
 # Adaptive truncation's target top-two-level population and its level cap.
 _TOP_POP_TOL = 1e-8
 _MAX_DIM = 512
+
+# _SectorFraction keeps each sector inverse at _INVERSE_SCALE times its
+# value, and refinement feeds its residual to the solve at _RESIDUAL_SCALE.
+# A power-of-two scale is exact, so every normal number keeps its bits; what
+# it changes is where LAPACK's solve against the identity underflows.  At
+# 2^600 the values it forms stay normal down to 2^-1622 ~ 1e-488 of the
+# unscaled inverse, 388 decades below the 1e-100 cut, while an inverse
+# entry overflows only from 2^424 ~ 4e127 (2^600 * 2^424 = 2^1024).  The
+# corrections come out at 2^900 and overflow only above 2^124 ~ 2e37, far
+# above |x| <= 1; the residual stays normal down to 2^-1322 ~ 1e-398.
+_INVERSE_SCALE = 2.0**600
+_RESIDUAL_SCALE = 2.0**300
+# Entries of a coherence sector's inverse below 1e-100 in magnitude are
+# set to zero (_SectorFraction), here at the inverses' scale.
+_INVERSE_CUT = _INVERSE_SCALE * 1e-100
 
 # Row (k, l)'s six entries sit in columns (k + i, l + j), in this order
 # (the slots of _entry_table).
@@ -198,21 +214,36 @@ def _sectors(d):
 
 
 def _inverse(m):
-    """Inverses of the stacked matrices m, and the mask of the singular ones.
+    """_INVERSE_SCALE times the inverses of the stacked matrices m, and the singular ones' mask.
 
-    A singular matrix gets NaN for its inverse, so it fails only its cell.
+    Each is LAPACK's gesv against _INVERSE_SCALE I, the solve that
+    np.linalg.inv makes against I, so it is that inverse scaled exactly
+    wherever the unscaled one is normal.  A singular matrix gets NaN for
+    its inverse, so it fails only its cell.
     """
+    scaled = np.eye(m.shape[-1], dtype=m.dtype) * _INVERSE_SCALE
     singular = np.zeros(len(m), dtype=bool)
     try:
-        return np.linalg.inv(m), singular
+        return np.linalg.solve(m, scaled), singular
     except np.linalg.LinAlgError:
         out = np.full_like(m, np.nan)
         for c in range(len(m)):
             try:
-                out[c] = np.linalg.inv(m[c])
+                out[c] = np.linalg.solve(m[c], scaled)
             except np.linalg.LinAlgError:
                 singular[c] = True
         return out, singular
+
+
+def _times(z, factor):
+    """The C-contiguous complex array z times a power of two, in place, part by part.
+
+    The product is exact while the parts stay normal; a complex product
+    with factor + 0j would turn some -0 parts into +0.
+    """
+    parts = z.view(z.real.dtype)
+    parts *= factor
+    return z
 
 
 def _matvec(m, v):
@@ -246,20 +277,35 @@ class _SectorFraction:
     adjoint of sector 1, so the populations solve the real system
     A_0 + 2 Re(B_0 R_1) with row 0 replaced by the trace.
 
-    Entries of M_n^-1 below 1e-100 in magnitude are set to zero.  Left
-    in, they carry subnormal numbers into the sectors below, where
-    arithmetic on them is slow: point C at dim 160 takes 0.68 s without
-    the cut and 0.49 s with it (one x86-64 core), and refinement against
-    the full residual leaves <a> the same to the bit.  The cut does not
-    keep subnormals out altogether: LAPACK still forms them inside the
-    next inverses, and at point C, dim 160, the m = 144 inverse takes
-    4.6 ms against 2.0 ms for m = 160.
+    Entries of M_n^-1 below 1e-100 in magnitude, n >= 1, are set to
+    zero.  Left in, they carry subnormal numbers into the sectors below,
+    where arithmetic on them is slow: point C at dim 160 took 0.68 s
+    without the cut and 0.49 s with it (one x86-64 core), and refinement
+    against the full residual leaves <a> the same to the bit.
+
+    The cut alone did not keep subnormals out, and they formed in the
+    solves against I inside np.linalg.inv, not in its LU factorization:
+    on point C's 160 blocks at dim 160 the factorizations take 0.032 s,
+    as for random blocks of those sizes, but the solves 0.14-0.17 s,
+    against 0.08 s for random blocks and 0.08 s against 2^600 I (one
+    core).  So each M_n^-1 is solved against, and kept at,
+    _INVERSE_SCALE = 2^600 times its value (_inverse), and the couplings
+    B and C that multiply it are taken at 2^-600.  A power-of-two scale
+    is exact on normal numbers, so the kept entries and the products are
+    the unscaled ones to the bit (at point C, dim 160, every kept entry
+    is np.linalg.inv's), while values the solves form stay normal 2^600
+    further down: those raw inverses hold 629 subnormal entries, against
+    26506 unscaled.  An entry overflows only from |M_n^-1| >= 2^424.
+    solve takes its right-hand side at any scale and returns x at 2^600
+    times it.
     """
 
     def __init__(self, coef, d):
-        self.coef, self.d = coef, d
+        self.d = d
         self.starts = _sectors(d)[2]
         self.inverses = [None] * d
+        # slots 0, 1, 3 and 4 of every row at 2^-600
+        self.couplings = _times(np.take(coef, [0, 1, 3, 4], axis=-1), 1.0 / _INVERSE_SCALE)
         self.singular = np.zeros(len(coef), dtype=bool)
         for n in range(d - 1, -1, -1):
             q = self.sector(coef, n)
@@ -270,12 +316,13 @@ class _SectorFraction:
             a[:, rows, rows] = own[..., 2]
             a[:, rows[:-1], rows[1:]] = own[:, :-1, 5]
             if n < d - 1:
-                # B_n M_{n+1}^-1 C_{n+1}, both couplings bidiagonal
+                # B_n M_{n+1}^-1 C_{n+1}, both couplings bidiagonal; C at
+                # 2^-600 undoes the inverse's scale
                 g = self.inverses[n + 1]
-                c = self.sector(coef, n + 1)[:, None]
+                c = self.sector(self.couplings, n + 1)[:, None]
                 w = np.zeros((len(coef), m - 1, m), dtype=complex)
                 w[..., :-1] = g * c[..., 0]
-                w[..., 1:] += g * c[..., 3]
+                w[..., 1:] += g * c[..., 2]
                 coupling = _couple(q[..., 1, None], q[..., 4, None], _pad(w))
                 # sector -1 mirrors sector 1 into the populations
                 a -= coupling if n else 2.0 * coupling.real
@@ -283,31 +330,38 @@ class _SectorFraction:
                 a[:, 0] = 1.0
             inv, singular = _inverse(a)
             if n:
-                inv[np.abs(inv) < 1e-100] = 0.0
+                inv[np.abs(inv) < _INVERSE_CUT] = 0.0
             self.inverses[n] = inv
             self.singular |= singular
 
     def sector(self, x, n):
         return x[:, self.starts[n]:self.starts[n + 1]]
 
-    def solve(self, rhs):
-        """x with A x = rhs, A the trace-replaced S; both packed lower triangles."""
+    def solve(self, rhs, upward=True):
+        """_INVERSE_SCALE x, with A x = rhs, A the trace-replaced S; packed lower triangles.
+
+        Without the upward pass every s_n is taken as 0, which is exact
+        when rhs is zero outside sector 0.
+        """
         d, inverses = self.d, self.inverses
-        s = [None] * d
-        for n in range(d - 1, 0, -1):
-            u = self.sector(rhs, n)
-            if n < d - 1:
-                q = self.sector(self.coef, n)
-                u = u - _couple(q[..., 1], q[..., 4], _pad(s[n + 1]))
-            s[n] = _matvec(inverses[n], u)
-        q = self.sector(self.coef, 0)
-        u = rhs[:, :d].real - 2.0 * _couple(q[..., 1], q[..., 4], _pad(s[1])).real
+        s = [0.0] * d
+        if upward:
+            for n in range(d - 1, 0, -1):
+                u = self.sector(rhs, n)
+                if n < d - 1:
+                    q = self.sector(self.couplings, n)
+                    u = u - _couple(q[..., 1], q[..., 3], _pad(s[n + 1]))
+                s[n] = _matvec(inverses[n], u)
+            q = self.sector(self.couplings, 0)
+            u = rhs[:, :d].real - 2.0 * _couple(q[..., 1], q[..., 3], _pad(s[1])).real
+        else:
+            u = rhs[:, :d].real.copy()
         u[:, 0] = rhs[:, 0].real
         x = np.empty_like(rhs)
         x[:, :d] = _matvec(inverses[0], u)
         for n in range(1, d):
-            q = self.sector(self.coef, n)
-            below = _couple(q[..., 0], q[..., 3], self.sector(x, n - 1))
+            q = self.sector(self.couplings, n)
+            below = _couple(q[..., 0], q[..., 2], self.sector(x, n - 1))
             self.sector(x, n)[...] = s[n] - _matvec(inverses[n], below)
         return x
 
@@ -348,16 +402,21 @@ def _refined_sectors(coef, d):
     n = len(coef)
     b = np.zeros(coef.shape[:2], dtype=complex)
     b[:, 0] = 1.0
-    x = fraction.solve(b).astype(np.clongdouble)
+    # e_0 is zero outside sector 0, so the first solve needs no upward pass
+    x = _times(fraction.solve(b, upward=False).astype(np.clongdouble), 1.0 / _INVERSE_SCALE)
     coef = coef.astype(np.clongdouble)
     neighbours = _neighbours(d)
     previous = np.full(n, np.inf)
     correction = np.full(n, np.nan)
     active = np.ones(n, dtype=bool)
+    back = 1.0 / (_INVERSE_SCALE * _RESIDUAL_SCALE)
     for _ in range(8):
-        dx = fraction.solve(_residual(coef, neighbours, d, x).astype(complex))
+        r = _times(_residual(coef, neighbours, d, x), _RESIDUAL_SCALE).astype(complex)
+        scaled = fraction.solve(r)
+        dx = _times(scaled.astype(np.clongdouble), back)
         x[active] += dx[active]
-        step = np.max(np.abs(dx), axis=1) / np.max(np.abs(x), axis=1)
+        # max|dx| of the double correction, scaled back exactly
+        step = np.max(np.abs(scaled), axis=1) * back / np.max(np.abs(x), axis=1)
         correction[active] = step[active].astype(float)
         active &= ~((correction <= 1e-15) | (correction > 0.5 * previous))
         previous = correction.copy()
@@ -474,7 +533,11 @@ def steady_state(S):
     closing the recursion at the populations.  The solution is refined
     with the same inverses, x += A^-1 (b - A x) (Moler, J. ACM 14, 316
     (1967)).  x is kept and the residual formed in np.clongdouble from
-    S's entries; each correction is solved in double.  Refinement
+    S's entries; each correction is solved in double, from the residual
+    at 2^300 so that its small entries stay normal, and scaled back in
+    np.clongdouble.  The sector inverses are kept at 2^600 times their
+    value (_SectorFraction), which changes no kept bit and keeps LAPACK's
+    solves against the identity out of subnormal arithmetic.  Refinement
     repeats while the relative max-norm correction max|dx| / max|x| at
     least halves, and stops at <= 1e-15 or after 8 steps.
 

@@ -51,6 +51,16 @@ _ONSET_BAND = 0.2
 # and how many of them one closed-form call probes.
 _ONSET_LADDER_STEPS = 120
 _ONSET_LADDER_BATCH = 4
+# Largest drive the up-ladder probes, in units of chi.  The terms of
+# 0F2(; b1, b2; z) peak near k ~ |z|^(1/3) at about exp(3 |z|^(1/3)), times
+# factors polynomial in k from the lower parameters near -n; 3 |z|^(1/3)
+# <= 600 leaves e^109 of double's e^709.8 for those.  With z = 2
+# epsilon^2 / chi^2 that is epsilon <= 2000 chi.  There the largest term
+# on the onset grids (n <= 3, gamma / chi from 0.003 to 0.29) is e^656 and
+# every cell sums in <= 271 terms; at 2500 chi (3 |z|^(1/3) = 696) the
+# terms overflow, and every cell runs to SERIES_MAX_TERMS and is redone in
+# mpmath at ~0.25 s a cell.
+_ONSET_MAX_DRIVE = 2000.0
 # Log-drive bisections of the onset bracket, and how many levels of them
 # one closed-form call probes (2^levels - 1 midpoints).  A call on the
 # ~160-sample band costs ~0.2 ms before its first cell and ~0.5 us per
@@ -480,18 +490,20 @@ def _has_stationary_point(gamma, chi, epsilons, deltas, mask):
     return np.any(flips & mask[:, None], axis=0)
 
 
-def _ladder(found, eps, step, want):
+def _ladder(found, eps, step, want, cap=math.inf):
     """Drives eps, step(eps), step(step(eps)), ... up to the first where found is want.
 
-    At most _ONSET_LADDER_STEPS drives, probed _ONSET_LADDER_BATCH per
-    call of found.  Returns (drives, hit): the drives up to and including
-    the first hit, or all of them and hit False.  Drives of a batch past
-    the first hit are probed and discarded.
+    At most _ONSET_LADDER_STEPS drives, none above cap, probed
+    _ONSET_LADDER_BATCH per call of found.  Returns (drives, hit): the
+    drives up to and including the first hit, or all of them and hit
+    False.  Drives of a batch past the first hit are probed and discarded.
     """
     drives = []
-    while len(drives) < _ONSET_LADDER_STEPS:
+    while len(drives) < _ONSET_LADDER_STEPS and eps <= cap:
         batch = []
         for _ in range(min(_ONSET_LADDER_BATCH, _ONSET_LADDER_STEPS - len(drives))):
+            if eps > cap:
+                break
             batch.append(eps)
             eps = step(eps)
         hits = np.flatnonzero(found(np.array(batch)) == want)
@@ -529,27 +541,31 @@ def _bisect(found, lo, hi):
     return lo, hi
 
 
-def _bracket_onset(found, eps, gamma):
+def _bracket_onset(found, eps, gamma, cap=math.inf):
     """Drives (lo, hi) with found(lo) false, found(hi) true and hi/lo ~ 1.25^(2^-40).
 
     found maps an array of drives to one answer per drive.  Steps down
     from eps by 1.25 until found is false, up by 1.25 until it is true,
-    then bisects 40 times in log-drive.  The steps are probed a batch at
-    a time and the bisection a few levels at a time (_ladder, _bisect),
-    but every drive is formed by the same expression as in one-at-a-time
-    probing, so the search takes the same steps and returns the same
-    bits.  Every probe the search uses that came out false was at a
-    drive <= lo, every one that came out true at a drive >= hi; the
-    probes past a ladder's first answer and off the bisection's path are
-    made and discarded.
+    probing no drive above cap, then bisects 40 times in log-drive.  The
+    steps are probed a batch at a time and the bisection a few levels at
+    a time (_ladder, _bisect), but every drive is formed by the same
+    expression as in one-at-a-time probing, so the search takes the same
+    steps and returns the same bits.  Every probe the search uses that
+    came out false was at a drive <= lo, every one that came out true at
+    a drive >= hi; the probes past a ladder's first answer and off the
+    bisection's path are made and discarded.
     """
     down, hit = _ladder(found, eps, lambda e: e / 1.25, False)
     if not hit:
         raise OnsetError(f"no drive below the line onset found at gamma={gamma}")
     lo = down[-1]
-    up, hit = _ladder(found, lo * 1.25, lambda e: e * 1.25, True)
+    up, hit = _ladder(found, lo * 1.25, lambda e: e * 1.25, True, cap)
     if not hit:
-        raise OnsetError(f"no onset found up to epsilon={up[-1]:.3g} at gamma={gamma}")
+        top = up[-1] if up else lo
+        raise OnsetError(
+            f"no onset found up to epsilon={top:.3g} at gamma={gamma} (the search "
+            f"stops after {_ONSET_LADDER_STEPS} steps or at the drive cap epsilon={cap:g})"
+        )
     lo, hi = ([lo] + up)[-2:]
     return _bisect(found, lo, hi)
 
@@ -563,7 +579,9 @@ def onset_scan(n, gammas, chi=1.0):
     within 10 gamma of the line, located by bisection in log-drive
     (_bracket_onset).  Returns a list of (gamma, epsilon_onset).  Requires
     a finite chi > 0 and 0 < gamma < 0.3 chi, so the line is spectrally
-    resolved.
+    resolved.  The drive steps up to _ONSET_MAX_DRIVE * chi at most, where
+    the series still sum in double; a line that has not turned over there
+    raises OnsetError.
 
     The search runs first on the central band |delta + n chi| <
     _ONSET_BAND * 10 gamma alone, about a sixth of the samples, where the
@@ -606,15 +624,16 @@ def onset_scan(n, gammas, chi=1.0):
         )
         full = partial(_has_stationary_point, gamma, chi, deltas=deltas, mask=mask)
         eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)
+        cap = _ONSET_MAX_DRIVE * chi
         try:
-            lo, hi = _bracket_onset(band, eps, gamma)
+            lo, hi = _bracket_onset(band, eps, gamma, cap)
         except OnsetError:
             checked = False
         else:
             at_lo, at_hi = full(np.array([lo, hi]))
             checked = not at_lo and at_hi
         if not checked:
-            lo, hi = _bracket_onset(full, eps, gamma)
+            lo, hi = _bracket_onset(full, eps, gamma, cap)
         out.append((float(gamma), float(math.sqrt(lo * hi))))
     return out
 

@@ -461,6 +461,115 @@ def test_large_truncation_flushes_tiny_inverse_entries():
     assert abs(expectation(annihilation(dim), rho) - dw_response(POINT_C)) <= 1e-12
 
 
+def _sector_blocks(params, dim, monkeypatch):
+    """The stacked blocks _SectorFraction inverts for one cell, with _inverse's output."""
+    blocks = []
+    real = lindblad._inverse
+
+    def recording(m):
+        inv, singular = real(m)
+        blocks.append((m.copy(), inv.copy()))
+        return inv, singular
+
+    monkeypatch.setattr(lindblad, "_inverse", recording)
+    k, l, _ = lindblad._sectors(dim)
+    lindblad._SectorFraction(lindblad._entry_table([params], dim)[:, k, l], dim)
+    return blocks
+
+
+def _subnormal(z):
+    parts = np.abs(z.view(float))
+    return (parts > 0) & (parts < np.finfo(float).tiny)
+
+
+def test_scaled_inverses_keep_the_unscaled_bits(monkeypatch):
+    # each sector inverse is solved against 2^600 I: the cut keeps the
+    # same entries, each np.linalg.inv's to the bit once scaled back, and
+    # the solves form a fortieth of the subnormals (629 against 26506)
+    blocks = _sector_blocks(POINT_C, 160, monkeypatch)
+    assert len(blocks) == 160
+    back = 1.0 / lindblad._INVERSE_SCALE
+    subnormal = unscaled_subnormal = 0
+    for m, scaled in blocks:
+        inv = np.linalg.inv(m)
+        kept = np.abs(scaled) >= lindblad._INVERSE_CUT
+        assert np.array_equal(kept, np.abs(inv) >= 1e-100)
+        assert (scaled[kept] * back).tobytes() == inv[kept].tobytes()
+        subnormal += np.count_nonzero(_subnormal(scaled.astype(complex)))
+        unscaled_subnormal += np.count_nonzero(_subnormal(inv.astype(complex)))
+    assert 20 * subnormal < unscaled_subnormal
+
+
+@pytest.mark.parametrize("dim", [10, 18, 97])
+@pytest.mark.parametrize("params", [POINT_C, HARD_REGIME], ids=["point_c", "hard"])
+def test_unit_solve_without_upward_pass_is_the_full_solve(params, dim):
+    # e_0 is zero outside sector 0, so every s_n of the upward pass is 0;
+    # skipping it changes no bit, zero signs included
+    k, l, _ = lindblad._sectors(dim)
+    fraction = lindblad._SectorFraction(lindblad._entry_table([params], dim)[:, k, l], dim)
+    b = np.zeros((1, k.size), dtype=complex)
+    b[:, 0] = 1.0
+    assert fraction.solve(b).tobytes() == fraction.solve(b, upward=False).tobytes()
+
+
+def _mean_a(rho):
+    return expectation(annihilation(rho.shape[0]), rho)
+
+
+def _scaled_and_unscaled(solve, monkeypatch):
+    """solve() with the module's scales, and with every scale 1 (the unscaled path)."""
+    scaled = solve()
+    with monkeypatch.context() as m:
+        m.setattr(lindblad, "_INVERSE_SCALE", 1.0)
+        m.setattr(lindblad, "_RESIDUAL_SCALE", 1.0)
+        m.setattr(lindblad, "_INVERSE_CUT", 1e-100)
+        unscaled = solve()
+    return scaled, unscaled
+
+
+def assert_same_above_1e_300(rho, oracle):
+    assert rho.shape == oracle.shape
+    assert _mean_a(rho) == _mean_a(oracle)
+    big = (np.abs(rho) >= 1e-300) | (np.abs(oracle) >= 1e-300)
+    assert rho[big].tobytes() == oracle[big].tobytes()
+
+
+HARD_CELLS = [
+    ModelParams(delta=float(d), chi=HARD_REGIME.chi, epsilon=e, gamma=HARD_REGIME.gamma)
+    for e in (0.5, 1.0, 1.5)
+    for d in np.linspace(-2.5, -1.5, 7)
+]
+
+
+def test_scaled_solve_matches_the_unscaled_path(monkeypatch):
+    # the scales are powers of two: the ladder of point C and the 21 hard
+    # cells keep every entry above 1e-300 and <a> to the bit
+    for dim in (20, 40, 80, 160):
+        scaled, unscaled = _scaled_and_unscaled(
+            lambda: steady_state(build_superoperator(POINT_C, dim)), monkeypatch
+        )
+        assert_same_above_1e_300(scaled, unscaled)
+    # a cell that fails must fail the same way on both paths
+    for params in HARD_CELLS:
+        scaled, unscaled = _scaled_and_unscaled(
+            lambda: lindblad._steady_state_outcomes([params], None)[0], monkeypatch
+        )
+        if isinstance(unscaled, Exception):
+            assert type(scaled) is type(unscaled) and str(scaled) == str(unscaled)
+        else:
+            assert scaled[1:] == unscaled[1:]
+            assert_same_above_1e_300(scaled[0], unscaled[0])
+
+
+def test_scaled_solve_matches_the_unscaled_path_at_229_levels(monkeypatch):
+    params = ModelParams(delta=-8.8866, chi=0.08484, epsilon=4.6769, gamma=0.05277)
+    scaled, unscaled = _scaled_and_unscaled(
+        lambda: solve_steady_state_adaptive(params), monkeypatch
+    )
+    assert scaled[1] == unscaled[1] == 229
+    assert_same_above_1e_300(scaled[0], unscaled[0])
+
+
 def test_longdouble_is_extended_precision():
     # steady_state refines against a clongdouble residual; where longdouble
     # is plain double that residual is no better than the LU's own

@@ -760,6 +760,24 @@ def test_onset_scan_raises_when_no_drive_brackets_the_line(monkeypatch):
         onset_scan(1, (0.01,))
 
 
+def test_onset_ladder_stops_at_the_drive_cap(monkeypatch):
+    # a line that never turns over: the ladder steps up to the cap, where
+    # the 0F2 series still sum in double, and raises there instead of
+    # stepping on to 1.25^120 times its first drive
+    chi = 0.5
+    probed = []
+
+    def never(g, x, epsilons, deltas, mask):
+        probed.extend(epsilons)
+        return np.zeros(len(epsilons), dtype=bool)
+
+    monkeypatch.setattr(perturbation, "_has_stationary_point", never)
+    cap = perturbation._ONSET_MAX_DRIVE * chi
+    with pytest.raises(perturbation.OnsetError, match=re.escape(f"drive cap epsilon={cap:g}")):
+        onset_scan(1, (0.01,), chi)
+    assert cap / 1.25 < max(probed) <= cap
+
+
 def test_onset_validation():
     with pytest.raises(ValueError):
         onset_scan(0, (0.01,))
