@@ -115,27 +115,49 @@ def validate_density_matrix(rho):
     return rho
 
 
+# _density_matrix_errors skips the eigenvalues when the Cholesky factorization
+# of every Hermitian part plus (TOL_PSD - _PSD_MARGIN) I completes.  A
+# completed factorization is exact for a matrix within d gamma_{d+1} ||A||
+# ~ d^2 u ||A|| of A (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., SIAM 2002, thm 10.3), so the Hermitian part has no
+# eigenvalue below -(TOL_PSD - _PSD_MARGIN) - d^2 u ||A||, and eigvalsh's
+# lowest eigenvalue is within a like bound of the true one.  Such a matrix
+# with trace ~1 has ||A|| <= 1 + d TOL_PSD; up to d = 1024 the two bounds add
+# to < 2.4e-10, a fifth of the margin, so a cleared matrix never reads below
+# -TOL_PSD in eigvalsh either.
+_PSD_MARGIN = TOL_PSD / 8
+
+
 def _density_matrix_errors(rho):
     """Per matrix of the stack rho (n, d, d), the ValueError it fails with, or None.
 
     A matrix fails the first of these checks it does not pass:
     max |rho - rho'| <= TOL_HERM, |Tr rho - 1| <= TOL_TRACE, and every
-    eigenvalue of the Hermitian part >= -TOL_PSD (one stacked eigvalsh).
+    eigenvalue of the Hermitian part >= -TOL_PSD.  The eigenvalues come
+    from one stacked eigvalsh, which runs only when a stacked Cholesky
+    factorization of the Hermitian parts plus (TOL_PSD - _PSD_MARGIN) I
+    fails or is not finite; when it succeeds no matrix has an eigenvalue
+    below -TOL_PSD, so every verdict and message is eigvalsh's.
     """
     rho_h = rho.conj().transpose(0, 2, 1)
     herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
     trace = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-    lowest = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
-    errors = []
-    for h, t, w in zip(herm, trace, lowest):
+    hermitian = 0.5 * (rho + rho_h)
+    shifted = hermitian + (TOL_PSD - _PSD_MARGIN) * np.eye(rho.shape[-1])
+    try:
+        cleared = np.isfinite(np.linalg.cholesky(shifted)).all()
+    except np.linalg.LinAlgError:
+        cleared = False
+    lowest = np.zeros(len(rho)) if cleared else np.linalg.eigvalsh(hermitian)[:, 0]
+    errors = [None] * len(rho)
+    for i in np.flatnonzero((herm > TOL_HERM) | (trace > TOL_TRACE) | (lowest < -TOL_PSD)):
+        h, t, w = herm[i], trace[i], lowest[i]
         if h > TOL_HERM:
-            errors.append(ValueError(f"not Hermitian: max |rho - rho'| = {h:.3e} > {TOL_HERM:.1e}"))
+            errors[i] = ValueError(f"not Hermitian: max |rho - rho'| = {h:.3e} > {TOL_HERM:.1e}")
         elif t > TOL_TRACE:
-            errors.append(ValueError(f"trace deviates from 1 by {t:.3e} > {TOL_TRACE:.1e}"))
-        elif w < -TOL_PSD:
-            errors.append(ValueError(f"negative eigenvalue {w:.3e} below -{TOL_PSD:.1e}"))
+            errors[i] = ValueError(f"trace deviates from 1 by {t:.3e} > {TOL_TRACE:.1e}")
         else:
-            errors.append(None)
+            errors[i] = ValueError(f"negative eigenvalue {w:.3e} below -{TOL_PSD:.1e}")
     return errors
 
 

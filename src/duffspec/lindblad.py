@@ -20,14 +20,17 @@ down, with Hermiticity closing the recursion at the populations.  The
 solution is refined with the same inverses against a residual formed in
 extended precision.
 
-Many steady states are solved in blocks (solve_steady_states): cells at
-the same truncation, at most _BLOCK_PAIRS Fock pairs (cells x dim^2) per
-block.  Every step runs in numpy across the whole block, on the entry
-table: the sector inverses (stacked LAPACK gesv against 2^600 I, kept at
-that scale; _inverse), the solves and the extended-precision refinement,
-each cell stopping on its own, then the
+Many steady states are solved in blocks (solve_steady_states): the cells
+go in as one parameter table, rows (delta, chi, epsilon, gamma), whose
+start truncations come from one batched classical cubic (_start_dims),
+and cells at the same truncation form blocks of at most _BLOCK_PAIRS Fock
+pairs (cells x dim^2).  Every step runs in numpy across the whole block,
+on the entry table: the sector inverses (stacked LAPACK gesv against
+2^600 I, kept at that scale; _inverse), the solves and the
+extended-precision refinement, each cell stopping on its own, then the
 normalization, the residual max|S rho| (_table_product, the CSR
-product's to the bit), validation (one stacked eigvalsh) and
+product's to the bit), validation (a stacked Cholesky positivity gate,
+with one stacked eigvalsh only where it does not clear the block) and
 top-population test.  No step mixes cells, so a cell's state is bit for
 bit the same in any block, alone included: steady_state and
 solve_steady_state_adaptive are the same solve on one cell.  The
@@ -67,7 +70,7 @@ from .fock import (
     _density_matrix_errors,
     validate_density_matrix,
 )
-from .semiclassical import classical_steady_states
+from .semiclassical import _classical_branches
 
 TOL_EIG = 1e-8
 TOL_RESID = 1e-10
@@ -134,8 +137,13 @@ def _superoperator_dim(S):
     return d
 
 
-def _entry_table(cells, dim):
-    """Entries of every row of S for each cell: shape (cells, dim, dim, 6).
+def _param_table(cells):
+    """The parameter table of a sequence of ModelParams: one row (delta, chi, epsilon, gamma) per cell."""
+    return np.array([(p.delta, p.chi, p.epsilon, p.gamma) for p in cells], dtype=float).reshape(-1, 4)
+
+
+def _entry_table(table, dim):
+    """Entries of every row of S for each row of a parameter table: shape (cells, dim, dim, 6).
 
     Slot s of row (k, l) holds the entry in the s-th column of that row in
     ascending column order, (k-1, l), (k, l-1), (k, l), (k, l+1), (k+1, l),
@@ -145,25 +153,22 @@ def _entry_table(cells, dim):
     """
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
-
-    def column(name):
-        return np.array([getattr(p, name) for p in cells], dtype=float)[:, None]
-
+    delta, chi, epsilon, gamma = (table[:, j, None] for j in range(4))
     n = np.arange(dim, dtype=float)
     # H's diagonal and first superdiagonal (fock.build_hamiltonian); + 0.0
     # turns -0.0 into +0.0 as adding H's zero drive diagonal there does
-    level = column("delta") * n + column("chi") * n * (n - 1.0) + 0.0
+    level = delta * n + chi * n * (n - 1.0) + 0.0
     # zero-padded at both ends so out-of-range neighbours read 0 and drop out
-    drive = np.zeros((len(cells), dim + 1))
-    drive[:, 1:dim] = column("epsilon") * np.sqrt(np.arange(1, dim, dtype=float))
+    drive = np.zeros((len(table), dim + 1))
+    drive[:, 1:dim] = epsilon * np.sqrt(np.arange(1, dim, dtype=float))
     root = np.append(np.sqrt(np.arange(1, dim, dtype=float)), 0.0)
-    g = column("gamma")[:, :, None]
+    g = gamma[:, :, None]
     k = np.arange(dim)[:, None]
     l = np.arange(dim)[None, :]
     # 0.0 - x and level[l] - level[k] give +0 where the Kronecker sum does,
     # and a zero entry is +0 in both parts, as S's missing entries read in
     # _table_from_csr: both routes then solve with the same bits
-    vals = np.zeros((len(cells), dim, dim, 6), dtype=complex)
+    vals = np.zeros((len(table), dim, dim, 6), dtype=complex)
     vals.imag[..., 0] = 0.0 - drive[:, k]
     vals.imag[..., 1] = drive[:, l]
     vals.real[..., 2] = 0.0 - (0.5 * g) * (k + l)
@@ -189,7 +194,7 @@ def build_superoperator(params, dim):
     """
     import scipy.sparse as sp
 
-    vals = _entry_table([params], dim)[0]
+    vals = _entry_table(_param_table([params]), dim)[0]
     k = np.arange(dim)[:, None]
     l = np.arange(dim)[None, :]
     cols = (k * dim + l)[..., None] + np.array([i * dim + j for i, j in _SLOT_STEPS])
@@ -566,6 +571,19 @@ def steady_state(S):
     return rho[0]
 
 
+def _start_dims(table):
+    """adaptive_start_dim of every row of a parameter table: (starts, errors).
+
+    starts holds the truncations as floats; errors maps the index of every
+    cell for which adaptive_start_dim raises to that exception.  The
+    classical branches of all cells come from one _classical_branches call.
+    """
+    _, photon_numbers, errors = _classical_branches(*table.T)
+    with np.errstate(invalid="ignore"):
+        nbar = np.fmax.reduce(photon_numbers, axis=1)
+    return np.maximum(10.0, np.ceil(4.0 * (nbar + 1.0))), errors
+
+
 def adaptive_start_dim(params):
     """Initial truncation from the largest classical branch amplitude.
 
@@ -576,43 +594,57 @@ def adaptive_start_dim(params):
     passes the 1e-8 test (top two populations 1.3e-9), yet its <a> is 4.9
     away from the exact value; starting at 84 levels, from the upper
     branch, the adaptive solve is 4.7e-7 away.  A faster start must not
-    shrink this estimate.
+    shrink this estimate.  This is _start_dims on one cell.
     """
-    branches = classical_steady_states(params)
-    nbar = max(branches.photon_numbers)
-    return max(10, math.ceil(4.0 * (nbar + 1.0)))
+    starts, errors = _start_dims(_param_table([params]))
+    if errors:
+        raise errors[0]
+    return int(starts[0])
 
 
-def _steady_state_outcomes(cells, dim):
-    """solve_steady_states' (rho, dim, residual) per cell, or in its place
-    the exception that cell raises."""
-    cells = list(cells)
-    results = [None] * len(cells)
+def _steady_state_outcomes(table, dim, summary=None):
+    """solve_steady_states' (rho, dim, residual) for each row of a parameter table,
+    or in its place the exception that cell raises.
+
+    With ``summary``, each block's stack of accepted states (cells, d, d)
+    goes through it, and each cell keeps its item of the result in place
+    of rho.
+    """
+    results = [None] * len(table)
+    for i in np.flatnonzero(table[:, 3] <= 0):
+        results[i] = ValueError("steady state requires gamma > 0")
+    cells = np.flatnonzero(table[:, 3] > 0)
     pending = {}
-    for i, params in enumerate(cells):
-        try:
-            if params.gamma <= 0:
-                raise ValueError("steady state requires gamma > 0")
-            d = adaptive_start_dim(params) if dim is None else dim
-            if d < 2:
-                raise ValueError(f"truncation dimension must be >= 2, got {d}")
-        except (ValueError, RuntimeError) as exc:
-            results[i] = exc
-            continue
-        pending.setdefault(d, []).append(i)
+    if dim is None:
+        starts, errors = _start_dims(table[cells])
+        for j, (i, start) in enumerate(zip(cells.tolist(), starts.tolist())):
+            if j in errors:
+                results[i] = errors[j]
+            elif start > _MAX_DIM:
+                results[i] = TruncationLimitError(
+                    f"semiclassical start truncation {start:.0f} exceeds the cap {_MAX_DIM}"
+                )
+            else:
+                pending.setdefault(int(start), []).append(i)
+    elif dim < 2:
+        for i in cells:
+            results[i] = ValueError(f"truncation dimension must be >= 2, got {dim}")
+    else:
+        pending[dim] = cells.tolist()
     while pending:
         d = min(pending)
         waiting = pending.pop(d)
         per_block = max(1, _BLOCK_PAIRS // (d * d))
         for first in range(0, len(waiting), per_block):
             members = waiting[first:first + per_block]
-            rho, residual, errors = _solve_block(_entry_table([cells[i] for i in members], d))
+            rho, residual, errors = _solve_block(_entry_table(table[members], d))
             tails = rho[:, d - 1, d - 1].real + rho[:, d - 2, d - 2].real
+            accepted = []
             for c, i in enumerate(members):
                 if errors[c] is not None:
                     results[i] = errors[c]
                 elif dim is not None or tails[c] < _TOP_POP_TOL:
-                    results[i] = (rho[c], d, float(residual[c]))
+                    accepted.append(c)
                 elif 2 * d > _MAX_DIM:
                     results[i] = TruncationLimitError(
                         f"top-level population {float(tails[c]):.3e} still above "
@@ -620,6 +652,9 @@ def _steady_state_outcomes(cells, dim):
                     )
                 else:
                     pending.setdefault(2 * d, []).append(i)
+            states = rho[accepted] if summary is None else summary(rho[accepted])
+            for c, state in zip(accepted, states):
+                results[members[c]] = (state, d, float(residual[c]))
     return results
 
 
@@ -634,16 +669,19 @@ def solve_steady_states(cells, dim=None):
     checks it: np.max(np.abs(S @ rho.reshape(-1))) to the bit, with S =
     build_superoperator(params, dim), though no sparse matrix is built.
 
+    The cells go in as one parameter table (_param_table), and their
+    start truncations come from one batched classical cubic (_start_dims).
     Cells at the same truncation are solved together in blocks of at most
     _BLOCK_PAIRS Fock pairs (_solve_block); cells that fail the population
-    test move on to the blocks at twice their truncation.  Every cell's result is bit for bit
-    the one it gets when solved alone.
+    test move on to the blocks at twice their truncation.  Every cell's
+    result is bit for bit the one it gets when solved alone.
 
     Raises the exception the first failing cell, in input order, raises
     on its own: ValueError for gamma <= 0, TruncationLimitError when the
-    truncation would pass _MAX_DIM, or steady_state's errors.
+    start truncation is above _MAX_DIM or a doubling would pass it, or
+    steady_state's errors.
     """
-    results = _steady_state_outcomes(cells, dim)
+    results = _steady_state_outcomes(_param_table(cells), dim)
     for out in results:
         if isinstance(out, Exception):
             raise out
@@ -915,10 +953,12 @@ def metastable_extremes(rho0, drho1):
 
     The betas are reproducible to ~5e-10: near the boundary the smallest
     eigenvalue is nearly flat in beta, so rounding in drho1 is amplified;
-    at point C, dim 18, beta_minus spans 4.1e-10 over the default and
-    Prescott OpenBLAS kernels at one and two threads.  The tolerance sets
-    them more than rounding does: as TOL_PSD goes to 0, beta_minus at
-    point C moves by ~3 % (-0.37680 at 1e-8, -0.36545 at 1e-12).
+    at point C, dim 18, beta_minus spans 4.1e-10 over OpenBLAS's default
+    (SkylakeX) kernels and the Katmai kernels that
+    OPENBLAS_CORETYPE=Prescott loads, at one and two threads.  The
+    tolerance sets them more than rounding does: as TOL_PSD goes to 0,
+    beta_minus at point C moves by ~3 % (-0.37680 at 1e-8, -0.36545 at
+    1e-12).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     drho1 = np.asarray(drho1, dtype=complex)

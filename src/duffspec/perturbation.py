@@ -26,7 +26,6 @@ from functools import partial
 import numpy as np
 
 from .closedform import dw_response_grid
-from .fock import ModelParams
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
@@ -160,7 +159,7 @@ def verify_s0_eigenpair(pair, params):
     from .lindblad import _entry_table, _table_product
 
     dim = pair.right.shape[0]
-    s0 = _entry_table([ModelParams(params.delta, params.chi, 0.0, params.gamma)], dim)
+    s0 = _entry_table(np.array([[params.delta, params.chi, 0.0, params.gamma]], dtype=float), dim)
     s0_vec = _table_product(s0, pair.right[None]).reshape(-1)
     vec = pair.right.reshape(-1)
     scale = np.max(np.abs(vec))

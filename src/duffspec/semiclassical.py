@@ -56,12 +56,19 @@ class BifurcationBoundary:
 
 
 def _cubic_real_roots(a3, a2, a1, a0):
-    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 with a3 != 0 (Cardano).
+    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0, a3 != 0, for np.longdouble coefficient arrays (Cardano).
 
-    The depressed cubic is solved trigonometrically when three real roots
-    exist and by the single-real-root Cardano formula otherwise; each root
-    gets three Newton polish steps on the original cubic in np.longdouble
-    and is returned as a float.
+    Returns a (cells, 3) float array, each row the roots of one cell's
+    cubic and NaN past them.  The depressed cubic is solved
+    trigonometrically where three real roots exist and by the
+    single-real-root Cardano formula otherwise; each root gets three
+    Newton polish steps on the original cubic in np.longdouble and is
+    returned as a float.  Each cell's roots are those of the same formulas
+    applied to that cell alone in np.longdouble scalars and ``math``, to
+    the bit: square roots, the arccosine's clipped argument and copysign
+    take floats, as ``math`` converts them, and the arccosine and the
+    cosines are ``math``'s, called per three-root cell, because numpy's
+    SIMD trigonometry is not libm's.
     """
     b = a2 / a3
     c = a1 / a3
@@ -71,36 +78,103 @@ def _cubic_real_roots(a3, a2, a1, a0):
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
     shift = -b / 3.0
     disc = -4.0 * p ** 3 - 27.0 * q * q
-    if disc > 0.0:
+    roots = np.full(b.shape + (3,), np.nan, dtype=b.dtype)
+    three = disc > 0.0
+    if three.any():
         # three distinct real roots
-        m = 2.0 * math.sqrt(-p / 3.0)
-        theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
-        roots = [shift + m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    else:
-        half_q = -q / 2.0
-        root_term = math.sqrt(max(0.0, q * q / 4.0 + p ** 3 / 27.0))
-        u = math.copysign(abs(half_q + root_term) ** (1.0 / 3.0), half_q + root_term)
-        v = 0.0 if u == 0.0 else -p / (3.0 * u)
-        roots = [shift + u + v]
-        if disc == 0.0 and p != 0.0:
-            roots.append(shift - (u + v) / 2.0)
-
-    def poly(x):
-        return ((a3 * x + a2) * x + a1) * x + a0
-
-    def dpoly(x):
-        return (3.0 * a3 * x + 2.0 * a2) * x + a1
-
-    polished = []
-    for x in roots:
-        x = np.longdouble(x)
+        p3, q3 = p[three], q[three]
+        m = 2.0 * np.sqrt((-p3 / 3.0).astype(float))
+        thetas = [math.acos(v) for v in np.clip(3.0 * q3 / (p3 * m), -1.0, 1.0).astype(float).tolist()]
+        angles = (np.array(thetas)[:, None] - 2.0 * math.pi * np.arange(3)) / 3.0
+        cosines = np.array([math.cos(v) for v in angles.ravel().tolist()]).reshape(angles.shape)
+        roots[three] = shift[three, None] + m[:, None] * cosines
+    one = ~three
+    if one.any():
+        p1, q1 = p[one], q[one]
+        half_q = -q1 / 2.0
+        radicand = q1 * q1 / 4.0 + p1 ** 3 / 27.0
+        root_term = np.sqrt(np.where(radicand > 0.0, radicand, 0.0).astype(float))
+        w = half_q + root_term
+        u = np.copysign((np.abs(w) ** (1.0 / 3.0)).astype(float), w.astype(float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.where(u == 0.0, 0.0, -p1 / (3.0 * u))
+        roots[one, 0] = shift[one] + u + v
+        # a double root counts once more
+        double = (disc[one] == 0.0) & (p1 != 0.0)
+        roots[np.flatnonzero(one)[double], 1] = (shift[one] - (u + v) / 2.0)[double]
+    # polish only the roots found: x87 arithmetic on the NaN padding is slow
+    found = ~np.isnan(roots)
+    cell = np.nonzero(found)[0]
+    a3, a2, a1, a0 = (np.broadcast_to(a, b.shape)[cell] for a in (a3, a2, a1, a0))
+    x = roots[found]
+    stopped = np.zeros(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
-            slope = dpoly(x)
-            if slope == 0.0:
-                break
-            x -= poly(x) / slope
-        polished.append(float(x))
-    return polished
+            slope = (3.0 * a3 * x + 2.0 * a2) * x + a1
+            # a zero slope ends that root's polish
+            stopped |= slope == 0.0
+            x = np.where(stopped, x, x - (((a3 * x + a2) * x + a1) * x + a0) / slope)
+    out = np.full(roots.shape, np.nan)
+    out[found] = x
+    return out
+
+
+def _classical_branches(delta, chi, epsilon, gamma):
+    """Classical branches of many cells: (amplitudes, photon_numbers, errors).
+
+    The parameters are float arrays of one length.  Row i of amplitudes
+    (complex) and of photon_numbers holds cell i's branches in order of
+    photon number, NaN past them; errors maps the index of every cell for
+    which classical_steady_states raises to that exception.  Each cell is
+    computed as classical_steady_states computes it alone: alpha by
+    Python's complex division (closedform._quot), |alpha| by hypot, as
+    Python's abs of a complex, and |alpha|^2 by Python's float power, which
+    rounds some squares differently from a product.
+    """
+    from .closedform import _quot
+
+    d, x, e, g = (np.asarray(v, dtype=float) for v in (delta, chi, epsilon, gamma))
+    errors = {}
+    for i in np.flatnonzero(g <= 0).tolist():
+        errors[i] = ValueError("classical steady states require gamma > 0")
+    driven = (e != 0.0) & (g > 0)
+    ns = np.full(d.shape + (3,), np.nan)
+    linear = driven & (x == 0.0)
+    ns[linear, 0] = (e * e / (d * d + g * g / 4.0))[linear]
+    cubic = driven & (x != 0.0)
+    if cubic.any():
+        # Two nearly coincident roots move by ~sqrt(rounding of the
+        # coefficients): formed and polished in double they can miss the
+        # amplitude check below (1.4e-10 at delta=-10, chi=0.175,
+        # epsilon=0.3021, gamma=0.02); in np.longdouble they pass it.
+        dl, xl, el, gl = (v[cubic].astype(np.longdouble) for v in (d, x, e, g))
+        ns[cubic] = _cubic_real_roots(4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el)
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, np.fmax.reduce(np.abs(ns), axis=1))
+        ns = np.sort(np.where(ns > _REAL_TOL * scale[:, None], ns, np.nan), axis=1)
+        # exactly on a fold line: the double root counts once
+        ns[np.isnan(ns[:, 2]) & (np.abs(ns[:, 0] - ns[:, 1]) < 1e-9 * scale), 1] = np.nan
+    found = ~np.isnan(ns)
+    alpha = np.full(ns.shape, np.nan, dtype=complex)
+    alpha.real, alpha.imag = _quot(-e[:, None], 0.0, d[:, None] + 2.0 * x[:, None] * ns, -0.5 * g[:, None])
+    n2 = np.full(ns.shape, np.nan)
+    n2[found] = [v ** 2 for v in np.hypot(alpha.real, alpha.imag)[found].tolist()]
+    # |(delta + 2 chi |alpha|^2 - i gamma/2) alpha + epsilon|, the complex
+    # product in parts as Python forms it
+    fr, fi = d[:, None] + 2.0 * x[:, None] * n2, -0.5 * g[:, None]
+    residual = np.hypot(fr * alpha.real - fi * alpha.imag + e[:, None], fr * alpha.imag + fi * alpha.real)
+    with np.errstate(invalid="ignore"):
+        failed = residual > _RESIDUAL_TOL * np.maximum(1.0, e)[:, None]
+    for i in np.flatnonzero(failed.any(axis=1)).tolist():
+        # the first root that fails, in order of photon number
+        value = residual[i, np.argmax(failed[i])]
+        errors[i] = RuntimeError(f"classical root failed residual check: {value:.3e}")
+    for i in np.flatnonzero(driven & ~found[:, 0]).tolist():
+        errors[i] = ValueError("expected 1-3 branches, got 0")
+    undriven = (e == 0.0) & (g > 0)
+    alpha[undriven] = [0.0, np.nan, np.nan]
+    n2[undriven] = [0.0, np.nan, np.nan]
+    return alpha, n2, errors
 
 
 def classical_steady_states(params):
@@ -109,42 +183,18 @@ def classical_steady_states(params):
     Requires gamma > 0 (the cubic in n would otherwise lose its damping
     regularization).  Amplitudes are reconstructed from each root through
     alpha = -epsilon / (delta + 2 chi n - i gamma/2) and satisfy the
-    amplitude equation to < 1e-10.
+    amplitude equation to < 1e-10.  This is _classical_branches on one
+    cell.
     """
-    if params.gamma <= 0:
-        raise ValueError("classical steady states require gamma > 0")
-    d, x, e, g = params.delta, params.chi, params.epsilon, params.gamma
-    if e == 0.0:
-        return ClassicalBranches(amplitudes=(0.0 + 0.0j,), photon_numbers=(0.0,), stable=(True,))
-    if x == 0.0:
-        ns = [e * e / (d * d + g * g / 4.0)]
-    else:
-        # Two nearly coincident roots move by ~sqrt(rounding of the
-        # coefficients): formed and polished in double they can miss the
-        # amplitude check below (1.4e-10 at delta=-10, chi=0.175,
-        # epsilon=0.3021, gamma=0.02); in np.longdouble they pass it.
-        dl, xl, el, gl = (np.longdouble(v) for v in (d, x, e, g))
-        ns = _cubic_real_roots(4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el)
-    scale = max(abs(n) for n in ns)
-    ns = sorted(n for n in ns if n > _REAL_TOL * max(1.0, scale))
-    if len(ns) == 2:
-        # exactly on a fold line: the double root counts once
-        ns = [ns[0]] if abs(ns[0] - ns[1]) < 1e-9 * max(1.0, scale) else ns
-    amps = []
-    for n in ns:
-        alpha = -e / complex(d + 2.0 * x * n, -0.5 * g)
-        residual = abs(complex(d + 2.0 * x * abs(alpha) ** 2, -0.5 * g) * alpha + e)
-        if residual > _RESIDUAL_TOL * max(1.0, e):
-            raise RuntimeError(f"classical root failed residual check: {residual:.3e}")
-        amps.append(alpha)
-    if len(amps) == 3:
-        stable = (True, False, True)
-    else:
-        stable = tuple(True for _ in amps)
+    columns = (params.delta, params.chi, params.epsilon, params.gamma)
+    alpha, n2, errors = _classical_branches(*(np.array([v], dtype=float) for v in columns))
+    if errors:
+        raise errors[0]
+    count = np.count_nonzero(~np.isnan(n2[0]))
     return ClassicalBranches(
-        amplitudes=tuple(amps),
-        photon_numbers=tuple(abs(a) ** 2 for a in amps),
-        stable=stable,
+        amplitudes=tuple(complex(a) for a in alpha[0, :count]),
+        photon_numbers=tuple(float(n) for n in n2[0, :count]),
+        stable=(True, False, True) if count == 3 else (True,) * count,
     )
 
 

@@ -206,33 +206,39 @@ class SweepResult:
     metadata: dict
 
 
-def _numeric_values(cells, dim):
-    """(<a>, truncation, residual) of each cell, or the exception the cell raises.
+def _mean_a(rho):
+    """<a> of each state of a stack (cells, d, d), as fock.expectation sums Tr(a rho)."""
+    n, d = rho.shape[:2]
+    return np.sum((annihilation(d) * rho.transpose(0, 2, 1)).reshape(n, d * d), axis=1)
 
-    The cells are solved as one call of solve_steady_states' solve.
+
+def _numeric_values(table, dim):
+    """(<a>, truncation, residual) of each row of a parameter table, or the exception the cell raises.
+
+    The cells are solved as one call of solve_steady_states' solve, and
+    <a> is summed once per block.
     """
     from .lindblad import _steady_state_outcomes
 
-    return [
-        out if isinstance(out, Exception)
-        else (expectation(annihilation(out[1]), out[0]), out[1], out[2])
-        for out in _steady_state_outcomes(cells, dim)
-    ]
+    return _steady_state_outcomes(table, dim, summary=_mean_a)
 
 
 def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
-    cells = [
-        ModelParams(delta=float(d), chi=chi, epsilon=float(e), gamma=gamma)
-        for d in deltas
-        for e in epsilons
-    ]
+    # the cells' parameter table, one row (delta, chi, epsilon, gamma) per
+    # cell in grid order
+    table = np.empty((deltas.size, epsilons.size, 4))
+    table[..., 0] = deltas[:, None]
+    table[..., 1] = chi
+    table[..., 2] = epsilons
+    table[..., 3] = gamma
+    table = table.reshape(-1, 4)
     # Share w holds cells w, w + n, w + 2n, ...: a cell's cost (its
     # adaptive truncation) drifts along the grid, so dealt shares cost
     # about the same where contiguous runs did not.  This process solves
     # share 0 while the pool solves the rest; a cell's result does not
     # depend on its share.
-    n = min(workers, len(cells))
-    shares = [cells[w::n] for w in range(n)]
+    n = min(workers, len(table))
+    shares = [table[w::n] for w in range(n)]
     if n > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -240,8 +246,8 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
             pooled = pool.map(_numeric_values, shares[1:], [dim] * (n - 1))
             solved = [_numeric_values(shares[0], dim), *pooled]
     else:
-        solved = [_numeric_values(cells, dim)]
-    results = [None] * len(cells)
+        solved = [_numeric_values(table, dim)]
+    results = [None] * len(table)
     for w, share in enumerate(solved):
         results[w::n] = share
     # the serial sweep's error: the first failing cell in grid order

@@ -219,3 +219,101 @@ def test_binary_entropy_values():
     assert np.isclose(binary_entropy(0.11), 0.4999159581645280, atol=1e-12)
     with pytest.raises(ValueError):
         binary_entropy(1.2)
+
+
+def _oracle_density_matrix_errors(rho):
+    # the checks with every eigenvalue from one stacked eigvalsh, kept as
+    # the oracle of the Cholesky-gated ones: (type, message) or None
+    rho_h = rho.conj().transpose(0, 2, 1)
+    herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
+    trace = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    lowest = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
+    errors = []
+    for h, t, w in zip(herm, trace, lowest):
+        if h > 1e-9:
+            errors.append(f"not Hermitian: max |rho - rho'| = {h:.3e} > 1.0e-09")
+        elif t > 1e-9:
+            errors.append(f"trace deviates from 1 by {t:.3e} > 1.0e-09")
+        elif w < -1e-8:
+            errors.append(f"negative eigenvalue {w:.3e} below -1.0e-08")
+        else:
+            errors.append(None)
+    return errors
+
+
+def _with_lowest_eigenvalue(lowest, dim, rng):
+    """A unit-trace Hermitian matrix whose smallest eigenvalue is ``lowest``."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    w = rng.uniform(0.5, 1.5, dim)
+    w[0] = 0.0
+    w *= (1.0 - lowest) / w.sum()
+    w[0] = lowest
+    rho = (q * w) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _psd_gate_stacks(dim, rng):
+    from duffspec.fock import TOL_PSD
+
+    near = [
+        _with_lowest_eigenvalue(-TOL_PSD + s * step, dim, rng)
+        for step in (1e-15, 1e-12, 1e-10)
+        for s in (-1.0, 1.0)
+    ]
+    clear = [_with_lowest_eigenvalue(v, dim, rng) for v in (0.0, 1e-3, -1e-12, -TOL_PSD / 2)]
+    skew = near[0].copy()
+    skew[0, 1] += 1e-6
+    heavy = 1.5 * near[1]
+    negative = _with_lowest_eigenvalue(-0.1, dim, rng)
+    stacks = [np.stack([m]) for m in near]
+    stacks.append(np.stack(near + [skew, heavy, negative] + clear))
+    # the gate clears every Hermitian part here, so the Hermitian and
+    # trace errors come without eigenvalues
+    clear_skew = clear[1].copy()
+    clear_skew[0, 1] += 1e-6
+    stacks.append(np.stack(clear + [clear_skew, 1.5 * clear[0]]))
+    return stacks
+
+
+@pytest.mark.parametrize("dim", [4, 18, 97])
+def test_psd_gate_matches_the_eigvalsh_oracle(dim, monkeypatch):
+    # lowest eigenvalues at -TOL_PSD +- 1e-15, 1e-12 and 1e-10, alone and
+    # mixed with non-Hermitian, off-trace and clearly indefinite matrices:
+    # every verdict and message is the eigvalsh oracle's
+    from duffspec.fock import _density_matrix_errors
+
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    rng = np.random.default_rng(dim)
+    stacks = _psd_gate_stacks(dim, rng)
+    expected = [_oracle_density_matrix_errors(stack) for stack in stacks]
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for stack, want in zip(stacks, expected):
+        errors = _density_matrix_errors(stack)
+        assert [None if e is None else str(e) for e in errors] == want
+        assert all(e is None or type(e) is ValueError for e in errors)
+    # the near-boundary matrices lie inside the gate's margin and go to
+    # eigvalsh; the last stack is cleared by the Cholesky factorization
+    assert calls == [1] * 6 + [len(stacks[-2])]
+    messages = expected[-1]
+    assert messages[-2].startswith("not Hermitian") and messages[-1].startswith("trace deviates")
+    assert sum(m is not None and m.startswith("negative") for m in expected[-2]) >= 4
+
+
+def test_psd_gate_leaves_non_finite_matrices_to_eigvalsh():
+    # a NaN entry gives no verdict from the factorization: eigvalsh runs,
+    # and raises as it does alone
+    from duffspec.fock import _density_matrix_errors
+
+    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    rho[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as oracle:
+        _oracle_density_matrix_errors(rho[None])
+    with pytest.raises(np.linalg.LinAlgError) as gated:
+        _density_matrix_errors(rho[None])
+    assert str(gated.value) == str(oracle.value)

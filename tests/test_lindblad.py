@@ -174,6 +174,43 @@ def test_adaptive_truncation_limit(monkeypatch):
         solve_steady_state_adaptive(POINT_C)
 
 
+def test_start_dim_above_the_cap_raises_before_any_solve(monkeypatch, tmp_path):
+    # this cell starts at 43 levels, above a cap of 32: it must fail before
+    # a block is solved, in the adaptive solve, the sweep and a point
+    # analysis alike, while a fixed truncation still solves it
+    from duffspec.sweep import SweepConfig, analyze, sweep
+
+    params = ModelParams(delta=0.0, chi=1.0, epsilon=60.0, gamma=2.0)
+    assert adaptive_start_dim(params) == 43
+    monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
+    solve_block = lindblad._solve_block
+    solved = []
+
+    def recording_solve_block(vals):
+        solved.append(vals.shape[1])
+        return solve_block(vals)
+
+    monkeypatch.setattr(lindblad, "_solve_block", recording_solve_block)
+    message = "semiclassical start truncation 43 exceeds the cap 32"
+    with pytest.raises(TruncationLimitError, match=message):
+        solve_steady_state_adaptive(params)
+    with pytest.raises(TruncationLimitError, match=message):
+        solve_steady_states([POINT_C, params])
+    grid = dict(delta_range=(0.0, 0.0, 1), epsilon_range=(60.0, 60.0, 1))
+    with pytest.raises(TruncationLimitError, match=message):
+        sweep(SweepConfig(method="numeric", gamma=2.0, chi=1.0, **grid))
+    config = SweepConfig(
+        gamma=2.0, chi=1.0, point={"delta": 0.0, "epsilon": 60.0}, analyze=("entropy",),
+        out_dir=str(tmp_path),
+    )
+    task = analyze(config)["tasks"]["entropy"]
+    assert (task["error_type"], task["message"]) == ("TruncationLimitError", message)
+    # point C, ahead of the cell in the list, is solved; nothing at 43 levels
+    assert solved == [18]
+    [(_, dim, _)] = solve_steady_states([params], dim=20)
+    assert dim == 20
+
+
 # start dims 18, 10 (doubles to 20), 10 (epsilon = 0), 97 (hard regime),
 # 11 (doubles to 22), 10, and 18 again
 MIXED_CELLS = [
@@ -221,7 +258,7 @@ def test_blocked_fixed_dim_matches_steady_state(mixed_alone):
             assert residual == np.max(np.abs(S @ rho.reshape(-1)))
             # the residual's product, read from the entry table, is the
             # CSR product element by element
-            table = lindblad._table_product(lindblad._entry_table([params], d), rho[None])
+            table = lindblad._table_product(lindblad._entry_table(lindblad._param_table([params]), d), rho[None])
             assert table.tobytes() == (S @ rho.reshape(-1)).tobytes()
 
 
@@ -419,7 +456,7 @@ def test_steady_state_rejects_entry_outside_pattern():
 def test_singular_sector_fails_only_its_cell():
     # a generator whose top sector has no diagonal cannot be solved by the
     # sector recursion; the cell next to it in the block is unaffected
-    vals = lindblad._entry_table([POINT_C, POINT_C], 8)
+    vals = lindblad._entry_table(lindblad._param_table([POINT_C, POINT_C]), 8)
     vals[1, 7, 0, 2] = 0.0
     rho, residual, errors = lindblad._solve_block(vals)
     assert errors[0] is None and isinstance(errors[1], DegenerateKernelError)
@@ -473,7 +510,7 @@ def _sector_blocks(params, dim, monkeypatch):
 
     monkeypatch.setattr(lindblad, "_inverse", recording)
     k, l, _ = lindblad._sectors(dim)
-    lindblad._SectorFraction(lindblad._entry_table([params], dim)[:, k, l], dim)
+    lindblad._SectorFraction(lindblad._entry_table(lindblad._param_table([params]), dim)[:, k, l], dim)
     return blocks
 
 
@@ -506,7 +543,7 @@ def test_unit_solve_without_upward_pass_is_the_full_solve(params, dim):
     # e_0 is zero outside sector 0, so every s_n of the upward pass is 0;
     # skipping it changes no bit, zero signs included
     k, l, _ = lindblad._sectors(dim)
-    fraction = lindblad._SectorFraction(lindblad._entry_table([params], dim)[:, k, l], dim)
+    fraction = lindblad._SectorFraction(lindblad._entry_table(lindblad._param_table([params]), dim)[:, k, l], dim)
     b = np.zeros((1, k.size), dtype=complex)
     b[:, 0] = 1.0
     assert fraction.solve(b).tobytes() == fraction.solve(b, upward=False).tobytes()
@@ -552,7 +589,7 @@ def test_scaled_solve_matches_the_unscaled_path(monkeypatch):
     # a cell that fails must fail the same way on both paths
     for params in HARD_CELLS:
         scaled, unscaled = _scaled_and_unscaled(
-            lambda: lindblad._steady_state_outcomes([params], None)[0], monkeypatch
+            lambda: lindblad._steady_state_outcomes(lindblad._param_table([params]), None)[0], monkeypatch
         )
         if isinstance(unscaled, Exception):
             assert type(scaled) is type(unscaled) and str(scaled) == str(unscaled)

@@ -1,5 +1,8 @@
 """Tests for the classical (mean-field) branch structure."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -130,3 +133,190 @@ def test_boundary_traces_root_count_changes():
 def test_boundary_validation():
     with pytest.raises(ValueError):
         bifurcation_boundary(0.0, 0.1, [-1.0])
+
+
+# The scalar cubic and branch construction that classical_steady_states ran
+# one cell at a time before the batched kernel, kept verbatim as the oracle
+# of the batched kernel's bits.
+def _oracle_cubic_real_roots(a3, a2, a1, a0):
+    b = a2 / a3
+    c = a1 / a3
+    d = a0 / a3
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    shift = -b / 3.0
+    disc = -4.0 * p ** 3 - 27.0 * q * q
+    if disc > 0.0:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+        roots = [shift + m * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    else:
+        half_q = -q / 2.0
+        root_term = math.sqrt(max(0.0, q * q / 4.0 + p ** 3 / 27.0))
+        u = math.copysign(abs(half_q + root_term) ** (1.0 / 3.0), half_q + root_term)
+        v = 0.0 if u == 0.0 else -p / (3.0 * u)
+        roots = [shift + u + v]
+        if disc == 0.0 and p != 0.0:
+            roots.append(shift - (u + v) / 2.0)
+
+    def poly(x):
+        return ((a3 * x + a2) * x + a1) * x + a0
+
+    def dpoly(x):
+        return (3.0 * a3 * x + 2.0 * a2) * x + a1
+
+    polished = []
+    for x in roots:
+        x = np.longdouble(x)
+        for _ in range(3):
+            slope = dpoly(x)
+            if slope == 0.0:
+                break
+            x -= poly(x) / slope
+        polished.append(float(x))
+    return polished
+
+
+def oracle_branches(d, x, e, g, residual_tol=1e-10):
+    """(amplitudes, photon numbers, stable) of one cell, or (exception type, message)."""
+    try:
+        if g <= 0:
+            raise ValueError("classical steady states require gamma > 0")
+        if e == 0.0:
+            return (0.0 + 0.0j,), (0.0,), (True,)
+        if x == 0.0:
+            ns = [e * e / (d * d + g * g / 4.0)]
+        else:
+            dl, xl, el, gl = (np.longdouble(v) for v in (d, x, e, g))
+            ns = _oracle_cubic_real_roots(4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el)
+        scale = max(abs(n) for n in ns)
+        ns = sorted(n for n in ns if n > 1e-9 * max(1.0, scale))
+        if len(ns) == 2:
+            ns = [ns[0]] if abs(ns[0] - ns[1]) < 1e-9 * max(1.0, scale) else ns
+        amps = []
+        for n in ns:
+            alpha = -e / complex(d + 2.0 * x * n, -0.5 * g)
+            residual = abs(complex(d + 2.0 * x * abs(alpha) ** 2, -0.5 * g) * alpha + e)
+            if residual > residual_tol * max(1.0, e):
+                raise RuntimeError(f"classical root failed residual check: {residual:.3e}")
+            amps.append(alpha)
+        if not amps:
+            raise ValueError("expected 1-3 branches, got 0")
+        stable = (True, False, True) if len(amps) == 3 else tuple(True for _ in amps)
+        return tuple(amps), tuple(abs(a) ** 2 for a in amps), stable
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def oracle_start_dim(d, x, e, g):
+    out = oracle_branches(d, x, e, g)
+    if isinstance(out[0], type):
+        return out
+    return max(10, math.ceil(4.0 * (max(out[1]) + 1.0)))
+
+
+def _grid(deltas, epsilons, gamma, chi):
+    return [(float(d), chi, float(e), gamma) for d in np.linspace(*deltas) for e in np.linspace(*epsilons)]
+
+
+def _seeded_draw(n=600, seed=20261019):
+    # ROADMAP item 15's ranges: chi log-uniform in [0.02, 1], gamma/chi in
+    # [1e-3, 10], delta/chi in [-60, 3], and epsilon from a target photon
+    # number log-uniform in [0.01, 20], capped at 4
+    rng = np.random.default_rng(seed)
+    chi = np.exp(rng.uniform(np.log(0.02), 0.0, n))
+    gamma = chi * np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
+    delta = chi * rng.uniform(-60.0, 3.0, n)
+    nbar = np.exp(rng.uniform(np.log(0.01), np.log(20.0), n))
+    eps = np.minimum(4.0, np.sqrt(nbar * ((delta + 2.0 * chi * nbar) ** 2 + gamma**2 / 4.0)))
+    return list(zip(delta.tolist(), chi.tolist(), eps.tolist(), gamma.tolist()))
+
+
+# zero drive, no Kerr term, no damping, a drive too weak for any branch
+# above the cutoff, and cells on and next to a fold line
+_EDGE_CELLS = [
+    (-1.0, 1.0, 0.0, 0.3),
+    (0.7, 0.0, 1.2, 0.4),
+    (-1.0, 1.0, 0.5, 0.0),
+    (0.0, 1.0, 1e-5, 1.0),
+    (-10.0, 0.175, 0.3021, 0.02),
+    *[(float(d), 1.0, float(e), 0.5) for d, e in itertools.product((-3.0, -2.0), (0.9, 1.1, 1.5, 2.0))],
+]
+
+START_DIM_GRIDS = {
+    "readme": _grid((-8.0, -2.0, 61), (0.5, 4.0, 8), 2.0, 1.0),
+    "cli-default": _grid((-10.0, 2.0, 241), (0.05, 5.0, 100), 2.0, 1.0),
+    "hard-regime": _grid((-2.5, -1.5, 7), (0.5, 1.5, 3), 0.1, 0.05),
+    "seeded-draw": _seeded_draw(),
+    "edge-cells": _EDGE_CELLS,
+}
+
+
+def _batched(cells):
+    from duffspec.semiclassical import _classical_branches
+
+    alpha, n2, errors = _classical_branches(*np.array(cells, dtype=float).reshape(-1, 4).T)
+    out = []
+    for i in range(len(cells)):
+        if i in errors:
+            out.append((type(errors[i]), str(errors[i])))
+            continue
+        k = np.count_nonzero(~np.isnan(n2[i]))
+        amps = tuple(complex(a) for a in alpha[i, :k])
+        out.append((amps, tuple(float(n) for n in n2[i, :k]), (True, False, True) if k == 3 else (True,) * k))
+    return out
+
+
+@pytest.mark.parametrize("grid", list(START_DIM_GRIDS))
+def test_batched_start_dims_equal_the_scalar_cubic(grid):
+    # every branch, photon number and start dim, bit for bit (repr of the
+    # Python floats and complexes), and every failure with its message
+    from duffspec.lindblad import _start_dims, adaptive_start_dim
+
+    cells = START_DIM_GRIDS[grid]
+    expected = [oracle_branches(*c) for c in cells]
+    assert repr(_batched(cells)) == repr(expected)
+    starts, errors = _start_dims(np.array(cells, dtype=float).reshape(-1, 4))
+    got = [(type(errors[i]), str(errors[i])) if i in errors else int(starts[i]) for i in range(len(cells))]
+    assert got == [oracle_start_dim(*c) for c in cells]
+    # the one-cell entry points, on a share of the cells
+    for c, want, start in list(zip(cells, expected, got))[:: max(1, len(cells) // 300)]:
+        params = ModelParams(*c)
+        if isinstance(want[0], type):
+            with pytest.raises(want[0]) as raised:
+                classical_steady_states(params)
+            assert str(raised.value) == want[1]
+        else:
+            branches = classical_steady_states(params)
+            assert repr((branches.amplitudes, branches.photon_numbers, branches.stable)) == repr(want)
+            assert adaptive_start_dim(params) == start
+
+
+def test_batched_residual_check_fails_as_the_scalar_one(monkeypatch):
+    # with an unreachable tolerance every driven cell fails on its first
+    # root, with that root's residual in the message
+    import duffspec.semiclassical as semiclassical
+
+    monkeypatch.setattr(semiclassical, "_RESIDUAL_TOL", 1e-30)
+    cells = START_DIM_GRIDS["readme"][::7] + START_DIM_GRIDS["hard-regime"] + _EDGE_CELLS
+    expected = [oracle_branches(*c, residual_tol=1e-30) for c in cells]
+    assert sum(e[0] is RuntimeError for e in expected) > 80
+    assert _batched(cells) == expected
+
+
+def test_start_dim_cubic_keeps_the_scalar_double_and_zero_roots():
+    # (x - 1)^2 (x + 2) has discriminant exactly 0 (a double root), x^3 and
+    # x^3 - 8 take the u = 0 and u != 0 sides of the one-root formula; on
+    # these and on seeded cubics the batched kernel gives the scalar roots
+    # bit for bit
+    from duffspec.semiclassical import _cubic_real_roots
+
+    rng = np.random.default_rng(7)
+    coeffs = [(1.0, 0.0, -3.0, 2.0), (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, -8.0), (2.0, -3.0, 0.0, 1.0)]
+    table = np.array(coeffs + [tuple(v) for v in rng.normal(size=(300, 4))], dtype=np.longdouble)
+    got = _cubic_real_roots(*table.T)
+    for row, roots in zip(table, got):
+        want = _oracle_cubic_real_roots(*row)
+        assert repr(roots[: len(want)].tolist()) == repr(want)
+        assert np.isnan(roots[len(want):]).all()
+    assert np.count_nonzero(~np.isnan(got[0])) == 2

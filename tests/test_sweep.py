@@ -261,15 +261,17 @@ def test_parallel_sweep_raises_the_serial_error(recording_pool, monkeypatch):
     # and the pool's cells 1 and 3.  Cells 1 and 2 fail, each with its own
     # error; both runs raise cell 1's, the first failing cell in grid order.
     failing = {-5.25: (lindblad_mod.TruncationLimitError, "cell 1"), -5.0: (ValueError, "cell 2")}
-    start_dim = lindblad_mod.adaptive_start_dim
+    start_dims = lindblad_mod._start_dims
 
-    def failing_start_dim(params):
-        if params.delta in failing:
-            kind, message = failing[params.delta]
-            raise kind(message)
-        return start_dim(params)
+    def failing_start_dims(table):
+        starts, errors = start_dims(table)
+        for i, delta in enumerate(table[:, 0]):
+            if delta in failing:
+                kind, message = failing[delta]
+                errors[i] = kind(message)
+        return starts, errors
 
-    monkeypatch.setattr(lindblad_mod, "adaptive_start_dim", failing_start_dim)
+    monkeypatch.setattr(lindblad_mod, "_start_dims", failing_start_dims)
     config = SweepConfig(
         method="numeric", gamma=2.0, chi=1.0, delta_range=(-5.5, -4.5, 5), epsilon_range=(3.0, 3.0, 1)
     )
@@ -277,6 +279,28 @@ def test_parallel_sweep_raises_the_serial_error(recording_pool, monkeypatch):
         with pytest.raises(lindblad_mod.TruncationLimitError, match="cell 1"):
             sweep(replace(config, workers=workers))
     assert recording_pool == [1]
+
+
+def test_sweep_mean_a_is_the_expectation_of_each_state():
+    # the README grid: each cell's <a>, summed once per block, is
+    # fock.expectation of its state to the bit, and so is the block sum on
+    # a stack of one state and of all the states at one truncation
+    from duffspec.fock import annihilation, expectation
+
+    config = SweepConfig(
+        method="numeric", gamma=2.0, chi=1.0, delta_range=(-8.0, -2.0, 61), epsilon_range=(0.5, 4.0, 8)
+    )
+    result = sweep(config)
+    cells = [ModelParams(float(d), 1.0, float(e), 2.0) for d in result.deltas for e in result.epsilons]
+    solved = lindblad_mod.solve_steady_states(cells)
+    expected = np.array([expectation(annihilation(dim), rho) for rho, dim, _ in solved])
+    assert result.values["numeric"].tobytes() == expected.tobytes()
+    assert result.dims.ravel().tolist() == [dim for _, dim, _ in solved]
+    dims = np.array([dim for _, dim, _ in solved])
+    for d in np.unique(dims):
+        stack = np.stack([rho for rho, dim, _ in solved if dim == d])
+        assert sweep_mod._mean_a(stack).tobytes() == expected[dims == d].tobytes()
+        assert sweep_mod._mean_a(stack[:1]).tobytes() == expected[dims == d][:1].tobytes()
 
 
 def _oracle_sweep_csv(result):
