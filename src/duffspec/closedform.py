@@ -13,8 +13,6 @@ The scalar dw_response is dw_response_grid on a one-cell grid.
 
 import numpy as np
 
-from .fock import ModelParams
-
 SERIES_RTOL = 1e-14
 SERIES_MAX_TERMS = 20000
 # Ratio of peak partial-sum magnitude to final magnitude beyond which a

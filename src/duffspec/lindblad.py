@@ -608,8 +608,10 @@ def _steady_state_outcomes(table, dim, summary=None):
 
     With ``summary``, each block's stack of accepted states (cells, d, d)
     goes through it, and each cell keeps its item of the result in place
-    of rho.
+    of rho.  A ``dim`` below 2 raises at once, for all cells.
     """
+    if dim is not None and dim < 2:
+        raise ValueError(f"truncation dimension must be >= 2, got {dim}")
     results = [None] * len(table)
     for i in np.flatnonzero(table[:, 3] <= 0):
         results[i] = ValueError("steady state requires gamma > 0")
@@ -626,9 +628,6 @@ def _steady_state_outcomes(table, dim, summary=None):
                 )
             else:
                 pending.setdefault(int(start), []).append(i)
-    elif dim < 2:
-        for i in cells:
-            results[i] = ValueError(f"truncation dimension must be >= 2, got {dim}")
     else:
         pending[dim] = cells.tolist()
     while pending:
@@ -676,10 +675,11 @@ def solve_steady_states(cells, dim=None):
     test move on to the blocks at twice their truncation.  Every cell's
     result is bit for bit the one it gets when solved alone.
 
-    Raises the exception the first failing cell, in input order, raises
-    on its own: ValueError for gamma <= 0, TruncationLimitError when the
-    start truncation is above _MAX_DIM or a doubling would pass it, or
-    steady_state's errors.
+    A ``dim`` below 2 raises ValueError before any cell is solved.
+    Otherwise raises the exception the first failing cell, in input
+    order, raises on its own: ValueError for gamma <= 0,
+    TruncationLimitError when the start truncation is above _MAX_DIM or a
+    doubling would pass it, or steady_state's errors.
     """
     results = _steady_state_outcomes(_param_table(cells), dim)
     for out in results:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_REAL_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
 
 
@@ -130,6 +129,11 @@ def _classical_branches(delta, chi, epsilon, gamma):
     Python's complex division (closedform._quot), |alpha| by hypot, as
     Python's abs of a complex, and |alpha|^2 by Python's float power, which
     rounds some squares differently from a product.
+
+    Every real root of a driven cell's cubic is a branch: for n <= 0 the
+    left side n [(delta + 2 chi n)^2 + gamma^2/4] is at most 0 < epsilon^2,
+    so all real roots are positive, and one that rounds below 0 counts as
+    0.  A weak drive thus keeps its one branch however small n is.
     """
     from .closedform import _quot
 
@@ -151,7 +155,7 @@ def _classical_branches(delta, chi, epsilon, gamma):
         ns[cubic] = _cubic_real_roots(4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el)
     with np.errstate(invalid="ignore"):
         scale = np.maximum(1.0, np.fmax.reduce(np.abs(ns), axis=1))
-        ns = np.sort(np.where(ns > _REAL_TOL * scale[:, None], ns, np.nan), axis=1)
+        ns = np.sort(np.where(ns < 0.0, 0.0, ns), axis=1)
         # exactly on a fold line: the double root counts once
         ns[np.isnan(ns[:, 2]) & (np.abs(ns[:, 0] - ns[:, 1]) < 1e-9 * scale), 1] = np.nan
     found = ~np.isnan(ns)
@@ -183,8 +187,10 @@ def classical_steady_states(params):
     Requires gamma > 0 (the cubic in n would otherwise lose its damping
     regularization).  Amplitudes are reconstructed from each root through
     alpha = -epsilon / (delta + 2 chi n - i gamma/2) and satisfy the
-    amplitude equation to < 1e-10.  This is _classical_branches on one
-    cell.
+    amplitude equation to < 1e-10.  Every real root of the cubic is a
+    branch, since a driven cubic has no root n <= 0 (a root that rounds
+    below 0 counts as 0), so any drive epsilon != 0 has at least one.
+    This is _classical_branches on one cell.
     """
     columns = (params.delta, params.chi, params.epsilon, params.gamma)
     alpha, n2, errors = _classical_branches(*(np.array([v], dtype=float) for v in columns))
@@ -198,45 +204,28 @@ def classical_steady_states(params):
     )
 
 
-def _fold_photon_numbers(delta, chi, gamma):
-    """Stationary points n_- < n_+ of epsilon^2(n); None when no fold exists."""
-    disc = delta * delta - 0.75 * gamma * gamma
-    if disc <= 0.0 or delta >= 0.0:
-        return None
-    root = math.sqrt(disc)
-    n_minus = (-2.0 * delta - root) / (6.0 * chi)
-    n_plus = (-2.0 * delta + root) / (6.0 * chi)
-    if n_minus <= 0.0:
-        return None
-    return n_minus, n_plus
-
-
-def _eps_of_n(n, delta, chi, gamma):
-    return math.sqrt(n * ((delta + 2.0 * chi * n) ** 2 + gamma * gamma / 4.0))
-
-
 def bifurcation_boundary(chi, gamma, deltas):
     """Fold lines of the classical cubic over the given detunings.
 
-    For each delta with a bistable window the drive amplitudes where the
-    positive-root count changes are epsilon(n_+) (lower) and epsilon(n_-)
-    (upper), with n_-+ the stationary points of epsilon^2(n).  Detunings
+    For each delta with a bistable window (delta < 0 and delta^2 >
+    3 gamma^2 / 4) the drive amplitudes where the positive-root count
+    changes are epsilon(n_+) (lower) and epsilon(n_-) (upper), with
+    n_-+ = (-2 delta -+ sqrt(delta^2 - 3 gamma^2 / 4)) / (6 chi) the
+    stationary points of epsilon^2(n), both positive there.  Detunings
     without bistability are dropped; the result may be empty.
     """
     if chi <= 0 or gamma <= 0:
         raise ValueError("bifurcation boundary requires chi > 0 and gamma > 0")
-    kept, lower, upper = [], [], []
-    for delta in np.asarray(deltas, dtype=float):
-        folds = _fold_photon_numbers(delta, chi, gamma)
-        if folds is None:
-            continue
-        n_minus, n_plus = folds
-        kept.append(delta)
-        lower.append(_eps_of_n(n_plus, delta, chi, gamma))
-        upper.append(_eps_of_n(n_minus, delta, chi, gamma))
-    return BifurcationBoundary(
-        deltas=np.array(kept),
-        eps_lower=np.array(lower),
-        eps_upper=np.array(upper),
-    )
+    deltas = np.asarray(deltas, dtype=float)
+    disc = deltas * deltas - 0.75 * gamma * gamma
+    window = (deltas < 0.0) & (disc > 0.0)
+    delta, root = deltas[window], np.sqrt(disc[window])
 
+    def eps_of_n(n):
+        return np.sqrt(n * ((delta + 2.0 * chi * n) ** 2 + gamma * gamma / 4.0))
+
+    return BifurcationBoundary(
+        deltas=delta,
+        eps_lower=eps_of_n((-2.0 * delta + root) / (6.0 * chi)),
+        eps_upper=eps_of_n((-2.0 * delta - root) / (6.0 * chi)),
+    )

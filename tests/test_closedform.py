@@ -5,13 +5,13 @@ import pytest
 
 from duffspec import closedform
 from duffspec.closedform import (
-    ModelParams,
     ParameterPoleError,
     dw_response,
     dw_response_grid,
     hyp0f2_series,
     hyper_0f2,
 )
+from duffspec.fock import ModelParams
 
 
 def mp_hyp0f2(b1, b2, z, dps=50):

@@ -211,6 +211,19 @@ def test_start_dim_above_the_cap_raises_before_any_solve(monkeypatch, tmp_path):
     assert dim == 20
 
 
+def test_fixed_dim_below_two_raises_before_any_solve(monkeypatch):
+    # one ValueError for the whole call, ahead of the gamma <= 0 cell's own
+    def failing_solve_block(vals):
+        raise AssertionError("a block was solved")
+
+    monkeypatch.setattr(lindblad, "_solve_block", failing_solve_block)
+    message = "truncation dimension must be >= 2, got 1"
+    with pytest.raises(ValueError, match=message):
+        solve_steady_states([POINT_C], dim=1)
+    with pytest.raises(ValueError, match=message):
+        solve_steady_states([ModelParams(-1.0, 1.0, 0.5, 0.0), POINT_C], dim=1)
+
+
 # start dims 18, 10 (doubles to 20), 10 (epsilon = 0), 97 (hard regime),
 # 11 (doubles to 22), 10, and 18 again
 MIXED_CELLS = [

@@ -190,7 +190,7 @@ def oracle_branches(d, x, e, g, residual_tol=1e-10):
             dl, xl, el, gl = (np.longdouble(v) for v in (d, x, e, g))
             ns = _oracle_cubic_real_roots(4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el)
         scale = max(abs(n) for n in ns)
-        ns = sorted(n for n in ns if n > 1e-9 * max(1.0, scale))
+        ns = sorted(max(n, 0.0) for n in ns)
         if len(ns) == 2:
             ns = [ns[0]] if abs(ns[0] - ns[1]) < 1e-9 * max(1.0, scale) else ns
         amps = []
@@ -232,8 +232,8 @@ def _seeded_draw(n=600, seed=20261019):
     return list(zip(delta.tolist(), chi.tolist(), eps.tolist(), gamma.tolist()))
 
 
-# zero drive, no Kerr term, no damping, a drive too weak for any branch
-# above the cutoff, and cells on and next to a fold line
+# zero drive, no Kerr term, no damping, a drive so weak that its one
+# branch holds 4e-10 photons, and cells on and next to a fold line
 _EDGE_CELLS = [
     (-1.0, 1.0, 0.0, 0.3),
     (0.7, 0.0, 1.2, 0.4),
@@ -320,3 +320,20 @@ def test_start_dim_cubic_keeps_the_scalar_double_and_zero_roots():
         assert repr(roots[: len(want)].tolist()) == repr(want)
         assert np.isnan(roots[len(want):]).all()
     assert np.count_nonzero(~np.isnan(got[0])) == 2
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.1])
+def test_weak_drives_have_one_branch_and_solve_at_ten_levels(gamma):
+    # the small-signal response: n holds ~epsilon^2 / delta^2 photons, down
+    # to 1e-26, and the numeric <a> matches the closed form at 10 levels
+    from duffspec.closedform import dw_response
+    from duffspec.fock import annihilation, expectation
+    from duffspec.lindblad import solve_steady_state_adaptive
+
+    for delta, epsilon in itertools.product((0.0, -3.0, -10.0, 1.5), (1e-5, 1e-8, 1e-12)):
+        params = ModelParams(delta, 1.0, epsilon, gamma)
+        assert len(classical_steady_states(params).amplitudes) == 1, params
+        rho, dim, _ = solve_steady_state_adaptive(params)
+        assert dim == 10, params
+        exact = dw_response(params)
+        assert abs(expectation(annihilation(dim), rho) - exact) <= 1e-12 * abs(exact), params

@@ -761,6 +761,21 @@ def test_shipped_circuit_example(tmp_path):
     assert point["epsilon"] == pytest.approx(3.204, abs=1e-3)
 
 
+def test_entropy_task_reports_the_circuit_line_signal(tmp_path):
+    # with a circuit the entropy task adds the line output quadratures of
+    # its own <a>, also in manifest.json
+    from duffspec.circuit import load_circuit, v2_signal
+
+    manifest = analyze(SweepConfig(circuit=SHIPPED_CIRCUIT, analyze=("entropy",), out_dir=str(tmp_path)))
+    summary = manifest["tasks"]["entropy"]["summary"]
+    quads = v2_signal(summary["a_re"] + 1j * summary["a_im"], load_circuit(SHIPPED_CIRCUIT))
+    assert (summary["v2_cos_volts"], summary["v2_sin_volts"]) == (quads.cos_amplitude, quads.sin_amplitude)
+    assert summary["dim"] == 10
+    assert summary["v2_cos_volts"] == pytest.approx(9.048e-9, rel=1e-3)
+    assert summary["v2_sin_volts"] == pytest.approx(-1.156e-8, rel=1e-3)
+    assert read_manifest(str(tmp_path))["tasks"]["entropy"]["summary"] == summary
+
+
 def test_api_circuit_sweep_matches_cli(tmp_path):
     # the Python API honours config.circuit as the CLI does
     grid = dict(method="closed-form", delta_range=(-8.0, -2.0, 13), epsilon_range=(1.0, 4.0, 4))
