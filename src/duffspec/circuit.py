@@ -21,6 +21,11 @@ HBAR = 1.054571817e-34  # J s
 _COUPLING_LIMIT = 0.1
 
 
+def _is_number(value):
+    # bool is an int subclass, but "L": true is no inductance
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """Lumped-element parameters of the readout circuit (SI units).
@@ -49,12 +54,12 @@ class CircuitParams:
     def __post_init__(self):
         for name in ("L", "L4", "C", "Cc", "Z0", "omega_p", "hbar"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         # R = inf is allowed and means a lossless resonator (line damping only)
-        if not (isinstance(self.R, (int, float)) and self.R > 0):
+        if not (_is_number(self.R) and self.R > 0):
             raise ValueError(f"R must be positive (inf allowed), got {self.R!r}")
-        if not (isinstance(self.Vs, (int, float)) and math.isfinite(self.Vs) and self.Vs >= 0):
+        if not (_is_number(self.Vs) and math.isfinite(self.Vs) and self.Vs >= 0):
             raise ValueError(f"Vs must be a nonnegative finite number, got {self.Vs!r}")
 
 

@@ -572,20 +572,13 @@ def steady_state(S):
 
 
 def _start_dims(table):
-    """adaptive_start_dim of every row of a parameter table: (starts, errors).
+    """Initial truncation of every row of a parameter table: (starts, errors).
 
-    starts holds the truncations as floats; errors maps the index of every
-    cell for which adaptive_start_dim raises to that exception.  The
-    classical branches of all cells come from one _classical_branches call.
-    """
-    _, photon_numbers, errors = _classical_branches(*table.T)
-    with np.errstate(invalid="ignore"):
-        nbar = np.fmax.reduce(photon_numbers, axis=1)
-    return np.maximum(10.0, np.ceil(4.0 * (nbar + 1.0))), errors
-
-
-def adaptive_start_dim(params):
-    """Initial truncation from the largest classical branch amplitude.
+    A cell starts at max(10, ceil(4 (n + 1))) levels, with n the photon
+    number of its largest classical branch.  starts holds the truncations
+    as floats; errors maps the index of every cell whose classical
+    branches cannot be formed to that exception.  The classical branches
+    of all cells come from one _classical_branches call.
 
     The top-population test alone cannot stand in for this estimate.  In
     the bistable regime a truncation too small for the upper branch
@@ -594,12 +587,12 @@ def adaptive_start_dim(params):
     passes the 1e-8 test (top two populations 1.3e-9), yet its <a> is 4.9
     away from the exact value; starting at 84 levels, from the upper
     branch, the adaptive solve is 4.7e-7 away.  A faster start must not
-    shrink this estimate.  This is _start_dims on one cell.
+    shrink this estimate.
     """
-    starts, errors = _start_dims(_param_table([params]))
-    if errors:
-        raise errors[0]
-    return int(starts[0])
+    _, photon_numbers, errors = _classical_branches(*table.T)
+    with np.errstate(invalid="ignore"):
+        nbar = np.fmax.reduce(photon_numbers, axis=1)
+    return np.maximum(10.0, np.ceil(4.0 * (nbar + 1.0))), errors
 
 
 def _steady_state_outcomes(table, dim, summary=None):
@@ -661,12 +654,13 @@ def solve_steady_states(cells, dim=None):
     """Steady states of many parameter cells with automatic truncation control.
 
     Returns one (rho, dim, residual) per cell of ``cells`` (ModelParams),
-    in order.  Each cell starts at adaptive_start_dim and its truncation
-    doubles until the combined population of the top two levels drops
-    below _TOP_POP_TOL; passing ``dim`` skips adaptation and solves
-    every cell at that size.  ``residual`` is max|S rho|, as steady_state
-    checks it: np.max(np.abs(S @ rho.reshape(-1))) to the bit, with S =
-    build_superoperator(params, dim), though no sparse matrix is built.
+    in order.  Each cell starts at the truncation its largest classical
+    branch needs, and its truncation doubles until the combined population
+    of the top two levels drops below _TOP_POP_TOL; passing ``dim`` skips
+    adaptation and solves every cell at that size.  ``residual`` is
+    max|S rho|, as steady_state checks it: np.max(np.abs(S @
+    rho.reshape(-1))) to the bit, with S = build_superoperator(params,
+    dim), though no sparse matrix is built.
 
     The cells go in as one parameter table (_param_table), and their
     start truncations come from one batched classical cubic (_start_dims).

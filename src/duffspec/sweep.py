@@ -13,13 +13,14 @@ significant digits, the conversion ``{:.16e}`` makes too): numpy forms
 the correctly rounded digits of a chunk of up to 4096 rows at once, and
 the few values where that is in doubt go through ``%.16e`` itself.  A
 grid axis is formatted once per coordinate.  The chunks are streamed
-with LF line endings.  Moduli |z| come from Python's ``abs`` on each
-complex value, because ``np.abs`` rounds some of them one ulp
-differently.  Wall-clock time per phase goes to the JSON side log
-run.log, never into the manifest.  The ``lindblad`` names are imported in
-the functions that call them.  Only a point analysis's decay spectrum
-loads scipy.sparse; its dense branch is numpy's, and only above
-DENSE_EIG_MAX_DIM levels does it load scipy.sparse.linalg.
+with LF line endings.  Moduli |z| come from ``np.hypot`` of the real and
+imaginary parts, which calls libm's hypot as Python's ``abs`` of a
+complex value does; ``np.abs`` rounds some of them one ulp differently.
+Wall-clock time per phase goes to the JSON side log run.log, never into
+the manifest.  The ``lindblad`` names are imported in the functions that
+call them.  Only a point analysis's decay spectrum loads scipy.sparse;
+its dense branch is numpy's, and only above DENSE_EIG_MAX_DIM levels
+does it load scipy.sparse.linalg.
 """
 
 import functools
@@ -121,9 +122,11 @@ def validate_config(config):
         raise ConfigError(f"circuit must be a path string or null, got {config.circuit!r}")
     if not isinstance(config.analyze, (list, tuple)):
         raise ConfigError(f"analyze must be a list of tasks, got {config.analyze!r}")
-    for task in config.analyze:
+    for i, task in enumerate(config.analyze):
         if task not in ANALYZE_TASKS:
             raise ConfigError(f"unknown analyze task {task!r}; choose from {ANALYZE_TASKS}")
+        if task in config.analyze[:i]:
+            raise ConfigError(f"analyze task {task!r} is repeated")
     config = replace(
         config,
         delta_range=_check_range("delta_range", config.delta_range),
@@ -212,18 +215,11 @@ def _mean_a(rho):
     return np.sum((annihilation(d) * rho.transpose(0, 2, 1)).reshape(n, d * d), axis=1)
 
 
-def _numeric_values(table, dim):
-    """(<a>, truncation, residual) of each row of a parameter table, or the exception the cell raises.
-
-    The cells are solved as one call of solve_steady_states' solve, and
-    <a> is summed once per block.
-    """
+def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
     from .lindblad import _steady_state_outcomes
 
-    return _steady_state_outcomes(table, dim, summary=_mean_a)
-
-
-def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
+    # each cell's (<a>, truncation, residual), <a> summed once per block
+    solve = functools.partial(_steady_state_outcomes, dim=dim, summary=_mean_a)
     # the cells' parameter table, one row (delta, chi, epsilon, gamma) per
     # cell in grid order
     table = np.empty((deltas.size, epsilons.size, 4))
@@ -243,10 +239,10 @@ def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n - 1) as pool:
-            pooled = pool.map(_numeric_values, shares[1:], [dim] * (n - 1))
-            solved = [_numeric_values(shares[0], dim), *pooled]
+            pooled = pool.map(solve, shares[1:])
+            solved = [solve(shares[0]), *pooled]
     else:
-        solved = [_numeric_values(table, dim)]
+        solved = [solve(table)]
     results = [None] * len(table)
     for w, share in enumerate(solved):
         results[w::n] = share
@@ -476,8 +472,7 @@ def write_sweep_csv(result, path):
         tag = m.replace("-", "_")
         header += [f"re_{tag}", f"im_{tag}", f"abs_{tag}", f"residual_{tag}"]
         v = result.values[m]
-        abs_v = np.array([abs(z) for z in v.ravel().tolist()])
-        columns += [v.real, v.imag, abs_v, result.residuals[m]]
+        columns += [v.real, v.imag, np.hypot(v.real, v.imag), result.residuals[m]]
     header.append("dim")
     columns.append(list(map(str, result.dims.ravel().tolist())))
     if result.discrepancy is not None:
@@ -580,51 +575,43 @@ class _PointContext:
     def __init__(self, params, config):
         self.params = params
         self.config = config
-        self._rho0 = None
-        self._spectrum = None
-        self._pair = None
-        self._wigner = None
 
+    @functools.cached_property
     def rho0(self):
-        if self._rho0 is None:
-            from .lindblad import solve_steady_state_adaptive
+        from .lindblad import solve_steady_state_adaptive
 
-            self._rho0 = solve_steady_state_adaptive(self.params, dim=self.config.dim)
-        return self._rho0
+        return solve_steady_state_adaptive(self.params, dim=self.config.dim)
 
+    @functools.cached_property
     def spectrum(self):
-        if self._spectrum is None:
-            from .lindblad import build_superoperator, low_lying_spectrum
+        from .lindblad import build_superoperator, low_lying_spectrum
 
-            _, dim, _ = self.rho0()
-            S = build_superoperator(self.params, dim)
-            self._spectrum = low_lying_spectrum(S)
-        return self._spectrum
+        _, dim, _ = self.rho0
+        return low_lying_spectrum(build_superoperator(self.params, dim))
 
+    @functools.cached_property
     def metastable_pair(self):
-        if self._pair is None:
-            from .lindblad import metastable_extremes
+        from .lindblad import metastable_extremes
 
-            if self.params.epsilon == 0:
-                raise AnalysisError(
-                    "metastable analysis requires epsilon > 0: without a drive the "
-                    "slowest decaying mode is not a bimodality direction"
-                )
-            spec = self.spectrum()
-            if len(spec.eigenvalues) < 2:
-                raise AnalysisError("spectrum does not include a second eigenvalue")
-            # low_lying_spectrum gives exactly the modes it calls real an
-            # exactly Hermitian eigenmatrix, so that is the test of realness
-            drho1 = spec.eigenmatrices[1]
-            if not np.array_equal(drho1, drho1.conj().T):
-                raise AnalysisError(
-                    f"second eigenvalue {spec.eigenvalues[1]} is complex; no Hermitian slow "
-                    "direction exists at this point"
-                )
-            rho0, _, _ = self.rho0()
-            self._pair = metastable_extremes(rho0, drho1)
-        return self._pair
+        if self.params.epsilon == 0:
+            raise AnalysisError(
+                "metastable analysis requires epsilon > 0: without a drive the "
+                "slowest decaying mode is not a bimodality direction"
+            )
+        spec = self.spectrum
+        if len(spec.eigenvalues) < 2:
+            raise AnalysisError("spectrum does not include a second eigenvalue")
+        # low_lying_spectrum gives exactly the modes it calls real an
+        # exactly Hermitian eigenmatrix, so that is the test of realness
+        drho1 = spec.eigenmatrices[1]
+        if not np.array_equal(drho1, drho1.conj().T):
+            raise AnalysisError(
+                f"second eigenvalue {spec.eigenvalues[1]} is complex; no Hermitian slow "
+                "direction exists at this point"
+            )
+        return metastable_extremes(self.rho0[0], drho1)
 
+    @functools.cached_property
     def wigner_grids(self):
         """Wigner grids of the requested states, evaluated in one pass.
 
@@ -633,19 +620,17 @@ class _PointContext:
         formed is left out, so the wigner task's grid and status never
         depend on the metastable task; that task raises the error itself.
         """
-        if self._wigner is None:
-            states = {}
-            if "wigner" in self.config.analyze:
-                states["rho0"] = self.rho0()[0]
-            if "metastable" in self.config.analyze:
-                try:
-                    pair = self.metastable_pair()
-                except Exception:
-                    pass
-                else:
-                    states["rho_plus"], states["rho_minus"] = pair.rho_plus, pair.rho_minus
-            self._wigner = dict(zip(states, wigner_many(list(states.values()))))
-        return self._wigner
+        states = {}
+        if "wigner" in self.config.analyze:
+            states["rho0"] = self.rho0[0]
+        if "metastable" in self.config.analyze:
+            try:
+                pair = self.metastable_pair
+            except Exception:
+                pass
+            else:
+                states["rho_plus"], states["rho_minus"] = pair.rho_plus, pair.rho_minus
+        return dict(zip(states, wigner_many(list(states.values()))))
 
 
 def _write_wigner(grid, out_dir, stem, params, dim):
@@ -666,7 +651,7 @@ def _write_wigner(grid, out_dir, stem, params, dim):
 
 
 def _task_entropy(ctx, out_dir, circuit):
-    rho0, dim, residual = ctx.rho0()
+    rho0, dim, residual = ctx.rho0
     a_val = expectation(annihilation(dim), rho0)
     n_val = expectation(annihilation(dim).conj().T @ annihilation(dim), rho0)
     summary = {
@@ -687,7 +672,7 @@ def _task_entropy(ctx, out_dir, circuit):
 
 
 def _task_spectrum(ctx, out_dir, circuit):
-    spec = ctx.spectrum()
+    spec = ctx.spectrum
     lams = spec.eigenvalues
     columns = [list(map(str, range(len(lams)))), lams.real, lams.imag]
     _write_csv(os.path.join(out_dir, "spectrum.csv"), "index,re,im", columns)
@@ -699,8 +684,8 @@ def _task_spectrum(ctx, out_dir, circuit):
 
 
 def _task_wigner(ctx, out_dir, circuit):
-    _, dim, _ = ctx.rho0()
-    grid = ctx.wigner_grids()["rho0"]
+    _, dim, _ = ctx.rho0
+    grid = ctx.wigner_grids["rho0"]
     files = _write_wigner(grid, out_dir, "wigner_rho0", ctx.params, dim)
     maxima = local_maxima(grid)
     summary = {
@@ -713,9 +698,9 @@ def _task_wigner(ctx, out_dir, circuit):
 
 
 def _task_metastable(ctx, out_dir, circuit):
-    pair = ctx.metastable_pair()
-    rho0, dim, _ = ctx.rho0()
-    grids = ctx.wigner_grids()
+    pair = ctx.metastable_pair
+    rho0, dim, _ = ctx.rho0
+    grids = ctx.wigner_grids
     files = _write_wigner(grids["rho_plus"], out_dir, "wigner_rho_plus", ctx.params, dim)
     files += _write_wigner(grids["rho_minus"], out_dir, "wigner_rho_minus", ctx.params, dim)
     summary = {
@@ -748,7 +733,7 @@ def mixing_curve(pair, samples=201):
 
 
 def _task_mixing_curve(ctx, out_dir, circuit):
-    pair = ctx.metastable_pair()
+    pair = ctx.metastable_pair
     xs, entropy, linear, excess, binary = mixing_curve(pair)
     columns = [xs, entropy, linear, excess, binary]
     header = "x,entropy_bits,linear_bits,excess_bits,binary_bits"

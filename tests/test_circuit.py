@@ -128,6 +128,16 @@ def test_json_round_trip(tmp_path):
         load_circuit(path)
 
 
+@pytest.mark.parametrize("field", ["L", "L4", "C", "Cc", "Z0", "R", "Vs", "omega_p", "hbar"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_fields_are_rejected(tmp_path, field, flag):
+    # bool is an int subclass, so "L": true would read as 1 H
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({**REP, "R": 1e4, field: flag}))
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {flag}$"):
+        load_circuit(path)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         CircuitParams(**dict(REP, L=-1e-9))

@@ -26,8 +26,9 @@ from duffspec.lindblad import (
     DegenerateKernelError,
     TruncationLimitError,
     _mixture,
+    _param_table,
     _spectrum_order,
-    adaptive_start_dim,
+    _start_dims,
     build_superoperator,
     low_lying_spectrum,
     metastable_extremes,
@@ -181,7 +182,7 @@ def test_start_dim_above_the_cap_raises_before_any_solve(monkeypatch, tmp_path):
     from duffspec.sweep import SweepConfig, analyze, sweep
 
     params = ModelParams(delta=0.0, chi=1.0, epsilon=60.0, gamma=2.0)
-    assert adaptive_start_dim(params) == 43
+    assert _start_dims(_param_table([params]))[0][0] == 43
     monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
     solve_block = lindblad._solve_block
     solved = []
@@ -309,7 +310,7 @@ def test_start_dim_from_largest_classical_branch():
     rho, dim, _ = solve_steady_state_adaptive(params, dim=16)
     assert rho[15, 15].real + rho[14, 14].real < 1e-8
     assert abs(expectation(annihilation(dim), rho) - exact) > 4.0
-    assert adaptive_start_dim(params) == 84
+    assert _start_dims(_param_table([params]))[0][0] == 84
     rho, dim, _ = solve_steady_state_adaptive(params)
     assert dim == 84
     assert abs(expectation(annihilation(dim), rho) - exact) < 1e-6
@@ -321,7 +322,7 @@ def test_start_dim_where_the_photon_number_is_a_whole_half():
     # one ulp high would start at 23 and 15, so it must round as this one
     for delta, epsilon, start in ((-8.0, 3.0, 22), (-2.0, 5.0, 14)):
         params = ModelParams(delta=delta, chi=1.0, epsilon=epsilon, gamma=2.0)
-        assert adaptive_start_dim(params) == start
+        assert _start_dims(_param_table([params]))[0][0] == start
 
 
 def test_degenerate_kernel_detected():

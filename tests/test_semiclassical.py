@@ -11,6 +11,7 @@ from duffspec.semiclassical import (
     bifurcation_boundary,
     classical_steady_states,
 )
+from seeded_cells import seeded_draw
 
 
 def cubic_positive_roots(params):
@@ -219,19 +220,6 @@ def _grid(deltas, epsilons, gamma, chi):
     return [(float(d), chi, float(e), gamma) for d in np.linspace(*deltas) for e in np.linspace(*epsilons)]
 
 
-def _seeded_draw(n=600, seed=20261019):
-    # ROADMAP item 15's ranges: chi log-uniform in [0.02, 1], gamma/chi in
-    # [1e-3, 10], delta/chi in [-60, 3], and epsilon from a target photon
-    # number log-uniform in [0.01, 20], capped at 4
-    rng = np.random.default_rng(seed)
-    chi = np.exp(rng.uniform(np.log(0.02), 0.0, n))
-    gamma = chi * np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
-    delta = chi * rng.uniform(-60.0, 3.0, n)
-    nbar = np.exp(rng.uniform(np.log(0.01), np.log(20.0), n))
-    eps = np.minimum(4.0, np.sqrt(nbar * ((delta + 2.0 * chi * nbar) ** 2 + gamma**2 / 4.0)))
-    return list(zip(delta.tolist(), chi.tolist(), eps.tolist(), gamma.tolist()))
-
-
 # zero drive, no Kerr term, no damping, a drive so weak that its one
 # branch holds 4e-10 photons, and cells on and next to a fold line
 _EDGE_CELLS = [
@@ -247,7 +235,7 @@ START_DIM_GRIDS = {
     "readme": _grid((-8.0, -2.0, 61), (0.5, 4.0, 8), 2.0, 1.0),
     "cli-default": _grid((-10.0, 2.0, 241), (0.05, 5.0, 100), 2.0, 1.0),
     "hard-regime": _grid((-2.5, -1.5, 7), (0.5, 1.5, 3), 0.1, 0.05),
-    "seeded-draw": _seeded_draw(),
+    "seeded-draw": seeded_draw(),
     "edge-cells": _EDGE_CELLS,
 }
 
@@ -271,7 +259,7 @@ def _batched(cells):
 def test_batched_start_dims_equal_the_scalar_cubic(grid):
     # every branch, photon number and start dim, bit for bit (repr of the
     # Python floats and complexes), and every failure with its message
-    from duffspec.lindblad import _start_dims, adaptive_start_dim
+    from duffspec.lindblad import _param_table, _start_dims
 
     cells = START_DIM_GRIDS[grid]
     expected = [oracle_branches(*c) for c in cells]
@@ -289,7 +277,7 @@ def test_batched_start_dims_equal_the_scalar_cubic(grid):
         else:
             branches = classical_steady_states(params)
             assert repr((branches.amplitudes, branches.photon_numbers, branches.stable)) == repr(want)
-            assert adaptive_start_dim(params) == start
+            assert _start_dims(_param_table([params]))[0][0] == start
 
 
 def test_batched_residual_check_fails_as_the_scalar_one(monkeypatch):

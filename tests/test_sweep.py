@@ -1,5 +1,6 @@
 """Tests for the sweep engine, analysis tasks, artifact files, and CLI."""
 
+import csv
 import json
 import os
 import re
@@ -357,6 +358,29 @@ def test_write_sweep_csv_matches_row_oracle(tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
     assert path.read_bytes() == _oracle_sweep_csv(result)
+
+
+def test_sweep_csv_moduli_are_python_abs(tmp_path):
+    # np.hypot of the parts calls libm's hypot as Python's abs of a complex
+    # does, on this numpy's SIMD kernels too: random values over the whole
+    # exponent range, and every abs_* field of the README sweep's CSV
+    rng = np.random.default_rng(17)
+    parts = rng.standard_normal((2, 100_000)) * 10.0 ** rng.uniform(-300, 300, (2, 100_000))
+    expected = np.array([abs(complex(x, y)) for x, y in parts.T.tolist()])
+    assert np.hypot(*parts).tobytes() == expected.tobytes()
+    main(
+        [
+            "--method", "both", "--gamma", "2", "--chi", "1", "--delta-range=-8:-2:61",
+            "--epsilon-range=0.5:4:8", "--out-dir", str(tmp_path),
+        ]
+    )
+    with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 488
+    for tag in ("numeric", "closed_form"):
+        for row in rows:
+            z = complex(float(row[f"re_{tag}"]), float(row[f"im_{tag}"]))
+            assert row[f"abs_{tag}"] == "%.16e" % abs(z), (tag, row["delta"], row["epsilon"])
 
 
 def test_write_wigner_matches_row_oracle(tmp_path):
@@ -1013,6 +1037,21 @@ def test_cli_flag_errors_exit_2_with_json(tmp_path, capsys, flags):
     assert not (tmp_path / "x").exists()
 
 
+def test_repeated_analyze_task_is_a_config_error(tmp_path, capsys):
+    # a task named twice would run twice and list its files twice
+    with pytest.raises(ConfigError, match="analyze task 'wigner' is repeated"):
+        config_from_dict({"point": {"delta": -5.2, "epsilon": 3.2}, "analyze": ["wigner", "entropy", "wigner"]})
+    cfg = tmp_path / "repeated.json"
+    cfg.write_text(json.dumps({"point": {"delta": -5.2, "epsilon": 3.2}, "analyze": ["entropy", "entropy"]}))
+    flags = ["--point", "delta=-5.2,epsilon=3.2", "--gamma", "2", "--chi", "1", "--analyze", "wigner,wigner"]
+    for args, task in ((flags, "wigner"), (["--config", str(cfg)], "entropy")):
+        assert main([*args, "--out-dir", str(tmp_path / "x")]) == 2
+        report = json.loads(capsys.readouterr().err)["error"]
+        assert (report["kind"], report["type"]) == ("config", "ConfigError")
+        assert f"analyze task {task!r} is repeated" in report["message"]
+        assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("content", [None, {"L": 1e-9}, "{not json"])
 def test_cli_bad_circuit_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "circuit.json"
@@ -1024,6 +1063,17 @@ def test_cli_bad_circuit_file_exits_2(tmp_path, capsys, content):
     assert report["error"]["kind"] == "config"
     assert report["error"]["type"] == "ConfigError"
     # the sweep creates its out_dir only once the circuit file has resolved
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field", ["L", "R", "Vs"])
+def test_cli_boolean_circuit_field_exits_2(tmp_path, capsys, field):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(dict(CIRCUIT, **{field: True})))
+    assert main(["--circuit", str(path), "--out-dir", str(tmp_path / "x")]) == 2
+    report = json.loads(capsys.readouterr().err)["error"]
+    assert (report["kind"], report["type"]) == ("config", "ConfigError")
+    assert f"{field} must be" in report["message"] and "got True" in report["message"]
     assert not (tmp_path / "x").exists()
 
 
