@@ -8,8 +8,12 @@ power series always converges; the practical hazards are parameter poles
 catastrophic cancellation at large |z|.  One rule escalates a cell to
 50-digit arithmetic: its partial sums peak more than CANCEL_RATIO above
 its final value, or its series reaches SERIES_MAX_TERMS terms (_escalates).
-The scalar dw_response is dw_response_grid on a one-cell grid.
+The scalar dw_response is dw_response_grid on a one-cell grid.  Series are
+summed in blocks of cells, in place in one set of buffers per block; finished
+cells are masked out, and compacted away once a quarter of them are done.
 """
+
+import cmath
 
 import numpy as np
 
@@ -18,8 +22,9 @@ SERIES_MAX_TERMS = 20000
 # Ratio of peak partial-sum magnitude to final magnitude beyond which a
 # cell is re-evaluated in extended precision (_escalates).
 CANCEL_RATIO = 1e8
-# Cells summed together; bounds the size of the per-term scratch arrays.
-_SERIES_BLOCK = 4096
+# Cells summed together: a block's buffers (~1.4 MB at 8192 cells) fit a
+# 2 MB L2 cache, and its per-term numpy calls are few per cell.
+_SERIES_BLOCK = 8192
 _MP_DPS = 50
 _INT_TOL = 1e-12
 
@@ -52,9 +57,8 @@ def _store(out, idx, total, peak, mag, k):
     """Write finished cells' value and gauges to positions ``idx`` of ``out``."""
     value, ratio, terms, tail = out
     amag = np.abs(total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio[idx] = np.where(amag > 0.0, peak / amag, np.inf)
-        tail[idx] = np.where(amag > 0.0, mag / amag, np.inf)
+    ratio[idx] = np.divide(peak, amag, out=np.full(amag.shape, np.inf), where=amag > 0.0)
+    tail[idx] = np.divide(mag, amag, out=np.full(amag.shape, np.inf), where=amag > 0.0)
     value[idx] = total
     terms[idx] = k
 
@@ -62,45 +66,64 @@ def _store(out, idx, total, peak, mag, k):
 def _series_block(b1, b2, z, out):
     """hyp0f2_series on one block of flat arrays, written into the ``out`` views.
 
-    Every live cell takes the same term step; a cell leaves the live set
-    as soon as it meets its stopping rule, so the work follows each cell's
-    own term count and a finished cell is never summed further.  The
-    guard k > max(-Re b1, -Re b2) (hyp0f2_series; k >= 1 here) is tested
-    only on the cells that meet the term rule, and only while k <= kmax,
-    the block's largest -Re b, past which it holds for every cell.
+    Every live cell takes the same term step in place, in one set of
+    buffers, by the operations of term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
+    in their order, so each value and gauge keeps its bits.  A finished
+    cell is stored at once and masked out of ``alive``; the live arrays
+    are compacted once a quarter of them have finished.  The guard
+    k > max(-Re b1, -Re b2) (hyp0f2_series; k >= 1 here) is tested only
+    on the cells that meet the term rule, and only while k <= kmax, the
+    block's largest -Re b, past which it holds for every cell.
     """
     n = b1.size
     live = np.arange(n)
     kmax = -float(min(b1.real.min(), b2.real.min()))
-    total = np.ones(n, dtype=complex)
-    term = np.ones(n, dtype=complex)
-    peak = np.ones(n)
-    prev_mag = np.ones(n)
-    decreasing = np.zeros(n, dtype=np.int64)
-    k = 0
-    while live.size and k < SERIES_MAX_TERMS:
-        term = term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
-        total = total + term
-        mag = np.abs(term)
-        amag = np.abs(total)
+    total, term = np.ones((2, n), dtype=complex)
+    peak, prev_mag = np.ones((2, n))
+    decreasing = np.zeros(n, dtype=np.int32)  # int32 steps faster than int64
+    alive = np.ones(n, dtype=bool)
+    shift, factor, den = np.empty((3, n), dtype=complex)
+    mag, amag = np.empty((2, n))
+    done, falling = np.empty((2, n), dtype=bool)
+    finished = k = 0
+    while finished < live.size and k < SERIES_MAX_TERMS:
+        # no complex product or quotient writes over an operand: on a
+        # one-cell array numpy then forms it without the fused multiply-add
+        np.add(b1, k, out=shift)
+        np.multiply(k + 1.0, shift, out=factor)
+        np.add(b2, k, out=shift)
+        np.multiply(factor, shift, out=den)
+        np.multiply(term, z, out=shift)
+        np.divide(shift, den, out=term)
+        total += term
+        np.abs(term, out=mag)
+        np.abs(total, out=amag)
         np.maximum(peak, amag, out=peak)
         # non-strict: an exactly-zero term (z = 0, or underflow past the
         # tail) must still count as decreasing or the cell never stops
-        decreasing = np.where(mag <= prev_mag, decreasing + 1, 0)
-        prev_mag = mag
+        decreasing += 1
+        decreasing *= np.less_equal(mag, prev_mag, out=falling)
         k += 1
-        done = (decreasing >= 3) & (mag <= SERIES_RTOL * amag)
-        if k <= kmax and done.any():
-            done[done] = (b1.real[done] + k > 0) & (b2.real[done] + k > 0)
+        np.less_equal(mag, np.multiply(SERIES_RTOL, amag, out=amag), out=done)
+        done &= np.greater_equal(decreasing, 3, out=falling)
+        done &= alive
         if done.any():
+            if k <= kmax:
+                done[done] = (b1.real[done] + k > 0) & (b2.real[done] + k > 0)
             _store(out, live[done], total[done], peak[done], mag[done], k)
-            keep = ~done
-            live = live[keep]
-            b1, b2, z = b1[keep], b2[keep], z[keep]
-            term, total, peak = term[keep], total[keep], peak[keep]
-            prev_mag, decreasing = prev_mag[keep], decreasing[keep]
-    # cells still live here ran into the term cap
-    _store(out, live, total, peak, prev_mag, k)
+            alive ^= done
+            finished += np.count_nonzero(done)
+        mag, prev_mag = prev_mag, mag
+        if 4 * finished >= live.size > finished:
+            live, b1, b2, z = live[alive], b1[alive], b2[alive], z[alive]
+            term, total, peak = term[alive], total[alive], peak[alive]
+            prev_mag, decreasing = prev_mag[alive], decreasing[alive]
+            shift, factor, den, mag, amag, done, falling = (
+                a[: live.size] for a in (shift, factor, den, mag, amag, done, falling)
+            )
+            alive, finished = np.ones(live.size, dtype=bool), 0
+    if finished < live.size:  # cells still live here ran into the term cap
+        _store(out, live[alive], total[alive], peak[alive], prev_mag[alive], k)
 
 
 def hyp0f2_series(b1, b2, z):
@@ -129,17 +152,13 @@ def hyp0f2_series(b1, b2, z):
     b1, b2, z = np.broadcast_arrays(
         np.asarray(b1, dtype=complex), np.asarray(b2, dtype=complex), np.asarray(z, dtype=complex)
     )
-    out = (
-        np.empty(b1.shape, dtype=complex),
-        np.empty(b1.shape),
-        np.empty(b1.shape, dtype=np.int64),
-        np.empty(b1.shape),
-    )
+    out = tuple(np.empty(b1.shape, dtype=t) for t in (complex, float, np.int64, float))
     flat_out = [a.reshape(-1) for a in out]
+    # one contiguous copy of the (possibly broadcast) inputs; blocks are views
+    b1, b2, z = (a.ravel() for a in (b1, b2, z))
     for start in range(0, b1.size, _SERIES_BLOCK):
-        # .flat copies just this block out of the (possibly broadcast) inputs
         block = slice(start, start + _SERIES_BLOCK)
-        _series_block(b1.flat[block], b2.flat[block], z.flat[block], [a[block] for a in flat_out])
+        _series_block(b1[block], b2[block], z[block], [a[block] for a in flat_out])
     return out
 
 
@@ -153,8 +172,10 @@ def hyper_0f2(b1, b2, z):
     recomputed in 50 digits by the grid's rule (_escalates): when the
     partial sums peak more than CANCEL_RATIO above the final magnitude, or
     the series reaches SERIES_MAX_TERMS terms.  Raises ParameterPoleError
-    when b1 or b2 sits on a nonpositive integer.
+    when b1 or b2 sits on a nonpositive integer, ValueError when an
+    argument is not finite.
     """
+    _require_finite(b1=b1, b2=b2, z=z)
     b1 = _check_pole(b1)
     b2 = _check_pole(b2)
     z = complex(z)
@@ -162,6 +183,13 @@ def hyper_0f2(b1, b2, z):
     if _escalates(ratio, terms):
         return _hyp0f2_mpmath(b1, b2, z)
     return complex(value)
+
+
+def _require_finite(**arguments):
+    """Raise a ValueError naming the first argument with a NaN or infinite entry."""
+    for name, value in arguments.items():
+        if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _escalates(ratio, terms):
@@ -201,7 +229,7 @@ def dw_response(params):
 
     The value is dw_response_grid's cell on the one-cell grid (delta,
     epsilon), escalated to 50 digits by the same rule (_escalates).
-    Requires chi > 0 and gamma > 0 (ValueError otherwise).
+    Requires finite parameters, chi > 0 and gamma > 0 (ValueError otherwise).
     """
     values, _ = dw_response_grid([params.delta], [params.epsilon], params.gamma, params.chi)
     return complex(values[0, 0])
@@ -216,14 +244,16 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
     escalates (_escalates) is re-evaluated whole with mpmath, so the
     output is deterministic for a given grid.  The rest is rounded as
     Python's complex arithmetic rounds it, so a cell is the formula on
-    hyper_0f2's values bit for bit.
+    hyper_0f2's values bit for bit.  A NaN or infinite argument, chi <= 0
+    or gamma <= 0 raises ValueError.
     """
+    deltas = np.asarray(deltas, dtype=float)
+    epsilons = np.asarray(epsilons, dtype=float)
+    _require_finite(deltas=deltas, epsilons=epsilons, gamma=gamma, chi=chi)
     if chi <= 0:
         raise ValueError("closed-form response requires chi > 0")
     if gamma <= 0:
         raise ValueError("closed-form response requires gamma > 0")
-    deltas = np.asarray(deltas, dtype=float)
-    epsilons = np.asarray(epsilons, dtype=float)
     d = deltas[:, None]
     e = epsilons[None, :]
     z = 2.0 * e * e / (chi * chi)
@@ -240,8 +270,8 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
         vr, vi = _quot(qr, qi, den.real, den.imag)
     values = np.empty(vr.shape, dtype=complex)
     values.real, values.imag = vr, vi
-    tails = np.max(tails, axis=0)
-    for i, j in np.argwhere(np.any(_escalates(ratios, terms), axis=0)):
+    tails = np.maximum(*tails)
+    for i, j in np.argwhere(np.logical_or(*_escalates(ratios, terms))):
         values[i, j] = _dw_mpmath(deltas[i], epsilons[j], gamma, chi)
         tails[i, j] = 0.0
     return values, tails

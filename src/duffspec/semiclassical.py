@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _RESIDUAL_TOL = 1e-10
+# Newton steps at most for a root that fails the residual check (_newton_until_stalled)
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,63 @@ def _cubic_real_roots(a3, a2, a1, a0):
     return out
 
 
+def _cubic_coefficients(d, x, e, g):
+    """The photon-number cubic's coefficients, in np.longdouble, for float arrays of cells.
+
+    Two nearly coincident roots move by ~sqrt(rounding of the
+    coefficients): formed and polished in double they can miss the
+    amplitude check (1.4e-10 at delta=-10, chi=0.175, epsilon=0.3021,
+    gamma=0.02); in np.longdouble they pass it.
+    """
+    dl, xl, el, gl = (v.astype(np.longdouble) for v in (d, x, e, g))
+    return 4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el
+
+
+def _newton_until_stalled(a3, a2, a1, a0, roots, polish):
+    """Newton steps in np.longdouble on the roots where ``polish``, each until its step stalls.
+
+    Near a double root Newton converges only linearly, halving the error
+    per step, so this takes ~20 steps where three are not enough.
+    """
+    x, polish = roots.astype(np.longdouble), polish.copy()
+    a3, a2, a1, a0 = (a[:, None] for a in (a3, a2, a1, a0))
+    last = np.full(x.shape, np.inf, dtype=np.longdouble)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON_STEPS):
+            step = (((a3 * x + a2) * x + a1) * x + a0) / ((3.0 * a3 * x + 2.0 * a2) * x + a1)
+            polish &= np.abs(step) < last
+            if not polish.any():
+                break
+            x = np.where(polish, x - step, x)
+            last = np.where(polish, np.abs(step), last)
+    return x.astype(float)
+
+
+def _amplitudes(d, x, e, g, ns):
+    """(alpha, |alpha|^2, residual, failed) of each photon number in ns.
+
+    ns is a (cells, 3) array, NaN past each cell's roots.
+    alpha = -epsilon / (delta + 2 chi n - i gamma/2) by Python's complex
+    division (closedform._quot), |alpha| by hypot, as Python's abs of a
+    complex, and |alpha|^2 by Python's float power.  The residual is
+    |(delta + 2 chi |alpha|^2 - i gamma/2) alpha + epsilon|, the complex
+    product in parts as Python forms it; failed marks residuals above
+    _RESIDUAL_TOL max(1, epsilon).
+    """
+    from .closedform import _quot
+
+    found = ~np.isnan(ns)
+    alpha = np.full(ns.shape, np.nan, dtype=complex)
+    alpha.real, alpha.imag = _quot(-e[:, None], 0.0, d[:, None] + 2.0 * x[:, None] * ns, -0.5 * g[:, None])
+    n2 = np.full(ns.shape, np.nan)
+    n2[found] = [v ** 2 for v in np.hypot(alpha.real, alpha.imag)[found].tolist()]
+    fr, fi = d[:, None] + 2.0 * x[:, None] * n2, -0.5 * g[:, None]
+    residual = np.hypot(fr * alpha.real - fi * alpha.imag + e[:, None], fr * alpha.imag + fi * alpha.real)
+    with np.errstate(invalid="ignore"):
+        failed = residual > _RESIDUAL_TOL * np.maximum(1.0, e)[:, None]
+    return alpha, n2, residual, failed
+
+
 def _classical_branches(delta, chi, epsilon, gamma):
     """Classical branches of many cells: (amplitudes, photon_numbers, errors).
 
@@ -125,18 +184,15 @@ def _classical_branches(delta, chi, epsilon, gamma):
     (complex) and of photon_numbers holds cell i's branches in order of
     photon number, NaN past them; errors maps the index of every cell for
     which classical_steady_states raises to that exception.  Each cell is
-    computed as classical_steady_states computes it alone: alpha by
-    Python's complex division (closedform._quot), |alpha| by hypot, as
-    Python's abs of a complex, and |alpha|^2 by Python's float power, which
-    rounds some squares differently from a product.
+    computed as classical_steady_states computes it alone (_amplitudes):
+    Python's float power rounds some squares |alpha|^2 differently from a
+    product.
 
     Every real root of a driven cell's cubic is a branch: for n <= 0 the
     left side n [(delta + 2 chi n)^2 + gamma^2/4] is at most 0 < epsilon^2,
     so all real roots are positive, and one that rounds below 0 counts as
     0.  A weak drive thus keeps its one branch however small n is.
     """
-    from .closedform import _quot
-
     d, x, e, g = (np.asarray(v, dtype=float) for v in (delta, chi, epsilon, gamma))
     errors = {}
     for i in np.flatnonzero(g <= 0).tolist():
@@ -147,28 +203,26 @@ def _classical_branches(delta, chi, epsilon, gamma):
     ns[linear, 0] = (e * e / (d * d + g * g / 4.0))[linear]
     cubic = driven & (x != 0.0)
     if cubic.any():
-        # Two nearly coincident roots move by ~sqrt(rounding of the
-        # coefficients): formed and polished in double they can miss the
-        # amplitude check below (1.4e-10 at delta=-10, chi=0.175,
-        # epsilon=0.3021, gamma=0.02); in np.longdouble they pass it.
-        dl, xl, el, gl = (v[cubic].astype(np.longdouble) for v in (d, x, e, g))
-        ns[cubic] = _cubic_real_roots(4 * xl * xl, 4 * xl * dl, dl * dl + gl * gl / 4, -el * el)
+        ns[cubic] = _cubic_real_roots(*_cubic_coefficients(*(v[cubic] for v in (d, x, e, g))))
     with np.errstate(invalid="ignore"):
         scale = np.maximum(1.0, np.fmax.reduce(np.abs(ns), axis=1))
         ns = np.sort(np.where(ns < 0.0, 0.0, ns), axis=1)
         # exactly on a fold line: the double root counts once
         ns[np.isnan(ns[:, 2]) & (np.abs(ns[:, 0] - ns[:, 1]) < 1e-9 * scale), 1] = np.nan
     found = ~np.isnan(ns)
-    alpha = np.full(ns.shape, np.nan, dtype=complex)
-    alpha.real, alpha.imag = _quot(-e[:, None], 0.0, d[:, None] + 2.0 * x[:, None] * ns, -0.5 * g[:, None])
-    n2 = np.full(ns.shape, np.nan)
-    n2[found] = [v ** 2 for v in np.hypot(alpha.real, alpha.imag)[found].tolist()]
-    # |(delta + 2 chi |alpha|^2 - i gamma/2) alpha + epsilon|, the complex
-    # product in parts as Python forms it
-    fr, fi = d[:, None] + 2.0 * x[:, None] * n2, -0.5 * g[:, None]
-    residual = np.hypot(fr * alpha.real - fi * alpha.imag + e[:, None], fr * alpha.imag + fi * alpha.real)
-    with np.errstate(invalid="ignore"):
-        failed = residual > _RESIDUAL_TOL * np.maximum(1.0, e)[:, None]
+    alpha, n2, residual, failed = _amplitudes(d, x, e, g, ns)
+    # Next to a fold at weak damping two roots sit ~1e-9 apart, and three
+    # Newton steps leave them ~3e-4 off (delta=-6, chi=1, epsilon=4,
+    # gamma=1e-8: the cubic is 4 (n - 1)^2 (n - 4) plus 2.5e-17 n); only
+    # the roots that fail the check are polished on until their steps stall.
+    rescue = np.flatnonzero(failed.any(axis=1) & cubic)
+    if rescue.size:
+        cells = tuple(v[rescue] for v in (d, x, e, g))
+        polished = _newton_until_stalled(*_cubic_coefficients(*cells), ns[rescue], failed[rescue])
+        alpha_r, n2_r, _, failed_r = _amplitudes(*cells, polished)
+        ok = ~failed_r.any(axis=1)
+        # a cell whose rescue fails too reports its first root's residual as before
+        alpha[rescue[ok]], n2[rescue[ok]], failed[rescue[ok]] = alpha_r[ok], n2_r[ok], False
     for i in np.flatnonzero(failed.any(axis=1)).tolist():
         # the first root that fails, in order of photon number
         value = residual[i, np.argmax(failed[i])]

@@ -324,3 +324,163 @@ def test_term_cap_escalates_every_path(monkeypatch):
     assert dw_response(ModelParams(delta=delta, chi=1.0, epsilon=eps, gamma=gamma)) == exact
     assert hyper_0f2(b1, b2, z) == closedform._hyp0f2_mpmath(b1, b2, z)
     assert abs(exact - mp_dw(delta, eps, gamma, 1.0)) <= 1e-15 * abs(exact)
+
+
+# The series loop as it stood before its term steps were taken in place:
+# fresh arrays at every term and a gather of the live arrays whenever a
+# cell finishes.  It is the oracle of the in-place loop's bits.
+def _oracle_store(out, idx, total, peak, mag, k):
+    value, ratio, terms, tail = out
+    amag = np.abs(total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio[idx] = np.where(amag > 0.0, peak / amag, np.inf)
+        tail[idx] = np.where(amag > 0.0, mag / amag, np.inf)
+    value[idx] = total
+    terms[idx] = k
+
+
+def _oracle_series_block(b1, b2, z, out):
+    n = b1.size
+    live = np.arange(n)
+    kmax = -float(min(b1.real.min(), b2.real.min()))
+    total = np.ones(n, dtype=complex)
+    term = np.ones(n, dtype=complex)
+    peak = np.ones(n)
+    prev_mag = np.ones(n)
+    decreasing = np.zeros(n, dtype=np.int64)
+    k = 0
+    while live.size and k < closedform.SERIES_MAX_TERMS:
+        term = term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
+        total = total + term
+        mag = np.abs(term)
+        amag = np.abs(total)
+        np.maximum(peak, amag, out=peak)
+        decreasing = np.where(mag <= prev_mag, decreasing + 1, 0)
+        prev_mag = mag
+        k += 1
+        done = (decreasing >= 3) & (mag <= closedform.SERIES_RTOL * amag)
+        if k <= kmax and done.any():
+            done[done] = (b1.real[done] + k > 0) & (b2.real[done] + k > 0)
+        if done.any():
+            _oracle_store(out, live[done], total[done], peak[done], mag[done], k)
+            keep = ~done
+            live = live[keep]
+            b1, b2, z = b1[keep], b2[keep], z[keep]
+            term, total, peak = term[keep], total[keep], peak[keep]
+            prev_mag, decreasing = prev_mag[keep], decreasing[keep]
+    _oracle_store(out, live, total, peak, prev_mag, k)
+
+
+def _oracle_hyp0f2_series(b1, b2, z, block=4096):
+    b1, b2, z = np.broadcast_arrays(
+        np.asarray(b1, dtype=complex), np.asarray(b2, dtype=complex), np.asarray(z, dtype=complex)
+    )
+    out = (
+        np.empty(b1.shape, dtype=complex),
+        np.empty(b1.shape),
+        np.empty(b1.shape, dtype=np.int64),
+        np.empty(b1.shape),
+    )
+    flat_out = [a.reshape(-1) for a in out]
+    for start in range(0, b1.size, block):
+        cells = slice(start, start + block)
+        _oracle_series_block(b1.flat[cells], b2.flat[cells], z.flat[cells], [a[cells] for a in flat_out])
+    return out
+
+
+def _grid_series_args(deltas, epsilons, gamma, chi):
+    """The (b1, b2, z) of dw_response_grid's numerator and denominator series, formed as it forms them."""
+    d = np.asarray(deltas, dtype=float)[:, None]
+    e = np.asarray(epsilons, dtype=float)[None, :]
+    b_first = np.stack(((d + chi - 0.5j * gamma) / chi, (d - 0.5j * gamma) / chi))
+    return b_first, (d + 0.5j * gamma) / chi, 2.0 * e * e / (chi * chi)
+
+
+def _seeded_series_args():
+    from seeded_cells import seeded_draw
+
+    cells = [np.broadcast_arrays(*_grid_series_args([d], [e], g, x)) for d, x, e, g in seeded_draw()]
+    return tuple(np.concatenate([c[i].reshape(-1) for c in cells]) for i in range(3))
+
+
+def _three_blocks():
+    # broadcast inputs over three _SERIES_BLOCK blocks, the last one short
+    rng = np.random.default_rng(33)
+    m = closedform._SERIES_BLOCK - 5
+    b1 = rng.uniform(-8.0, 4.0, (3, m)) + 1j * rng.uniform(-3.0, 3.0, (3, m))
+    return b1, rng.uniform(-8.0, 4.0, m) + 0.5j, rng.uniform(0.0, 40.0, (3, 1))
+
+
+_LINESHAPE_DELTAS, _LINESHAPE_EPSILONS = np.linspace(-10.0, 2.0, 241), np.linspace(0.05, 5.0, 100)
+_SERIES_ORACLE_INPUTS = {
+    # the benchmark's lineshape grids
+    "lineshape-gamma-2": lambda: _grid_series_args(_LINESHAPE_DELTAS, _LINESHAPE_EPSILONS, 2.0, 1.0),
+    "lineshape-gamma-0.01": lambda: _grid_series_args(_LINESHAPE_DELTAS, _LINESHAPE_EPSILONS, 0.01, 1.0),
+    "seeded-draw": _seeded_series_args,
+    "z-zero": lambda: (0.7 + 0.3j, -2.5 + 1.0j, 0.0),
+    # cells that stop only once k > -Re b, past a dip below the tolerance
+    "resurgence": lambda: (-48.0 - 1.0j, -48.0 + 1.0j, 5000.0),
+    "small-chi": lambda: _grid_series_args([-2.4, -2.0], [1.5, 2.5], 0.1, 0.05),
+    # a one-cell array, as a scalar call or a compacted block leaves it:
+    # there numpy forms a complex product written over an operand without
+    # the fused multiply-add, and this sum's imaginary part then moves
+    # (the denominator series of seeded cell 505)
+    "one-cell": lambda: (
+        np.array([-58.03736869244565 - 4.923743678086801j]),
+        -58.03736869244565 + 4.923743678086801j,
+        27748.361560318837,
+    ),
+    "escalating": lambda: _grid_series_args([_ESCALATING_CELL[0]], [_ESCALATING_CELL[1]], _ESCALATING_CELL[2], 1.0),
+    "three-blocks": _three_blocks,
+}
+
+
+@pytest.mark.parametrize("name", list(_SERIES_ORACLE_INPUTS))
+def test_hyp0f2_series_equals_the_series_oracle(name):
+    # value, peak ratio, term count and tail, bit for bit
+    args = _SERIES_ORACLE_INPUTS[name]()
+    got = hyp0f2_series(*args)
+    want = _oracle_hyp0f2_series(*args)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    if name in ("resurgence", "small-chi"):
+        b1, b2, _ = np.broadcast_arrays(*args)
+        assert np.all(got[2] > -np.minimum(b1.real, b2.real))
+
+
+def test_store_zero_sum_gauges_equal_the_series_oracle(monkeypatch):
+    # an exactly zero sum has infinite peak ratio and tail
+    got, want = (
+        (np.empty(3, dtype=complex), np.empty(3), np.empty(3, dtype=np.int64), np.empty(3)) for _ in range(2)
+    )
+    args = (np.array([0, 2]), np.array([0.0, 1.0 + 1.0j]), np.array([2.0, 3.0]), np.array([1e-20, 0.0]), 7)
+    closedform._store(got, *args)
+    _oracle_store(want, *args)
+    for g, w in zip(got, want):
+        assert np.array_equal(g[[0, 2]], w[[0, 2]])
+    assert got[1][0] == got[3][0] == np.inf
+    # and through the series: 1 + z / (b1 b2) = 0 when the term cap is 1
+    monkeypatch.setattr(closedform, "SERIES_MAX_TERMS", 1)
+    value, ratio, terms, tail = hyp0f2_series(1.0, 1.0, -1.0)
+    assert (value, ratio, terms, tail) == (0.0, np.inf, 1, np.inf)
+    assert [a.tolist() for a in _oracle_hyp0f2_series(1.0, 1.0, -1.0)] == [0.0, np.inf, 1, np.inf]
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: hyper_0f2(1.0, 1.0, np.inf), "z"),
+        (lambda: hyper_0f2(1.0, 1.0, np.nan), "z"),
+        (lambda: hyper_0f2(np.nan, 1.0, 1.0), "b1"),
+        (lambda: dw_response_grid([np.nan], [1.0], 1.0, 1.0), "deltas"),
+        (lambda: dw_response_grid([-1.0], [np.inf], 1.0, 1.0), "epsilons"),
+        (lambda: dw_response_grid([-1.0], [1.0], np.nan, 1.0), "gamma"),
+        (lambda: dw_response_grid([-1.0], [1.0], 1.0, np.inf), "chi"),
+    ],
+    ids=["z-inf", "z-nan", "b1-nan", "delta-nan", "epsilon-inf", "gamma-nan", "chi-inf"],
+)
+def test_non_finite_closed_form_input_is_rejected(call, name):
+    # each once returned a value, ran 20000 terms or raised an unrelated error
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()

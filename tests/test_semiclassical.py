@@ -325,3 +325,25 @@ def test_weak_drives_have_one_branch_and_solve_at_ten_levels(gamma):
         assert dim == 10, params
         exact = dw_response(params)
         assert abs(expectation(annihilation(dim), rho) - exact) <= 1e-12 * abs(exact), params
+
+
+def test_weak_damping_fold_cell_roots_are_polished_until_they_pass():
+    # At delta=-6, chi=1, epsilon=4, gamma=1e-8 the cubic is
+    # 4 (n - 1)^2 (n - 4) + 2.5e-17 n: two roots 1 -+ 1.44e-9.  Three Newton
+    # steps left them at 0.99972 and 1.00057 (residual 1.2e-7); polished on
+    # until their steps stall they pass the amplitude check.
+    import mpmath
+
+    d, x, e, g = -6.0, 1.0, 4.0, 1e-8
+    branches = classical_steady_states(ModelParams(d, x, e, g))
+    with mpmath.workdps(50):
+        dm, xm, em, gm = (mpmath.mpf(v) for v in (d, x, e, g))
+        roots = mpmath.polyroots([4 * xm * xm, 4 * xm * dm, dm * dm + gm * gm / 4, -em * em], extraprec=200)
+        exact = sorted(float(r.real) for r in roots)
+    assert branches.stable == (True, False, True)
+    # np.longdouble holds the coefficient's 2.5e-17 to a few per cent, so
+    # the pair is known to ~2e-11 of its 2.9e-9 gap
+    assert np.allclose(branches.photon_numbers, exact, rtol=0.0, atol=1e-10)
+    for a in branches.amplitudes:
+        resid = abs(complex(d + 2 * x * abs(a) ** 2, -g / 2) * a + e)
+        assert resid < 1e-10 * max(1.0, e)

@@ -1123,3 +1123,19 @@ def test_cli_flags_override_config_file(tmp_path):
     assert not os.path.exists(os.path.join(out_a, "sweep.csv"))
     assert os.path.exists(os.path.join(out_b, "sweep.csv"))
     assert read_manifest(out_b)["config"]["method"] == "closed-form"
+
+
+def test_numeric_route_starts_at_a_weak_damping_fold_cell(tmp_path):
+    # the classical roots next to the fold at gamma = 1e-8 pass the residual
+    # check, so the numeric run exits 0, at the closed form's value
+    out = tmp_path / "weak-fold"
+    code = main(
+        ["--method", "numeric", "--gamma", "1e-8", "--chi", "1", "--delta-range=-6:-6:1",
+         "--epsilon-range=4:4:1", "--out-dir", str(out)]
+    )
+    assert code == 0
+    with open(out / "scan.csv", encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    numeric = complex(float(row["re_numeric"]), float(row["im_numeric"]))
+    exact = dw_response(ModelParams(-6.0, 1.0, 4.0, 1e-8))
+    assert abs(numeric - exact) <= 1e-12 * abs(exact)
