@@ -61,13 +61,19 @@ _ONSET_LADDER_BATCH = 4
 # mpmath at ~0.25 s a cell.
 _ONSET_MAX_DRIVE = 2000.0
 # Log-drive bisections of the onset bracket, and how many levels of them
-# one closed-form call probes (2^levels - 1 midpoints).  A call on the
-# ~160-sample band costs ~0.2 ms before its first cell and ~0.5 us per
-# cell: two and three levels take ~3/4 of one level's time, four no less
-# than one, as the midpoints off the search's path outgrow the calls
-# they save.  Two levels sum a quarter fewer cells than three.
+# one closed-form call probes (2^levels - 1 midpoints).  A call costs
+# ~0.2 ms before its first cell and ~0.5 us per cell.  On the few samples
+# of a flip window (_flip_window, at most 11 on the benchmark's scans) the
+# fixed cost dominates: both orders' scans at gamma = 0.003, 0.01, 0.03
+# take 0.65, 0.54, 0.50, 0.48 and 0.47 times one level's time at 2 to 6
+# levels (medians of 30 alternating rounds in one process), while the
+# cells summed grow from 30 947 at 2 levels through 35 717 at 4 to 48 596
+# at 6.  Four levels split the 40 bisections into 10 calls.  On all 961
+# samples the cells dominate: a full-grid search takes 26, 32, 45 and
+# 65 ms a gamma at 1 to 4 levels, so the full-grid fallback probes one.
 _ONSET_BISECTIONS = 40
-_ONSET_BISECT_LEVELS = 2
+_ONSET_BISECT_LEVELS = 4
+_ONSET_FULL_BISECT_LEVELS = 1
 
 
 class FanoFitError(RuntimeError):
@@ -477,16 +483,24 @@ def fano_fit(deltas, magnitudes):
     )
 
 
-def _has_stationary_point(gamma, chi, epsilons, deltas, mask):
-    """Per drive, whether |a|(delta) on the samples ``deltas`` turns over where ``mask`` holds.
+def _slope_flips(gamma, chi, epsilons, deltas, mask):
+    """Where |a|(delta) on the samples ``deltas`` turns over, per drive, within ``mask``.
 
-    One closed-form call on the grid deltas x epsilons; mask[j] stands for
-    the slope flip at deltas[j + 1].  Returns a bool array over epsilons.
+    One closed-form call on the grid deltas x epsilons.  Returns a bool
+    array of shape (len(deltas) - 2, len(epsilons)) whose row j stands for
+    the slope flip at deltas[j + 1], false wherever mask[j] is.
     """
     values, _ = dw_response_grid(deltas, epsilons, gamma, chi)
     signs = np.sign(np.diff(np.abs(values), axis=0))
-    flips = signs[:-1] * signs[1:] < 0
-    return np.any(flips & mask[:, None], axis=0)
+    return (signs[:-1] * signs[1:] < 0) & mask[:, None]
+
+
+def _has_stationary_point(gamma, chi, epsilons, deltas, mask):
+    """Per drive, whether |a|(delta) on the samples ``deltas`` turns over where ``mask`` holds.
+
+    A bool array over epsilons; see _slope_flips.
+    """
+    return np.any(_slope_flips(gamma, chi, epsilons, deltas, mask), axis=0)
 
 
 def _ladder(found, eps, step, want, cap=math.inf):
@@ -512,27 +526,28 @@ def _ladder(found, eps, step, want, cap=math.inf):
     return drives, False
 
 
-def _bisect(found, lo, hi):
+def _bisect(found, lo, hi, levels=None):
     """(lo, hi) after _ONSET_BISECTIONS log-drive bisection steps.
 
-    Each call of found probes the next _ONSET_BISECT_LEVELS levels at
-    once.  Every midpoint those steps might take is formed first, as one
-    step at a time forms it (math.sqrt(lo * hi) of the bracket it holds
-    then), in heap order: node i splits its bracket into children
-    2i + 1 (lower half) and 2i + 2 (upper half).  The steps then walk that
-    tree by found's answers; the midpoints off their path are probed and
-    discarded.
+    Each call of found probes the next ``levels`` levels at once
+    (_ONSET_BISECT_LEVELS by default).  Every midpoint those steps might
+    take is formed first, as one step at a time forms it
+    (math.sqrt(lo * hi) of the bracket it holds then), in heap order:
+    node i splits its bracket into children 2i + 1 (lower half) and
+    2i + 2 (upper half).  The steps then walk that tree by found's
+    answers; the midpoints off their path are probed and discarded.
     """
-    for done in range(0, _ONSET_BISECTIONS, _ONSET_BISECT_LEVELS):
-        levels = min(_ONSET_BISECT_LEVELS, _ONSET_BISECTIONS - done)
+    levels = levels or _ONSET_BISECT_LEVELS
+    for done in range(0, _ONSET_BISECTIONS, levels):
+        depth = min(levels, _ONSET_BISECTIONS - done)
         brackets, mids = [(lo, hi)], []
-        for i in range(2**levels - 1):
+        for i in range(2**depth - 1):
             b_lo, b_hi = brackets[i]
             mids.append(math.sqrt(b_lo * b_hi))
             brackets += [(b_lo, mids[i]), (mids[i], b_hi)]
         answers = found(np.array(mids))
         i = 0
-        for _ in range(levels):
+        for _ in range(depth):
             if answers[i]:
                 hi, i = mids[i], 2 * i + 1
             else:
@@ -540,19 +555,13 @@ def _bisect(found, lo, hi):
     return lo, hi
 
 
-def _bracket_onset(found, eps, gamma, cap=math.inf):
-    """Drives (lo, hi) with found(lo) false, found(hi) true and hi/lo ~ 1.25^(2^-40).
+def _ladder_bracket(found, eps, gamma, cap=math.inf):
+    """Drives (lo, hi), hi = 1.25 lo, with found(lo) false and found(hi) true.
 
     found maps an array of drives to one answer per drive.  Steps down
-    from eps by 1.25 until found is false, up by 1.25 until it is true,
-    probing no drive above cap, then bisects 40 times in log-drive.  The
-    steps are probed a batch at a time and the bisection a few levels at
-    a time (_ladder, _bisect), but every drive is formed by the same
-    expression as in one-at-a-time probing, so the search takes the same
-    steps and returns the same bits.  Every probe the search uses that
-    came out false was at a drive <= lo, every one that came out true at
-    a drive >= hi; the probes past a ladder's first answer and off the
-    bisection's path are made and discarded.
+    from eps by 1.25 until found is false, then up by 1.25 until it is
+    true, probing no drive above cap (_ladder).  Raises OnsetError when a
+    ladder runs out of steps.
     """
     down, hit = _ladder(found, eps, lambda e: e / 1.25, False)
     if not hit:
@@ -566,7 +575,37 @@ def _bracket_onset(found, eps, gamma, cap=math.inf):
             f"stops after {_ONSET_LADDER_STEPS} steps or at the drive cap epsilon={cap:g})"
         )
     lo, hi = ([lo] + up)[-2:]
-    return _bisect(found, lo, hi)
+    return lo, hi
+
+
+def _bracket_onset(found, eps, gamma, cap=math.inf, levels=None):
+    """Drives (lo, hi) with found(lo) false, found(hi) true and hi/lo ~ 1.25^(2^-40).
+
+    The ladders of _ladder_bracket, then 40 log-drive bisections
+    (_bisect, ``levels`` levels a call).  The steps are probed a batch at
+    a time and the bisection a few levels at a time, but every drive is
+    formed by the same expression as in one-at-a-time probing, so the
+    search takes the same steps and returns the same bits.  Every probe
+    the search uses that came out false was at a drive <= lo, every one
+    that came out true at a drive >= hi; the probes past a ladder's first
+    answer and off the bisection's path are made and discarded.
+    """
+    return _bisect(found, *_ladder_bracket(found, eps, gamma, cap), levels)
+
+
+def _flip_window(gamma, chi, drive, deltas, mask):
+    """_has_stationary_point on the fewest samples that hold the flips at one drive.
+
+    The flips of |a|(delta) on ``deltas`` within ``mask`` at ``drive``
+    span rows a..b of _slope_flips; the returned predicate probes
+    deltas[a : b + 3], the flip samples and one neighbour each side, with
+    mask[a : b + 1].  Without a flip at ``drive`` it probes all of deltas.
+    """
+    rows = np.flatnonzero(_slope_flips(gamma, chi, np.array([drive]), deltas, mask))
+    a, b = (rows[0], rows[-1]) if rows.size else (0, mask.size - 1)
+    return partial(
+        _has_stationary_point, gamma, chi, deltas=deltas[a : b + 3], mask=mask[a : b + 1]
+    )
 
 
 def onset_scan(n, gammas, chi=1.0):
@@ -582,21 +621,29 @@ def onset_scan(n, gammas, chi=1.0):
     the series still sum in double; a line that has not turned over there
     raises OnsetError.
 
-    The search runs first on the central band |delta + n chi| <
-    _ONSET_BAND * 10 gamma alone, about a sixth of the samples, where the
-    first slope flip appears.  Its bracket (lo, hi) is then checked on
-    the full grid, in one call on the drives (lo, hi): no stationary
-    point at lo, one at hi.  If the band search raises OnsetError or its
-    bracket fails the check, the search reruns on the full grid.  The
-    onset is the full-grid search's either way: a cell's closed form does
-    not depend on the grid it sits in and the band lies inside the
-    window, so a flip in the band is one on the full grid; every band
-    probe the search used without one was at a drive <= lo, where the
-    full grid has none either as long as the flattening is monotone in
-    the drive.  Both searches therefore take the same steps.  The drives
-    each closed-form call probes beyond those the search uses (the rest
-    of a ladder batch, the midpoints off the bisection's path) are made
-    and discarded.
+    The search runs on the central band |delta + n chi| <
+    _ONSET_BAND * 10 gamma, about a sixth of the samples, where the first
+    slope flip appears.  The ladders (down by 1.25, then up) probe the
+    whole band and end on drives (lo, hi).  The bisection then probes only
+    the flip window: the smallest slice of the band that holds the band's
+    slope flips at hi, plus one sample each side (_flip_window), 6 to 11
+    samples on the benchmark's scans.  The bracket it ends on is checked
+    on the full grid, in one call on the drives (lo, hi): no stationary
+    point at lo, one at hi.  If the band ladders raise OnsetError or the
+    bracket fails the check, the search reruns on the full grid.
+
+    The onset is the full-grid search's either way.  The window lies in
+    the band and the band in the grid, and a cell's closed form does not
+    depend on the grid it sits in, so a flip in the window is one on the
+    full grid.  Every probe the search used without a flip was at a drive
+    <= lo, which the check proves flip-free on the full grid; the full
+    grid has none below it either as long as the flattening is monotone
+    in the drive.  Both searches therefore take the same steps.  A window
+    that misses a flip the full grid has below hi ends on a lo with a
+    flip, so it costs the full-grid rerun, never a wrong onset; there is
+    no margin to tune.  The drives each closed-form call probes beyond
+    those the search uses (the rest of a ladder batch, the midpoints off
+    the bisection's path) are made and discarded.
     """
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"line index n must be an integer >= 1, got n={n!r}")
@@ -614,25 +661,22 @@ def onset_scan(n, gammas, chi=1.0):
         mid = 0.5 * (deltas[:-2] + deltas[2:])
         mask = np.abs(mid + n * chi) < w
         first, last = np.flatnonzero(np.abs(deltas + n * chi) < _ONSET_BAND * w)[[0, -1]]
-        band = partial(
-            _has_stationary_point,
-            gamma,
-            chi,
-            deltas=deltas[first : last + 1],
-            mask=mask[first : last - 1],
-        )
+        band_deltas, band_mask = deltas[first : last + 1], mask[first : last - 1]
+        band = partial(_has_stationary_point, gamma, chi, deltas=band_deltas, mask=band_mask)
         full = partial(_has_stationary_point, gamma, chi, deltas=deltas, mask=mask)
         eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)
         cap = _ONSET_MAX_DRIVE * chi
         try:
-            lo, hi = _bracket_onset(band, eps, gamma, cap)
+            lo, hi = _ladder_bracket(band, eps, gamma, cap)
         except OnsetError:
             checked = False
         else:
+            window = _flip_window(gamma, chi, hi, band_deltas, band_mask)
+            lo, hi = _bisect(window, lo, hi)
             at_lo, at_hi = full(np.array([lo, hi]))
             checked = not at_lo and at_hi
         if not checked:
-            lo, hi = _bracket_onset(full, eps, gamma, cap)
+            lo, hi = _bracket_onset(full, eps, gamma, cap, _ONSET_FULL_BISECT_LEVELS)
         out.append((float(gamma), float(math.sqrt(lo * hi))))
     return out
 

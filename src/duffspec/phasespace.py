@@ -90,8 +90,9 @@ def _wigner_values(rhos, betas):
     for d in range(dim - 1, 0, -1):
         step = beta / np.sqrt(d)
         for a, f in zip(acc, _radial_sums(rhos, d, y)):
-            a += f[inverse]
-            a *= step
+            # out of place: numpy drops the fused multiply-add from an
+            # in-place complex product on a one-element array
+            np.multiply(a + f[inverse], step, out=a)
     for a, f in zip(acc, _radial_sums(rhos, 0, y)):
         a += f[inverse]
     envelope = ((2.0 / np.pi) * np.exp(-0.5 * y))[inverse]

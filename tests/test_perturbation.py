@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -664,6 +665,47 @@ def test_onset_scan_falls_back_to_the_full_grid(monkeypatch, hidden_below):
     assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
     # the full-grid search probes its ~53 drives, not only the check's two
     assert sum(len(drives) for _, samples, drives in calls if samples == 961) > 40
+
+
+def test_onset_scan_falls_back_when_the_flip_window_misses_the_flips(monkeypatch):
+    # a window on the band's first three samples, 2 gamma from the line,
+    # never turns over: the bisection ends on a lo that the full-grid check
+    # finds a flip at, and the full-grid search gives the onset
+    n, gamma, chi = 2, 0.01, 1.0
+    onset = full_grid_onset(n, gamma, chi)
+
+    def edge_window(g, x, drive, deltas, mask):
+        return partial(perturbation._has_stationary_point, g, x, deltas=deltas[:3], mask=mask[:1])
+
+    monkeypatch.setattr(perturbation, "_flip_window", edge_window)
+    calls = recording_grid_calls(monkeypatch)
+    assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
+    assert sum(len(drives) for _, samples, drives in calls if samples == 961) > 40
+
+
+@pytest.mark.parametrize("chi", [0.5, 1.0, 2.0])
+def test_onset_scan_bisects_the_flip_window_without_a_fallback(monkeypatch, chi):
+    # the grids test_onset_scan_equals_the_full_grid_search compares on:
+    # every bracket comes from the flip window and passes the check
+    def full_grid_search(*args):
+        raise AssertionError("onset_scan fell back to the full-grid search")
+
+    monkeypatch.setattr(perturbation, "_bracket_onset", full_grid_search)
+    for n in (1, 2, 3):
+        assert len(onset_scan(n, (0.003, 0.01, 0.03), chi)) == 3
+
+
+def test_onset_scan_bisects_on_a_few_samples(monkeypatch):
+    # the benchmark's scans: the ladders probe the ~160-sample band, each
+    # bisection call only the flip window
+    calls = recording_grid_calls(monkeypatch)
+    for n in (1, 2):
+        onset_scan(n, (0.003, 0.01, 0.03))
+    assert sum(samples * len(drives) for _, samples, drives in calls) < 45_000
+    levels = perturbation._ONSET_BISECT_LEVELS
+    bisections = [samples for _, samples, drives in calls if len(drives) == 2**levels - 1]
+    assert len(bisections) == 6 * math.ceil(40 / levels)
+    assert max(bisections) <= 16
 
 
 def sequential_bracket(found, eps):

@@ -10,6 +10,7 @@ from duffspec.fock import ModelParams, fock_projector, fock_state
 from duffspec.lindblad import solve_steady_state_adaptive
 from duffspec.phasespace import (
     WignerGrid,
+    _wigner_values,
     local_maxima,
     wigner,
     wigner_integral,
@@ -236,3 +237,16 @@ def test_wigner_matches_per_point_oracle(point_c_grid, re_range, im_range, nx, n
         got = wigner(rho, re_range, im_range, nx, ny)
     assert got.values.shape == (nx, ny)
     assert np.max(np.abs(got.values - expected)) <= 1e-14
+
+
+def test_wigner_one_point_values_equal_a_many_point_call(point_c_grid):
+    # numpy forms a complex product on a one-element array without the
+    # fused multiply-add when the output is an operand; the Horner step
+    # must not depend on how many points share the call
+    rho, _ = point_c_grid
+    rng = np.random.default_rng(1)
+    betas = 2.0 * (rng.uniform(-5.0, 5.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200))
+    (many,) = _wigner_values([rho], betas)
+    for beta, value in zip(betas, many):
+        (one,) = _wigner_values([rho], np.array([beta]))
+        assert one.tobytes() == np.array([value]).tobytes()
