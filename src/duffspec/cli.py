@@ -61,6 +61,8 @@ def _parse_assignments(text):
             raise argparse.ArgumentTypeError(f"expected key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
+        if key in out:
+            raise argparse.ArgumentTypeError(f"{key!r} is repeated")
         try:
             out[key] = float(value)
         except ValueError as exc:

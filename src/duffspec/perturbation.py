@@ -44,7 +44,9 @@ _FANO_RESIDUAL_FRAC = 0.05
 _ONSET_SAMPLES = 961
 # Half-width of the band an onset search runs on first, as a fraction of
 # the 10 gamma window: |delta + n chi| < 2 gamma, ~160 of the samples.  The
-# first slope flip appears within 0.13 gamma of the line centre.
+# first slope flip appears within 0.13 gamma of the line centre, except
+# that n = 7 and 8 at some gamma / chi in 0.007-0.034 turn over 2.2 gamma
+# out first and fail the full-grid check.
 _ONSET_BAND = 0.2
 # Drive steps of each ladder of the onset search (down by 1.25, then up),
 # and how many of them one closed-form call probes.
@@ -63,17 +65,14 @@ _ONSET_MAX_DRIVE = 2000.0
 # Log-drive bisections of the onset bracket, and how many levels of them
 # one closed-form call probes (2^levels - 1 midpoints).  A call costs
 # ~0.2 ms before its first cell and ~0.5 us per cell.  On the few samples
-# of a flip window (_flip_window, at most 11 on the benchmark's scans) the
-# fixed cost dominates: both orders' scans at gamma = 0.003, 0.01, 0.03
-# take 0.65, 0.54, 0.50, 0.48 and 0.47 times one level's time at 2 to 6
-# levels (medians of 30 alternating rounds in one process), while the
-# cells summed grow from 30 947 at 2 levels through 35 717 at 4 to 48 596
-# at 6.  Four levels split the 40 bisections into 10 calls.  On all 961
-# samples the cells dominate: a full-grid search takes 26, 32, 45 and
-# 65 ms a gamma at 1 to 4 levels, so the full-grid fallback probes one.
+# of a flip window (at most 11 on the benchmark's scans) the fixed cost
+# dominates: both orders' scans at gamma = 0.003, 0.01, 0.03 take 0.65,
+# 0.54, 0.47, 0.46 and 0.47 times one level's time at 2 to 6 levels
+# (medians of 30 alternating rounds in one process), while the cells
+# summed grow from 29 992 at 2 levels through 34 762 at 4 to 47 641 at 6.
+# Four levels split the 40 bisections into 10 calls.
 _ONSET_BISECTIONS = 40
 _ONSET_BISECT_LEVELS = 4
-_ONSET_FULL_BISECT_LEVELS = 1
 
 
 class FanoFitError(RuntimeError):
@@ -488,28 +487,23 @@ def _slope_flips(gamma, chi, epsilons, deltas, mask):
 
     One closed-form call on the grid deltas x epsilons.  Returns a bool
     array of shape (len(deltas) - 2, len(epsilons)) whose row j stands for
-    the slope flip at deltas[j + 1], false wherever mask[j] is.
+    the slope flip at deltas[j + 1], false wherever mask[j] is.  A drive
+    has a stationary point where its column has a flip.
     """
     values, _ = dw_response_grid(deltas, epsilons, gamma, chi)
     signs = np.sign(np.diff(np.abs(values), axis=0))
     return (signs[:-1] * signs[1:] < 0) & mask[:, None]
 
 
-def _has_stationary_point(gamma, chi, epsilons, deltas, mask):
-    """Per drive, whether |a|(delta) on the samples ``deltas`` turns over where ``mask`` holds.
+def _ladder(flips, eps, step, want, cap=math.inf):
+    """Drives eps, step(eps), step(step(eps)), ... up to the first where having a flip is want.
 
-    A bool array over epsilons; see _slope_flips.
-    """
-    return np.any(_slope_flips(gamma, chi, epsilons, deltas, mask), axis=0)
-
-
-def _ladder(found, eps, step, want, cap=math.inf):
-    """Drives eps, step(eps), step(step(eps)), ... up to the first where found is want.
-
+    flips maps an array of drives to their flip columns (_slope_flips).
     At most _ONSET_LADDER_STEPS drives, none above cap, probed
-    _ONSET_LADDER_BATCH per call of found.  Returns (drives, hit): the
-    drives up to and including the first hit, or all of them and hit
-    False.  Drives of a batch past the first hit are probed and discarded.
+    _ONSET_LADDER_BATCH per call of flips.  Returns (drives, rows): the
+    drives up to and including the first hit and the hit's flip column,
+    or all of them and None.  Drives of a batch past the first hit are
+    probed and discarded.
     """
     drives = []
     while len(drives) < _ONSET_LADDER_STEPS and eps <= cap:
@@ -519,33 +513,34 @@ def _ladder(found, eps, step, want, cap=math.inf):
                 break
             batch.append(eps)
             eps = step(eps)
-        hits = np.flatnonzero(found(np.array(batch)) == want)
+        found = flips(np.array(batch))
+        hits = np.flatnonzero(found.any(axis=0) == want)
         if hits.size:
-            return drives + batch[: hits[0] + 1], True
+            return drives + batch[: hits[0] + 1], found[:, hits[0]]
         drives += batch
-    return drives, False
+    return drives, None
 
 
-def _bisect(found, lo, hi, levels=None):
+def _bisect(flips, lo, hi):
     """(lo, hi) after _ONSET_BISECTIONS log-drive bisection steps.
 
-    Each call of found probes the next ``levels`` levels at once
-    (_ONSET_BISECT_LEVELS by default).  Every midpoint those steps might
-    take is formed first, as one step at a time forms it
+    A step keeps the lower half where the midpoint has a flip (flips, as
+    for _ladder).  Each call of flips probes the next
+    _ONSET_BISECT_LEVELS levels at once.  Every midpoint those steps
+    might take is formed first, as one step at a time forms it
     (math.sqrt(lo * hi) of the bracket it holds then), in heap order:
     node i splits its bracket into children 2i + 1 (lower half) and
-    2i + 2 (upper half).  The steps then walk that tree by found's
-    answers; the midpoints off their path are probed and discarded.
+    2i + 2 (upper half).  The steps then walk that tree by the answers;
+    the midpoints off their path are probed and discarded.
     """
-    levels = levels or _ONSET_BISECT_LEVELS
-    for done in range(0, _ONSET_BISECTIONS, levels):
-        depth = min(levels, _ONSET_BISECTIONS - done)
+    for done in range(0, _ONSET_BISECTIONS, _ONSET_BISECT_LEVELS):
+        depth = min(_ONSET_BISECT_LEVELS, _ONSET_BISECTIONS - done)
         brackets, mids = [(lo, hi)], []
         for i in range(2**depth - 1):
             b_lo, b_hi = brackets[i]
             mids.append(math.sqrt(b_lo * b_hi))
             brackets += [(b_lo, mids[i]), (mids[i], b_hi)]
-        answers = found(np.array(mids))
+        answers = flips(np.array(mids)).any(axis=0)
         i = 0
         for _ in range(depth):
             if answers[i]:
@@ -555,57 +550,26 @@ def _bisect(found, lo, hi, levels=None):
     return lo, hi
 
 
-def _ladder_bracket(found, eps, gamma, cap=math.inf):
-    """Drives (lo, hi), hi = 1.25 lo, with found(lo) false and found(hi) true.
+def _ladder_bracket(flips, eps, gamma, cap=math.inf):
+    """Drives (lo, hi), hi = 1.25 lo, without a flip at lo and with one at hi.
 
-    found maps an array of drives to one answer per drive.  Steps down
-    from eps by 1.25 until found is false, then up by 1.25 until it is
-    true, probing no drive above cap (_ladder).  Raises OnsetError when a
-    ladder runs out of steps.
+    Steps down from eps by 1.25 until a drive has no flip, then up by 1.25
+    until one has, probing no drive above cap (_ladder).  Returns
+    ((lo, hi), rows) with rows the flip column at hi.  Raises OnsetError
+    when a ladder runs out of steps.
     """
-    down, hit = _ladder(found, eps, lambda e: e / 1.25, False)
-    if not hit:
+    down, rows = _ladder(flips, eps, lambda e: e / 1.25, False)
+    if rows is None:
         raise OnsetError(f"no drive below the line onset found at gamma={gamma}")
     lo = down[-1]
-    up, hit = _ladder(found, lo * 1.25, lambda e: e * 1.25, True, cap)
-    if not hit:
+    up, rows = _ladder(flips, lo * 1.25, lambda e: e * 1.25, True, cap)
+    if rows is None:
         top = up[-1] if up else lo
         raise OnsetError(
             f"no onset found up to epsilon={top:.3g} at gamma={gamma} (the search "
             f"stops after {_ONSET_LADDER_STEPS} steps or at the drive cap epsilon={cap:g})"
         )
-    lo, hi = ([lo] + up)[-2:]
-    return lo, hi
-
-
-def _bracket_onset(found, eps, gamma, cap=math.inf, levels=None):
-    """Drives (lo, hi) with found(lo) false, found(hi) true and hi/lo ~ 1.25^(2^-40).
-
-    The ladders of _ladder_bracket, then 40 log-drive bisections
-    (_bisect, ``levels`` levels a call).  The steps are probed a batch at
-    a time and the bisection a few levels at a time, but every drive is
-    formed by the same expression as in one-at-a-time probing, so the
-    search takes the same steps and returns the same bits.  Every probe
-    the search uses that came out false was at a drive <= lo, every one
-    that came out true at a drive >= hi; the probes past a ladder's first
-    answer and off the bisection's path are made and discarded.
-    """
-    return _bisect(found, *_ladder_bracket(found, eps, gamma, cap), levels)
-
-
-def _flip_window(gamma, chi, drive, deltas, mask):
-    """_has_stationary_point on the fewest samples that hold the flips at one drive.
-
-    The flips of |a|(delta) on ``deltas`` within ``mask`` at ``drive``
-    span rows a..b of _slope_flips; the returned predicate probes
-    deltas[a : b + 3], the flip samples and one neighbour each side, with
-    mask[a : b + 1].  Without a flip at ``drive`` it probes all of deltas.
-    """
-    rows = np.flatnonzero(_slope_flips(gamma, chi, np.array([drive]), deltas, mask))
-    a, b = (rows[0], rows[-1]) if rows.size else (0, mask.size - 1)
-    return partial(
-        _has_stationary_point, gamma, chi, deltas=deltas[a : b + 3], mask=mask[a : b + 1]
-    )
+    return tuple(([lo] + up)[-2:]), rows
 
 
 def onset_scan(n, gammas, chi=1.0):
@@ -614,36 +578,41 @@ def onset_scan(n, gammas, chi=1.0):
     For each damping rate the closed-form response is sampled at
     _ONSET_SAMPLES detunings over |delta + n chi| <= 12 gamma; the onset is
     the smallest drive for which |a|(delta) acquires a stationary point
-    within 10 gamma of the line, located by bisection in log-drive
-    (_bracket_onset).  Returns a list of (gamma, epsilon_onset).  Requires
-    a finite chi > 0 and 0 < gamma < 0.3 chi, so the line is spectrally
-    resolved.  The drive steps up to _ONSET_MAX_DRIVE * chi at most, where
-    the series still sum in double; a line that has not turned over there
-    raises OnsetError.
+    within 10 gamma of the line, located by the ladders of _ladder_bracket
+    and 40 log-drive bisections (_bisect).  Returns a list of (gamma,
+    epsilon_onset).  Requires a finite chi > 0 and 0 < gamma <= chi / 16,
+    so the +-12 gamma samples end at least chi / 4 short of the
+    neighbouring lines at -(n +- 1) chi.  The drive steps up to
+    _ONSET_MAX_DRIVE * chi at most, where the series still sum in double;
+    a line that has not turned over there raises OnsetError.
 
     The search runs on the central band |delta + n chi| <
     _ONSET_BAND * 10 gamma, about a sixth of the samples, where the first
     slope flip appears.  The ladders (down by 1.25, then up) probe the
     whole band and end on drives (lo, hi).  The bisection then probes only
-    the flip window: the smallest slice of the band that holds the band's
-    slope flips at hi, plus one sample each side (_flip_window), 6 to 11
-    samples on the benchmark's scans.  The bracket it ends on is checked
-    on the full grid, in one call on the drives (lo, hi): no stationary
-    point at lo, one at hi.  If the band ladders raise OnsetError or the
-    bracket fails the check, the search reruns on the full grid.
+    the flip window: the smallest slice of the band that holds the slope
+    flips of the up-ladder's call at hi, plus one sample each side, 6 to
+    11 samples on the benchmark's scans.  The bracket it ends on is
+    checked on the full grid, in one call on the drives (lo, hi): no
+    stationary point at lo, one at hi.  If the band ladders raise
+    OnsetError or the bracket fails the check, the search reruns on the
+    full grid.
 
     The onset is the full-grid search's either way.  The window lies in
     the band and the band in the grid, and a cell's closed form does not
     depend on the grid it sits in, so a flip in the window is one on the
-    full grid.  Every probe the search used without a flip was at a drive
-    <= lo, which the check proves flip-free on the full grid; the full
-    grid has none below it either as long as the flattening is monotone
-    in the drive.  Both searches therefore take the same steps.  A window
-    that misses a flip the full grid has below hi ends on a lo with a
-    flip, so it costs the full-grid rerun, never a wrong onset; there is
-    no margin to tune.  The drives each closed-form call probes beyond
-    those the search uses (the rest of a ladder batch, the midpoints off
-    the bisection's path) are made and discarded.
+    full grid, and the ladder's column at hi is the window's.  Every probe
+    the search used without a flip was at a drive <= lo, which the check
+    proves flip-free on the full grid; the full grid has none below it
+    either as long as the flattening is monotone in the drive.  Both
+    searches therefore take the same steps.  A window that misses a flip
+    the full grid has below hi ends on a lo with a flip, so it costs the
+    full-grid rerun, never a wrong onset; there is no margin to tune.
+    The drives each closed-form call probes beyond those the search uses
+    (the rest of a ladder batch, the midpoints off the bisection's path)
+    are made and discarded, but every drive is formed by the same
+    expression as in one-at-a-time probing, so the search takes the same
+    steps and returns the same bits.
     """
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"line index n must be an integer >= 1, got n={n!r}")
@@ -652,8 +621,8 @@ def onset_scan(n, gammas, chi=1.0):
         raise ValueError(f"onset scan requires a finite chi > 0, got chi={chi}")
     gammas = list(gammas)
     for gamma in gammas:
-        if not (0 < gamma < 0.3 * chi):
-            raise ValueError(f"onset scan requires 0 < gamma << chi, got gamma={gamma}")
+        if not (0 < gamma <= chi / 16):
+            raise ValueError(f"onset scan requires 0 < gamma <= chi / 16, got gamma={gamma}")
     out = []
     for gamma in gammas:
         w = 10.0 * gamma
@@ -662,21 +631,24 @@ def onset_scan(n, gammas, chi=1.0):
         mask = np.abs(mid + n * chi) < w
         first, last = np.flatnonzero(np.abs(deltas + n * chi) < _ONSET_BAND * w)[[0, -1]]
         band_deltas, band_mask = deltas[first : last + 1], mask[first : last - 1]
-        band = partial(_has_stationary_point, gamma, chi, deltas=band_deltas, mask=band_mask)
-        full = partial(_has_stationary_point, gamma, chi, deltas=deltas, mask=mask)
+        band = partial(_slope_flips, gamma, chi, deltas=band_deltas, mask=band_mask)
+        full = partial(_slope_flips, gamma, chi, deltas=deltas, mask=mask)
         eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)
         cap = _ONSET_MAX_DRIVE * chi
         try:
-            lo, hi = _ladder_bracket(band, eps, gamma, cap)
+            (lo, hi), rows = _ladder_bracket(band, eps, gamma, cap)
         except OnsetError:
             checked = False
         else:
-            window = _flip_window(gamma, chi, hi, band_deltas, band_mask)
+            a, b = np.flatnonzero(rows)[[0, -1]]
+            window = partial(
+                _slope_flips, gamma, chi, deltas=band_deltas[a : b + 3], mask=band_mask[a : b + 1]
+            )
             lo, hi = _bisect(window, lo, hi)
-            at_lo, at_hi = full(np.array([lo, hi]))
+            at_lo, at_hi = full(np.array([lo, hi])).any(axis=0)
             checked = not at_lo and at_hi
         if not checked:
-            lo, hi = _bracket_onset(full, eps, gamma, cap, _ONSET_FULL_BISECT_LEVELS)
+            lo, hi = _bisect(full, *_ladder_bracket(full, eps, gamma, cap)[0])
         out.append((float(gamma), float(math.sqrt(lo * hi))))
     return out
 

@@ -44,7 +44,6 @@ from .perturbation import fano_fit, fano_q, onset_scan, onset_slope, response_se
 from .phasespace import local_maxima, wigner_integral, wigner_many, wigner_purity
 
 METHODS = ("numeric", "closed-form", "series", "both")
-ANALYZE_TASKS = ("entropy", "spectrum", "wigner", "metastable", "mixing-curve", "fano", "onset")
 
 
 class ConfigError(ValueError):
@@ -825,6 +824,7 @@ _TASKS = {
     "fano": _task_fano,
     "onset": _task_onset,
 }
+ANALYZE_TASKS = tuple(_TASKS)
 
 
 def analyze(config):

@@ -2,7 +2,6 @@
 
 import math
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -647,7 +646,7 @@ def test_onset_scan_probes_the_full_grid_twice_per_gamma(monkeypatch, n):
 def test_onset_scan_falls_back_to_the_full_grid(monkeypatch, hidden_below):
     n, gamma, chi = 2, 0.01, 1.0
     onset = full_grid_onset(n, gamma, chi)
-    real = perturbation._has_stationary_point
+    real = perturbation._slope_flips
 
     def band_blind(g, x, epsilons, deltas, mask):
         if len(deltas) == 961:
@@ -655,12 +654,12 @@ def test_onset_scan_falls_back_to_the_full_grid(monkeypatch, hidden_below):
         # the hidden drives are not evaluated: the band search steps up
         # to 1.25^120 times the first drive when it never sees a flip
         seen = epsilons >= hidden_below * onset
-        found = np.zeros(len(epsilons), dtype=bool)
+        found = np.zeros((len(deltas) - 2, len(epsilons)), dtype=bool)
         if seen.any():
-            found[seen] = real(g, x, epsilons[seen], deltas, mask)
+            found[:, seen] = real(g, x, epsilons[seen], deltas, mask)
         return found
 
-    monkeypatch.setattr(perturbation, "_has_stationary_point", band_blind)
+    monkeypatch.setattr(perturbation, "_slope_flips", band_blind)
     calls = recording_grid_calls(monkeypatch)
     assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
     # the full-grid search probes its ~53 drives, not only the check's two
@@ -668,31 +667,45 @@ def test_onset_scan_falls_back_to_the_full_grid(monkeypatch, hidden_below):
 
 
 def test_onset_scan_falls_back_when_the_flip_window_misses_the_flips(monkeypatch):
-    # a window on the band's first three samples, 2 gamma from the line,
-    # never turns over: the bisection ends on a lo that the full-grid check
-    # finds a flip at, and the full-grid search gives the onset
+    # the band calls report every drive's flips on the band's first sample,
+    # so the window is the band's first three samples, 2 gamma from the
+    # line, and never turns over: the bisection ends on a lo that the
+    # full-grid check finds a flip at, and the full-grid search gives the
+    # onset
     n, gamma, chi = 2, 0.01, 1.0
     onset = full_grid_onset(n, gamma, chi)
+    real = perturbation._slope_flips
 
-    def edge_window(g, x, drive, deltas, mask):
-        return partial(perturbation._has_stationary_point, g, x, deltas=deltas[:3], mask=mask[:1])
+    def flips_on_the_band_edge(g, x, epsilons, deltas, mask):
+        found = real(g, x, epsilons, deltas, mask)
+        if len(deltas) in (3, 961):
+            return found
+        edge = np.zeros_like(found)
+        edge[0] = found.any(axis=0)
+        return edge
 
-    monkeypatch.setattr(perturbation, "_flip_window", edge_window)
+    monkeypatch.setattr(perturbation, "_slope_flips", flips_on_the_band_edge)
     calls = recording_grid_calls(monkeypatch)
     assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
     assert sum(len(drives) for _, samples, drives in calls if samples == 961) > 40
 
 
+def full_grid_drives(calls):
+    """How many drives each of the recorded calls on all 961 samples probes."""
+    return [len(drives) for _, samples, drives in calls if samples == 961]
+
+
 @pytest.mark.parametrize("chi", [0.5, 1.0, 2.0])
 def test_onset_scan_bisects_the_flip_window_without_a_fallback(monkeypatch, chi):
     # the grids test_onset_scan_equals_the_full_grid_search compares on:
-    # every bracket comes from the flip window and passes the check
-    def full_grid_search(*args):
-        raise AssertionError("onset_scan fell back to the full-grid search")
-
-    monkeypatch.setattr(perturbation, "_bracket_onset", full_grid_search)
+    # every bracket comes from the flip window and passes the check, the
+    # one call on all samples per gamma (the full-grid search would make
+    # dozens)
+    calls = recording_grid_calls(monkeypatch)
     for n in (1, 2, 3):
+        calls.clear()
         assert len(onset_scan(n, (0.003, 0.01, 0.03), chi)) == 3
+        assert full_grid_drives(calls) == [2, 2, 2]
 
 
 def test_onset_scan_bisects_on_a_few_samples(monkeypatch):
@@ -708,8 +721,18 @@ def test_onset_scan_bisects_on_a_few_samples(monkeypatch):
     assert max(bisections) <= 16
 
 
+def test_onset_scan_cuts_the_flip_window_from_the_ladder_call(monkeypatch):
+    # the benchmark's scans: the window comes from the flips of the
+    # up-ladder's call at hi, with no call of its own on the band
+    calls = recording_grid_calls(monkeypatch)
+    for n in (1, 2):
+        onset_scan(n, (0.003, 0.01, 0.03))
+    assert len(calls) <= 90
+    assert [samples for _, samples, drives in calls if len(drives) == 1] == []
+
+
 def sequential_bracket(found, eps):
-    """_bracket_onset probing one drive at a time: the batched search's oracle.
+    """_ladder_bracket and _bisect probing one drive at a time: the batched search's oracle.
 
     Returns (lo, hi) and the drives probed, in order.
     """
@@ -744,8 +767,8 @@ def sequential_bracket(found, eps):
 
 
 def batched(found):
-    """found over an array of drives, one answer per drive."""
-    return lambda drives: np.array([found(float(e)) for e in drives], dtype=bool)
+    """found over an array of drives as a one-row flip matrix, one column per drive."""
+    return lambda drives: np.array([[found(float(e)) for e in drives]], dtype=bool)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 7])
@@ -765,7 +788,8 @@ def test_batched_onset_search_takes_the_sequential_steps(monkeypatch, levels, ba
     for t in thresholds:
         for found in (lambda e: e >= t, lambda e: e > t):
             want, _ = sequential_bracket(found, eps)
-            assert perturbation._bracket_onset(batched(found), eps, 0.01) == want
+            bracket, _ = perturbation._ladder_bracket(batched(found), eps, 0.01)
+            assert perturbation._bisect(batched(found), *bracket) == want
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 7])
@@ -794,10 +818,10 @@ def test_batched_bisection_takes_the_sequential_steps(monkeypatch, levels):
 
 
 def test_onset_scan_raises_when_no_drive_brackets_the_line(monkeypatch):
-    monkeypatch.setattr(perturbation, "_has_stationary_point", lambda g, x, e, deltas, mask: e > 0)
+    monkeypatch.setattr(perturbation, "_slope_flips", lambda g, x, e, deltas, mask: (e > 0)[None])
     with pytest.raises(perturbation.OnsetError, match="no drive below the line onset"):
         onset_scan(1, (0.01,))
-    monkeypatch.setattr(perturbation, "_has_stationary_point", lambda g, x, e, deltas, mask: e < 0)
+    monkeypatch.setattr(perturbation, "_slope_flips", lambda g, x, e, deltas, mask: (e < 0)[None])
     with pytest.raises(perturbation.OnsetError, match="no onset found up to epsilon="):
         onset_scan(1, (0.01,))
 
@@ -811,9 +835,9 @@ def test_onset_ladder_stops_at_the_drive_cap(monkeypatch):
 
     def never(g, x, epsilons, deltas, mask):
         probed.extend(epsilons)
-        return np.zeros(len(epsilons), dtype=bool)
+        return np.zeros((len(deltas) - 2, len(epsilons)), dtype=bool)
 
-    monkeypatch.setattr(perturbation, "_has_stationary_point", never)
+    monkeypatch.setattr(perturbation, "_slope_flips", never)
     cap = perturbation._ONSET_MAX_DRIVE * chi
     with pytest.raises(perturbation.OnsetError, match=re.escape(f"drive cap epsilon={cap:g}")):
         onset_scan(1, (0.01,), chi)
@@ -857,6 +881,31 @@ def no_probe(monkeypatch):
 def test_onset_scan_rejects_non_finite_rates_before_probing(no_probe, gammas, chi, match):
     with pytest.raises(ValueError, match=match):
         onset_scan(1, gammas, chi)
+
+
+@pytest.mark.parametrize("chi", [0.05, 1.0, 2.0])
+@pytest.mark.parametrize("ratio", [0.083, 0.1])
+def test_onset_scan_rejects_damping_near_the_neighbouring_lines_before_probing(
+    no_probe, chi, ratio
+):
+    # above chi / 16 the scan returned wrong onsets: at 0.083 chi n = 4, 5
+    # fell back to the full grid, at 0.1 chi n = 2 gave 0.0356 where the
+    # gamma^(1/2) trend gives ~0.18
+    with pytest.raises(ValueError, match=re.escape("gamma <= chi / 16")):
+        onset_scan(2, (0.01 * chi, ratio * chi), chi)
+
+
+@pytest.mark.parametrize("chi", [0.05, 1.0, 2.0])
+def test_onset_scan_brackets_every_line_at_the_damping_limit(monkeypatch, chi):
+    # gamma = chi / 16: the +-12 gamma samples end chi / 4 short of the
+    # neighbouring lines, and no line up to n = 5 needs the full-grid rerun
+    gamma = chi / 16
+    calls = recording_grid_calls(monkeypatch)
+    for n in range(1, 6):
+        calls.clear()
+        [(_, onset)] = onset_scan(n, (gamma,), chi)
+        assert full_grid_drives(calls) == [2]
+        assert onset == full_grid_onset(n, gamma, chi)
 
 
 @pytest.mark.parametrize("n", [1.5, "1", 2.0, True, None])

@@ -1025,6 +1025,9 @@ def test_cli_malformed_config_values_exit_2(tmp_path, capsys, raw):
         ["--scan", "epsilon=inf"],
         ["--scan", "gamma=1"],
         ["--scan", "epsilon=3.2", "--epsilon-range=0:5:11"],
+        # a repeated key used to keep its last value silently
+        ["--point", "delta=-5.2,epsilon=9,epsilon=3.2", "--gamma", "2", "--analyze", "entropy"],
+        ["--scan", "epsilon=1,epsilon=0.5"],
     ],
 )
 def test_cli_flag_errors_exit_2_with_json(tmp_path, capsys, flags):
