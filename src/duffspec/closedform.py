@@ -277,6 +277,82 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
     return values, tails
 
 
+def _slope_derivatives(cells):
+    """u = d/d delta log|<a>|^2 and four of its derivatives on a (delta, chi, epsilon, gamma) table.
+
+    Returns (rows, escalates): rows u, du/d delta, d^2u/d delta^2,
+    du/d epsilon and d^2u/d epsilon d delta, one column per cell, and the
+    cells whose series would be redone in 50 digits (_escalates).  Both
+    lower parameters move with delta at rate 1/chi, so the term t_k of
+    0F2(; b1, b2; z) has the log-derivative p1 = -sum_{i<k} [1/(b1+i) +
+    1/(b2+i)] / chi (the ratio is Drummond and Walls', J. Phys. A 13, 725
+    (1980)).  With p2 = dp1/d delta and p3 = dp2/d delta its derivatives
+    are t_k p1, t_k (p1^2 + p2) and t_k (p1^3 + 3 p1 p2 + p3), and
+    d t_k / d epsilon = 2 k t_k / epsilon.  A cell stops by hyp0f2_series'
+    rule on its value terms, whatever cells sit beside it.
+    """
+    d, chi, e, g = np.asarray(cells, dtype=float).T
+    m = d.size
+    # the numerator series of every cell, then the denominator series
+    b1 = np.concatenate(((d + chi - 0.5j * g) / chi, (d - 0.5j * g) / chi))
+    b2 = np.tile((d + 0.5j * g) / chi, 2)
+    z = np.tile(2.0 * e * e / (chi * chi), 2)
+    kmax = -min(b1.real.min(), b2.real.min())
+    term, p1, p2, p3 = np.zeros((4, 2 * m), dtype=complex)
+    term += 1.0
+    # sums of the terms and their three delta-derivatives (times chi^j),
+    # then of k times the first three; a cell's are copied to out when it
+    # stops
+    sums = np.zeros((7, 2 * m), dtype=complex)
+    sums[0] = 1.0
+    out = sums.copy()
+    peak, prev_mag, ratio = np.ones((3, 2 * m))
+    terms, decreasing = np.zeros((2, 2 * m), dtype=np.int64)
+    alive = np.ones(2 * m, dtype=bool)
+    k = 0
+    while alive.any() and k < SERIES_MAX_TERMS:
+        r1, r2 = 1.0 / (b1 + k), 1.0 / (b2 + k)
+        term = term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
+        p1 = p1 - (r1 + r2)
+        p2 = p2 + (r1 * r1 + r2 * r2)
+        p3 = p3 - 2.0 * (r1 * r1 * r1 + r2 * r2 * r2)
+        w2 = p1 * p1 + p2
+        weighted = term * np.stack((np.ones_like(p1), p1, w2, p1 * (w2 + 2.0 * p2) + p3))
+        sums[:4] += weighted
+        sums[4:] += (k + 1.0) * weighted[:3]
+        mag, amag = np.abs(term), np.abs(sums[0])
+        peak = np.maximum(peak, amag)
+        decreasing = (decreasing + 1) * (mag <= prev_mag)
+        prev_mag = mag
+        k += 1
+        done = alive & (mag <= SERIES_RTOL * amag) & (decreasing >= 3)
+        if k <= kmax:
+            done &= (b1.real + k > 0) & (b2.real + k > 0)
+        out[:, done], ratio[done], terms[done] = sums[:, done], peak[done] / amag[done], k
+        alive &= ~done
+    out[:, alive], ratio[alive], terms[alive] = sums[:, alive], peak[alive] / amag[alive], k
+    escalates = _escalates(ratio, terms)
+    # each series' l_j = chi^j d^j log F / d delta^j from f_j = chi^j F^(j) / F,
+    # and el_j = (epsilon / 2) d l_j / d epsilon from e_j = sum k t_k^(j) / F
+    f1, f2, f3, e0, e1, e2 = out[1:] / out[0]
+    l2 = f2 - f1 * f1
+    l3 = f3 - 3.0 * f1 * f2 + 2.0 * f1 * f1 * f1
+    el1 = e1 - f1 * e0
+    el2 = e2 - f2 * e0 - 2.0 * f1 * el1
+    n1, n2, n3, ne1, ne2 = ((x[:m] - x[m:]).real for x in (f1, l2, l3, el1, el2))
+    c = 1.0 / (d - 0.5j * g)  # |<a>| = epsilon |c| |num / den|
+    rows = np.array(
+        [
+            2.0 * n1 / chi - 2.0 * c.real,
+            2.0 * n2 / chi**2 + 2.0 * (c * c).real,
+            2.0 * n3 / chi**3 - 4.0 * (c * c * c).real,
+            4.0 * ne1 / (chi * e),
+            4.0 * ne2 / (chi**2 * e),
+        ]
+    )
+    return rows, escalates[:m] | escalates[m:]
+
+
 def _quot(ar, ai, br, bi):
     """(ar + i ai) / (br + i bi) in parts, as Python's complex division forms it.
 

@@ -21,11 +21,10 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .closedform import dw_response_grid
+from .closedform import _slope_derivatives
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
@@ -40,39 +39,13 @@ _FANO_XTOL = 1e-10
 # Largest accepted rms residual of a Fano fit, as a fraction of the line
 # amplitude.
 _FANO_RESIDUAL_FRAC = 0.05
-# Detuning samples of one onset scan, over -n chi +- 12 gamma.
-_ONSET_SAMPLES = 961
-# Half-width of the band an onset search runs on first, as a fraction of
-# the 10 gamma window: |delta + n chi| < 2 gamma, ~160 of the samples.  The
-# first slope flip appears within 0.13 gamma of the line centre, except
-# that n = 7 and 8 at some gamma / chi in 0.007-0.034 turn over 2.2 gamma
-# out first and fail the full-grid check.
-_ONSET_BAND = 0.2
-# Drive steps of each ladder of the onset search (down by 1.25, then up),
-# and how many of them one closed-form call probes.
-_ONSET_LADDER_STEPS = 120
-_ONSET_LADDER_BATCH = 4
-# Largest drive the up-ladder probes, in units of chi.  The terms of
+# Largest drive the onset ladder probes, in units of chi.  The terms of
 # 0F2(; b1, b2; z) peak near k ~ |z|^(1/3) at about exp(3 |z|^(1/3)), times
 # factors polynomial in k from the lower parameters near -n; 3 |z|^(1/3)
 # <= 600 leaves e^109 of double's e^709.8 for those.  With z = 2
-# epsilon^2 / chi^2 that is epsilon <= 2000 chi.  There the largest term
-# on the onset grids (n <= 3, gamma / chi from 0.003 to 0.29) is e^656 and
-# every cell sums in <= 271 terms; at 2500 chi (3 |z|^(1/3) = 696) the
-# terms overflow, and every cell runs to SERIES_MAX_TERMS and is redone in
-# mpmath at ~0.25 s a cell.
+# epsilon^2 / chi^2 that is epsilon <= 2000 chi.  At 2500 chi (3 |z|^(1/3)
+# = 696) the terms overflow, and every cell runs to SERIES_MAX_TERMS.
 _ONSET_MAX_DRIVE = 2000.0
-# Log-drive bisections of the onset bracket, and how many levels of them
-# one closed-form call probes (2^levels - 1 midpoints).  A call costs
-# ~0.2 ms before its first cell and ~0.5 us per cell.  On the few samples
-# of a flip window (at most 11 on the benchmark's scans) the fixed cost
-# dominates: both orders' scans at gamma = 0.003, 0.01, 0.03 take 0.65,
-# 0.54, 0.47, 0.46 and 0.47 times one level's time at 2 to 6 levels
-# (medians of 30 alternating rounds in one process), while the cells
-# summed grow from 29 992 at 2 levels through 34 762 at 4 to 47 641 at 6.
-# Four levels split the 40 bisections into 10 calls.
-_ONSET_BISECTIONS = 40
-_ONSET_BISECT_LEVELS = 4
 
 
 class FanoFitError(RuntimeError):
@@ -429,11 +402,12 @@ def fano_fit(deltas, magnitudes):
     curve's two representations; a symmetric Lorentzian peak (c1 > 0,
     c2 = 0) gives amp = 0.
 
-    The fit uses every sample: at least 50 are needed, and the window they
-    span should bracket exactly one resonance.  Raises ValueError for
-    non-finite input and FanoFitError when the search fails, the profile
-    degenerates (|q| > 50 or amp = 0, as for a symmetric Lorentzian peak),
-    or the residual exceeds _FANO_RESIDUAL_FRAC of the line amplitude.
+    The fit uses every sample, in any order: at least 50 are needed, and
+    the window they span should bracket exactly one resonance.  Raises
+    ValueError for non-finite input and FanoFitError when the search
+    fails, the profile degenerates (|q| > 50 or amp = 0, as for a
+    symmetric Lorentzian peak), or the residual exceeds
+    _FANO_RESIDUAL_FRAC of the line amplitude.
     """
     deltas = np.asarray(deltas, dtype=float)
     mags = np.asarray(magnitudes, dtype=float)
@@ -444,6 +418,8 @@ def fano_fit(deltas, magnitudes):
             raise ValueError(f"{name} must be finite")
     if deltas.size < 50:
         raise ValueError(f"need >= 50 samples in the window, got {deltas.size}")
+    order = np.argsort(deltas, kind="stable")
+    deltas, mags = deltas[order], mags[order]
     span = float(mags.max() - mags.min())
     if span == 0.0:
         raise FanoFitError("line is flat over the window")
@@ -482,137 +458,43 @@ def fano_fit(deltas, magnitudes):
     )
 
 
-def _slope_flips(gamma, chi, epsilons, deltas, mask):
-    """Where |a|(delta) on the samples ``deltas`` turns over, per drive, within ``mask``.
+def _onset_slopes(delta, chi, epsilon, gamma):
+    """Rows u, du/d delta, d^2u/d delta^2, du/d epsilon, d^2u/d epsilon d delta of u = d/d delta log|<a>|^2.
 
-    One closed-form call on the grid deltas x epsilons.  Returns a bool
-    array of shape (len(deltas) - 2, len(epsilons)) whose row j stands for
-    the slope flip at deltas[j + 1], false wherever mask[j] is.  A drive
-    has a stationary point where its column has a flip.
+    The arguments broadcast to the cells' shape.  Raises OnsetError naming
+    a cell whose series would be redone in 50 digits (_slope_derivatives).
     """
-    values, _ = dw_response_grid(deltas, epsilons, gamma, chi)
-    signs = np.sign(np.diff(np.abs(values), axis=0))
-    return (signs[:-1] * signs[1:] < 0) & mask[:, None]
-
-
-def _ladder(flips, eps, step, want, cap=math.inf):
-    """Drives eps, step(eps), step(step(eps)), ... up to the first where having a flip is want.
-
-    flips maps an array of drives to their flip columns (_slope_flips).
-    At most _ONSET_LADDER_STEPS drives, none above cap, probed
-    _ONSET_LADDER_BATCH per call of flips.  Returns (drives, rows): the
-    drives up to and including the first hit and the hit's flip column,
-    or all of them and None.  Drives of a batch past the first hit are
-    probed and discarded.
-    """
-    drives = []
-    while len(drives) < _ONSET_LADDER_STEPS and eps <= cap:
-        batch = []
-        for _ in range(min(_ONSET_LADDER_BATCH, _ONSET_LADDER_STEPS - len(drives))):
-            if eps > cap:
-                break
-            batch.append(eps)
-            eps = step(eps)
-        found = flips(np.array(batch))
-        hits = np.flatnonzero(found.any(axis=0) == want)
-        if hits.size:
-            return drives + batch[: hits[0] + 1], found[:, hits[0]]
-        drives += batch
-    return drives, None
-
-
-def _bisect(flips, lo, hi):
-    """(lo, hi) after _ONSET_BISECTIONS log-drive bisection steps.
-
-    A step keeps the lower half where the midpoint has a flip (flips, as
-    for _ladder).  Each call of flips probes the next
-    _ONSET_BISECT_LEVELS levels at once.  Every midpoint those steps
-    might take is formed first, as one step at a time forms it
-    (math.sqrt(lo * hi) of the bracket it holds then), in heap order:
-    node i splits its bracket into children 2i + 1 (lower half) and
-    2i + 2 (upper half).  The steps then walk that tree by the answers;
-    the midpoints off their path are probed and discarded.
-    """
-    for done in range(0, _ONSET_BISECTIONS, _ONSET_BISECT_LEVELS):
-        depth = min(_ONSET_BISECT_LEVELS, _ONSET_BISECTIONS - done)
-        brackets, mids = [(lo, hi)], []
-        for i in range(2**depth - 1):
-            b_lo, b_hi = brackets[i]
-            mids.append(math.sqrt(b_lo * b_hi))
-            brackets += [(b_lo, mids[i]), (mids[i], b_hi)]
-        answers = flips(np.array(mids)).any(axis=0)
-        i = 0
-        for _ in range(depth):
-            if answers[i]:
-                hi, i = mids[i], 2 * i + 1
-            else:
-                lo, i = mids[i], 2 * i + 2
-    return lo, hi
-
-
-def _ladder_bracket(flips, eps, gamma, cap=math.inf):
-    """Drives (lo, hi), hi = 1.25 lo, without a flip at lo and with one at hi.
-
-    Steps down from eps by 1.25 until a drive has no flip, then up by 1.25
-    until one has, probing no drive above cap (_ladder).  Returns
-    ((lo, hi), rows) with rows the flip column at hi.  Raises OnsetError
-    when a ladder runs out of steps.
-    """
-    down, rows = _ladder(flips, eps, lambda e: e / 1.25, False)
-    if rows is None:
-        raise OnsetError(f"no drive below the line onset found at gamma={gamma}")
-    lo = down[-1]
-    up, rows = _ladder(flips, lo * 1.25, lambda e: e * 1.25, True, cap)
-    if rows is None:
-        top = up[-1] if up else lo
+    cells = np.stack(np.broadcast_arrays(delta, chi, epsilon, gamma), axis=-1)
+    derivs, escalates = _slope_derivatives(cells.reshape(-1, 4))
+    if escalates.any():
+        d, x, e, g = cells.reshape(-1, 4)[np.argmax(escalates)].tolist()
         raise OnsetError(
-            f"no onset found up to epsilon={top:.3g} at gamma={gamma} (the search "
-            f"stops after {_ONSET_LADDER_STEPS} steps or at the drive cap epsilon={cap:g})"
+            f"the closed form at delta={d!r}, epsilon={e!r}, gamma={g!r}, chi={x!r} needs "
+            "50 digits, and the onset is solved in double only"
         )
-    return tuple(([lo] + up)[-2:]), rows
+    return derivs.reshape((5,) + cells.shape[:-1])
 
 
 def onset_scan(n, gammas, chi=1.0):
-    """Drive threshold where the n-th multiphoton line first flattens.
+    """Drive threshold where the n-th multiphoton line first turns over.
 
-    For each damping rate the closed-form response is sampled at
-    _ONSET_SAMPLES detunings over |delta + n chi| <= 12 gamma; the onset is
-    the smallest drive for which |a|(delta) acquires a stationary point
-    within 10 gamma of the line, located by the ladders of _ladder_bracket
-    and 40 log-drive bisections (_bisect).  Returns a list of (gamma,
-    epsilon_onset).  Requires a finite chi > 0 and 0 < gamma <= chi / 16,
-    so the +-12 gamma samples end at least chi / 4 short of the
-    neighbouring lines at -(n +- 1) chi.  The drive steps up to
-    _ONSET_MAX_DRIVE * chi at most, where the series still sum in double;
-    a line that has not turned over there raises OnsetError.
+    The line turns over where u = d/d delta log|<a>|^2 first has a zero
+    near delta = -n chi.  That onset is a cusp of u: at the smallest such
+    drive, u and du/d delta vanish together at the minimum of u.  For
+    each damping rate a x1.25 drive ladder from 0.05 chi^(1 - 1/n)
+    gamma^(1/n) samples u at 61 detunings 0.4 gamma apart over
+    -n chi +- 12 gamma, one closed-form call per step for all rates,
+    until u is negative within 10 gamma of the line.  From every negative
+    local minimum of u at that drive a Newton iteration solves
+    u = du/d delta = 0 in (delta, epsilon), with the derivatives of
+    _slope_derivatives; the onset is the smallest drive it converges to.
+    Returns a list of (gamma, epsilon_onset).
 
-    The search runs on the central band |delta + n chi| <
-    _ONSET_BAND * 10 gamma, about a sixth of the samples, where the first
-    slope flip appears.  The ladders (down by 1.25, then up) probe the
-    whole band and end on drives (lo, hi).  The bisection then probes only
-    the flip window: the smallest slice of the band that holds the slope
-    flips of the up-ladder's call at hi, plus one sample each side, 6 to
-    11 samples on the benchmark's scans.  The bracket it ends on is
-    checked on the full grid, in one call on the drives (lo, hi): no
-    stationary point at lo, one at hi.  If the band ladders raise
-    OnsetError or the bracket fails the check, the search reruns on the
-    full grid.
-
-    The onset is the full-grid search's either way.  The window lies in
-    the band and the band in the grid, and a cell's closed form does not
-    depend on the grid it sits in, so a flip in the window is one on the
-    full grid, and the ladder's column at hi is the window's.  Every probe
-    the search used without a flip was at a drive <= lo, which the check
-    proves flip-free on the full grid; the full grid has none below it
-    either as long as the flattening is monotone in the drive.  Both
-    searches therefore take the same steps.  A window that misses a flip
-    the full grid has below hi ends on a lo with a flip, so it costs the
-    full-grid rerun, never a wrong onset; there is no margin to tune.
-    The drives each closed-form call probes beyond those the search uses
-    (the rest of a ladder batch, the midpoints off the bisection's path)
-    are made and discarded, but every drive is formed by the same
-    expression as in one-at-a-time probing, so the search takes the same
-    steps and returns the same bits.
+    Requires a finite chi > 0 and 0 < gamma <= chi / 16, so the +-12 gamma
+    samples end at least chi / 4 short of the neighbouring lines at
+    -(n +- 1) chi.  Raises OnsetError when a line has not turned over by
+    _ONSET_MAX_DRIVE * chi, when no Newton iteration converges, and at a
+    cell whose series would need 50 digits.
     """
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"line index n must be an integer >= 1, got n={n!r}")
@@ -623,33 +505,53 @@ def onset_scan(n, gammas, chi=1.0):
     for gamma in gammas:
         if not (0 < gamma <= chi / 16):
             raise ValueError(f"onset scan requires 0 < gamma <= chi / 16, got gamma={gamma}")
-    out = []
-    for gamma in gammas:
-        w = 10.0 * gamma
-        deltas = np.linspace(-n * chi - 1.2 * w, -n * chi + 1.2 * w, _ONSET_SAMPLES)
-        mid = 0.5 * (deltas[:-2] + deltas[2:])
-        mask = np.abs(mid + n * chi) < w
-        first, last = np.flatnonzero(np.abs(deltas + n * chi) < _ONSET_BAND * w)[[0, -1]]
-        band_deltas, band_mask = deltas[first : last + 1], mask[first : last - 1]
-        band = partial(_slope_flips, gamma, chi, deltas=band_deltas, mask=band_mask)
-        full = partial(_slope_flips, gamma, chi, deltas=deltas, mask=mask)
-        eps = 0.05 * chi ** (1.0 - 1.0 / n) * gamma ** (1.0 / n)
-        cap = _ONSET_MAX_DRIVE * chi
-        try:
-            (lo, hi), rows = _ladder_bracket(band, eps, gamma, cap)
-        except OnsetError:
-            checked = False
-        else:
-            a, b = np.flatnonzero(rows)[[0, -1]]
-            window = partial(
-                _slope_flips, gamma, chi, deltas=band_deltas[a : b + 3], mask=band_mask[a : b + 1]
+    rates = np.array(gammas, dtype=float)
+    offsets = np.arange(-30, 31) / 2.5  # in units of gamma
+    inside = np.abs(offsets) <= 10.0
+    eps = 0.05 * chi ** (1.0 - 1.0 / n) * rates ** (1.0 / n)
+    cap = _ONSET_MAX_DRIVE * chi
+    seeds, todo = [], np.arange(rates.size)
+    while todo.size:
+        if eps[todo].max() > cap:
+            raise OnsetError(
+                f"no onset found up to the drive cap epsilon={cap:g} at "
+                f"gamma={rates[todo][eps[todo] > cap][0]}"
             )
-            lo, hi = _bisect(window, lo, hi)
-            at_lo, at_hi = full(np.array([lo, hi])).any(axis=0)
-            checked = not at_lo and at_hi
-        if not checked:
-            lo, hi = _bisect(full, *_ladder_bracket(full, eps, gamma, cap)[0])
-        out.append((float(gamma), float(math.sqrt(lo * hi))))
+        deltas = -n * chi + offsets * rates[todo, None]
+        u = _onset_slopes(deltas, chi, eps[todo, None], rates[todo, None])[0]
+        turned = (u[:, inside] < 0.0).any(axis=1)
+        mid = u[:, 1:-1]
+        rows, cols = np.nonzero(
+            (mid < 0.0) & (mid <= u[:, :-2]) & (mid <= u[:, 2:]) & turned[:, None]
+        )
+        seeds.append((todo[rows], deltas[rows, cols + 1], eps[todo[rows]]))
+        todo = todo[~turned]
+        eps[todo] *= 1.25
+    index, delta, drive = (np.concatenate(s) for s in zip(*seeds))
+    converged = np.zeros(index.size, dtype=bool)
+    live = np.arange(index.size)
+    # Newton converges within 9 evaluations on the single-gamma scans at
+    # chi = 0.05, 1 and 2, n <= 8 and 25 gamma / chi from 5e-4 to 1/16
+    for _ in range(30):
+        if not live.size:
+            break
+        u, du, ddu, du_eps, ddu_eps = _onset_slopes(delta[live], chi, drive[live], rates[index[live]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = du * ddu_eps - du_eps * ddu
+            delta[live] += (du_eps * du - u * ddu_eps) / det
+            step = (ddu * u - du * du) / det
+        drive[live] += step
+        done = np.abs(step) <= 1e-13 * drive[live]
+        kept = (0.0 < drive[live]) & (drive[live] <= cap)
+        kept &= np.abs(delta[live] + n * chi) <= 12.0 * rates[index[live]]
+        converged[live[done & kept]] = True
+        live = live[~done & kept]
+    out = []
+    for i, gamma in enumerate(gammas):
+        found = drive[converged & (index == i)]
+        if not found.size:
+            raise OnsetError(f"no cusp of the n={n} line converged at gamma={gamma}")
+        out.append((float(gamma), float(found.min())))
     return out
 
 

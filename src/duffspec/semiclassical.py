@@ -266,11 +266,14 @@ def bifurcation_boundary(chi, gamma, deltas):
     changes are epsilon(n_+) (lower) and epsilon(n_-) (upper), with
     n_-+ = (-2 delta -+ sqrt(delta^2 - 3 gamma^2 / 4)) / (6 chi) the
     stationary points of epsilon^2(n), both positive there.  Detunings
-    without bistability are dropped; the result may be empty.
+    without bistability are dropped; the result may be empty.  Raises
+    ValueError unless chi > 0, gamma > 0 and every argument is finite.
     """
+    deltas = np.asarray(deltas, dtype=float)
+    if not (math.isfinite(chi) and math.isfinite(gamma) and np.isfinite(deltas).all()):
+        raise ValueError(f"bifurcation boundary requires finite arguments, got chi={chi}, gamma={gamma}")
     if chi <= 0 or gamma <= 0:
         raise ValueError("bifurcation boundary requires chi > 0 and gamma > 0")
-    deltas = np.asarray(deltas, dtype=float)
     disc = deltas * deltas - 0.75 * gamma * gamma
     window = (deltas < 0.0) & (disc > 0.0)
     delta, root = deltas[window], np.sqrt(disc[window])

@@ -800,16 +800,20 @@ def _task_fano(ctx, out_dir, circuit):
 def _task_onset(ctx, out_dir, circuit):
     # The response depends on delta, gamma and epsilon only through their
     # ratios to chi, so damping rates that scale with chi give the chi = 1
-    # slopes at any chi.
+    # slopes and prefactors at any chi.  The cubic drive series puts the
+    # n = 1 prefactor at 1 / sqrt(8) as gamma / chi -> 0.
     chi = ctx.params.chi
     gammas = (0.003 * chi, 0.01 * chi, 0.03 * chi)
     n_column, all_pairs = [], []
-    summary = {"slopes": {}}
+    summary = {"slopes": {}, "prefactors": {}, "series_prefactors": {"1": 1.0 / math.sqrt(8.0)}}
     for order in (1, 2):
         pairs = onset_scan(order, gammas, chi=chi)
         n_column += [str(order)] * len(pairs)
         all_pairs += pairs
         summary["slopes"][str(order)] = onset_slope(pairs)
+        summary["prefactors"][str(order)] = [
+            eps / (chi ** (1.0 - 1.0 / order) * gamma ** (1.0 / order)) for gamma, eps in pairs
+        ]
     columns = [n_column, *np.reshape(all_pairs, (-1, 2)).T]
     _write_csv(os.path.join(out_dir, "onset.csv"), "n,gamma,epsilon_onset", columns)
     return summary, ["onset.csv"]

@@ -266,13 +266,13 @@ def test_dw_response_grid_matches_scalar_cell_by_cell(deltas, epsilons, gamma, e
 
 
 def onset_grid(n, gamma, band):
-    """The 961 detunings of an onset scan at chi = 1, or its central band |delta + n| < 2 gamma."""
+    """961 detunings over -n +- 12 gamma at chi = 1, or their central band |delta + n| < 2 gamma."""
     deltas = np.linspace(-n - 12.0 * gamma, -n + 12.0 * gamma, 961)
     return deltas[np.abs(deltas + n) < 2.0 * gamma] if band else deltas
 
 
 def drive_ladder(eps, steps):
-    """eps / 1.25^4, ..., eps * 1.25^(steps - 5), each formed from the last as the onset search forms it."""
+    """eps / 1.25^4, ..., eps * 1.25^(steps - 5), each formed from the last."""
     for _ in range(4):
         eps /= 1.25
     drives = []
@@ -285,8 +285,8 @@ def drive_ladder(eps, steps):
 @pytest.mark.parametrize(
     "deltas, epsilons, gamma",
     [
-        # onset bands and full onset grids, with the drives an onset
-        # search steps through from its first drive 0.05 gamma^(1/n)
+        # bands and grids across the n = 1, 2, 3 lines, with a x1.25 drive
+        # ladder through the lines' onsets from 0.05 gamma^(1/n)
         (onset_grid(n, 0.01, band), drive_ladder(0.05 * 0.01 ** (1.0 / n), 20), 0.01)
         for n in (1, 2, 3)
         for band in (True, False)
@@ -301,7 +301,7 @@ def drive_ladder(eps, steps):
 )
 def test_dw_response_grid_columns_equal_one_drive_calls(deltas, epsilons, gamma):
     # a many-drive call is its one-drive calls side by side, bit for bit in
-    # value and tail: the batched onset search rests on it
+    # value and tail
     values, tails = dw_response_grid(deltas, epsilons, gamma, 1.0)
     for j, e in enumerate(epsilons):
         one_values, one_tails = dw_response_grid(deltas, np.array([e]), gamma, 1.0)
@@ -484,3 +484,65 @@ def test_non_finite_closed_form_input_is_rejected(call, name):
     # each once returned a value, ran 20000 terms or raised an unrelated error
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call()
+
+
+def mp_slope_derivatives(delta, chi, epsilon, gamma, dps=40):
+    """u, du/d delta, d^2u/d delta^2, du/d epsilon, d^2u/d epsilon d delta of u = d/d delta log|<a>|^2.
+
+    mpmath.diff's derivatives of log|<a>|^2, with <a> formed in mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x, g = mpmath.mpf(chi), mpmath.mpf(gamma)
+
+        def log_abs2(d, e):
+            z = 2 * e * e / (x * x)
+            b = mpmath.mpc(d, -g / 2) / x
+            c = mpmath.mpc(d, g / 2) / x
+            value = -(e / (x * b)) * mpmath.hyper([], [b + 1, c], z) / mpmath.hyper([], [b, c], z)
+            return mpmath.log(abs(value) ** 2)
+
+        at = (mpmath.mpf(delta), mpmath.mpf(epsilon))
+        orders = ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1))
+        return [float(mpmath.diff(log_abs2, at, o)) for o in orders]
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # (delta, chi, epsilon, gamma): point C and a cell on its line, the
+        # Fano line, cells next to the n = 1, 2, 3 lines, and a small chi
+        (-5.2, 1.0, 3.2, 2.0),
+        (-6.2, 1.0, 3.2, 2.0),
+        (-1.0, 1.0, 0.012, 0.01),
+        (-1.003, 1.0, 0.0035, 0.01),
+        (-2.001, 1.0, 0.06, 0.01),
+        (-3.002, 1.0, 0.2, 0.01),
+        (-0.1, 0.05, 0.02, 0.003),
+    ],
+)
+def test_slope_derivatives_match_mpmath(cell):
+    # within 1e-14 relative today (9.8e-15 at worst, point C's d^2u/d delta^2)
+    derivs, escalates = closedform._slope_derivatives(np.array([cell]))
+    assert not escalates[0]
+    np.testing.assert_allclose(derivs[:, 0], mp_slope_derivatives(*cell), rtol=1e-13, atol=0.0)
+
+
+def test_slope_derivatives_of_a_cell_do_not_depend_on_the_cells_beside_it():
+    # each cell stops its sums on its own terms, so the seeded draw in one
+    # call is its 600 one-cell calls bit for bit; no cell of it escalates
+    from seeded_cells import seeded_draw
+
+    cells = np.array(seeded_draw())
+    derivs, escalates = closedform._slope_derivatives(cells)
+    assert not escalates.any()
+    for i in range(len(cells)):
+        one, _ = closedform._slope_derivatives(cells[i : i + 1])
+        assert one.tobytes() == derivs[:, i : i + 1].tobytes()
+
+
+def test_slope_derivatives_flag_a_cell_that_escalates():
+    delta, epsilon, gamma = _ESCALATING_CELL
+    cells = np.array([[delta, 1.0, epsilon, gamma], [-9.5, 1.0, 3.0, gamma]])
+    assert closedform._slope_derivatives(cells)[1].tolist() == [True, False]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from duffspec import perturbation
-from duffspec.closedform import dw_response, dw_response_grid
+from duffspec import closedform, perturbation
+from duffspec.closedform import _slope_derivatives, dw_response, dw_response_grid
 from duffspec.fock import ModelParams, annihilation, expectation
 from duffspec.lindblad import build_superoperator, solve_steady_state_adaptive
 from duffspec.perturbation import (
@@ -398,6 +398,18 @@ def test_fano_fit_matches_oracle_on_two_photon_line():
     assert fit.residual_rms == pytest.approx(expected[5], rel=1e-9)
 
 
+def test_fano_fit_does_not_depend_on_the_sample_order():
+    # the README Fano line, reversed and shuffled: the fit sorts the samples
+    # first, so both give the ascending fit's fields bit for bit (reversed,
+    # the window's span came out negative and a q = 0.968 fit was rejected
+    # as degenerate)
+    deltas, mags = normalized_two_photon_line(0.01, 1.0, 0.012, 0.08)
+    ascending = fano_fit(deltas, mags)
+    order = np.random.default_rng(36).permutation(deltas.size)
+    for index in (slice(None, None, -1), order):
+        assert fano_fit(deltas[index], mags[index]) == ascending
+
+
 @pytest.mark.parametrize("q", [-1.2, 0.97, 1.4])
 def test_fano_fit_recovers_noise_free_lines_in_either_representation(q):
     bg, amp, center, width = 0.8, 0.03, -1.0, 0.005
@@ -557,11 +569,13 @@ def test_onset_scaling_exponents():
 
 
 def full_grid_onset(n, gamma, chi):
-    """The onset searched on the full 961-sample grid alone.
+    """The onset searched on a 961-sample grid: the bracket oracle of onset_scan.
 
-    The oracle of onset_scan, which searches a central band first: the
-    same drive steps (down by 1.25, up by 1.25, 40 log-drive bisections)
-    with every probe on all samples and the +-10 gamma flip window.
+    Every drive step probes all 961 samples over -n chi +- 12 gamma for a
+    slope flip within 10 gamma of the line: steps down by 1.25 and up by
+    1.25, then 40 log-drive bisections.  A flip between samples needs a
+    zero of u = d/d delta log|<a>|^2, so this lies above the cusp, by at
+    most the grid's resolution.
     """
     w = 10.0 * gamma
     deltas = np.linspace(-n * chi - 1.2 * w, -n * chi + 1.2 * w, 961)
@@ -594,254 +608,132 @@ def full_grid_onset(n, gamma, chi):
     return math.sqrt(lo * hi)
 
 
-@pytest.mark.parametrize("chi", [0.5, 1.0, 2.0])
-def test_onset_scan_equals_the_full_grid_search(chi):
-    gammas = (0.003, 0.01, 0.03)
-    for n in (1, 2, 3):
-        assert onset_scan(n, gammas, chi) == [(g, full_grid_onset(n, g, chi)) for g in gammas]
-
-
-def recording_grid_calls(monkeypatch):
-    """onset_scan's dw_response_grid calls, each as (gamma, samples, drives)."""
-    calls = []
-    real = perturbation.dw_response_grid
-
-    def recording(deltas, epsilons, gamma, chi):
-        calls.append((gamma, len(deltas), tuple(epsilons)))
-        return real(deltas, epsilons, gamma, chi)
-
-    monkeypatch.setattr(perturbation, "dw_response_grid", recording)
-    return calls
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_onset_scan_probes_the_full_grid_twice_per_gamma(monkeypatch, n):
-    # the band holds the first flip, so only the bracket check sees all
-    # 961 samples: one call on the two drives (lo, hi), whose geometric
-    # mean is the onset.  Every other probe is on the band, a sixth of
-    # the samples, several drives per call.
-    calls = recording_grid_calls(monkeypatch)
-    gammas = (0.003, 0.01, 0.03)
-    pairs = onset_scan(n, gammas)
-    assert {g for g, _, _ in calls} == set(gammas)
-    for gamma, onset in pairs:
-        full = [drives for g, samples, drives in calls if g == gamma and samples == 961]
-        band = [samples for g, samples, _ in calls if g == gamma and samples < 961]
-        assert len(full) == 1
-        lo, hi = full[0]
-        assert lo < hi and math.sqrt(lo * hi) == onset
-        assert max(band) < 961 // 5 and len(band) <= 30
-
-
-@pytest.mark.parametrize(
-    "hidden_below",
-    [
-        # the band never turns over: the band search raises OnsetError
-        math.inf,
-        # the band turns over only from 1.5 onsets up: its bracket's lo
-        # has a stationary point on the full grid
-        1.5,
-    ],
-)
-def test_onset_scan_falls_back_to_the_full_grid(monkeypatch, hidden_below):
-    n, gamma, chi = 2, 0.01, 1.0
-    onset = full_grid_onset(n, gamma, chi)
-    real = perturbation._slope_flips
-
-    def band_blind(g, x, epsilons, deltas, mask):
-        if len(deltas) == 961:
-            return real(g, x, epsilons, deltas, mask)
-        # the hidden drives are not evaluated: the band search steps up
-        # to 1.25^120 times the first drive when it never sees a flip
-        seen = epsilons >= hidden_below * onset
-        found = np.zeros((len(deltas) - 2, len(epsilons)), dtype=bool)
-        if seen.any():
-            found[:, seen] = real(g, x, epsilons[seen], deltas, mask)
-        return found
-
-    monkeypatch.setattr(perturbation, "_slope_flips", band_blind)
-    calls = recording_grid_calls(monkeypatch)
-    assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
-    # the full-grid search probes its ~53 drives, not only the check's two
-    assert sum(len(drives) for _, samples, drives in calls if samples == 961) > 40
-
-
-def test_onset_scan_falls_back_when_the_flip_window_misses_the_flips(monkeypatch):
-    # the band calls report every drive's flips on the band's first sample,
-    # so the window is the band's first three samples, 2 gamma from the
-    # line, and never turns over: the bisection ends on a lo that the
-    # full-grid check finds a flip at, and the full-grid search gives the
-    # onset
-    n, gamma, chi = 2, 0.01, 1.0
-    onset = full_grid_onset(n, gamma, chi)
-    real = perturbation._slope_flips
-
-    def flips_on_the_band_edge(g, x, epsilons, deltas, mask):
-        found = real(g, x, epsilons, deltas, mask)
-        if len(deltas) in (3, 961):
-            return found
-        edge = np.zeros_like(found)
-        edge[0] = found.any(axis=0)
-        return edge
-
-    monkeypatch.setattr(perturbation, "_slope_flips", flips_on_the_band_edge)
-    calls = recording_grid_calls(monkeypatch)
-    assert onset_scan(n, (gamma,), chi) == [(gamma, onset)]
-    assert sum(len(drives) for _, samples, drives in calls if samples == 961) > 40
-
-
-def full_grid_drives(calls):
-    """How many drives each of the recorded calls on all 961 samples probes."""
-    return [len(drives) for _, samples, drives in calls if samples == 961]
+def assert_just_below_the_grid_onset(n, gamma, chi, onset):
+    # the 961-sample onset lies 2.6e-5 to 1.24e-3 above the cusp on 600
+    # single-gamma scans (chi = 0.05, 1, 2; n <= 8; gamma / chi from 5e-4
+    # to 1/16)
+    grid = full_grid_onset(n, gamma, chi)
+    assert 0.0 < (grid - onset) / onset <= 1.3e-3, (n, gamma, chi, onset, grid)
 
 
 @pytest.mark.parametrize("chi", [0.5, 1.0, 2.0])
-def test_onset_scan_bisects_the_flip_window_without_a_fallback(monkeypatch, chi):
-    # the grids test_onset_scan_equals_the_full_grid_search compares on:
-    # every bracket comes from the flip window and passes the check, the
-    # one call on all samples per gamma (the full-grid search would make
-    # dozens)
-    calls = recording_grid_calls(monkeypatch)
+def test_onset_scan_lies_just_below_the_full_grid_search(chi):
+    gammas = (0.003, 0.01, 0.03)
     for n in (1, 2, 3):
-        calls.clear()
-        assert len(onset_scan(n, (0.003, 0.01, 0.03), chi)) == 3
-        assert full_grid_drives(calls) == [2, 2, 2]
+        for gamma, onset in onset_scan(n, gammas, chi):
+            assert_just_below_the_grid_onset(n, gamma, chi, onset)
 
 
-def test_onset_scan_bisects_on_a_few_samples(monkeypatch):
-    # the benchmark's scans: the ladders probe the ~160-sample band, each
-    # bisection call only the flip window
-    calls = recording_grid_calls(monkeypatch)
-    for n in (1, 2):
-        onset_scan(n, (0.003, 0.01, 0.03))
-    assert sum(samples * len(drives) for _, samples, drives in calls) < 45_000
-    levels = perturbation._ONSET_BISECT_LEVELS
-    bisections = [samples for _, samples, drives in calls if len(drives) == 2**levels - 1]
-    assert len(bisections) == 6 * math.ceil(40 / levels)
-    assert max(bisections) <= 16
+def mp_cusp(gamma, chi, delta, epsilon, steps=6, dps=40):
+    """Newton on u = du/d delta = 0 in 40 digits, u = d/d delta log|<a>|^2.
 
-
-def test_onset_scan_cuts_the_flip_window_from_the_ladder_call(monkeypatch):
-    # the benchmark's scans: the window comes from the flips of the
-    # up-ladder's call at hi, with no call of its own on the band
-    calls = recording_grid_calls(monkeypatch)
-    for n in (1, 2):
-        onset_scan(n, (0.003, 0.01, 0.03))
-    assert len(calls) <= 90
-    assert [samples for _, samples, drives in calls if len(drives) == 1] == []
-
-
-def sequential_bracket(found, eps):
-    """_ladder_bracket and _bisect probing one drive at a time: the batched search's oracle.
-
-    Returns (lo, hi) and the drives probed, in order.
+    Every derivative is mpmath.diff's of log|<a>|^2, with <a> the 0F2
+    ratio formed in mpmath.  Returns the last two iterates of epsilon.
     """
-    probed = []
+    import mpmath
 
-    def probe(e):
-        probed.append(e)
-        return found(e)
+    with mpmath.workdps(dps):
+        x, g = mpmath.mpf(chi), mpmath.mpf(gamma)
 
-    for _ in range(120):
-        if not probe(eps):
-            break
-        eps /= 1.25
-    else:
-        return None, probed
-    lo = eps
-    for _ in range(120):
-        eps *= 1.25
-        if probe(eps):
-            break
-        lo = eps
-    else:
-        return None, probed
-    hi = eps
-    for _ in range(40):
-        mid_e = math.sqrt(lo * hi)
-        if probe(mid_e):
-            hi = mid_e
-        else:
-            lo = mid_e
-    return (lo, hi), probed
+        def log_abs2(d, e):
+            z = 2 * e * e / (x * x)
+            b = mpmath.mpc(d, -g / 2) / x
+            c = mpmath.mpc(d, g / 2) / x
+            ratio = mpmath.hyper([], [b + 1, c], z) / (b * mpmath.hyper([], [b, c], z))
+            return mpmath.log(abs(ratio) ** 2)
+
+        d, e, last = mpmath.mpf(delta), mpmath.mpf(epsilon), None
+        for _ in range(steps):
+            orders = ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1))
+            u, du, ddu, du_e, ddu_e = (mpmath.diff(log_abs2, (d, e), o) for o in orders)
+            det = du * ddu_e - du_e * ddu
+            last = e
+            d, e = d + (du_e * du - u * ddu_e) / det, e + (ddu * u - du * du) / det
+        return last, e
 
 
-def batched(found):
-    """found over an array of drives as a one-row flip matrix, one column per drive."""
-    return lambda drives: np.array([[found(float(e)) for e in drives]], dtype=bool)
+@pytest.mark.parametrize("n, gamma", [(1, 0.01), (2, 0.01), (3, 0.003), (7, 0.0084)])
+def test_onset_scan_matches_the_mpmath_cusp(n, gamma):
+    # n = 7 turns over 0.28 gamma below the line centre, in a dip
+    # narrower than a 961-sample grid's spacing of 0.025 gamma
+    [(_, onset)] = onset_scan(n, (gamma,))
+    # Newton's start: the minimum of u at the onset drive on a fine grid
+    deltas = -n + gamma * np.linspace(-12.0, 12.0, 2401)
+    cells = np.stack(np.broadcast_arrays(deltas, 1.0, onset, gamma), axis=1)
+    derivs, _ = _slope_derivatives(cells)
+    i = np.argmin(derivs[0])
+    # the line turns over at a minimum of u, and u falls with the drive
+    assert derivs[2, i] > 0.0 and derivs[3, i] < 0.0
+    last, cusp = mp_cusp(gamma, 1.0, deltas[i], onset)
+    # converged far below the gate (to ~1e-20, mpmath.diff's resolution)
+    assert abs(cusp - last) <= 1e-15 * cusp
+    assert abs(onset - cusp) <= 1e-10 * cusp
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3, 7])
-@pytest.mark.parametrize("batch", [1, 4, 7])
-def test_batched_onset_search_takes_the_sequential_steps(monkeypatch, levels, batch):
-    # pure Python: monotone threshold predicates, no closed form
-    monkeypatch.setattr(perturbation, "_ONSET_BISECT_LEVELS", levels)
-    monkeypatch.setattr(perturbation, "_ONSET_LADDER_BATCH", batch)
-    rng = np.random.default_rng(28)
-    eps = 0.05
-    thresholds = list(eps * np.exp(rng.uniform(-12.0, 12.0, 40)))
-    # thresholds exactly on drives the sequential search probes: ladder
-    # steps and bisection midpoints, with the predicate true at the
-    # threshold (>=) and false there (>)
-    _, probed = sequential_bracket(lambda e: e >= 0.7 * eps, eps)
-    thresholds += probed[:3] + probed[-45:]
-    for t in thresholds:
-        for found in (lambda e: e >= t, lambda e: e > t):
-            want, _ = sequential_bracket(found, eps)
-            bracket, _ = perturbation._ladder_bracket(batched(found), eps, 0.01)
-            assert perturbation._bisect(batched(found), *bracket) == want
+@pytest.mark.parametrize("chi", [0.05, 1.0, 2.0])
+def test_onset_prefactor_of_the_one_photon_line(chi):
+    # the cubic drive series near delta = -chi, with x = delta + chi:
+    # <a> ~ eps / chi + eps x / chi^2 - 4 eps^3 / (chi^2 (2x - i gamma)),
+    # so d|<a>|/dx at x = 0 is (eps / chi^2)(1 - 8 eps^2 / gamma^2) and the
+    # line turns over at eps = gamma / sqrt(8), up to O(gamma^2)
+    [(gamma, onset)] = onset_scan(1, (0.001 * chi,), chi)
+    assert abs(onset / gamma - 1.0 / math.sqrt(8.0)) <= 1e-6
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3, 7])
-def test_batched_bisection_takes_the_sequential_steps(monkeypatch, levels):
-    monkeypatch.setattr(perturbation, "_ONSET_BISECT_LEVELS", levels)
-    rng = np.random.default_rng(28)
-    lo, hi = 0.8, 1.0
-    inside = list(np.exp(rng.uniform(math.log(lo), math.log(hi), 20)))
-    mids = [math.sqrt(lo * hi), math.sqrt(lo * math.sqrt(lo * hi))]
-    # the threshold at random points, on a midpoint, at lo and at hi
-    for t in inside + mids + [lo, hi]:
-        for found in (lambda e: e >= t, lambda e: e > t):
-            want = (lo, hi)
-            for _ in range(40):
-                mid_e = math.sqrt(want[0] * want[1])
-                want = (want[0], mid_e) if found(mid_e) else (mid_e, want[1])
-            calls = []
+@pytest.mark.parametrize("n, gamma", [(7, 0.0084), (8, 0.02)])
+def test_onset_scan_solves_lines_that_first_turn_over_off_centre(n, gamma):
+    # besides the central cusp these lines turn over 2.2 gamma from the
+    # centre, which a 961-sample grid sees at a lower drive than the centre
+    [(_, onset)] = onset_scan(n, (gamma,))
+    assert_just_below_the_grid_onset(n, gamma, 1.0, onset)
 
-            def counted(drives, found=found):
-                calls.append(len(drives))
-                return batched(found)(drives)
 
-            assert perturbation._bisect(counted, lo, hi) == want
-            assert len(calls) == math.ceil(40 / levels)
-            assert calls[0] == 2**levels - 1
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_onset_scan_solves_each_gamma_on_its_own(n):
+    # one closed-form call per step serves every gamma, and a cell's
+    # derivatives do not depend on the cells beside it, so a scan is its
+    # single-gamma scans bit for bit
+    gammas = (0.003, 0.01, 0.03)
+    assert onset_scan(n, gammas) == [onset_scan(n, (g,))[0] for g in gammas]
+
+
+def recording_slopes(monkeypatch, rows):
+    """Replace _slope_derivatives by one that returns ``rows`` for every cell; record the drives."""
+    drives = []
+
+    def fake(cells):
+        drives.extend(cells[:, 2])
+        derivs = np.repeat(np.array(rows, dtype=float)[:, None], len(cells), axis=1)
+        return derivs, np.zeros(len(cells), dtype=bool)
+
+    monkeypatch.setattr(perturbation, "_slope_derivatives", fake)
+    return drives
 
 
 def test_onset_scan_raises_when_no_drive_brackets_the_line(monkeypatch):
-    monkeypatch.setattr(perturbation, "_slope_flips", lambda g, x, e, deltas, mask: (e > 0)[None])
-    with pytest.raises(perturbation.OnsetError, match="no drive below the line onset"):
-        onset_scan(1, (0.01,))
-    monkeypatch.setattr(perturbation, "_slope_flips", lambda g, x, e, deltas, mask: (e < 0)[None])
-    with pytest.raises(perturbation.OnsetError, match="no onset found up to epsilon="):
+    # u < 0 everywhere from the first drive, but flat: every Newton step
+    # divides by a zero determinant and none converges
+    recording_slopes(monkeypatch, [-1.0, 0.0, 0.0, -1.0, 0.0])
+    with pytest.raises(perturbation.OnsetError, match="no cusp of the n=1 line converged"):
         onset_scan(1, (0.01,))
 
 
 def test_onset_ladder_stops_at_the_drive_cap(monkeypatch):
     # a line that never turns over: the ladder steps up to the cap, where
-    # the 0F2 series still sum in double, and raises there instead of
-    # stepping on to 1.25^120 times its first drive
+    # the 0F2 series still sum in double, and raises there
     chi = 0.5
-    probed = []
-
-    def never(g, x, epsilons, deltas, mask):
-        probed.extend(epsilons)
-        return np.zeros((len(deltas) - 2, len(epsilons)), dtype=bool)
-
-    monkeypatch.setattr(perturbation, "_slope_flips", never)
+    probed = recording_slopes(monkeypatch, [1.0, 0.0, 0.0, 0.0, 0.0])
     cap = perturbation._ONSET_MAX_DRIVE * chi
     with pytest.raises(perturbation.OnsetError, match=re.escape(f"drive cap epsilon={cap:g}")):
         onset_scan(1, (0.01,), chi)
     assert cap / 1.25 < max(probed) <= cap
+
+
+def test_onset_scan_raises_on_a_cell_that_escalates(monkeypatch):
+    # every cell's partial sums peak above CANCEL_RATIO times its value
+    monkeypatch.setattr(closedform, "CANCEL_RATIO", 0.5)
+    with pytest.raises(perturbation.OnsetError, match=r"the closed form at delta=-1\.12, epsilon="):
+        onset_scan(1, (0.01,))
 
 
 def test_onset_validation():
@@ -865,7 +757,7 @@ def no_probe(monkeypatch):
     def probe(*args):
         raise AssertionError("onset_scan probed the line")
 
-    monkeypatch.setattr(perturbation, "dw_response_grid", probe)
+    monkeypatch.setattr(perturbation, "_slope_derivatives", probe)
 
 
 @pytest.mark.parametrize(
@@ -896,16 +788,14 @@ def test_onset_scan_rejects_damping_near_the_neighbouring_lines_before_probing(
 
 
 @pytest.mark.parametrize("chi", [0.05, 1.0, 2.0])
-def test_onset_scan_brackets_every_line_at_the_damping_limit(monkeypatch, chi):
+def test_onset_scan_brackets_every_line_at_the_damping_limit(chi):
     # gamma = chi / 16: the +-12 gamma samples end chi / 4 short of the
-    # neighbouring lines, and no line up to n = 5 needs the full-grid rerun
+    # neighbouring lines, and every line up to n = 5 has its cusp just
+    # below the grid onset
     gamma = chi / 16
-    calls = recording_grid_calls(monkeypatch)
     for n in range(1, 6):
-        calls.clear()
         [(_, onset)] = onset_scan(n, (gamma,), chi)
-        assert full_grid_drives(calls) == [2]
-        assert onset == full_grid_onset(n, gamma, chi)
+        assert_just_below_the_grid_onset(n, gamma, chi, onset)
 
 
 @pytest.mark.parametrize("n", [1.5, "1", 2.0, True, None])

@@ -136,6 +136,23 @@ def test_boundary_validation():
         bifurcation_boundary(0.0, 0.1, [-1.0])
 
 
+@pytest.mark.parametrize(
+    "chi, gamma, deltas",
+    [
+        (math.nan, 1.0, [-5.0]),
+        (math.inf, 1.0, [-5.0]),
+        (1.0, math.nan, [-5.0]),
+        (1.0, math.inf, [-5.0]),
+        (1.0, 1.0, [-5.0, math.nan]),
+        (1.0, 1.0, [-math.inf]),
+    ],
+)
+def test_boundary_rejects_non_finite_arguments(chi, gamma, deltas):
+    # a NaN chi or gamma passed the chi <= 0 or gamma <= 0 check and gave NaN folds
+    with pytest.raises(ValueError, match="finite"):
+        bifurcation_boundary(chi, gamma, deltas)
+
+
 # The scalar cubic and branch construction that classical_steady_states ran
 # one cell at a time before the batched kernel, kept verbatim as the oracle
 # of the batched kernel's bits.

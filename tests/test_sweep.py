@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 from dataclasses import replace
@@ -600,6 +601,15 @@ def check_onset_task(out_dir, gamma, chi, point):
     slopes = manifest["tasks"]["onset"]["summary"]["slopes"]
     assert slopes == {str(n): onset_slope(onset_scan(n, gammas, chi)) for n in (1, 2)}
     assert abs(slopes["1"] - 1.0) < 0.1 and abs(slopes["2"] - 0.5) < 0.1
+    # the prefactors c_n = epsilon_onset / (chi^(1 - 1/n) gamma^(1/n)); the
+    # drive series gives c_1 = 1 / sqrt(8) as gamma / chi -> 0
+    summary = manifest["tasks"]["onset"]["summary"]
+    assert summary["series_prefactors"] == {"1": 1.0 / math.sqrt(8.0)}
+    assert summary["prefactors"] == {
+        str(n): [e / (chi ** (1.0 - 1.0 / n) * g ** (1.0 / n)) for g, e in onset_scan(n, gammas, chi)]
+        for n in (1, 2)
+    }
+    assert all(abs(c - 1.0 / math.sqrt(8.0)) < 1e-4 for c in summary["prefactors"]["1"])
     rows = np.loadtxt(os.path.join(out_dir, "onset.csv"), delimiter=",", skiprows=1)
     assert rows[:, 1].tolist() == list(gammas) * 2
     line = open(os.path.join(out_dir, "onset.csv")).readline().strip()
