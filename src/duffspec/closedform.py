@@ -289,47 +289,83 @@ def _slope_derivatives(cells):
     (1980)).  With p2 = dp1/d delta and p3 = dp2/d delta its derivatives
     are t_k p1, t_k (p1^2 + p2) and t_k (p1^3 + 3 p1 p2 + p3), and
     d t_k / d epsilon = 2 k t_k / epsilon.  A cell stops by hyp0f2_series'
-    rule on its value terms, whatever cells sit beside it.
+    rule on its value terms, whatever cells sit beside it.  Every term
+    step is taken in place, in one set of buffers allocated per call, by
+    the operations of its expression in their order.  No complex product
+    or quotient writes over one of its operands: on a one-element array
+    numpy forms such a product without the fused multiply-add, so a
+    cell's bits could depend on the table's length.
     """
-    d, chi, e, g = np.asarray(cells, dtype=float).T
+    d, chi, e, g = np.asarray(cells, dtype=float).reshape(-1, 4).T
     m = d.size
-    # the numerator series of every cell, then the denominator series
-    b1 = np.concatenate(((d + chi - 0.5j * g) / chi, (d - 0.5j * g) / chi))
-    b2 = np.tile((d + 0.5j * g) / chi, 2)
+    if not m:
+        return np.zeros((5, 0)), np.zeros(0, dtype=bool)
+    # the numerator series of every cell, then the denominator series;
+    # b[0] and b[1] are their lower parameters b1 and b2
+    b = np.stack(
+        (
+            np.concatenate(((d + chi - 0.5j * g) / chi, (d - 0.5j * g) / chi)),
+            np.tile((d + 0.5j * g) / chi, 2),
+        )
+    )
     z = np.tile(2.0 * e * e / (chi * chi), 2)
-    kmax = -min(b1.real.min(), b2.real.min())
-    term, p1, p2, p3 = np.zeros((4, 2 * m), dtype=complex)
-    term += 1.0
-    # sums of the terms and their three delta-derivatives (times chi^j),
-    # then of k times the first three; a cell's are copied to out when it
-    # stops
+    kmax = -b.real.min()
+    # the weights of a term in the four delta-sums (times chi^j): 1, p1,
+    # w2 = p1^2 + p2 and w3 = p1 (w2 + 2 p2) + p3
+    basis = np.zeros((4, 2 * m), dtype=complex)
+    basis[0] = 1.0
+    p1, w2, w3 = basis[1:]
+    term = np.ones(2 * m, dtype=complex)
+    p2, p3, x1, x2, x3 = np.zeros((5, 2 * m), dtype=complex)
+    shift, r, r2, r3 = np.empty((4, 2, 2 * m), dtype=complex)
+    weighted = np.empty((4, 2 * m), dtype=complex)
+    counted = np.empty((3, 2 * m), dtype=complex)
+    # sums of the terms and their three delta-derivatives, then of k times
+    # the first three; a cell's are copied to out when it stops
     sums = np.zeros((7, 2 * m), dtype=complex)
     sums[0] = 1.0
     out = sums.copy()
-    peak, prev_mag, ratio = np.ones((3, 2 * m))
+    peak, prev_mag, ratio, amag = np.ones((4, 2 * m))
+    mag, tol = np.empty((2, 2 * m))
     terms, decreasing = np.zeros((2, 2 * m), dtype=np.int64)
     alive = np.ones(2 * m, dtype=bool)
+    done, falling = np.empty((2, 2 * m), dtype=bool)
     k = 0
     while alive.any() and k < SERIES_MAX_TERMS:
-        r1, r2 = 1.0 / (b1 + k), 1.0 / (b2 + k)
-        term = term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
-        p1 = p1 - (r1 + r2)
-        p2 = p2 + (r1 * r1 + r2 * r2)
-        p3 = p3 - 2.0 * (r1 * r1 * r1 + r2 * r2 * r2)
-        w2 = p1 * p1 + p2
-        weighted = term * np.stack((np.ones_like(p1), p1, w2, p1 * (w2 + 2.0 * p2) + p3))
+        # the operations of r = 1.0 / (b + k), term * z / ((k + 1.0) *
+        # (b1 + k) * (b2 + k)), p1 - (r1 + r2), p2 + (r1 * r1 + r2 * r2)
+        # and p3 - 2.0 * (r1 * r1 * r1 + r2 * r2 * r2), in their order
+        np.add(b, k, out=shift)
+        np.divide(1.0, shift, out=r)
+        np.multiply(term, z, out=x1)
+        np.multiply(k + 1.0, shift[0], out=x2)
+        np.multiply(x2, shift[1], out=x3)
+        np.divide(x1, x3, out=term)
+        p1 -= np.add(*r, out=x1)
+        p2 += np.add(*np.multiply(r, r, out=r2), out=x1)
+        p3 -= np.multiply(2.0, np.add(*np.multiply(r2, r, out=r3), out=x1), out=x2)
+        np.multiply(p1, p1, out=w2)
+        w2 += p2
+        np.multiply(p1, np.add(w2, np.multiply(2.0, p2, out=x1), out=x2), out=w3)
+        w3 += p3
+        np.multiply(term, basis, out=weighted)
         sums[:4] += weighted
-        sums[4:] += (k + 1.0) * weighted[:3]
-        mag, amag = np.abs(term), np.abs(sums[0])
-        peak = np.maximum(peak, amag)
-        decreasing = (decreasing + 1) * (mag <= prev_mag)
-        prev_mag = mag
+        sums[4:] += np.multiply(k + 1.0, weighted[:3], out=counted)
+        np.abs(term, out=mag)
+        np.abs(sums[0], out=amag)
+        np.maximum(peak, amag, out=peak)
+        decreasing += 1
+        decreasing *= np.less_equal(mag, prev_mag, out=falling)
         k += 1
-        done = alive & (mag <= SERIES_RTOL * amag) & (decreasing >= 3)
-        if k <= kmax:
-            done &= (b1.real + k > 0) & (b2.real + k > 0)
-        out[:, done], ratio[done], terms[done] = sums[:, done], peak[done] / amag[done], k
-        alive &= ~done
+        np.less_equal(mag, np.multiply(SERIES_RTOL, amag, out=tol), out=done)
+        done &= np.greater_equal(decreasing, 3, out=falling)
+        done &= alive
+        if done.any():
+            if k <= kmax:
+                done[done] = (b.real[:, done] + k > 0).all(axis=0)
+            out[:, done], ratio[done], terms[done] = sums[:, done], peak[done] / amag[done], k
+            alive ^= done
+        mag, prev_mag = prev_mag, mag
     out[:, alive], ratio[alive], terms[alive] = sums[:, alive], peak[alive] / amag[alive], k
     escalates = _escalates(ratio, terms)
     # each series' l_j = chi^j d^j log F / d delta^j from f_j = chi^j F^(j) / F,

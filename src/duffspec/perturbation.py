@@ -46,6 +46,11 @@ _FANO_RESIDUAL_FRAC = 0.05
 # epsilon^2 / chi^2 that is epsilon <= 2000 chi.  At 2500 chi (3 |z|^(1/3)
 # = 696) the terms overflow, and every cell runs to SERIES_MAX_TERMS.
 _ONSET_MAX_DRIVE = 2000.0
+# Rungs of the onset ladder per closed-form call.  A rate's rungs past its
+# first turned one are summed for nothing, but a call per rung costs more:
+# one lineshape benchmark pass makes 19 calls on 5160 cells with four
+# rungs a call, and 35 calls on 4245 cells with one.
+_ONSET_RUNGS = 4
 
 
 class FanoFitError(RuntimeError):
@@ -458,6 +463,16 @@ def fano_fit(deltas, magnitudes):
     )
 
 
+def _raise_escalated(cells, escalates):
+    """Raise OnsetError naming the first cell of a (..., 4) table flagged in ``escalates``."""
+    if escalates.any():
+        d, x, e, g = cells[escalates][0].tolist()
+        raise OnsetError(
+            f"the closed form at delta={d!r}, epsilon={e!r}, gamma={g!r}, chi={x!r} needs "
+            "50 digits, and the onset is solved in double only"
+        )
+
+
 def _onset_slopes(delta, chi, epsilon, gamma):
     """Rows u, du/d delta, d^2u/d delta^2, du/d epsilon, d^2u/d epsilon d delta of u = d/d delta log|<a>|^2.
 
@@ -466,13 +481,14 @@ def _onset_slopes(delta, chi, epsilon, gamma):
     """
     cells = np.stack(np.broadcast_arrays(delta, chi, epsilon, gamma), axis=-1)
     derivs, escalates = _slope_derivatives(cells.reshape(-1, 4))
-    if escalates.any():
-        d, x, e, g = cells.reshape(-1, 4)[np.argmax(escalates)].tolist()
-        raise OnsetError(
-            f"the closed form at delta={d!r}, epsilon={e!r}, gamma={g!r}, chi={x!r} needs "
-            "50 digits, and the onset is solved in double only"
-        )
+    _raise_escalated(cells, escalates.reshape(cells.shape[:-1]))
     return derivs.reshape((5,) + cells.shape[:-1])
+
+
+def _check_rate(name, value):
+    """Raise ValueError unless ``value`` is a real number and not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"onset scan requires a real {name}, got {name}={value!r}")
 
 
 def onset_scan(n, gammas, chi=1.0):
@@ -483,28 +499,38 @@ def onset_scan(n, gammas, chi=1.0):
     drive, u and du/d delta vanish together at the minimum of u.  For
     each damping rate a x1.25 drive ladder from 0.05 chi^(1 - 1/n)
     gamma^(1/n) samples u at 61 detunings 0.4 gamma apart over
-    -n chi +- 12 gamma, one closed-form call per step for all rates,
-    until u is negative within 10 gamma of the line.  From every negative
-    local minimum of u at that drive a Newton iteration solves
-    u = du/d delta = 0 in (delta, epsilon), with the derivatives of
-    _slope_derivatives; the onset is the smallest drive it converges to.
-    Returns a list of (gamma, epsilon_onset).
+    -n chi +- 12 gamma until u is negative within 10 gamma of the line.
+    One closed-form call takes four rungs (_ONSET_RUNGS) of every rate
+    left, none above the drive cap, and drops a rate's rungs past its
+    first turned one.  Each rung is the same repeated x1.25 product and a
+    cell does not depend on the cells beside it, so the seeds, and with
+    them the onsets, are the one-rung ladder's bit for bit.  From every
+    negative local minimum of u at a rate's first turned rung a Newton
+    iteration solves u = du/d delta = 0 in (delta, epsilon), with the
+    derivatives of _slope_derivatives; the onset is the smallest drive
+    it converges to.  Returns a list of (gamma, epsilon_onset), empty for
+    no rates.
 
-    Requires a finite chi > 0 and 0 < gamma <= chi / 16, so the +-12 gamma
-    samples end at least chi / 4 short of the neighbouring lines at
-    -(n +- 1) chi.  Raises OnsetError when a line has not turned over by
-    _ONSET_MAX_DRIVE * chi, when no Newton iteration converges, and at a
-    cell whose series would need 50 digits.
+    Requires a real, finite chi > 0 and real 0 < gamma <= chi / 16, so
+    the +-12 gamma samples end at least chi / 4 short of the neighbouring
+    lines at -(n +- 1) chi.  Raises OnsetError when a line has not turned
+    over by _ONSET_MAX_DRIVE * chi, when no Newton iteration converges,
+    and at a cell whose series would need 50 digits, among the cells the
+    one-rung ladder would sum: a rate's rungs up to its first turned one.
     """
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"line index n must be an integer >= 1, got n={n!r}")
     n = int(n)
+    _check_rate("chi", chi)
     if not (math.isfinite(chi) and chi > 0):
         raise ValueError(f"onset scan requires a finite chi > 0, got chi={chi}")
     gammas = list(gammas)
     for gamma in gammas:
+        _check_rate("gamma", gamma)
         if not (0 < gamma <= chi / 16):
             raise ValueError(f"onset scan requires 0 < gamma <= chi / 16, got gamma={gamma}")
+    if not gammas:
+        return []
     rates = np.array(gammas, dtype=float)
     offsets = np.arange(-30, 31) / 2.5  # in units of gamma
     inside = np.abs(offsets) <= 10.0
@@ -517,16 +543,29 @@ def onset_scan(n, gammas, chi=1.0):
                 f"no onset found up to the drive cap epsilon={cap:g} at "
                 f"gamma={rates[todo][eps[todo] > cap][0]}"
             )
+        rungs = [eps[todo]]
+        while len(rungs) < _ONSET_RUNGS and (rungs[-1] * 1.25).max() <= cap:
+            rungs.append(rungs[-1] * 1.25)
+        rungs = np.array(rungs)
         deltas = -n * chi + offsets * rates[todo, None]
-        u = _onset_slopes(deltas, chi, eps[todo, None], rates[todo, None])[0]
-        turned = (u[:, inside] < 0.0).any(axis=1)
-        mid = u[:, 1:-1]
-        rows, cols = np.nonzero(
-            (mid < 0.0) & (mid <= u[:, :-2]) & (mid <= u[:, 2:]) & turned[:, None]
+        cells = np.stack(
+            np.broadcast_arrays(deltas, chi, rungs[:, :, None], rates[todo, None]), axis=-1
         )
-        seeds.append((todo[rows], deltas[rows, cols + 1], eps[todo[rows]]))
-        todo = todo[~turned]
-        eps[todo] *= 1.25
+        derivs, escalates = _slope_derivatives(cells.reshape(-1, 4))
+        u = derivs[0].reshape(cells.shape[:-1])
+        turned = (u[:, :, inside] < 0.0).any(axis=2)
+        # the rungs the one-rung ladder sums: up to each rate's first turned one
+        summed = np.cumsum(turned, axis=0) - turned == 0
+        _raise_escalated(cells, escalates.reshape(u.shape) & summed[:, :, None])
+        first = summed & turned
+        mid = u[:, :, 1:-1]
+        steps, rows, cols = np.nonzero(
+            (mid < 0.0) & (mid <= u[:, :, :-2]) & (mid <= u[:, :, 2:]) & first[:, :, None]
+        )
+        seeds.append((todo[rows], deltas[rows, cols + 1], rungs[steps, rows]))
+        left = ~turned.any(axis=0)
+        todo = todo[left]
+        eps[todo] = rungs[-1, left] * 1.25
     index, delta, drive = (np.concatenate(s) for s in zip(*seeds))
     converged = np.zeros(index.size, dtype=bool)
     live = np.arange(index.size)

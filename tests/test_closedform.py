@@ -508,20 +508,20 @@ def mp_slope_derivatives(delta, chi, epsilon, gamma, dps=40):
         return [float(mpmath.diff(log_abs2, at, o)) for o in orders]
 
 
-@pytest.mark.parametrize(
-    "cell",
-    [
-        # (delta, chi, epsilon, gamma): point C and a cell on its line, the
-        # Fano line, cells next to the n = 1, 2, 3 lines, and a small chi
-        (-5.2, 1.0, 3.2, 2.0),
-        (-6.2, 1.0, 3.2, 2.0),
-        (-1.0, 1.0, 0.012, 0.01),
-        (-1.003, 1.0, 0.0035, 0.01),
-        (-2.001, 1.0, 0.06, 0.01),
-        (-3.002, 1.0, 0.2, 0.01),
-        (-0.1, 0.05, 0.02, 0.003),
-    ],
-)
+# (delta, chi, epsilon, gamma): point C and a cell on its line, the Fano
+# line, cells next to the n = 1, 2, 3 lines, and a small chi
+_SLOPE_CELLS = [
+    (-5.2, 1.0, 3.2, 2.0),
+    (-6.2, 1.0, 3.2, 2.0),
+    (-1.0, 1.0, 0.012, 0.01),
+    (-1.003, 1.0, 0.0035, 0.01),
+    (-2.001, 1.0, 0.06, 0.01),
+    (-3.002, 1.0, 0.2, 0.01),
+    (-0.1, 0.05, 0.02, 0.003),
+]
+
+
+@pytest.mark.parametrize("cell", _SLOPE_CELLS)
 def test_slope_derivatives_match_mpmath(cell):
     # within 1e-14 relative today (9.8e-15 at worst, point C's d^2u/d delta^2)
     derivs, escalates = closedform._slope_derivatives(np.array([cell]))
@@ -546,3 +546,121 @@ def test_slope_derivatives_flag_a_cell_that_escalates():
     delta, epsilon, gamma = _ESCALATING_CELL
     cells = np.array([[delta, 1.0, epsilon, gamma], [-9.5, 1.0, 3.0, gamma]])
     assert closedform._slope_derivatives(cells)[1].tolist() == [True, False]
+
+
+# _slope_derivatives as it stood before its term steps were taken in
+# place: fresh arrays at every term.  It is the oracle of the in-place
+# loop's bits.
+def _oracle_slope_derivatives(cells):
+    d, chi, e, g = np.asarray(cells, dtype=float).T
+    m = d.size
+    # the numerator series of every cell, then the denominator series
+    b1 = np.concatenate(((d + chi - 0.5j * g) / chi, (d - 0.5j * g) / chi))
+    b2 = np.tile((d + 0.5j * g) / chi, 2)
+    z = np.tile(2.0 * e * e / (chi * chi), 2)
+    kmax = -min(b1.real.min(), b2.real.min())
+    term, p1, p2, p3 = np.zeros((4, 2 * m), dtype=complex)
+    term += 1.0
+    # sums of the terms and their three delta-derivatives (times chi^j),
+    # then of k times the first three; a cell's are copied to out when it
+    # stops
+    sums = np.zeros((7, 2 * m), dtype=complex)
+    sums[0] = 1.0
+    out = sums.copy()
+    peak, prev_mag, ratio = np.ones((3, 2 * m))
+    terms, decreasing = np.zeros((2, 2 * m), dtype=np.int64)
+    alive = np.ones(2 * m, dtype=bool)
+    k = 0
+    while alive.any() and k < closedform.SERIES_MAX_TERMS:
+        r1, r2 = 1.0 / (b1 + k), 1.0 / (b2 + k)
+        term = term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
+        p1 = p1 - (r1 + r2)
+        p2 = p2 + (r1 * r1 + r2 * r2)
+        p3 = p3 - 2.0 * (r1 * r1 * r1 + r2 * r2 * r2)
+        w2 = p1 * p1 + p2
+        weighted = term * np.stack((np.ones_like(p1), p1, w2, p1 * (w2 + 2.0 * p2) + p3))
+        sums[:4] += weighted
+        sums[4:] += (k + 1.0) * weighted[:3]
+        mag, amag = np.abs(term), np.abs(sums[0])
+        peak = np.maximum(peak, amag)
+        decreasing = (decreasing + 1) * (mag <= prev_mag)
+        prev_mag = mag
+        k += 1
+        done = alive & (mag <= closedform.SERIES_RTOL * amag) & (decreasing >= 3)
+        if k <= kmax:
+            done &= (b1.real + k > 0) & (b2.real + k > 0)
+        out[:, done], ratio[done], terms[done] = sums[:, done], peak[done] / amag[done], k
+        alive &= ~done
+    out[:, alive], ratio[alive], terms[alive] = sums[:, alive], peak[alive] / amag[alive], k
+    escalates = closedform._escalates(ratio, terms)
+    # each series' l_j = chi^j d^j log F / d delta^j from f_j = chi^j F^(j) / F,
+    # and el_j = (epsilon / 2) d l_j / d epsilon from e_j = sum k t_k^(j) / F
+    f1, f2, f3, e0, e1, e2 = out[1:] / out[0]
+    l2 = f2 - f1 * f1
+    l3 = f3 - 3.0 * f1 * f2 + 2.0 * f1 * f1 * f1
+    el1 = e1 - f1 * e0
+    el2 = e2 - f2 * e0 - 2.0 * f1 * el1
+    n1, n2, n3, ne1, ne2 = ((x[:m] - x[m:]).real for x in (f1, l2, l3, el1, el2))
+    c = 1.0 / (d - 0.5j * g)  # |<a>| = epsilon |c| |num / den|
+    rows = np.array(
+        [
+            2.0 * n1 / chi - 2.0 * c.real,
+            2.0 * n2 / chi**2 + 2.0 * (c * c).real,
+            2.0 * n3 / chi**3 - 4.0 * (c * c * c).real,
+            4.0 * ne1 / (chi * e),
+            4.0 * ne2 / (chi**2 * e),
+        ]
+    )
+    return rows, escalates[:m] | escalates[m:]
+
+
+def _onset_ladder_cells(rates, rungs):
+    """The (delta, chi, epsilon, gamma) table of an n = 1 onset ladder call at chi = 1, at rungs ``rungs``.
+
+    Each rate's rung j is 0.05 gamma times 1.25 j times over, at 61
+    detunings 0.4 gamma apart; the line turns over at rung 9.
+    """
+    rates = np.asarray(rates)
+    drives = [0.05 * rates]
+    while len(drives) <= max(rungs):
+        drives.append(drives[-1] * 1.25)
+    deltas = -1.0 + np.arange(-30, 31) / 2.5 * rates[:, None]
+    cells = np.broadcast_arrays(deltas, 1.0, np.array(drives)[rungs, :, None], rates[:, None])
+    return np.stack(cells, axis=-1).reshape(-1, 4)
+
+
+def _seeded_slope_cells():
+    from seeded_cells import seeded_draw
+
+    return np.array(seeded_draw())
+
+
+_SLOPE_ORACLE_TABLES = {
+    "mpmath-cells": lambda: np.array(_SLOPE_CELLS),
+    "seeded-draw": _seeded_slope_cells,
+    "escalating": lambda: np.array([(_ESCALATING_CELL[0], 1.0) + _ESCALATING_CELL[1:], (-9.5, 1.0, 3.0, 1e-9)]),
+    # onset ladder calls: three cells at the line centre, one rung of
+    # three rates, and four rungs of three rates around the turnover
+    "ladder-3": lambda: _onset_ladder_cells([0.01], [9])[29:32],
+    "ladder-183": lambda: _onset_ladder_cells([0.003, 0.01, 0.03], [9]),
+    "ladder-732": lambda: _onset_ladder_cells([0.003, 0.01, 0.03], [8, 9, 10, 11]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SLOPE_ORACLE_TABLES))
+def test_slope_derivatives_equal_the_out_of_place_oracle(name):
+    # rows and escalation mask bit for bit, on the whole table and on each
+    # cell alone
+    cells = _SLOPE_ORACLE_TABLES[name]()
+    got, want = closedform._slope_derivatives(cells), _oracle_slope_derivatives(cells)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
+    for i in range(0, len(cells), max(1, len(cells) // 25)):
+        got, want = closedform._slope_derivatives(cells[i : i + 1]), _oracle_slope_derivatives(cells[i : i + 1])
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
+
+
+def test_slope_derivatives_of_no_cells():
+    # min() of the empty parameter arrays raised
+    rows, escalates = closedform._slope_derivatives(np.empty((0, 4)))
+    assert rows.shape == (5, 0) and rows.dtype == float
+    assert escalates.shape == (0,) and escalates.dtype == bool

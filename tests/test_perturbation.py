@@ -736,6 +736,88 @@ def test_onset_scan_raises_on_a_cell_that_escalates(monkeypatch):
         onset_scan(1, (0.01,))
 
 
+def test_onset_scan_of_no_rates_probes_nothing(no_probe):
+    # the seeds were concatenated from no ladder call and raised a
+    # ValueError from the unpacking
+    assert onset_scan(1, []) == []
+    assert onset_scan(3, (), chi=0.5) == []
+
+
+# the scans of the cusp, off-centre and damping-limit tests above
+_ONE_RUNG_SCANS = (
+    [(n, (0.003, 0.01, 0.03), chi) for chi in (0.5, 1.0, 2.0) for n in (1, 2, 3)]
+    + [(7, (0.0084,), 1.0), (8, (0.02,), 1.0)]
+    + [(n, (chi / 16,), chi) for chi in (0.05, 1.0, 2.0) for n in range(1, 6)]
+)
+
+
+def probing(monkeypatch, flagged=()):
+    """Record the drives _slope_derivatives is called on, and flag every cell at a ``flagged`` drive as escalating."""
+    probed = set()
+
+    def fake(cells):
+        probed.update(cells[:, 2].tolist())
+        derivs, escalates = _slope_derivatives(cells)
+        return derivs, escalates | np.isin(cells[:, 2], flagged)
+
+    monkeypatch.setattr(perturbation, "_slope_derivatives", fake)
+    return probed
+
+
+@pytest.mark.parametrize("n, gammas, chi", _ONE_RUNG_SCANS)
+def test_onset_scan_in_rung_chunks_is_the_one_rung_ladder(monkeypatch, n, gammas, chi):
+    # every rung is the same repeated x1.25 product and a cell's
+    # derivatives do not depend on the cells beside it, so the seeds, and
+    # with them the onsets, keep their bits
+    chunked_drives = probing(monkeypatch)
+    chunked = onset_scan(n, gammas, chi)
+    monkeypatch.setattr(perturbation, "_ONSET_RUNGS", 1)
+    one_rung_drives = probing(monkeypatch)
+    assert onset_scan(n, gammas, chi) == chunked
+    # the chunks probe every drive the one-rung ladder and its Newton
+    # iterations probe, and the rungs past a first turned one besides
+    assert one_rung_drives <= chunked_drives
+
+
+def first_turned_rung(monkeypatch, gamma):
+    """The one-rung ladder's drives for the n = 1 line at chi = 1, and the index of its first turned rung."""
+    ladder = [0.05 * gamma]
+    while len(ladder) < 40:
+        ladder.append(ladder[-1] * 1.25)
+    with monkeypatch.context() as patch:
+        patch.setattr(perturbation, "_ONSET_RUNGS", 1)
+        probed = probing(patch)
+        onset_scan(1, (gamma,))
+    return ladder, max(i for i, e in enumerate(ladder) if e in probed)
+
+
+def test_onset_scan_ignores_escalation_past_the_first_turned_rung(monkeypatch):
+    # the one-rung ladder stops at the rung where the line turns over; a
+    # chunk sums the rungs above it too, but their cells count for nothing
+    gamma = 0.01
+    want = onset_scan(1, (gamma,))
+    ladder, first = first_turned_rung(monkeypatch, gamma)
+    above = ladder[first + 1 :]
+    probed = probing(monkeypatch, above)
+    assert onset_scan(1, (gamma,)) == want
+    # the chunk summed flagged rungs, so raising on every escalating cell
+    # it summed would fail here
+    assert probed & set(above)
+
+
+@pytest.mark.parametrize("rungs", [1, 4])
+def test_onset_scan_raises_on_the_first_turned_rung_as_the_one_rung_ladder(monkeypatch, rungs):
+    # a cell flagged on the first turned rung is summed by both ladders:
+    # the first of them raises, by name, whatever the rungs per call
+    gamma = 0.01
+    ladder, first = first_turned_rung(monkeypatch, gamma)
+    probing(monkeypatch, ladder[first : first + 1])
+    monkeypatch.setattr(perturbation, "_ONSET_RUNGS", rungs)
+    match = re.escape(f"at delta={-1.0 - 12.0 * gamma!r}, epsilon={ladder[first]!r}, gamma={gamma!r}")
+    with pytest.raises(perturbation.OnsetError, match=match):
+        onset_scan(1, (gamma,))
+
+
 def test_onset_validation():
     with pytest.raises(ValueError):
         onset_scan(0, (0.01,))
@@ -768,6 +850,17 @@ def no_probe(monkeypatch):
         ((0.01,), math.nan, "chi=nan"),
         ((0.01,), math.inf, "chi=inf"),
         ((0.01,), 0.0, "chi=0.0"),
+        # a bool was read as 1, and a str, None or complex rate raised a
+        # bare TypeError from a comparison or math.isfinite
+        ((True,), 20.0, "gamma=True"),
+        ((np.True_,), 20.0, re.escape("gamma=np.True_")),
+        ((0.01,), True, "chi=True"),
+        (("0.01",), 1.0, "gamma='0.01'"),
+        ((0.01, None), 1.0, "gamma=None"),
+        ((0.01j,), 1.0, "gamma=0.01j"),
+        ((0.01,), "1", "chi='1'"),
+        ((0.01,), None, "chi=None"),
+        ((0.01,), 1 + 0j, re.escape("chi=(1+0j)")),
     ],
 )
 def test_onset_scan_rejects_non_finite_rates_before_probing(no_probe, gammas, chi, match):
