@@ -8,12 +8,15 @@ power series always converges; the practical hazards are parameter poles
 catastrophic cancellation at large |z|.  One rule escalates a cell to
 50-digit arithmetic: its partial sums peak more than CANCEL_RATIO above
 its final value, or its series reaches SERIES_MAX_TERMS terms (_escalates).
-The scalar dw_response is dw_response_grid on a one-cell grid.  Series are
-summed in blocks of cells, in place in one set of buffers per block; finished
-cells are masked out, and compacted away once a quarter of them are done.
+The scalar dw_response is dw_response_grid on a one-cell grid.  One loop
+(_series_block) sums every series, in blocks of cells, in place in one set of
+buffers per block; finished cells are masked out, and compacted away once a
+quarter of them are done.  On request it sums the terms' delta-derivatives
+beside them, for the onset's slopes (_slope_derivatives).
 """
 
 import cmath
+import numbers
 
 import numpy as np
 
@@ -63,7 +66,12 @@ def _store(out, idx, total, peak, mag, k):
     terms[idx] = k
 
 
-def _series_block(b1, b2, z, out):
+def _past_poles(re_b1, re_b2, k):
+    """The guard of hyp0f2_series' stop rule, per cell: k > max(-Re b1, -Re b2)."""
+    return (re_b1 + k > 0) & (re_b2 + k > 0)
+
+
+def _series_block(b1, b2, z, out, slopes=None):
     """hyp0f2_series on one block of flat arrays, written into the ``out`` views.
 
     Every live cell takes the same term step in place, in one set of
@@ -71,9 +79,16 @@ def _series_block(b1, b2, z, out):
     in their order, so each value and gauge keeps its bits.  A finished
     cell is stored at once and masked out of ``alive``; the live arrays
     are compacted once a quarter of them have finished.  The guard
-    k > max(-Re b1, -Re b2) (hyp0f2_series; k >= 1 here) is tested only
-    on the cells that meet the term rule, and only while k <= kmax, the
-    block's largest -Re b, past which it holds for every cell.
+    (_past_poles; k >= 1 here) is tested only on the cells that meet the
+    term rule, and only while k <= kmax, the block's largest -Re b, past
+    which it holds for every cell.
+
+    Given ``slopes``, a (6, n) complex array, each cell also carries
+    p1 = -sum_{i<k} [1/(b1+i) + 1/(b2+i)] and its delta-derivatives p2
+    and p3 (times chi^j; _slope_derivatives).  It sums its terms times
+    p1, w2 = p1^2 + p2 and w3 = p1 (w2 + 2 p2) + p3, then k times its
+    terms times 1, p1 and w2, and writes the six sums to ``slopes`` when
+    it stops.
     """
     n = b1.size
     live = np.arange(n)
@@ -85,6 +100,18 @@ def _series_block(b1, b2, z, out):
     shift, factor, den = np.empty((3, n), dtype=complex)
     mag, amag = np.empty((2, n))
     done, falling = np.empty((2, n), dtype=bool)
+    if slopes is not None:
+        # rows 1, p1, w2, w3, p2, p3; the first four weigh a term's sums
+        weights, sums = np.zeros((2, 6, n), dtype=complex)
+        weights[0] = 1.0
+        r, r2, r3 = np.empty((3, 2, n), dtype=complex)
+        weighted, counted = np.empty((4, n), dtype=complex), np.empty((3, n), dtype=complex)
+
+    def store(cells, mag):
+        _store(out, live[cells], total[cells], peak[cells], mag[cells], k)
+        if slopes is not None:
+            slopes[:, live[cells]] = sums.compress(cells, axis=1)
+
     finished = k = 0
     while finished < live.size and k < SERIES_MAX_TERMS:
         # no complex product or quotient writes over an operand: on a
@@ -95,6 +122,24 @@ def _series_block(b1, b2, z, out):
         np.multiply(factor, shift, out=den)
         np.multiply(term, z, out=shift)
         np.divide(shift, den, out=term)
+        if slopes is not None:
+            # the operations of r = 1.0 / (b + k), p1 - (r1 + r2),
+            # p2 + (r1 * r1 + r2 * r2) and p3 - 2.0 * (r1 * r1 * r1 +
+            # r2 * r2 * r2) in their order; shift and factor are free here
+            _, p1, w2, w3, p2, p3 = weights
+            np.add(b1, k, out=r2[0])
+            np.add(b2, k, out=r2[1])
+            np.divide(1.0, r2, out=r)
+            p1 -= np.add(*r, out=shift)
+            p2 += np.add(*np.multiply(r, r, out=r2), out=shift)
+            p3 -= np.multiply(2.0, np.add(*np.multiply(r2, r, out=r3), out=shift), out=factor)
+            np.multiply(p1, p1, out=w2)
+            w2 += p2
+            np.multiply(p1, np.add(w2, np.multiply(2.0, p2, out=shift), out=factor), out=w3)
+            w3 += p3
+            np.multiply(term, weights[:4], out=weighted)
+            sums[:3] += weighted[1:]
+            sums[3:] += np.multiply(k + 1.0, weighted[:3], out=counted)
         total += term
         np.abs(term, out=mag)
         np.abs(total, out=amag)
@@ -109,8 +154,8 @@ def _series_block(b1, b2, z, out):
         done &= alive
         if done.any():
             if k <= kmax:
-                done[done] = (b1.real[done] + k > 0) & (b2.real[done] + k > 0)
-            _store(out, live[done], total[done], peak[done], mag[done], k)
+                done[done] = _past_poles(b1.real[done], b2.real[done], k)
+            store(done, mag)
             alive ^= done
             finished += np.count_nonzero(done)
         mag, prev_mag = prev_mag, mag
@@ -121,9 +166,15 @@ def _series_block(b1, b2, z, out):
             shift, factor, den, mag, amag, done, falling = (
                 a[: live.size] for a in (shift, factor, den, mag, amag, done, falling)
             )
+            if slopes is not None:
+                # compress keeps the rows contiguous, where weights[:, alive]
+                # would not, and numpy's complex product on strided rows
+                # forgoes the fused multiply-add
+                weights, sums = weights.compress(alive, axis=1), sums.compress(alive, axis=1)
+                r, r2, r3, weighted, counted = (a[:, : live.size] for a in (r, r2, r3, weighted, counted))
             alive, finished = np.ones(live.size, dtype=bool), 0
     if finished < live.size:  # cells still live here ran into the term cap
-        _store(out, live[alive], total[alive], peak[alive], prev_mag[alive], k)
+        store(alive, prev_mag)
 
 
 def hyp0f2_series(b1, b2, z):
@@ -235,6 +286,18 @@ def dw_response(params):
     return complex(values[0, 0])
 
 
+def _check_rate(name, value):
+    """Raise ValueError unless ``value`` is a real number and not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {name}={value!r}")
+
+
+def _ratio_series(d, e, gamma, chi):
+    """(b1, b2, z) of the response ratio's series, b1 the numerator's stacked over the denominator's."""
+    b1 = np.stack(((d + chi - 0.5j * gamma) / chi, (d - 0.5j * gamma) / chi))
+    return b1, (d + 0.5j * gamma) / chi, 2.0 * e * e / (chi * chi)
+
+
 def dw_response_grid(deltas, epsilons, gamma, chi):
     """Closed-form response on the outer grid deltas x epsilons.
 
@@ -244,11 +307,14 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
     escalates (_escalates) is re-evaluated whole with mpmath, so the
     output is deterministic for a given grid.  The rest is rounded as
     Python's complex arithmetic rounds it, so a cell is the formula on
-    hyper_0f2's values bit for bit.  A NaN or infinite argument, chi <= 0
-    or gamma <= 0 raises ValueError.
+    hyper_0f2's values bit for bit.  A NaN or infinite argument, a gamma
+    or chi that is not a real number (a bool is not), chi <= 0 or
+    gamma <= 0 raises ValueError.
     """
     deltas = np.asarray(deltas, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
+    _check_rate("gamma", gamma)
+    _check_rate("chi", chi)
     _require_finite(deltas=deltas, epsilons=epsilons, gamma=gamma, chi=chi)
     if chi <= 0:
         raise ValueError("closed-form response requires chi > 0")
@@ -256,11 +322,8 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
         raise ValueError("closed-form response requires gamma > 0")
     d = deltas[:, None]
     e = epsilons[None, :]
-    z = 2.0 * e * e / (chi * chi)
-    b_shared = (d + 0.5j * gamma) / chi
     # numerator and denominator series of every cell in one call
-    b_first = np.stack(((d + chi - 0.5j * gamma) / chi, (d - 0.5j * gamma) / chi))
-    sums, ratios, terms, tails = hyp0f2_series(b_first, b_shared, z)
+    sums, ratios, terms, tails = hyp0f2_series(*_ratio_series(d, e, gamma, chi))
     num, den = sums
     with np.errstate(divide="ignore", invalid="ignore"):
         # -(e / (d - i gamma/2)) * num / den, where -(e / c) is e / (-c) to
@@ -288,89 +351,24 @@ def _slope_derivatives(cells):
     1/(b2+i)] / chi (the ratio is Drummond and Walls', J. Phys. A 13, 725
     (1980)).  With p2 = dp1/d delta and p3 = dp2/d delta its derivatives
     are t_k p1, t_k (p1^2 + p2) and t_k (p1^3 + 3 p1 p2 + p3), and
-    d t_k / d epsilon = 2 k t_k / epsilon.  A cell stops by hyp0f2_series'
-    rule on its value terms, whatever cells sit beside it.  Every term
-    step is taken in place, in one set of buffers allocated per call, by
-    the operations of its expression in their order.  No complex product
-    or quotient writes over one of its operands: on a one-element array
-    numpy forms such a product without the fused multiply-add, so a
-    cell's bits could depend on the table's length.
+    d t_k / d epsilon = 2 k t_k / epsilon.  The value loop (_series_block)
+    sums these beside the terms, so a cell stops by hyp0f2_series' rule
+    on its value terms, whatever cells sit beside it, and is summed no
+    further.
     """
     d, chi, e, g = np.asarray(cells, dtype=float).reshape(-1, 4).T
     m = d.size
     if not m:
         return np.zeros((5, 0)), np.zeros(0, dtype=bool)
-    # the numerator series of every cell, then the denominator series;
-    # b[0] and b[1] are their lower parameters b1 and b2
-    b = np.stack(
-        (
-            np.concatenate(((d + chi - 0.5j * g) / chi, (d - 0.5j * g) / chi)),
-            np.tile((d + 0.5j * g) / chi, 2),
-        )
-    )
-    z = np.tile(2.0 * e * e / (chi * chi), 2)
-    kmax = -b.real.min()
-    # the weights of a term in the four delta-sums (times chi^j): 1, p1,
-    # w2 = p1^2 + p2 and w3 = p1 (w2 + 2 p2) + p3
-    basis = np.zeros((4, 2 * m), dtype=complex)
-    basis[0] = 1.0
-    p1, w2, w3 = basis[1:]
-    term = np.ones(2 * m, dtype=complex)
-    p2, p3, x1, x2, x3 = np.zeros((5, 2 * m), dtype=complex)
-    shift, r, r2, r3 = np.empty((4, 2, 2 * m), dtype=complex)
-    weighted = np.empty((4, 2 * m), dtype=complex)
-    counted = np.empty((3, 2 * m), dtype=complex)
-    # sums of the terms and their three delta-derivatives, then of k times
-    # the first three; a cell's are copied to out when it stops
-    sums = np.zeros((7, 2 * m), dtype=complex)
-    sums[0] = 1.0
-    out = sums.copy()
-    peak, prev_mag, ratio, amag = np.ones((4, 2 * m))
-    mag, tol = np.empty((2, 2 * m))
-    terms, decreasing = np.zeros((2, 2 * m), dtype=np.int64)
-    alive = np.ones(2 * m, dtype=bool)
-    done, falling = np.empty((2, 2 * m), dtype=bool)
-    k = 0
-    while alive.any() and k < SERIES_MAX_TERMS:
-        # the operations of r = 1.0 / (b + k), term * z / ((k + 1.0) *
-        # (b1 + k) * (b2 + k)), p1 - (r1 + r2), p2 + (r1 * r1 + r2 * r2)
-        # and p3 - 2.0 * (r1 * r1 * r1 + r2 * r2 * r2), in their order
-        np.add(b, k, out=shift)
-        np.divide(1.0, shift, out=r)
-        np.multiply(term, z, out=x1)
-        np.multiply(k + 1.0, shift[0], out=x2)
-        np.multiply(x2, shift[1], out=x3)
-        np.divide(x1, x3, out=term)
-        p1 -= np.add(*r, out=x1)
-        p2 += np.add(*np.multiply(r, r, out=r2), out=x1)
-        p3 -= np.multiply(2.0, np.add(*np.multiply(r2, r, out=r3), out=x1), out=x2)
-        np.multiply(p1, p1, out=w2)
-        w2 += p2
-        np.multiply(p1, np.add(w2, np.multiply(2.0, p2, out=x1), out=x2), out=w3)
-        w3 += p3
-        np.multiply(term, basis, out=weighted)
-        sums[:4] += weighted
-        sums[4:] += np.multiply(k + 1.0, weighted[:3], out=counted)
-        np.abs(term, out=mag)
-        np.abs(sums[0], out=amag)
-        np.maximum(peak, amag, out=peak)
-        decreasing += 1
-        decreasing *= np.less_equal(mag, prev_mag, out=falling)
-        k += 1
-        np.less_equal(mag, np.multiply(SERIES_RTOL, amag, out=tol), out=done)
-        done &= np.greater_equal(decreasing, 3, out=falling)
-        done &= alive
-        if done.any():
-            if k <= kmax:
-                done[done] = (b.real[:, done] + k > 0).all(axis=0)
-            out[:, done], ratio[done], terms[done] = sums[:, done], peak[done] / amag[done], k
-            alive ^= done
-        mag, prev_mag = prev_mag, mag
-    out[:, alive], ratio[alive], terms[alive] = sums[:, alive], peak[alive] / amag[alive], k
+    # the numerator series of every cell, then the denominator series
+    b1, b2, z = _ratio_series(d, e, g, chi)
+    value, ratio, terms, _ = out = tuple(np.empty(2 * m, dtype=t) for t in (complex, float, np.int64, float))
+    sums = np.empty((6, 2 * m), dtype=complex)
+    _series_block(b1.reshape(-1), np.concatenate((b2, b2)), np.concatenate((z, z), dtype=complex), out, sums)
     escalates = _escalates(ratio, terms)
     # each series' l_j = chi^j d^j log F / d delta^j from f_j = chi^j F^(j) / F,
     # and el_j = (epsilon / 2) d l_j / d epsilon from e_j = sum k t_k^(j) / F
-    f1, f2, f3, e0, e1, e2 = out[1:] / out[0]
+    f1, f2, f3, e0, e1, e2 = sums / value
     l2 = f2 - f1 * f1
     l3 = f3 - 3.0 * f1 * f2 + 2.0 * f1 * f1 * f1
     el1 = e1 - f1 * e0

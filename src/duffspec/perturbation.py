@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import _slope_derivatives
+from .closedform import _check_rate, _slope_derivatives
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
@@ -485,12 +485,6 @@ def _onset_slopes(delta, chi, epsilon, gamma):
     return derivs.reshape((5,) + cells.shape[:-1])
 
 
-def _check_rate(name, value):
-    """Raise ValueError unless ``value`` is a real number and not a bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"onset scan requires a real {name}, got {name}={value!r}")
-
-
 def onset_scan(n, gammas, chi=1.0):
     """Drive threshold where the n-th multiphoton line first turns over.
 
@@ -597,10 +591,15 @@ def onset_scan(n, gammas, chi=1.0):
 def onset_slope(pairs):
     """Log-log slope of epsilon_onset against gamma from onset_scan output.
 
-    Raises ValueError unless the pairs hold at least two distinct gammas.
+    Raises ValueError naming the first pair that is not finite and
+    positive, and unless the pairs hold at least two distinct gammas.
     """
+    pairs = list(pairs)
+    for gamma, epsilon in pairs:
+        if not (0.0 < gamma < math.inf and 0.0 < epsilon < math.inf):
+            raise ValueError(f"onset pairs must be finite and positive, got {(gamma, epsilon)!r}")
     if len({p[0] for p in pairs}) < 2:
-        raise ValueError(f"need pairs at two or more distinct gammas, got {list(pairs)}")
+        raise ValueError(f"need pairs at two or more distinct gammas, got {pairs}")
     gs = np.log([p[0] for p in pairs])
     es = np.log([p[1] for p in pairs])
     return float(np.polyfit(gs, es, 1)[0])

@@ -1,5 +1,7 @@
 """Closed-form steady-state response via the 0F2 hypergeometric series."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -467,6 +469,17 @@ def test_store_zero_sum_gauges_equal_the_series_oracle(monkeypatch):
     assert [a.tolist() for a in _oracle_hyp0f2_series(1.0, 1.0, -1.0)] == [0.0, np.inf, 1, np.inf]
 
 
+def test_seeded_closed_form_check_fails_without_the_pole_guard(monkeypatch):
+    # the guard against stopping a series before k > -Re b sits in one
+    # predicate; with it always passing, the seeded mpmath check must fail
+    # (23 of its cells, 2.37 relative at worst)
+    import test_oracle
+
+    monkeypatch.setattr(closedform, "_past_poles", lambda re_b1, re_b2, k: np.ones(re_b1.shape, dtype=bool))
+    with pytest.raises(AssertionError, match=r"^\d+ cells \(delta, chi, epsilon, gamma, rel. error\) off"):
+        test_oracle.test_seeded_closed_form_matches_mpmath()
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -484,6 +497,35 @@ def test_non_finite_closed_form_input_is_rejected(call, name):
     # each once returned a value, ran 20000 terms or raised an unrelated error
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call()
+
+
+@pytest.mark.parametrize(
+    "gamma, chi, match",
+    [
+        (True, 1.0, "gamma=True"),
+        (np.True_, 1.0, re.escape("gamma=np.True_")),
+        (0.1, True, "chi=True"),
+        (0.1j, 1.0, "gamma=0.1j"),
+        (0.1, 1 + 0j, re.escape("chi=(1+0j)")),
+        ("0.1", 1.0, "gamma='0.1'"),
+        (0.1, None, "chi=None"),
+    ],
+)
+def test_dw_response_grid_rejects_the_rates_the_onset_scan_rejects(monkeypatch, gamma, chi, match):
+    # a bool was read as 1, and a complex chi raised a bare TypeError from
+    # chi <= 0; both routes now share one check, made before any series
+    def summed(*args):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(closedform, "hyp0f2_series", summed)
+    with pytest.raises(ValueError, match=match):
+        dw_response_grid([-1.0], [0.1], gamma, chi)
+
+
+def test_dw_response_grid_takes_numpy_real_rates():
+    want = dw_response_grid([-1.0, 0.5], [0.1, 2.0], 0.1, 1.0)
+    got = dw_response_grid([-1.0, 0.5], [0.1, 2.0], np.float64(0.1), np.int64(1))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def mp_slope_derivatives(delta, chi, epsilon, gamma, dps=40):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -830,6 +831,22 @@ def test_onset_validation():
         onset_slope([(0.01, 0.1), (0.01, 0.2)])
     # numpy integers are line indices too
     assert onset_scan(np.int64(1), (0.01,)) == onset_scan(1, (0.01,))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0.03, math.nan), (0.03, math.inf), (0.03, 0.0), (0.03, -0.01), (0.0, 0.01), (-0.03, 0.01), (math.nan, 0.01)],
+)
+def test_onset_slope_names_the_first_bad_pair(capfd, bad):
+    # a NaN onset gave a NaN slope, epsilon <= 0 gave NaN after a
+    # RuntimeWarning, and gamma <= 0 made LAPACK print DLASCL before
+    # LinAlgError
+    pairs = [(0.003, 0.001), (0.01, 0.0035), bad, (-1.0, -1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            onset_slope(pairs)
+    assert "DLASCL" not in capfd.readouterr().err
 
 
 @pytest.fixture
