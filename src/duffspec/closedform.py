@@ -8,11 +8,14 @@ power series always converges; the practical hazards are parameter poles
 catastrophic cancellation at large |z|.  One rule escalates a cell to
 50-digit arithmetic: its partial sums peak more than CANCEL_RATIO above
 its final value, or its series reaches SERIES_MAX_TERMS terms (_escalates).
-The scalar dw_response is dw_response_grid on a one-cell grid.  One loop
-(_series_block) sums every series, in blocks of cells, in place in one set of
-buffers per block; finished cells are masked out, and compacted away once a
-quarter of them are done.  On request it sums the terms' delta-derivatives
-beside them, for the onset's slopes (_slope_derivatives).
+Cells enter one way, as (delta, chi, epsilon, gamma) columns that broadcast
+together: the grid (dw_response_grid) and its one-cell case (dw_response)
+are _response's cases, and the onset's slopes are _slope_derivatives'.
+Both sum through one driver (hyp0f2_series) and its one loop
+(_series_block), in blocks of cells, in place in one set of buffers per
+block; finished cells are masked out, and compacted away once a quarter
+of them are done.  On request the loop sums the terms' delta-derivatives
+beside them.
 """
 
 import cmath
@@ -72,7 +75,7 @@ def _past_poles(re_b1, re_b2, k):
 
 
 def _series_block(b1, b2, z, out, slopes=None):
-    """hyp0f2_series on one block of flat arrays, written into the ``out`` views.
+    """One block of flat arrays for hyp0f2_series, its only caller, written into the ``out`` views.
 
     Every live cell takes the same term step in place, in one set of
     buffers, by the operations of term * z / ((k + 1.0) * (b1 + k) * (b2 + k))
@@ -83,7 +86,7 @@ def _series_block(b1, b2, z, out, slopes=None):
     term rule, and only while k <= kmax, the block's largest -Re b, past
     which it holds for every cell.
 
-    Given ``slopes``, a (6, n) complex array, each cell also carries
+    Given ``slopes``, a (6, n) complex view, each cell also carries
     p1 = -sum_{i<k} [1/(b1+i) + 1/(b2+i)] and its delta-derivatives p2
     and p3 (times chi^j; _slope_derivatives).  It sums its terms times
     p1, w2 = p1^2 + p2 and w3 = p1 (w2 + 2 p2) + p3, then k times its
@@ -177,11 +180,11 @@ def _series_block(b1, b2, z, out, slopes=None):
         store(alive, prev_mag)
 
 
-def hyp0f2_series(b1, b2, z):
+def hyp0f2_series(b1, b2, z, slopes=False):
     """Power series for 0F2(; b1, b2; z) = sum_k z^k / (k! (b1)_k (b2)_k).
 
     Sums every cell of the broadcast arrays (b1, b2, z) at once, in
-    blocks of _SERIES_BLOCK cells.  Pochhammer factors accumulate
+    blocks of _SERIES_BLOCK cells (_series_block).  Pochhammer factors accumulate
     incrementally.  A cell stops after term k once its relative term
     magnitude is below SERIES_RTOL, its terms have decreased for three
     consecutive orders (no stop on a dip before the series peak at large
@@ -198,33 +201,30 @@ def hyp0f2_series(b1, b2, z):
       peak_ratio  max |partial sum| / |final sum|, the cancellation gauge
       terms       number of terms summed past the leading 1
       tail_rel    magnitude of the last term relative to the result
-    peak_ratio and tail_rel are inf where the sum is exactly zero.
+    peak_ratio and tail_rel are inf where the sum is exactly zero.  With
+    ``slopes``, a fifth array (6,) + shape holds _series_block's term sums.
     """
     b1, b2, z = np.broadcast_arrays(
         np.asarray(b1, dtype=complex), np.asarray(b2, dtype=complex), np.asarray(z, dtype=complex)
     )
     out = tuple(np.empty(b1.shape, dtype=t) for t in (complex, float, np.int64, float))
-    flat_out = [a.reshape(-1) for a in out]
+    out += (np.empty((6,) + b1.shape, dtype=complex),) if slopes else ()
+    flat_out = [a.reshape(-1) for a in out[:4]]
     # one contiguous copy of the (possibly broadcast) inputs; blocks are views
     b1, b2, z = (a.ravel() for a in (b1, b2, z))
     for start in range(0, b1.size, _SERIES_BLOCK):
         block = slice(start, start + _SERIES_BLOCK)
-        _series_block(b1[block], b2[block], z[block], [a[block] for a in flat_out])
+        sums = out[4].reshape(6, -1)[:, block] if slopes else None
+        _series_block(b1[block], b2[block], z[block], [a[block] for a in flat_out], sums)
     return out
 
 
 def hyper_0f2(b1, b2, z):
     """0F2(; b1, b2; z) for complex parameters and argument.
 
-    Evaluated by direct power series with incremental Pochhammer products
-    (hyp0f2_series).  The series stops after a term k > max(0, -Re b1,
-    -Re b2), past which every |b + k| grows and no term can resurge, once
-    three falling terms are below SERIES_RTOL of the sum.  It is
-    recomputed in 50 digits by the grid's rule (_escalates): when the
-    partial sums peak more than CANCEL_RATIO above the final magnitude, or
-    the series reaches SERIES_MAX_TERMS terms.  Raises ParameterPoleError
-    when b1 or b2 sits on a nonpositive integer, ValueError when an
-    argument is not finite.
+    hyp0f2_series' value, recomputed in 50 digits by the grid's rule
+    (_escalates).  Raises ParameterPoleError when b1 or b2 sits on a
+    nonpositive integer, ValueError when an argument is not finite.
     """
     _require_finite(b1=b1, b2=b2, z=z)
     b1 = _check_pole(b1)
@@ -292,24 +292,50 @@ def _check_rate(name, value):
         raise ValueError(f"{name} must be a real number, got {name}={value!r}")
 
 
-def _ratio_series(d, e, gamma, chi):
-    """(b1, b2, z) of the response ratio's series, b1 the numerator's stacked over the denominator's."""
-    b1 = np.stack(((d + chi - 0.5j * gamma) / chi, (d - 0.5j * gamma) / chi))
-    return b1, (d + 0.5j * gamma) / chi, 2.0 * e * e / (chi * chi)
+def _ratio_series(d, chi, e, g, slopes=False):
+    """hyp0f2_series of the response ratio's two series on broadcast (delta, chi, epsilon, gamma) columns.
+
+    Returns (value, tail, escalates[, sums]): value and sums stack the
+    numerator's series over the denominator's; tail and escalates (_escalates)
+    are the larger and either of the two.
+    """
+    # each on its own columns' shape: broadcasting the columns first cost the grids ~5 %
+    num, den, b2, z = np.broadcast_arrays(
+        (d + chi - 0.5j * g) / chi, (d - 0.5j * g) / chi, (d + 0.5j * g) / chi, 2.0 * e * e / (chi * chi)
+    )
+    value, ratio, terms, tail, *sums = hyp0f2_series(np.stack((num, den)), b2, z, slopes)
+    return value, np.maximum(*tail), np.logical_or(*_escalates(ratio, terms)), *sums
+
+
+def _response(d, chi, e, g):
+    """dw_response on broadcast (delta, chi, epsilon, gamma) columns, unchecked: (values, tails).
+
+    tails holds each cell's last series term relative to its sum, 0 where
+    either series escalates (_escalates) and mpmath redoes the cell whole.
+    The rest is rounded as Python's complex arithmetic rounds it, so a cell
+    is the formula on hyper_0f2's values bit for bit, whatever cells sit
+    beside it.
+    """
+    (num, den), tails, escalates = _ratio_series(d, chi, e, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # -(e / (d - i gamma/2)) * num / den, where -(e / c) is e / (-c) to
+        # the bit; numpy's complex product fuses a multiply-add on FMA CPUs
+        fr, fi = _quot(e, 0.0, -d, 0.5 * g)
+        qr, qi = fr * num.real - fi * num.imag, fr * num.imag + fi * num.real
+        vr, vi = _quot(qr, qi, den.real, den.imag)
+    values = np.empty(vr.shape, dtype=complex)
+    values.real, values.imag = vr, vi
+    for cell in map(tuple, np.argwhere(escalates)):
+        values[cell] = _dw_mpmath(*(float(np.broadcast_to(c, values.shape)[cell]) for c in (d, e, g, chi)))
+        tails[cell] = 0.0
+    return values, tails
 
 
 def dw_response_grid(deltas, epsilons, gamma, chi):
-    """Closed-form response on the outer grid deltas x epsilons.
+    """_response on the outer grid deltas x epsilons: (values, tails).
 
-    Returns (values, tails) where tails holds the relative magnitude of
-    the last series term per cell (0 for cells that were escalated to
-    extended precision).  A cell whose numerator or denominator series
-    escalates (_escalates) is re-evaluated whole with mpmath, so the
-    output is deterministic for a given grid.  The rest is rounded as
-    Python's complex arithmetic rounds it, so a cell is the formula on
-    hyper_0f2's values bit for bit.  A NaN or infinite argument, a gamma
-    or chi that is not a real number (a bool is not), chi <= 0 or
-    gamma <= 0 raises ValueError.
+    A NaN or infinite argument, a gamma or chi that is not a real number
+    (a bool is not), chi <= 0 or gamma <= 0 raises ValueError.
     """
     deltas = np.asarray(deltas, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
@@ -320,33 +346,16 @@ def dw_response_grid(deltas, epsilons, gamma, chi):
         raise ValueError("closed-form response requires chi > 0")
     if gamma <= 0:
         raise ValueError("closed-form response requires gamma > 0")
-    d = deltas[:, None]
-    e = epsilons[None, :]
-    # numerator and denominator series of every cell in one call
-    sums, ratios, terms, tails = hyp0f2_series(*_ratio_series(d, e, gamma, chi))
-    num, den = sums
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # -(e / (d - i gamma/2)) * num / den, where -(e / c) is e / (-c) to
-        # the bit; numpy's complex product fuses a multiply-add on FMA CPUs
-        fr, fi = _quot(e, 0.0, -d, 0.5 * gamma)
-        qr, qi = fr * num.real - fi * num.imag, fr * num.imag + fi * num.real
-        vr, vi = _quot(qr, qi, den.real, den.imag)
-    values = np.empty(vr.shape, dtype=complex)
-    values.real, values.imag = vr, vi
-    tails = np.maximum(*tails)
-    for i, j in np.argwhere(np.logical_or(*_escalates(ratios, terms))):
-        values[i, j] = _dw_mpmath(deltas[i], epsilons[j], gamma, chi)
-        tails[i, j] = 0.0
-    return values, tails
+    return _response(deltas[:, None], chi, epsilons[None, :], gamma)
 
 
-def _slope_derivatives(cells):
-    """u = d/d delta log|<a>|^2 and four of its derivatives on a (delta, chi, epsilon, gamma) table.
+def _slope_derivatives(d, chi, e, g):
+    """u = d/d delta log|<a>|^2 and four of its derivatives on the broadcast (delta, chi, epsilon, gamma) columns.
 
-    Returns (rows, escalates): rows u, du/d delta, d^2u/d delta^2,
-    du/d epsilon and d^2u/d epsilon d delta, one column per cell, and the
-    cells whose series would be redone in 50 digits (_escalates).  Both
-    lower parameters move with delta at rate 1/chi, so the term t_k of
+    Returns (rows, escalates) in the columns' broadcast shape: rows u,
+    du/d delta, d^2u/d delta^2, du/d epsilon and d^2u/d epsilon d delta,
+    and the cells whose series would be redone in 50 digits (_escalates).
+    Both lower parameters move with delta at rate 1/chi, so the term t_k of
     0F2(; b1, b2; z) has the log-derivative p1 = -sum_{i<k} [1/(b1+i) +
     1/(b2+i)] / chi (the ratio is Drummond and Walls', J. Phys. A 13, 725
     (1980)).  With p2 = dp1/d delta and p3 = dp2/d delta its derivatives
@@ -356,16 +365,7 @@ def _slope_derivatives(cells):
     on its value terms, whatever cells sit beside it, and is summed no
     further.
     """
-    d, chi, e, g = np.asarray(cells, dtype=float).reshape(-1, 4).T
-    m = d.size
-    if not m:
-        return np.zeros((5, 0)), np.zeros(0, dtype=bool)
-    # the numerator series of every cell, then the denominator series
-    b1, b2, z = _ratio_series(d, e, g, chi)
-    value, ratio, terms, _ = out = tuple(np.empty(2 * m, dtype=t) for t in (complex, float, np.int64, float))
-    sums = np.empty((6, 2 * m), dtype=complex)
-    _series_block(b1.reshape(-1), np.concatenate((b2, b2)), np.concatenate((z, z), dtype=complex), out, sums)
-    escalates = _escalates(ratio, terms)
+    value, _, escalates, sums = _ratio_series(d, chi, e, g, slopes=True)
     # each series' l_j = chi^j d^j log F / d delta^j from f_j = chi^j F^(j) / F,
     # and el_j = (epsilon / 2) d l_j / d epsilon from e_j = sum k t_k^(j) / F
     f1, f2, f3, e0, e1, e2 = sums / value
@@ -373,7 +373,7 @@ def _slope_derivatives(cells):
     l3 = f3 - 3.0 * f1 * f2 + 2.0 * f1 * f1 * f1
     el1 = e1 - f1 * e0
     el2 = e2 - f2 * e0 - 2.0 * f1 * el1
-    n1, n2, n3, ne1, ne2 = ((x[:m] - x[m:]).real for x in (f1, l2, l3, el1, el2))
+    n1, n2, n3, ne1, ne2 = ((num - den).real for num, den in (f1, l2, l3, el1, el2))
     c = 1.0 / (d - 0.5j * g)  # |<a>| = epsilon |c| |num / den|
     rows = np.array(
         [
@@ -384,7 +384,7 @@ def _slope_derivatives(cells):
             4.0 * ne2 / (chi**2 * e),
         ]
     )
-    return rows, escalates[:m] | escalates[m:]
+    return rows, escalates
 
 
 def _quot(ar, ai, br, bi):

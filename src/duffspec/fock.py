@@ -52,8 +52,10 @@ class ModelParams:
 
 
 def _check_dim(dim):
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise ValueError(f"truncation dimension must be an integer >= 2, got {dim!r}")
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
+        raise ValueError(f"truncation dimension must be an integer, got {dim!r}")
+    if dim < 2:
+        raise ValueError(f"truncation dimension must be >= 2, got {dim!r}")
     return int(dim)
 
 

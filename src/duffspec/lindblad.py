@@ -59,6 +59,7 @@ Hermitian for a real eigenvalue.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,7 @@ from .fock import (
     TOL_HERM,
     TOL_PSD,
     TOL_TRACE,
+    _check_dim,
     _density_matrix_errors,
     validate_density_matrix,
 )
@@ -151,8 +153,7 @@ def _entry_table(table, dim):
     cell's entries are those of its own generator, whatever the other
     cells are.
     """
-    if dim < 2:
-        raise ValueError(f"truncation dimension must be >= 2, got {dim}")
+    dim = _check_dim(dim)
     delta, chi, epsilon, gamma = (table[:, j, None] for j in range(4))
     n = np.arange(dim, dtype=float)
     # H's diagonal and first superdiagonal (fock.build_hamiltonian); + 0.0
@@ -601,10 +602,10 @@ def _steady_state_outcomes(table, dim, summary=None):
 
     With ``summary``, each block's stack of accepted states (cells, d, d)
     goes through it, and each cell keeps its item of the result in place
-    of rho.  A ``dim`` below 2 raises at once, for all cells.
+    of rho.  A ``dim`` not an integer >= 2 raises at once, for all cells.
     """
-    if dim is not None and dim < 2:
-        raise ValueError(f"truncation dimension must be >= 2, got {dim}")
+    if dim is not None:
+        dim = _check_dim(dim)
     results = [None] * len(table)
     for i in np.flatnonzero(table[:, 3] <= 0):
         results[i] = ValueError("steady state requires gamma > 0")
@@ -669,7 +670,7 @@ def solve_steady_states(cells, dim=None):
     test move on to the blocks at twice their truncation.  Every cell's
     result is bit for bit the one it gets when solved alone.
 
-    A ``dim`` below 2 raises ValueError before any cell is solved.
+    A ``dim`` not an integer >= 2 raises ValueError before any cell is solved.
     Otherwise raises the exception the first failing cell, in input
     order, raises on its own: ValueError for gamma <= 0,
     TruncationLimitError when the start truncation is above _MAX_DIM or a
@@ -830,8 +831,8 @@ def low_lying_spectrum(S, count=6):
     import scipy.sparse as sp
 
     d = _superoperator_dim(S)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not (isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if not np.any(S.diagonal().real):
         raise DegenerateKernelError(
             "generator has no damping; every function of the Hamiltonian is stationary"
@@ -956,6 +957,9 @@ def metastable_extremes(rho0, drho1):
     """
     rho0 = np.asarray(rho0, dtype=complex)
     drho1 = np.asarray(drho1, dtype=complex)
+    for name, m in (("rho0", rho0), ("drho1", drho1)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} must be finite")
     validate_density_matrix(rho0)
     if drho1.shape != rho0.shape:
         raise ValueError(f"shape mismatch: {drho1.shape} vs {rho0.shape}")

@@ -209,8 +209,8 @@ def bw_steady_state(params, order=3, dim=12):
     exceeds 10% of the kept top-order term, a divergence warning is
     issued (the series is asymptotic beyond the small-drive regime).
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order}")
+    if not (isinstance(order, numbers.Integral) and not isinstance(order, bool) and order in (1, 2, 3)):
+        raise ValueError(f"order must be the integer 1, 2, or 3, got {order!r}")
     if dim < order + 4:
         raise ValueError(f"dim must be >= order + 4 to hold the order-{order} support")
     terms = _drive_orders(params, order + 2, dim)
@@ -463,26 +463,14 @@ def fano_fit(deltas, magnitudes):
     )
 
 
-def _raise_escalated(cells, escalates):
-    """Raise OnsetError naming the first cell of a (..., 4) table flagged in ``escalates``."""
+def _raise_escalated(escalates, *cells):
+    """Raise OnsetError naming the first cell flagged in ``escalates`` of the (delta, chi, epsilon, gamma) columns."""
     if escalates.any():
-        d, x, e, g = cells[escalates][0].tolist()
+        d, x, e, g = (float(np.broadcast_to(c, escalates.shape)[escalates][0]) for c in cells)
         raise OnsetError(
             f"the closed form at delta={d!r}, epsilon={e!r}, gamma={g!r}, chi={x!r} needs "
             "50 digits, and the onset is solved in double only"
         )
-
-
-def _onset_slopes(delta, chi, epsilon, gamma):
-    """Rows u, du/d delta, d^2u/d delta^2, du/d epsilon, d^2u/d epsilon d delta of u = d/d delta log|<a>|^2.
-
-    The arguments broadcast to the cells' shape.  Raises OnsetError naming
-    a cell whose series would be redone in 50 digits (_slope_derivatives).
-    """
-    cells = np.stack(np.broadcast_arrays(delta, chi, epsilon, gamma), axis=-1)
-    derivs, escalates = _slope_derivatives(cells.reshape(-1, 4))
-    _raise_escalated(cells, escalates.reshape(cells.shape[:-1]))
-    return derivs.reshape((5,) + cells.shape[:-1])
 
 
 def onset_scan(n, gammas, chi=1.0):
@@ -518,6 +506,7 @@ def onset_scan(n, gammas, chi=1.0):
     _check_rate("chi", chi)
     if not (math.isfinite(chi) and chi > 0):
         raise ValueError(f"onset scan requires a finite chi > 0, got chi={chi}")
+    chi = float(chi)
     gammas = list(gammas)
     for gamma in gammas:
         _check_rate("gamma", gamma)
@@ -542,15 +531,13 @@ def onset_scan(n, gammas, chi=1.0):
             rungs.append(rungs[-1] * 1.25)
         rungs = np.array(rungs)
         deltas = -n * chi + offsets * rates[todo, None]
-        cells = np.stack(
-            np.broadcast_arrays(deltas, chi, rungs[:, :, None], rates[todo, None]), axis=-1
-        )
-        derivs, escalates = _slope_derivatives(cells.reshape(-1, 4))
-        u = derivs[0].reshape(cells.shape[:-1])
+        cells = deltas, chi, rungs[:, :, None], rates[todo, None]
+        derivs, escalates = _slope_derivatives(*cells)
+        u = derivs[0]
         turned = (u[:, :, inside] < 0.0).any(axis=2)
         # the rungs the one-rung ladder sums: up to each rate's first turned one
         summed = np.cumsum(turned, axis=0) - turned == 0
-        _raise_escalated(cells, escalates.reshape(u.shape) & summed[:, :, None])
+        _raise_escalated(escalates & summed[:, :, None], *cells)
         first = summed & turned
         mid = u[:, :, 1:-1]
         steps, rows, cols = np.nonzero(
@@ -568,7 +555,9 @@ def onset_scan(n, gammas, chi=1.0):
     for _ in range(30):
         if not live.size:
             break
-        u, du, ddu, du_eps, ddu_eps = _onset_slopes(delta[live], chi, drive[live], rates[index[live]])
+        cells = delta[live], chi, drive[live], rates[index[live]]
+        (u, du, ddu, du_eps, ddu_eps), escalates = _slope_derivatives(*cells)
+        _raise_escalated(escalates, *cells)
         with np.errstate(divide="ignore", invalid="ignore"):
             det = du * ddu_eps - du_eps * ddu
             delta[live] += (du_eps * du - u * ddu_eps) / det

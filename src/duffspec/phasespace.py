@@ -136,7 +136,7 @@ def wigner_many(rhos, re_range=(-5.0, 5.0), im_range=(-5.0, 5.0), nx=201, ny=201
     same bits whichever other states share the call.  Inputs must be
     Hermitian (the evaluation
     folds conjugate off-diagonals together); non-Hermitian operators are
-    rejected rather than silently projected.
+    rejected rather than silently projected, and so are non-finite ones.
     """
     rhos = [np.asarray(r, dtype=complex) for r in rhos]
     if not rhos:
@@ -145,6 +145,8 @@ def wigner_many(rhos, re_range=(-5.0, 5.0), im_range=(-5.0, 5.0), nx=201, ny=201
     for r in rhos:
         if r.shape != (dim, dim):
             raise ValueError("all states must share one truncation dimension")
+        if not np.isfinite(r).all():
+            raise ValueError("state must be finite")
         defect = float(np.max(np.abs(r - r.conj().T)))
         scale = max(1.0, float(np.max(np.abs(r))))
         if defect > _HERM_TOL * scale:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closedform import _check_rate, _quot
+
 _RESIDUAL_TOL = 1e-10
 # Newton steps at most for a root that fails the residual check (_newton_until_stalled)
 _MAX_NEWTON_STEPS = 100
@@ -163,8 +165,6 @@ def _amplitudes(d, x, e, g, ns):
     product in parts as Python forms it; failed marks residuals above
     _RESIDUAL_TOL max(1, epsilon).
     """
-    from .closedform import _quot
-
     found = ~np.isnan(ns)
     alpha = np.full(ns.shape, np.nan, dtype=complex)
     alpha.real, alpha.imag = _quot(-e[:, None], 0.0, d[:, None] + 2.0 * x[:, None] * ns, -0.5 * g[:, None])
@@ -267,8 +267,10 @@ def bifurcation_boundary(chi, gamma, deltas):
     n_-+ = (-2 delta -+ sqrt(delta^2 - 3 gamma^2 / 4)) / (6 chi) the
     stationary points of epsilon^2(n), both positive there.  Detunings
     without bistability are dropped; the result may be empty.  Raises
-    ValueError unless chi > 0, gamma > 0 and every argument is finite.
+    ValueError unless chi > 0 and gamma > 0, neither a bool, and every argument is finite.
     """
+    _check_rate("chi", chi)
+    _check_rate("gamma", gamma)
     deltas = np.asarray(deltas, dtype=float)
     if not (math.isfinite(chi) and math.isfinite(gamma) and np.isfinite(deltas).all()):
         raise ValueError(f"bifurcation boundary requires finite arguments, got chi={chi}, gamma={gamma}")

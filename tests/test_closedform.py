@@ -566,7 +566,7 @@ _SLOPE_CELLS = [
 @pytest.mark.parametrize("cell", _SLOPE_CELLS)
 def test_slope_derivatives_match_mpmath(cell):
     # within 1e-14 relative today (9.8e-15 at worst, point C's d^2u/d delta^2)
-    derivs, escalates = closedform._slope_derivatives(np.array([cell]))
+    derivs, escalates = closedform._slope_derivatives(*np.array([cell]).T)
     assert not escalates[0]
     np.testing.assert_allclose(derivs[:, 0], mp_slope_derivatives(*cell), rtol=1e-13, atol=0.0)
 
@@ -577,17 +577,17 @@ def test_slope_derivatives_of_a_cell_do_not_depend_on_the_cells_beside_it():
     from seeded_cells import seeded_draw
 
     cells = np.array(seeded_draw())
-    derivs, escalates = closedform._slope_derivatives(cells)
+    derivs, escalates = closedform._slope_derivatives(*cells.T)
     assert not escalates.any()
     for i in range(len(cells)):
-        one, _ = closedform._slope_derivatives(cells[i : i + 1])
+        one, _ = closedform._slope_derivatives(*cells[i : i + 1].T)
         assert one.tobytes() == derivs[:, i : i + 1].tobytes()
 
 
 def test_slope_derivatives_flag_a_cell_that_escalates():
     delta, epsilon, gamma = _ESCALATING_CELL
     cells = np.array([[delta, 1.0, epsilon, gamma], [-9.5, 1.0, 3.0, gamma]])
-    assert closedform._slope_derivatives(cells)[1].tolist() == [True, False]
+    assert closedform._slope_derivatives(*cells.T)[1].tolist() == [True, False]
 
 
 # _slope_derivatives as it stood before its term steps were taken in
@@ -694,15 +694,38 @@ def test_slope_derivatives_equal_the_out_of_place_oracle(name):
     # rows and escalation mask bit for bit, on the whole table and on each
     # cell alone
     cells = _SLOPE_ORACLE_TABLES[name]()
-    got, want = closedform._slope_derivatives(cells), _oracle_slope_derivatives(cells)
+    got, want = closedform._slope_derivatives(*cells.T), _oracle_slope_derivatives(cells)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
     for i in range(0, len(cells), max(1, len(cells) // 25)):
-        got, want = closedform._slope_derivatives(cells[i : i + 1]), _oracle_slope_derivatives(cells[i : i + 1])
+        got, want = closedform._slope_derivatives(*cells[i : i + 1].T), _oracle_slope_derivatives(cells[i : i + 1])
         assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
 
 
 def test_slope_derivatives_of_no_cells():
     # min() of the empty parameter arrays raised
-    rows, escalates = closedform._slope_derivatives(np.empty((0, 4)))
+    rows, escalates = closedform._slope_derivatives(*np.empty((0, 4)).T)
     assert rows.shape == (5, 0) and rows.dtype == float
     assert escalates.shape == (0,) and escalates.dtype == bool
+
+
+def test_column_calls_are_their_one_cell_calls_bit_for_bit():
+    # _response on the seeded draw's columns, with the escalating cell
+    # after them, gives each cell's one-cell grid value and tail
+    from seeded_cells import seeded_draw
+
+    cells = np.array(seeded_draw() + [(_ESCALATING_CELL[0], 1.0) + _ESCALATING_CELL[1:]])
+    values, tails = closedform._response(*cells.T)
+    assert tails[-1] == 0.0
+    for i, (delta, chi, epsilon, gamma) in enumerate(cells.tolist()):
+        one = dw_response_grid([delta], [epsilon], gamma, chi)
+        assert values[i : i + 1].tobytes() == one[0].tobytes() and tails[i : i + 1].tobytes() == one[1].tobytes()
+    # ten copies of the draw hold 12000 series, which hyp0f2_series sums in
+    # two blocks; every copy's rows are the one-cell rows
+    cells = cells[:-1]
+    table = np.tile(cells, (10, 1))
+    assert 2 * len(table) > closedform._SERIES_BLOCK
+    rows, escalates = closedform._slope_derivatives(*table.T)
+    assert not escalates.any()
+    for i in range(len(cells)):
+        one, _ = closedform._slope_derivatives(*cells[i : i + 1].T)
+        assert rows[:, i :: len(cells)].tobytes() == np.repeat(one, 10, axis=1).tobytes()

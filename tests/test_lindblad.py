@@ -1,6 +1,7 @@
 """Tests for the master-equation generator, steady state, and spectrum."""
 
 import itertools
+import re
 
 import mpmath
 import numpy as np
@@ -223,6 +224,36 @@ def test_fixed_dim_below_two_raises_before_any_solve(monkeypatch):
         solve_steady_states([POINT_C], dim=1)
     with pytest.raises(ValueError, match=message):
         solve_steady_states([ModelParams(-1.0, 1.0, 0.5, 0.0), POINT_C], dim=1)
+
+
+@pytest.mark.parametrize(
+    "dim, shown", [(20.0, "20.0"), (6.0, "6.0"), (True, "True"), (np.float64(6.0), "np.float64(6.0)")]
+)
+def test_non_integer_dim_raises_before_any_solve(monkeypatch, dim, shown):
+    # a float dim raised numpy's bare TypeError from inside the assembly
+    def failing_solve_block(vals):
+        raise AssertionError("a block was solved")
+
+    monkeypatch.setattr(lindblad, "_solve_block", failing_solve_block)
+    message = re.escape(f"truncation dimension must be an integer, got {shown}")
+    with pytest.raises(ValueError, match=message):
+        solve_steady_state_adaptive(POINT_C, dim=dim)
+    with pytest.raises(ValueError, match=message):
+        build_superoperator(POINT_C, dim)
+
+
+def test_numpy_integer_dims_are_dims():
+    assert (build_superoperator(POINT_C, np.int64(6)) != build_superoperator(POINT_C, 6)).nnz == 0
+    rho, dim, residual = solve_steady_state_adaptive(POINT_C, dim=np.int32(18))
+    want = solve_steady_state_adaptive(POINT_C, dim=18)
+    assert (rho.tobytes(), dim, residual) == (want[0].tobytes(), want[1], want[2])
+
+
+@pytest.mark.parametrize("count", [True, 2.5, 0, "3"])
+def test_spectrum_count_must_be_a_positive_integer(count):
+    # count=True raised numpy's ambiguous truth value, 2.5 an IndexError
+    with pytest.raises(ValueError, match=re.escape(f"count must be an integer >= 1, got {count!r}")):
+        low_lying_spectrum(build_superoperator(POINT_C, 6), count=count)
 
 
 # start dims 18, 10 (doubles to 20), 10 (epsilon = 0), 97 (hard regime),
@@ -970,6 +1001,17 @@ def test_metastable_input_validation():
         metastable_extremes(rho0, np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         metastable_extremes(np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["rho0", "drho1"])
+def test_metastable_input_must_be_finite(name, bad):
+    # NaN passed every Hermitian, trace and positivity comparison and
+    # ended in LAPACK's "Eigenvalues did not converge"
+    args = {"rho0": 0.5 * np.eye(2, dtype=complex), "drho1": np.diag([1.0, -1.0]).astype(complex)}
+    args[name][0, 1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        metastable_extremes(**args)
 
 
 def test_metastable_extremes_match_bisection_along_delta():

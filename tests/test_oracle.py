@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-from duffspec.closedform import dw_response_grid
+from duffspec.closedform import _response
 from duffspec.lindblad import _start_dims, _steady_state_outcomes
 from duffspec.sweep import _mean_a
 from seeded_cells import seeded_draw
@@ -47,7 +47,7 @@ def _off_cells(got, ref, cells, rtol):
 def test_seeded_closed_form_matches_mpmath():
     # every cell within 1e-12 relative (1.7e-13 at worst today); without
     # the series' guard against stopping before k > -Re b, 23 cells fail
-    got = np.array([dw_response_grid(np.array([d]), np.array([e]), g, x)[0][0, 0] for d, x, e, g in CELLS.tolist()])
+    got, _ = _response(*CELLS.T)
     bad = _off_cells(got, mp_response(), CELLS, 1e-12)
     assert not bad, f"{len(bad)} cells (delta, chi, epsilon, gamma, rel. error) off the closed form: {bad[:5]}"
 

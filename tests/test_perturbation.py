@@ -199,6 +199,14 @@ def test_bw_order_and_input_validation():
         bw_steady_state(ModelParams(-1.0, 1.0, 0.01, 0.0))
 
 
+@pytest.mark.parametrize("order", [True, 2.0, 0, None])
+def test_bw_order_must_be_an_integer(order):
+    # order=True ran as order 1
+    params = ModelParams(delta=-1.0, chi=1.0, epsilon=0.01, gamma=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"got {order!r}")):
+        bw_steady_state(params, order=order)
+
+
 def test_bw_warns_outside_convergence_regime():
     with pytest.warns(RuntimeWarning):
         bw_steady_state(ModelParams(delta=-5.2, chi=1.0, epsilon=3.2, gamma=2.0))
@@ -661,7 +669,7 @@ def test_onset_scan_matches_the_mpmath_cusp(n, gamma):
     # Newton's start: the minimum of u at the onset drive on a fine grid
     deltas = -n + gamma * np.linspace(-12.0, 12.0, 2401)
     cells = np.stack(np.broadcast_arrays(deltas, 1.0, onset, gamma), axis=1)
-    derivs, _ = _slope_derivatives(cells)
+    derivs, _ = _slope_derivatives(*cells.T)
     i = np.argmin(derivs[0])
     # the line turns over at a minimum of u, and u falls with the drive
     assert derivs[2, i] > 0.0 and derivs[3, i] < 0.0
@@ -702,10 +710,10 @@ def recording_slopes(monkeypatch, rows):
     """Replace _slope_derivatives by one that returns ``rows`` for every cell; record the drives."""
     drives = []
 
-    def fake(cells):
-        drives.extend(cells[:, 2])
-        derivs = np.repeat(np.array(rows, dtype=float)[:, None], len(cells), axis=1)
-        return derivs, np.zeros(len(cells), dtype=bool)
+    def fake(*cells):
+        drives.extend(np.broadcast_arrays(*cells)[2].ravel())
+        derivs = np.multiply.outer(rows, np.ones(np.broadcast_shapes(*map(np.shape, cells))))
+        return derivs, np.zeros(derivs.shape[1:], dtype=bool)
 
     monkeypatch.setattr(perturbation, "_slope_derivatives", fake)
     return drives
@@ -756,10 +764,11 @@ def probing(monkeypatch, flagged=()):
     """Record the drives _slope_derivatives is called on, and flag every cell at a ``flagged`` drive as escalating."""
     probed = set()
 
-    def fake(cells):
-        probed.update(cells[:, 2].tolist())
-        derivs, escalates = _slope_derivatives(cells)
-        return derivs, escalates | np.isin(cells[:, 2], flagged)
+    def fake(*cells):
+        drives = np.broadcast_arrays(*cells)[2]
+        probed.update(drives.ravel().tolist())
+        derivs, escalates = _slope_derivatives(*cells)
+        return derivs, escalates | np.isin(drives, flagged)
 
     monkeypatch.setattr(perturbation, "_slope_derivatives", fake)
     return probed

@@ -83,6 +83,15 @@ def test_wigner_many_matches_single_calls():
     assert np.array_equal(pair[1].values, wigner(rho_b, nx=31, ny=31).values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wigner_many_rejects_a_non_finite_state(bad):
+    # a NaN state passed the Hermitian check and gave an all-NaN grid
+    rho = fock_projector(0, 4)
+    rho[1, 1] = bad
+    with pytest.raises(ValueError, match="state must be finite"):
+        wigner_many([fock_projector(1, 4), rho], nx=5, ny=5)
+
+
 def test_wigner_grid_metadata():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # narrow im window clips the tail; fine here

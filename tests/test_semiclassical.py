@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,23 @@ def test_boundary_traces_root_count_changes():
 def test_boundary_validation():
     with pytest.raises(ValueError):
         bifurcation_boundary(0.0, 0.1, [-1.0])
+
+
+@pytest.mark.parametrize(
+    "chi, gamma, match",
+    [
+        # a bool chi or gamma was read as 1, and a complex one raised a
+        # bare TypeError from math.isfinite
+        (True, 1.0, "chi=True"),
+        (1.0, True, "gamma=True"),
+        (np.True_, 1.0, re.escape("chi=np.True_")),
+        (1 + 0j, 1.0, re.escape("chi=(1+0j)")),
+        (1.0, 0.5j, re.escape("gamma=0.5j")),
+    ],
+)
+def test_boundary_rejects_bool_and_complex_rates(chi, gamma, match):
+    with pytest.raises(ValueError, match=match):
+        bifurcation_boundary(chi, gamma, [-5.0])
 
 
 @pytest.mark.parametrize(
