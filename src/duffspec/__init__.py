@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines each.
 _PUBLIC = {
     "fock": (
-        "ModelParams", "annihilation", "fock_state", "fock_projector", "build_hamiltonian",
+        "ModelParams", "annihilation", "fock_projector", "build_hamiltonian",
         "expectation", "von_neumann_entropy", "binary_entropy", "validate_density_matrix",
     ),
     "lindblad": (

@@ -243,6 +243,13 @@ def _require_finite(**arguments):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _real_array(name, value):
+    """value as a float array; a complex value, whose imaginary part the cast drops, raises ValueError."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got {name}={value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _escalates(ratio, terms):
     """Cells to redo in 50 digits; a zero sum has an infinite peak ratio, so it is one."""
     return (ratio > CANCEL_RATIO) | (terms >= SERIES_MAX_TERMS)
@@ -334,11 +341,12 @@ def _response(d, chi, e, g):
 def dw_response_grid(deltas, epsilons, gamma, chi):
     """_response on the outer grid deltas x epsilons: (values, tails).
 
-    A NaN or infinite argument, a gamma or chi that is not a real number
-    (a bool is not), chi <= 0 or gamma <= 0 raises ValueError.
+    A complex deltas or epsilons, a NaN or infinite argument, a gamma or
+    chi that is not a real number (a bool is not), chi <= 0 or gamma <= 0
+    raises ValueError.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    epsilons = np.asarray(epsilons, dtype=float)
+    deltas = _real_array("deltas", deltas)
+    epsilons = _real_array("epsilons", epsilons)
     _check_rate("gamma", gamma)
     _check_rate("chi", chi)
     _require_finite(deltas=deltas, epsilons=epsilons, gamma=gamma, chi=chi)

@@ -65,20 +65,16 @@ def annihilation(dim):
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def fock_state(n, dim):
-    """Number state |n> as a column vector."""
+def fock_projector(n, dim):
+    """Density matrix of the number state |n>; n must be an integer (not a bool) in 0 .. dim - 1."""
     dim = _check_dim(dim)
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"level must be an integer, got {n!r}")
     if not 0 <= n < dim:
         raise ValueError(f"level {n} outside truncation 0..{dim - 1}")
-    vec = np.zeros(dim, dtype=complex)
-    vec[n] = 1.0
-    return vec
-
-
-def fock_projector(n, dim):
-    """Density matrix of the number state |n>."""
-    vec = fock_state(n, dim)
-    return np.outer(vec, vec.conj())
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[n, n] = 1.0
+    return rho
 
 
 def build_hamiltonian(params, dim):
@@ -86,7 +82,8 @@ def build_hamiltonian(params, dim):
 
     H = delta a'a + chi a'a'aa + epsilon (a + a'); the quartic term is
     diagonal with entries chi n(n-1).  Built symmetrically, so hermiticity
-    is exact in floating point.
+    is exact in floating point.  The tests check lindblad._entry_table
+    against the Kronecker-product generator built on this H.
     """
     dim = _check_dim(dim)
     n = np.arange(dim, dtype=float)

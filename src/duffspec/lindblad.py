@@ -20,24 +20,24 @@ down, with Hermiticity closing the recursion at the populations.  The
 solution is refined with the same inverses against a residual formed in
 extended precision.
 
-Many steady states are solved in blocks (solve_steady_states): the cells
-go in as one parameter table, rows (delta, chi, epsilon, gamma), whose
-start truncations come from one batched classical cubic (_start_dims),
-and cells at the same truncation form blocks of at most _BLOCK_PAIRS Fock
-pairs (cells x dim^2).  Every step runs in numpy across the whole block,
-on the entry table: the sector inverses (stacked LAPACK gesv against
-2^600 I, kept at that scale; _inverse), the solves and the
-extended-precision refinement, each cell stopping on its own, then the
-normalization, the residual max|S rho| (_table_product, the CSR
+Steady states are solved in blocks (_steady_state_outcomes): the cells
+go in as one parameter table (_param_table), rows (delta, chi, epsilon,
+gamma), whose start truncations come from one batched classical cubic
+(_start_dims), and cells at the same truncation form blocks of at most
+_BLOCK_PAIRS Fock pairs (cells x dim^2).  Every step runs in numpy
+across the whole block, on the entry table: the sector inverses (stacked
+LAPACK gesv against 2^600 I, kept at that scale; _inverse), the solves
+and the extended-precision refinement, each cell stopping on its own,
+then the normalization, the residual max|S rho| (_table_product, the CSR
 product's to the bit), validation (a stacked Cholesky positivity gate,
 with one stacked eigvalsh only where it does not clear the block) and
 top-population test.  No step mixes cells, so a cell's state is bit for
 bit the same in any block, alone included: steady_state and
-solve_steady_state_adaptive are the same solve on one cell.  The
-inverses of the sectors' m x m blocks cost sum m^3 ~ dim^4/4 operations
-per cell, more than a sparse LU at large truncation, but no step is a
-per-cell call: at the 10-24 levels of a README sweep, one SuperLU
-factorization per cell was most of the time.
+solve_steady_state_adaptive are _steady_state_outcomes' solve on one
+cell.  The inverses of the sectors' m x m blocks cost sum m^3 ~ dim^4/4
+operations per cell, more than a sparse LU at large truncation, but no
+step is a per-cell call: at the 10-24 levels of a README sweep, one
+SuperLU factorization per cell was most of the time.
 
 S maps Hermitian matrices to Hermitian ones, so on the orthonormal basis
 of Hermitian matrices (the columns of the sparse unitary T) it is the real
@@ -87,7 +87,7 @@ _BOUNDARY_SHIFT = TOL_PSD * (1.0 - 2.0**-24)
 # superoperator densely; beyond this the Arnoldi path takes over.
 DENSE_EIG_MAX_DIM = 32
 
-# Most Fock pairs (cells x dim^2) that solve_steady_states puts in one block.
+# Most Fock pairs (cells x dim^2) that _steady_state_outcomes puts in one block.
 _BLOCK_PAIRS = 8192
 
 # Adaptive truncation's target top-two-level population and its level cap.
@@ -139,9 +139,10 @@ def _superoperator_dim(S):
     return d
 
 
-def _param_table(cells):
-    """The parameter table of a sequence of ModelParams: one row (delta, chi, epsilon, gamma) per cell."""
-    return np.array([(p.delta, p.chi, p.epsilon, p.gamma) for p in cells], dtype=float).reshape(-1, 4)
+def _param_table(delta, chi, epsilon, gamma):
+    """The parameter table of broadcast (delta, chi, epsilon, gamma) columns: one row per cell, in C order."""
+    columns = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (delta, chi, epsilon, gamma)))
+    return np.stack(columns, axis=-1).reshape(-1, 4)
 
 
 def _entry_table(table, dim):
@@ -195,7 +196,7 @@ def build_superoperator(params, dim):
     """
     import scipy.sparse as sp
 
-    vals = _entry_table(_param_table([params]), dim)[0]
+    [vals] = _entry_table(_param_table(params.delta, params.chi, params.epsilon, params.gamma), dim)
     k = np.arange(dim)[:, None]
     l = np.arange(dim)[None, :]
     cols = (k * dim + l)[..., None] + np.array([i * dim + j for i, j in _SLOT_STEPS])
@@ -555,8 +556,8 @@ def steady_state(S):
     rounding of S's entries to double, <= 5e-7 in <a> there.  The
     returned matrix is Hermitian by construction, renormalized, and
     validated (residual max|S rho| < TOL_RESID, PSD within tolerance).
-    This is solve_steady_states' solve, on S's entries as a block of one
-    cell; only S's own methods are called, to read its entries.
+    This is _steady_state_outcomes' solve, on S's entries as a block of
+    one cell; only S's own methods are called, to read its entries.
 
     Raises ValueError when S holds an entry outside the six couplings of
     its row (module docstring).  Raises DegenerateKernelError for a
@@ -597,12 +598,22 @@ def _start_dims(table):
 
 
 def _steady_state_outcomes(table, dim, summary=None):
-    """solve_steady_states' (rho, dim, residual) for each row of a parameter table,
-    or in its place the exception that cell raises.
+    """Steady states of the rows of a parameter table (_param_table), with adaptive truncation.
+
+    Returns one (rho, dim, residual) per row, in order, or in its place
+    the exception the cell raises alone: ValueError for gamma <= 0,
+    TruncationLimitError when the start truncation (_start_dims) is above
+    _MAX_DIM or a doubling would pass it, or steady_state's errors.  A
+    cell's truncation doubles until its top two levels hold less than
+    _TOP_POP_TOL; a ``dim`` solves every cell at that size instead, and
+    one not an integer >= 2 raises ValueError at once.  residual is
+    max|S rho| with S = build_superoperator(params, dim), to the bit.
+    Cells at one truncation share blocks of at most _BLOCK_PAIRS Fock
+    pairs (_solve_block), and each outcome is the cell's alone, bit for bit.
 
     With ``summary``, each block's stack of accepted states (cells, d, d)
     goes through it, and each cell keeps its item of the result in place
-    of rho.  A ``dim`` not an integer >= 2 raises at once, for all cells.
+    of rho.
     """
     if dim is not None:
         dim = _check_dim(dim)
@@ -651,48 +662,19 @@ def _steady_state_outcomes(table, dim, summary=None):
     return results
 
 
-def solve_steady_states(cells, dim=None):
-    """Steady states of many parameter cells with automatic truncation control.
-
-    Returns one (rho, dim, residual) per cell of ``cells`` (ModelParams),
-    in order.  Each cell starts at the truncation its largest classical
-    branch needs, and its truncation doubles until the combined population
-    of the top two levels drops below _TOP_POP_TOL; passing ``dim`` skips
-    adaptation and solves every cell at that size.  ``residual`` is
-    max|S rho|, as steady_state checks it: np.max(np.abs(S @
-    rho.reshape(-1))) to the bit, with S = build_superoperator(params,
-    dim), though no sparse matrix is built.
-
-    The cells go in as one parameter table (_param_table), and their
-    start truncations come from one batched classical cubic (_start_dims).
-    Cells at the same truncation are solved together in blocks of at most
-    _BLOCK_PAIRS Fock pairs (_solve_block); cells that fail the population
-    test move on to the blocks at twice their truncation.  Every cell's
-    result is bit for bit the one it gets when solved alone.
-
-    A ``dim`` not an integer >= 2 raises ValueError before any cell is solved.
-    Otherwise raises the exception the first failing cell, in input
-    order, raises on its own: ValueError for gamma <= 0,
-    TruncationLimitError when the start truncation is above _MAX_DIM or a
-    doubling would pass it, or steady_state's errors.
-    """
-    results = _steady_state_outcomes(_param_table(cells), dim)
-    for out in results:
-        if isinstance(out, Exception):
-            raise out
-    return results
-
-
 def solve_steady_state_adaptive(params, dim=None):
     """Steady state with automatic truncation control.
 
     Starting from a semiclassical estimate, the truncation doubles until
     the combined population of the top two levels drops below
     _TOP_POP_TOL.  Passing ``dim`` skips adaptation and solves at that
-    fixed size.  Returns (rho, dim, residual): solve_steady_states on
-    this one cell.
+    fixed size.  Returns (rho, dim, residual), _steady_state_outcomes'
+    for this one cell, or raises the exception that outcome is.
     """
-    return solve_steady_states([params], dim)[0]
+    [out] = _steady_state_outcomes(_param_table(params.delta, params.chi, params.epsilon, params.gamma), dim)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 @dataclass(frozen=True)

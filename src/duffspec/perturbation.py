@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import _check_rate, _slope_derivatives
+from .closedform import _check_rate, _real_array, _slope_derivatives
+from .fock import _check_dim
 
 _VERIFY_EDGE_WEIGHT = 1e-6
 _MAX_ANALYTIC_DIM = 64
@@ -139,10 +140,10 @@ def verify_s0_eigenpair(pair, params):
     in the top two levels, where truncation would contaminate the
     comparison.
     """
-    from .lindblad import _entry_table, _table_product
+    from .lindblad import _entry_table, _param_table, _table_product
 
     dim = pair.right.shape[0]
-    s0 = _entry_table(np.array([[params.delta, params.chi, 0.0, params.gamma]], dtype=float), dim)
+    s0 = _entry_table(_param_table(params.delta, params.chi, 0.0, params.gamma), dim)
     s0_vec = _table_product(s0, pair.right[None]).reshape(-1)
     vec = pair.right.reshape(-1)
     scale = np.max(np.abs(vec))
@@ -208,9 +209,11 @@ def bw_steady_state(params, order=3, dim=12):
     A two-orders-higher term is evaluated as a convergence gauge; if it
     exceeds 10% of the kept top-order term, a divergence warning is
     issued (the series is asymptotic beyond the small-drive regime).
+    Raises ValueError unless dim is an integer >= order + 4 (not a bool).
     """
     if not (isinstance(order, numbers.Integral) and not isinstance(order, bool) and order in (1, 2, 3)):
         raise ValueError(f"order must be the integer 1, 2, or 3, got {order!r}")
+    dim = _check_dim(dim)
     if dim < order + 4:
         raise ValueError(f"dim must be >= order + 4 to hold the order-{order} support")
     terms = _drive_orders(params, order + 2, dim)
@@ -409,13 +412,13 @@ def fano_fit(deltas, magnitudes):
 
     The fit uses every sample, in any order: at least 50 are needed, and
     the window they span should bracket exactly one resonance.  Raises
-    ValueError for non-finite input and FanoFitError when the search
-    fails, the profile degenerates (|q| > 50 or amp = 0, as for a
+    ValueError for complex or non-finite input and FanoFitError when the
+    search fails, the profile degenerates (|q| > 50 or amp = 0, as for a
     symmetric Lorentzian peak), or the residual exceeds
     _FANO_RESIDUAL_FRAC of the line amplitude.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    mags = np.asarray(magnitudes, dtype=float)
+    deltas = _real_array("deltas", deltas)
+    mags = _real_array("magnitudes", magnitudes)
     if deltas.shape != mags.shape or deltas.ndim != 1:
         raise ValueError("need matching 1-D delta and magnitude arrays")
     for name, values in (("deltas", deltas), ("magnitudes", mags)):

@@ -27,6 +27,7 @@ the same recurrences in 80-bit floats differ by at most 2.8e-16, where
 max|W| is 0.21 to 0.64.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -137,6 +138,7 @@ def wigner_many(rhos, re_range=(-5.0, 5.0), im_range=(-5.0, 5.0), nx=201, ny=201
     Hermitian (the evaluation
     folds conjugate off-diagonals together); non-Hermitian operators are
     rejected rather than silently projected, and so are non-finite ones.
+    nx and ny must be integers >= 2 (not bools).
     """
     rhos = [np.asarray(r, dtype=complex) for r in rhos]
     if not rhos:
@@ -151,6 +153,9 @@ def wigner_many(rhos, re_range=(-5.0, 5.0), im_range=(-5.0, 5.0), nx=201, ny=201
         scale = max(1.0, float(np.max(np.abs(r))))
         if defect > _HERM_TOL * scale:
             raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
+    for name, n in (("nx", nx), ("ny", ny)):
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ValueError(f"{name} must be an integer, got {name}={n!r}")
     if nx < 2 or ny < 2:
         raise ValueError("grid needs at least 2 points per axis")
     xs = np.linspace(re_range[0], re_range[1], nx)

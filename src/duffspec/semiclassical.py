@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import _check_rate, _quot
+from .closedform import _check_rate, _quot, _real_array
 
 _RESIDUAL_TOL = 1e-10
 # Newton steps at most for a root that fails the residual check (_newton_until_stalled)
@@ -267,11 +267,12 @@ def bifurcation_boundary(chi, gamma, deltas):
     n_-+ = (-2 delta -+ sqrt(delta^2 - 3 gamma^2 / 4)) / (6 chi) the
     stationary points of epsilon^2(n), both positive there.  Detunings
     without bistability are dropped; the result may be empty.  Raises
-    ValueError unless chi > 0 and gamma > 0, neither a bool, and every argument is finite.
+    ValueError unless chi > 0 and gamma > 0, neither a bool, deltas are
+    real, and every argument is finite.
     """
     _check_rate("chi", chi)
     _check_rate("gamma", gamma)
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = _real_array("deltas", deltas)
     if not (math.isfinite(chi) and math.isfinite(gamma) and np.isfinite(deltas).all()):
         raise ValueError(f"bifurcation boundary requires finite arguments, got chi={chi}, gamma={gamma}")
     if chi <= 0 or gamma <= 0:

@@ -215,18 +215,12 @@ def _mean_a(rho):
 
 
 def _numeric_grid(deltas, epsilons, gamma, chi, dim, workers):
-    from .lindblad import _steady_state_outcomes
+    from .lindblad import _param_table, _steady_state_outcomes
 
     # each cell's (<a>, truncation, residual), <a> summed once per block
     solve = functools.partial(_steady_state_outcomes, dim=dim, summary=_mean_a)
-    # the cells' parameter table, one row (delta, chi, epsilon, gamma) per
-    # cell in grid order
-    table = np.empty((deltas.size, epsilons.size, 4))
-    table[..., 0] = deltas[:, None]
-    table[..., 1] = chi
-    table[..., 2] = epsilons
-    table[..., 3] = gamma
-    table = table.reshape(-1, 4)
+    # one row per cell, in grid order
+    table = _param_table(deltas[:, None], chi, epsilons, gamma)
     # Share w holds cells w, w + n, w + 2n, ...: a cell's cost (its
     # adaptive truncation) drifts along the grid, so dealt shares cost
     # about the same where contiguous runs did not.  This process solves

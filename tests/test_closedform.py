@@ -522,6 +522,20 @@ def test_dw_response_grid_rejects_the_rates_the_onset_scan_rejects(monkeypatch, 
         dw_response_grid([-1.0], [0.1], gamma, chi)
 
 
+@pytest.mark.parametrize(
+    "deltas, epsilons, name",
+    [
+        (np.array([-1 + 0.5j]), [0.1], "deltas"),
+        ([-1 + 0.5j], [0.1], "deltas"),
+        ([-1.0], np.array([0.1 + 0j]), "epsilons"),
+    ],
+)
+def test_dw_response_grid_rejects_complex_detunings_and_drives(deltas, epsilons, name):
+    # numpy's cast to float dropped the imaginary part after a ComplexWarning
+    with pytest.raises(ValueError, match=f"^{name} must be real, got {name}="):
+        dw_response_grid(deltas, epsilons, 1.0, 1.0)
+
+
 def test_dw_response_grid_takes_numpy_real_rates():
     want = dw_response_grid([-1.0, 0.5], [0.1, 2.0], 0.1, 1.0)
     got = dw_response_grid([-1.0, 0.5], [0.1, 2.0], np.float64(0.1), np.int64(1))

@@ -10,7 +10,6 @@ from duffspec.fock import (
     build_hamiltonian,
     expectation,
     fock_projector,
-    fock_state,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -152,13 +151,18 @@ def test_number_expectation_real_nonnegative():
         assert val.real >= -1e-8
 
 
-def test_fock_state_and_projector():
-    v = fock_state(3, 6)
-    assert v[3] == 1.0 and np.sum(np.abs(v)) == 1.0
+def test_fock_projector():
     rho = fock_projector(3, 6)
+    assert rho[3, 3] == 1.0 and np.sum(np.abs(rho)) == 1.0
     validate_density_matrix(rho)
-    with pytest.raises(ValueError):
-        fock_state(6, 6)
+    assert fock_projector(np.int64(2), 4).tobytes() == fock_projector(2, 4).tobytes()
+    for level in (6, -1):
+        with pytest.raises(ValueError, match=f"level {level} outside truncation 0..5"):
+            fock_projector(level, 6)
+    # a float level raised numpy's IndexError, and True set every entry to 1
+    for level in (3.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            fock_projector(level, 6)
 
 
 def test_validate_density_matrix_rejects():

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -30,11 +31,11 @@ from duffspec.lindblad import (
     _param_table,
     _spectrum_order,
     _start_dims,
+    _steady_state_outcomes,
     build_superoperator,
     low_lying_spectrum,
     metastable_extremes,
     solve_steady_state_adaptive,
-    solve_steady_states,
     steady_state,
 )
 from duffspec import lindblad
@@ -44,6 +45,11 @@ from test_closedform import mp_dw
 
 POINT_C = ModelParams(delta=-5.2, chi=1.0, epsilon=3.2, gamma=2.0)
 HARD_REGIME = ModelParams(delta=-2.0, chi=0.05, epsilon=1.5, gamma=0.1)
+
+
+def table_of(cells):
+    """The parameter table of a list of ModelParams, one row per cell in order."""
+    return _param_table(*np.array([astuple(p) for p in cells]).T)
 
 
 def dense_rhs(params, rho):
@@ -183,7 +189,7 @@ def test_start_dim_above_the_cap_raises_before_any_solve(monkeypatch, tmp_path):
     from duffspec.sweep import SweepConfig, analyze, sweep
 
     params = ModelParams(delta=0.0, chi=1.0, epsilon=60.0, gamma=2.0)
-    assert _start_dims(_param_table([params]))[0][0] == 43
+    assert _start_dims(_param_table(*astuple(params)))[0][0] == 43
     monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
     solve_block = lindblad._solve_block
     solved = []
@@ -196,8 +202,8 @@ def test_start_dim_above_the_cap_raises_before_any_solve(monkeypatch, tmp_path):
     message = "semiclassical start truncation 43 exceeds the cap 32"
     with pytest.raises(TruncationLimitError, match=message):
         solve_steady_state_adaptive(params)
-    with pytest.raises(TruncationLimitError, match=message):
-        solve_steady_states([POINT_C, params])
+    point_c, capped = _steady_state_outcomes(table_of([POINT_C, params]), None)
+    assert (type(capped), str(capped)) == (TruncationLimitError, message)
     grid = dict(delta_range=(0.0, 0.0, 1), epsilon_range=(60.0, 60.0, 1))
     with pytest.raises(TruncationLimitError, match=message):
         sweep(SweepConfig(method="numeric", gamma=2.0, chi=1.0, **grid))
@@ -208,8 +214,8 @@ def test_start_dim_above_the_cap_raises_before_any_solve(monkeypatch, tmp_path):
     task = analyze(config)["tasks"]["entropy"]
     assert (task["error_type"], task["message"]) == ("TruncationLimitError", message)
     # point C, ahead of the cell in the list, is solved; nothing at 43 levels
-    assert solved == [18]
-    [(_, dim, _)] = solve_steady_states([params], dim=20)
+    assert solved == [18] and point_c[1] == 18
+    [(_, dim, _)] = _steady_state_outcomes(table_of([params]), 20)
     assert dim == 20
 
 
@@ -221,9 +227,9 @@ def test_fixed_dim_below_two_raises_before_any_solve(monkeypatch):
     monkeypatch.setattr(lindblad, "_solve_block", failing_solve_block)
     message = "truncation dimension must be >= 2, got 1"
     with pytest.raises(ValueError, match=message):
-        solve_steady_states([POINT_C], dim=1)
+        _steady_state_outcomes(table_of([POINT_C]), 1)
     with pytest.raises(ValueError, match=message):
-        solve_steady_states([ModelParams(-1.0, 1.0, 0.5, 0.0), POINT_C], dim=1)
+        _steady_state_outcomes(table_of([ModelParams(-1.0, 1.0, 0.5, 0.0), POINT_C]), 1)
 
 
 @pytest.mark.parametrize(
@@ -281,7 +287,7 @@ def test_blocked_solve_matches_single_cells(mixed_alone, block_pairs, monkeypatc
     assert [dim for _, dim, _ in mixed_alone] == [18, 20, 10, 97, 22, 10, 18]
     monkeypatch.setattr(lindblad, "_BLOCK_PAIRS", block_pairs)
     for picks in ([0, 1, 2, 3, 4, 5, 6], [6, 2, 0, 5, 3, 1, 4], [0, 1, 2], [3, 4, 5, 6]):
-        got = solve_steady_states([MIXED_CELLS[i] for i in picks])
+        got = _steady_state_outcomes(table_of([MIXED_CELLS[i] for i in picks]), None)
         for i, (rho, dim, residual) in zip(picks, got, strict=True):
             rho1, dim1, residual1 = mixed_alone[i]
             assert (dim, residual) == (dim1, residual1)
@@ -295,7 +301,7 @@ def test_blocked_fixed_dim_matches_steady_state(mixed_alone):
     for d in sorted({dim for _, dim, _ in mixed_alone}):
         runs.append(([p for p, (_, dim, _) in zip(MIXED_CELLS, mixed_alone) if dim == d], d))
     for cells, d in runs:
-        got = solve_steady_states(cells, dim=d)
+        got = _steady_state_outcomes(table_of(cells), d)
         for params, (rho, dim, residual) in zip(cells, got, strict=True):
             S = build_superoperator(params, d)
             assert dim == d
@@ -303,34 +309,58 @@ def test_blocked_fixed_dim_matches_steady_state(mixed_alone):
             assert residual == np.max(np.abs(S @ rho.reshape(-1)))
             # the residual's product, read from the entry table, is the
             # CSR product element by element
-            table = lindblad._table_product(lindblad._entry_table(lindblad._param_table([params]), d), rho[None])
+            table = lindblad._table_product(lindblad._entry_table(lindblad._param_table(*astuple(params)), d), rho[None])
             assert table.tobytes() == (S @ rho.reshape(-1)).tobytes()
 
 
-def _raised(fn):
-    with pytest.raises(Exception) as info:
-        fn()
-    return type(info.value), str(info.value)
+def _key(out):
+    """A steady-state outcome as (rho bytes, dim, residual), or an exception's type and message."""
+    if isinstance(out, Exception):
+        return type(out), str(out)
+    rho, dim, residual = out
+    return rho.tobytes(), dim, residual
 
 
-@pytest.mark.parametrize("first", [0, 1])
-def test_blocked_error_is_first_failing_cell(first, monkeypatch):
-    # the cell starting at dim 11 fails at dim 22, after point C has failed
-    # at 18; whichever comes first in the input is the one reported
-    cells = [ModelParams(delta=0.5, chi=1.0, epsilon=5.0, gamma=2.0), POINT_C]
-    cells = cells[first:] + cells[:first]
+def _outcome(fn):
+    """_key of what fn returns or raises."""
+    try:
+        return _key(fn())
+    except Exception as exc:
+        return _key(exc)
+
+
+def test_each_outcome_is_what_its_cell_raises_alone(monkeypatch):
+    # with an unreachable population target and a cap of 32, the cell
+    # starting at dim 11 fails at dim 22 and point C at dim 18, the
+    # undamped cell fails before any solve, and the undriven cell, whose
+    # top levels stay empty, solves.  Each cell's outcome is what it
+    # raises or returns alone, whatever cells come before it
+    from duffspec.sweep import SweepConfig, sweep
+
     monkeypatch.setattr(lindblad, "_TOP_POP_TOL", 1e-30)
     monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
-    expected = _raised(lambda: solve_steady_state_adaptive(cells[0]))
-    assert expected[0] is TruncationLimitError
-    assert _raised(lambda: solve_steady_states(cells)) == expected
-    assert _raised(lambda: solve_steady_states(cells[1:])) != expected
-    # a cell that cannot be solved at all, ahead of them, wins
-    undamped = ModelParams(delta=-1.0, chi=1.0, epsilon=0.3, gamma=0.0)
-    assert _raised(lambda: solve_steady_states([undamped] + cells)) == (
-        ValueError,
-        "steady state requires gamma > 0",
-    )
+    cells = [
+        ModelParams(delta=0.5, chi=1.0, epsilon=5.0, gamma=2.0),
+        POINT_C,
+        ModelParams(delta=-1.0, chi=1.0, epsilon=0.3, gamma=0.0),
+        ModelParams(delta=-0.7, chi=1.0, epsilon=0.0, gamma=0.4),
+    ]
+    alone = [_outcome(lambda p=p: solve_steady_state_adaptive(p)) for p in cells]
+    assert [out[0] for out in alone[:3]] == [TruncationLimitError, TruncationLimitError, ValueError]
+    assert alone[0][1].endswith("at dim 22") and alone[1][1].endswith("at dim 18")
+    assert alone[2][1] == "steady state requires gamma > 0"
+    assert alone[3][1] == 10
+    for order in itertools.permutations(range(4)):
+        outcomes = _steady_state_outcomes(table_of([cells[i] for i in order]), None)
+        assert [_key(out) for out in outcomes] == [alone[i] for i in order]
+    # the sweep raises the first failing cell in grid order: point C on its
+    # grid with the dim-11 cell, and the dim-11 cell on a line where the
+    # cell after it fails first in the solve, at dim 17
+    later = _outcome(lambda: solve_steady_state_adaptive(ModelParams(0.5, 1.0, 12.0, 2.0)))
+    assert later[0] is TruncationLimitError and later[1].endswith("at dim 17")
+    for deltas, epsilons, first in (((-5.2, 0.5, 2), (3.2, 5.0, 2), 1), ((0.5, 0.5, 1), (5.0, 12.0, 2), 0)):
+        config = SweepConfig(method="numeric", gamma=2.0, chi=1.0, delta_range=deltas, epsilon_range=epsilons)
+        assert _outcome(lambda: sweep(config)) == alone[first]
 
 
 def test_start_dim_from_largest_classical_branch():
@@ -341,7 +371,7 @@ def test_start_dim_from_largest_classical_branch():
     rho, dim, _ = solve_steady_state_adaptive(params, dim=16)
     assert rho[15, 15].real + rho[14, 14].real < 1e-8
     assert abs(expectation(annihilation(dim), rho) - exact) > 4.0
-    assert _start_dims(_param_table([params]))[0][0] == 84
+    assert _start_dims(_param_table(*astuple(params)))[0][0] == 84
     rho, dim, _ = solve_steady_state_adaptive(params)
     assert dim == 84
     assert abs(expectation(annihilation(dim), rho) - exact) < 1e-6
@@ -353,7 +383,7 @@ def test_start_dim_where_the_photon_number_is_a_whole_half():
     # one ulp high would start at 23 and 15, so it must round as this one
     for delta, epsilon, start in ((-8.0, 3.0, 22), (-2.0, 5.0, 14)):
         params = ModelParams(delta=delta, chi=1.0, epsilon=epsilon, gamma=2.0)
-        assert _start_dims(_param_table([params]))[0][0] == start
+        assert _start_dims(_param_table(*astuple(params)))[0][0] == start
 
 
 def test_degenerate_kernel_detected():
@@ -501,7 +531,7 @@ def test_steady_state_rejects_entry_outside_pattern():
 def test_singular_sector_fails_only_its_cell():
     # a generator whose top sector has no diagonal cannot be solved by the
     # sector recursion; the cell next to it in the block is unaffected
-    vals = lindblad._entry_table(lindblad._param_table([POINT_C, POINT_C]), 8)
+    vals = lindblad._entry_table(table_of([POINT_C, POINT_C]), 8)
     vals[1, 7, 0, 2] = 0.0
     rho, residual, errors = lindblad._solve_block(vals)
     assert errors[0] is None and isinstance(errors[1], DegenerateKernelError)
@@ -538,7 +568,7 @@ def test_stacked_density_matrix_checks_match_validate_density_matrix():
 def test_large_truncation_flushes_tiny_inverse_entries():
     # at dim 160 the sector inverses of point C carry entries below 1e-100,
     # set to zero; refinement against the full residual absorbs that
-    [(rho, dim, residual)] = solve_steady_states([POINT_C], dim=160)
+    [(rho, dim, residual)] = _steady_state_outcomes(table_of([POINT_C]), 160)
     assert dim == 160 and residual <= TOL_RESID
     assert abs(expectation(annihilation(dim), rho) - dw_response(POINT_C)) <= 1e-12
 
@@ -555,7 +585,7 @@ def _sector_blocks(params, dim, monkeypatch):
 
     monkeypatch.setattr(lindblad, "_inverse", recording)
     k, l, _ = lindblad._sectors(dim)
-    lindblad._SectorFraction(lindblad._entry_table(lindblad._param_table([params]), dim)[:, k, l], dim)
+    lindblad._SectorFraction(lindblad._entry_table(lindblad._param_table(*astuple(params)), dim)[:, k, l], dim)
     return blocks
 
 
@@ -588,7 +618,7 @@ def test_unit_solve_without_upward_pass_is_the_full_solve(params, dim):
     # e_0 is zero outside sector 0, so every s_n of the upward pass is 0;
     # skipping it changes no bit, zero signs included
     k, l, _ = lindblad._sectors(dim)
-    fraction = lindblad._SectorFraction(lindblad._entry_table(lindblad._param_table([params]), dim)[:, k, l], dim)
+    fraction = lindblad._SectorFraction(lindblad._entry_table(lindblad._param_table(*astuple(params)), dim)[:, k, l], dim)
     b = np.zeros((1, k.size), dtype=complex)
     b[:, 0] = 1.0
     assert fraction.solve(b).tobytes() == fraction.solve(b, upward=False).tobytes()
@@ -634,7 +664,7 @@ def test_scaled_solve_matches_the_unscaled_path(monkeypatch):
     # a cell that fails must fail the same way on both paths
     for params in HARD_CELLS:
         scaled, unscaled = _scaled_and_unscaled(
-            lambda: lindblad._steady_state_outcomes(lindblad._param_table([params]), None)[0], monkeypatch
+            lambda: lindblad._steady_state_outcomes(lindblad._param_table(*astuple(params)), None)[0], monkeypatch
         )
         if isinstance(unscaled, Exception):
             assert type(scaled) is type(unscaled) and str(scaled) == str(unscaled)

@@ -207,6 +207,23 @@ def test_bw_order_must_be_an_integer(order):
         bw_steady_state(params, order=order)
 
 
+@pytest.mark.parametrize(
+    "dim, shown", [(12.0, "12.0"), (True, "True"), (np.float64(12.0), "np.float64(12.0)")]
+)
+def test_bw_dim_must_be_an_integer(dim, shown):
+    # a float dim raised numpy's bare TypeError; True failed the size check
+    params = ModelParams(delta=-1.0, chi=1.0, epsilon=0.01, gamma=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"truncation dimension must be an integer, got {shown}")):
+        bw_steady_state(params, 3, dim=dim)
+
+
+def test_bw_takes_numpy_integer_dims():
+    params = ModelParams(delta=-1.0, chi=1.0, epsilon=0.01, gamma=0.1)
+    want = bw_steady_state(params, 3, dim=12)
+    for dim in (np.int64(12), np.int32(12)):
+        assert bw_steady_state(params, 3, dim=dim).tobytes() == want.tobytes()
+
+
 def test_bw_warns_outside_convergence_regime():
     with pytest.warns(RuntimeWarning):
         bw_steady_state(ModelParams(delta=-5.2, chi=1.0, epsilon=3.2, gamma=2.0))
@@ -543,6 +560,16 @@ def test_fano_coefficient_map_avoids_cancellation():
     for amp_in, q_in in ((0.03, 0.97), (0.03, -1.2), (0.4, 0.0), (1e-3, 40.0)):
         bg, amp, q = _fano_from_coefficients(0.5 + amp_in, amp_in * (q_in**2 - 1), -2 * amp_in * q_in)
         assert np.allclose([bg, amp, q], [0.5, amp_in, q_in], rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["deltas", "magnitudes"])
+def test_fano_fit_rejects_complex_input(name):
+    # numpy's cast to float dropped the imaginary part after a ComplexWarning
+    deltas = np.linspace(-1.1, -0.9, 201)
+    line = {"deltas": deltas, "magnitudes": synthetic_fano(deltas, 1.0, 0.03, -1.0, 0.01, 0.97)}
+    line[name] = line[name] + 0j
+    with pytest.raises(ValueError, match=f"^{name} must be real, got {name}="):
+        fano_fit(line["deltas"], line["magnitudes"])
 
 
 def test_fano_fit_rejects_non_finite_input():

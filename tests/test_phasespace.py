@@ -1,12 +1,13 @@
 """Tests for Wigner-function evaluation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from duffspec.fock import ModelParams, fock_projector, fock_state
+from duffspec.fock import ModelParams, fock_projector
 from duffspec.lindblad import solve_steady_state_adaptive
 from duffspec.phasespace import (
     WignerGrid,
@@ -90,6 +91,28 @@ def test_wigner_many_rejects_a_non_finite_state(bad):
     rho[1, 1] = bad
     with pytest.raises(ValueError, match="state must be finite"):
         wigner_many([fock_projector(1, 4), rho], nx=5, ny=5)
+
+
+@pytest.mark.parametrize(
+    "nx, ny, name, shown",
+    [(5.0, 5, "nx", "5.0"), (5, True, "ny", "True"), (np.float64(5.0), 5, "nx", "np.float64(5.0)")],
+)
+def test_wigner_grid_sizes_must_be_integers(nx, ny, name, shown):
+    # a float size raised numpy's bare TypeError; True failed the size check
+    message = re.escape(f"{name} must be an integer, got {name}={shown}")
+    with pytest.raises(ValueError, match=message):
+        wigner_many([fock_projector(0, 4)], nx=nx, ny=ny)
+    with pytest.raises(ValueError, match=message):
+        wigner(fock_projector(0, 4), nx=nx, ny=ny)
+
+
+def test_wigner_grid_sizes_take_numpy_integers_and_need_two_points():
+    want = wigner(fock_projector(0, 4), nx=5, ny=5)
+    got = wigner(fock_projector(0, 4), nx=np.int64(5), ny=np.int32(5))
+    assert got.values.tobytes() == want.values.tobytes()
+    for nx, ny in ((1, 5), (5, np.int64(1)), (0, 0)):
+        with pytest.raises(ValueError, match="grid needs at least 2 points per axis"):
+            wigner(fock_projector(0, 4), nx=nx, ny=ny)
 
 
 def test_wigner_grid_metadata():

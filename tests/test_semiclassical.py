@@ -154,6 +154,13 @@ def test_boundary_rejects_bool_and_complex_rates(chi, gamma, match):
         bifurcation_boundary(chi, gamma, [-5.0])
 
 
+@pytest.mark.parametrize("deltas", [np.array([-5.0 + 0j]), [-5.0 + 0.5j]])
+def test_boundary_rejects_complex_detunings(deltas):
+    # numpy's cast to float dropped the imaginary part after a ComplexWarning
+    with pytest.raises(ValueError, match="^deltas must be real, got deltas="):
+        bifurcation_boundary(1.0, 0.1, deltas)
+
+
 @pytest.mark.parametrize(
     "chi, gamma, deltas",
     [
@@ -312,7 +319,7 @@ def test_batched_start_dims_equal_the_scalar_cubic(grid):
         else:
             branches = classical_steady_states(params)
             assert repr((branches.amplitudes, branches.photon_numbers, branches.stable)) == repr(want)
-            assert _start_dims(_param_table([params]))[0][0] == start
+            assert _start_dims(_param_table(*c))[0][0] == start
 
 
 def test_batched_residual_check_fails_as_the_scalar_one(monkeypatch):

@@ -293,8 +293,8 @@ def test_sweep_mean_a_is_the_expectation_of_each_state():
         method="numeric", gamma=2.0, chi=1.0, delta_range=(-8.0, -2.0, 61), epsilon_range=(0.5, 4.0, 8)
     )
     result = sweep(config)
-    cells = [ModelParams(float(d), 1.0, float(e), 2.0) for d in result.deltas for e in result.epsilons]
-    solved = lindblad_mod.solve_steady_states(cells)
+    table = lindblad_mod._param_table(result.deltas[:, None], 1.0, result.epsilons, 2.0)
+    solved = lindblad_mod._steady_state_outcomes(table, None)
     expected = np.array([expectation(annihilation(dim), rho) for rho, dim, _ in solved])
     assert result.values["numeric"].tobytes() == expected.tobytes()
     assert result.dims.ravel().tolist() == [dim for _, dim, _ in solved]
@@ -303,6 +303,25 @@ def test_sweep_mean_a_is_the_expectation_of_each_state():
         stack = np.stack([rho for rho, dim, _ in solved if dim == d])
         assert sweep_mod._mean_a(stack).tobytes() == expected[dims == d].tobytes()
         assert sweep_mod._mean_a(stack[:1]).tobytes() == expected[dims == d][:1].tobytes()
+
+
+def test_param_table_is_the_hand_built_grid_table():
+    # the sweep's parameter table, one row (delta, chi, epsilon, gamma) per
+    # cell in grid order, equals the table it once filled column by column
+    deltas, epsilons = np.linspace(-8.0, -2.0, 61), np.linspace(0.5, 4.0, 8)
+    for d, e, chi, gamma in (
+        (deltas, epsilons, 1.0, 2.0),
+        (deltas, epsilons[:1], 1, np.float64(0.1)),
+        (deltas[:1], epsilons[:1], 0.05, 1e-8),
+    ):
+        table = np.empty((d.size, e.size, 4))
+        table[..., 0] = d[:, None]
+        table[..., 1] = chi
+        table[..., 2] = e
+        table[..., 3] = gamma
+        got = lindblad_mod._param_table(d[:, None], chi, e, gamma)
+        assert got.shape == (d.size * e.size, 4) and got.dtype == np.float64
+        assert got.tobytes() == table.reshape(-1, 4).tobytes()
 
 
 def _oracle_sweep_csv(result):
