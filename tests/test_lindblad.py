@@ -335,8 +335,6 @@ def test_each_outcome_is_what_its_cell_raises_alone(monkeypatch):
     # undamped cell fails before any solve, and the undriven cell, whose
     # top levels stay empty, solves.  Each cell's outcome is what it
     # raises or returns alone, whatever cells come before it
-    from duffspec.sweep import SweepConfig, sweep
-
     monkeypatch.setattr(lindblad, "_TOP_POP_TOL", 1e-30)
     monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
     cells = [
@@ -353,14 +351,32 @@ def test_each_outcome_is_what_its_cell_raises_alone(monkeypatch):
     for order in itertools.permutations(range(4)):
         outcomes = _steady_state_outcomes(table_of([cells[i] for i in order]), None)
         assert [_key(out) for out in outcomes] == [alone[i] for i in order]
-    # the sweep raises the first failing cell in grid order: point C on its
-    # grid with the dim-11 cell, and the dim-11 cell on a line where the
-    # cell after it fails first in the solve, at dim 17
-    later = _outcome(lambda: solve_steady_state_adaptive(ModelParams(0.5, 1.0, 12.0, 2.0)))
-    assert later[0] is TruncationLimitError and later[1].endswith("at dim 17")
-    for deltas, epsilons, first in (((-5.2, 0.5, 2), (3.2, 5.0, 2), 1), ((0.5, 0.5, 1), (5.0, 12.0, 2), 0)):
-        config = SweepConfig(method="numeric", gamma=2.0, chi=1.0, delta_range=deltas, epsilon_range=epsilons)
-        assert _outcome(lambda: sweep(config)) == alone[first]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_blocked_error_is_first_failing_cell(first, monkeypatch):
+    # the sweep raises what its first failing cell in grid order raises
+    # alone.  first=0: on a line, the cell starting at dim 11 fails at
+    # dim 22, after the cell behind it has failed at dim 17 in the solve;
+    # first=1: on a grid with the dim-11 cell, point C fails at dim 18
+    from duffspec.sweep import SweepConfig, _grid_points, sweep
+
+    monkeypatch.setattr(lindblad, "_TOP_POP_TOL", 1e-30)
+    monkeypatch.setattr(lindblad, "_MAX_DIM", 32)
+    deltas, epsilons, other = [
+        ((0.5, 0.5, 1), (5.0, 12.0, 2), "at dim 17"),
+        ((-5.2, 0.5, 2), (3.2, 5.0, 2), "at dim 22"),
+    ][first]
+    head = [ModelParams(0.5, 1.0, 5.0, 2.0), POINT_C][first]
+    expected = _outcome(lambda: solve_steady_state_adaptive(head))
+    assert expected[0] is TruncationLimitError
+    assert expected[1].endswith(["at dim 22", "at dim 18"][first])
+    # the grid holds a second failing cell, with an error of its own
+    table = _param_table(_grid_points(deltas)[:, None], 1.0, _grid_points(epsilons), 2.0)
+    failed = [_key(out) for out in _steady_state_outcomes(table, None) if isinstance(out, Exception)]
+    assert failed[0] == expected and failed[-1] != expected and failed[-1][1].endswith(other)
+    config = SweepConfig(method="numeric", gamma=2.0, chi=1.0, delta_range=deltas, epsilon_range=epsilons)
+    assert _outcome(lambda: sweep(config)) == expected
 
 
 def test_start_dim_from_largest_classical_branch():
